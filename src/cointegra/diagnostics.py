@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import chi2
 
 from .errors import NotPositiveDefinite, NumericalFailure, SampleTooShort, SingularCovariance
 from .johansen import _design_blocks
-from .linalg import cholesky
+from .linalg import chi2_sf, cholesky
 from .panel import VARIABLES
 from .vecm import VecmFit
 
@@ -140,7 +139,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
         stat = -(t_eff - n * j - 0.5) * (_log_det(sigma_aux) - _log_det(sigma_base))
         stat = max(stat, 0.0)
         dof = n * n
-        out.append(LmResult(lag=j, statistic=stat, dof=dof, pvalue=float(chi2.sf(stat, dof))))
+        out.append(LmResult(lag=j, statistic=stat, dof=dof, pvalue=chi2_sf(stat, dof)))
     return out
 
 
@@ -195,9 +194,9 @@ def normality_tests(fit: VecmFit, equation_names: tuple[str, ...] | None = None)
                 equation=equation_names[j],
                 skew=skew,
                 kurtosis=kurt,
-                skew_test=TestStat(s_stat, 1, float(chi2.sf(s_stat, 1))),
-                kurtosis_test=TestStat(k_stat, 1, float(chi2.sf(k_stat, 1))),
-                jb=TestStat(jb, 2, float(chi2.sf(jb, 2))),
+                skew_test=TestStat(s_stat, 1, chi2_sf(s_stat, 1)),
+                kurtosis_test=TestStat(k_stat, 1, chi2_sf(k_stat, 1)),
+                jb=TestStat(jb, 2, chi2_sf(jb, 2)),
             )
         )
 
@@ -206,7 +205,7 @@ def normality_tests(fit: VecmFit, equation_names: tuple[str, ...] | None = None)
     jb_sum = math.fsum(eq.jb.stat for eq in per)
     return NormalityReport(
         per_equation=per,
-        joint_skew=TestStat(s_sum, n, float(chi2.sf(s_sum, n))),
-        joint_kurtosis=TestStat(k_sum, n, float(chi2.sf(k_sum, n))),
-        joint_jb=TestStat(jb_sum, 2 * n, float(chi2.sf(jb_sum, 2 * n))),
+        joint_skew=TestStat(s_sum, n, chi2_sf(s_sum, n)),
+        joint_kurtosis=TestStat(k_sum, n, chi2_sf(k_sum, n)),
+        joint_jb=TestStat(jb_sum, 2 * n, chi2_sf(jb_sum, 2 * n)),
     )

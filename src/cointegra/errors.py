@@ -48,6 +48,15 @@ class NonPositiveValue(CointegraError):
         super().__init__(f"non-positive value at row {row}, column {column!r}")
 
 
+class MalformedValue(CointegraError):
+    """A CSV cell is missing or does not parse as the number its column holds."""
+
+    def __init__(self, row, column):
+        self.row = row
+        self.column = column
+        super().__init__(f"malformed value at row {row}, column {column!r}")
+
+
 class IncompleteYear(CointegraError):
     """A calendar year in the quarterly indicator has fewer than four quarters."""
 

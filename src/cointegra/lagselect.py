@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import RankDeficient, SampleTooShort
-from .linalg import ols
+from .linalg import chi2_sf, ols
 
 
 @dataclass
@@ -102,7 +101,7 @@ def select_lags(data, max_lag: int) -> LagSelection:
         else:
             lr = (t_eff - s) * (log_dets[p - 1] - log_det)
             lr = max(lr, 0.0)
-            lr_p = float(chi2.sf(lr, n * n))
+            lr_p = chi2_sf(lr, n * n)
         per_lag.append(
             LagStats(p, log_lik, log_det, aic, fpe, hqic, sbic, lr, lr_p)
         )

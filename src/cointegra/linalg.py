@@ -1,8 +1,13 @@
-"""Dense matrix kernel: multivariate OLS, Cholesky, generalized symmetric eigen.
+"""Dense matrix kernel: multivariate OLS, Cholesky, generalized symmetric eigen,
+and the chi-square upper-tail p-value shared by the test statistics.
 
-All routines take and return numpy arrays and are pure functions. Residual
-covariances use the maximum-likelihood divisor T throughout; estimators that
-need a degrees-of-freedom correction apply it at the call site.
+All routines are pure functions. Residual covariances use the
+maximum-likelihood divisor T throughout; estimators that need a
+degrees-of-freedom correction apply it at the call site.
+
+The package uses only ``scipy.linalg`` and ``scipy.special``: importing
+``scipy.stats`` would roughly double the start-up time of every CLI process,
+and ``chi2_sf`` gives the same values without it.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import NotPositiveDefinite, RankDeficient
 
@@ -57,11 +63,13 @@ def ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     t, p = x.shape
     if t <= p:
         raise RankDeficient(f"need more rows than regressors, got {t}x{p}")
-    q, r, _piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0 or diag[-1] < RANK_TOL * diag[0]:
         raise RankDeficient(f"design matrix rank-deficient ({p} columns)")
-    coef, *_ = scipy.linalg.lstsq(x, y, lapack_driver="gelsy")
+    # X·P = Q·R, so B[piv] = R⁻¹·Q'·Y: solve from the factorization above.
+    coef = np.empty((p, y.shape[1]))
+    coef[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
     resid = y - x @ coef
     cov = resid.T @ resid / t
     cov = (cov + cov.T) / 2.0
@@ -69,6 +77,18 @@ def ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
         coef = coef[:, 0]
         resid = resid[:, 0]
     return OlsFit(coefficients=coef, residuals=resid, residual_covariance=cov)
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper-tail probability P(X > x) for X ~ chi-square(dof).
+
+    Bitwise equal to ``scipy.stats.chi2.sf(x, dof)``, which evaluates the
+    same ``chdtrc``. As there, a negative statistic gives 1.0 (``chdtrc``
+    alone gives NaN) and NaN stays NaN.
+    """
+    if x < 0.0:
+        return 1.0
+    return float(scipy.special.chdtrc(dof, x))
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInput,
     GapInQuarters,
     IncompleteYear,
+    MalformedValue,
     MissingAnnualValue,
     MissingColumn,
     NonPositiveInput,
@@ -112,6 +113,15 @@ def _parse_identity(csv_path: str) -> tuple[str, int]:
     return stem, 0
 
 
+def read_cell(raw: dict, column: str, row: int, cast=float):
+    """``cast(raw[column])`` for one csv.DictReader row, raising
+    MalformedValue when the cell is missing (a short row) or does not parse."""
+    try:
+        return cast(raw[column])
+    except (TypeError, ValueError):
+        raise MalformedValue(row, column) from None
+
+
 def ingest_panel(
     csv_path: str,
     schema: dict[str, str] | None = None,
@@ -139,6 +149,8 @@ def ingest_panel(
         The same (year, quarter) appears twice.
     GapInQuarters
         The sorted quarters are not contiguous; the error lists the holes.
+    MalformedValue
+        A cell is missing or is not a number (row index as below).
     NonPositiveValue
         A data cell is zero or negative (row index counts data rows from 0).
     """
@@ -152,10 +164,12 @@ def ingest_panel(
                 raise MissingColumn(f"column {actual!r} not found in {csv_path}")
         rows = []
         for i, raw in enumerate(reader):
-            when = QuarterDate(int(raw[colmap["year"]]), int(raw[colmap["quarter"]]))
+            when = QuarterDate(
+                read_cell(raw, colmap["year"], i, int), read_cell(raw, colmap["quarter"], i, int)
+            )
             values = {}
             for name in VARIABLES:
-                v = float(raw[colmap[name]])
+                v = read_cell(raw, colmap[name], i)
                 if v <= 0.0 or not math.isfinite(v):
                     raise NonPositiveValue(i, name)
                 values[name] = v

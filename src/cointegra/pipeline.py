@@ -32,6 +32,7 @@ from .panel import (
     ingest_panel,
     location_quotient,
     lq_significance,
+    read_cell,
     summarize,
 )
 from .quarters import QuarterDate
@@ -256,10 +257,11 @@ def _read_value_series(path: str) -> dict[tuple[int, int], float]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"year", "quarter", "value"} - set(reader.fieldnames):
             raise MissingColumn(f"{path}: expected columns year,quarter,value")
-        return {
-            (int(row["year"]), int(row["quarter"])): float(row["value"])
-            for row in reader
-        }
+        values = {}
+        for i, row in enumerate(reader):
+            key = (read_cell(row, "year", i, int), read_cell(row, "quarter", i, int))
+            values[key] = read_cell(row, "value", i)
+        return values
 
 
 def load_aux_series(data_dir: str, states, naics_codes) -> dict:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -189,3 +190,49 @@ class TestErrorPaths:
     def test_unknown_panel_file(self, capsys):
         assert run_cli(*stage_args("ingest", "WI", 113)) == 2
         assert "error" in capsys.readouterr().err
+
+
+def _corrupt_copy(tmp_path, relpath, row, edit):
+    """Copy the bundled dataset into tmp_path and rewrite data row ``row``
+    (0-based, after the header) of ``relpath`` with ``edit``."""
+    root = tmp_path / "sixstate"
+    shutil.copytree(DATA_ROOT, root)
+    path = root / relpath
+    lines = path.read_text().splitlines(keepends=True)
+    lines[row + 1] = edit(lines[row + 1])
+    path.write_text("".join(lines))
+    return str(root / "config.json")
+
+
+class TestMalformedCells:
+    def test_bad_year_in_panel(self, tmp_path, capsys):
+        config = _corrupt_copy(tmp_path, "panels/AL_113.csv", 3, lambda l: "20x1" + l[4:])
+        args = ["ingest", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedValue: malformed value at row 3, column 'year'\n"
+
+    def test_short_panel_row(self, tmp_path, capsys):
+        config = _corrupt_copy(
+            tmp_path, "panels/AL_113.csv", 5, lambda l: ",".join(l.split(",")[:4]) + "\n"
+        )
+        args = ["ingest", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedValue: malformed value at row 5, column 'output'\n"
+
+    def test_bad_value_in_aux_series(self, tmp_path, capsys):
+        config = _corrupt_copy(
+            tmp_path, "aux/national_total.csv", 7, lambda l: l.rsplit(",", 1)[0] + ",1.2.3\n"
+        )
+        args = ["lq", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedValue: malformed value at row 7, column 'value'\n"
+
+    def test_short_aux_row(self, tmp_path, capsys):
+        config = _corrupt_copy(tmp_path, "aux/state_total_AL.csv", 0, lambda l: "2001\n")
+        args = ["lq", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedValue: malformed value at row 0, column 'quarter'\n"
