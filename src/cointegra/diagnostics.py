@@ -121,22 +121,23 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
             f"effective sample {t_eff} too small for LM at lag {max_lag}"
         )
 
+    if base is None:
+        sigma_base = e.T @ e / t_eff
+    else:
+        coef, *_ = scipy.linalg.lstsq(base, e, lapack_driver="gelsy")
+        base_resid = e - base @ coef
+        sigma_base = base_resid.T @ base_resid / t_eff
+    log_det_base = _log_det(sigma_base)
+
     out = []
     for j in range(1, max_lag + 1):
         lagged = np.zeros_like(e)
         lagged[j:] = e[:-j]
-        if base is None:
-            aux_x = lagged
-            sigma_base = e.T @ e / t_eff
-        else:
-            aux_x = np.hstack([base, lagged])
-            coef, *_ = scipy.linalg.lstsq(base, e, lapack_driver="gelsy")
-            base_resid = e - base @ coef
-            sigma_base = base_resid.T @ base_resid / t_eff
+        aux_x = lagged if base is None else np.hstack([base, lagged])
         coef, *_ = scipy.linalg.lstsq(aux_x, e, lapack_driver="gelsy")
         aux_resid = e - aux_x @ coef
         sigma_aux = aux_resid.T @ aux_resid / t_eff
-        stat = -(t_eff - n * j - 0.5) * (_log_det(sigma_aux) - _log_det(sigma_base))
+        stat = -(t_eff - n * j - 0.5) * (_log_det(sigma_aux) - log_det_base)
         stat = max(stat, 0.0)
         dof = n * n
         out.append(LmResult(lag=j, statistic=stat, dof=dof, pvalue=chi2_sf(stat, dof)))

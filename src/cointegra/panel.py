@@ -150,7 +150,8 @@ def ingest_panel(
     GapInQuarters
         The sorted quarters are not contiguous; the error lists the holes.
     MalformedValue
-        A cell is missing or is not a number (row index as below).
+        A cell is missing or is not a number, or a quarter is outside 1..4
+        (row index as below).
     NonPositiveValue
         A data cell is zero or negative (row index counts data rows from 0).
     """
@@ -164,9 +165,11 @@ def ingest_panel(
                 raise MissingColumn(f"column {actual!r} not found in {csv_path}")
         rows = []
         for i, raw in enumerate(reader):
-            when = QuarterDate(
-                read_cell(raw, colmap["year"], i, int), read_cell(raw, colmap["quarter"], i, int)
-            )
+            year = read_cell(raw, colmap["year"], i, int)
+            try:
+                when = QuarterDate(year, read_cell(raw, colmap["quarter"], i, int))
+            except ValueError:
+                raise MalformedValue(i, colmap["quarter"]) from None
             values = {}
             for name in VARIABLES:
                 v = read_cell(raw, colmap[name], i)

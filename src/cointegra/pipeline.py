@@ -3,10 +3,16 @@
 Loads a JSON run configuration, executes the stage chain (ingest, location
 quotients, unit-root tests, lag selection, cointegration rank, VECM fit,
 residual diagnostics, forecast, backtest, impulse responses) for every
-configured model, and writes one report bundle. Models run in parallel;
-failures are recorded per model and never abort the run. Given the same
-configuration, data, and seed, the report CSVs are byte-identical across
-runs; manifest timings are the only varying output.
+configured model, and writes one report bundle. Models run one after
+another; failures are recorded per model and never abort the run. Given the
+same configuration, data, and seed, the report CSVs are byte-identical
+across runs; manifest timings are the only varying output.
+
+Reports are held as text: small reports as one line per row, the large
+ones (lq, forecast, irf, plot) as one block per model, filled from a
+``%.6g`` template in a single formatting call. No field ever needs CSV
+quoting: states and naics are validated, and every other field is a
+quarter label, a variable name or a formatted number.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +54,6 @@ FIT_CASES = ("none", "restrictedConstant", "unrestrictedConstant")
 ADF_LAG = 4
 ADF_CASE = "constant"
 LM_LAGS = 4
-
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 
 @dataclass(frozen=True)
@@ -308,58 +311,72 @@ def lq_records_for_panel(panel: PanelDataset, aux: dict) -> list[LqRecord]:
     return records
 
 
+def _quarter_labels(first: QuarterDate, count: int) -> list[str]:
+    """Labels of ``count`` consecutive quarters starting at ``first``."""
+    idx = first.year * 4 + first.quarter - 1
+    return [f"{i // 4}Q{i % 4 + 1}" for i in range(idx, idx + count)]
+
+
+def _per_key(lines: str, keys) -> str:
+    """``lines`` repeated once per key, with ``{key}`` replaced by the key."""
+    return "".join([lines.replace("{key}", str(key)) for key in keys])
+
+
+def _fill(template: str, values: np.ndarray) -> str:
+    """Format ``values`` in row-major order into a template holding one
+    ``%.6g`` per value; ``"%.6g" % v`` is exactly ``fmt6(v)``."""
+    return template % tuple(values.ravel().tolist())
+
+
+def _path_template(panel: PanelDataset, path: ForecastPath) -> str:
+    """Template of a model's history rows (flag 0) then its forecast rows
+    (flag 1), one per (quarter, variable), as in forecast.csv and plot.csv."""
+    head = f"{panel.state},{panel.naics},{{key}},"
+    history = "".join(f"{head}{name},%.6g,0\n" for name in VARIABLES)
+    ahead = "".join(f"{head}{name},%.6g,1\n" for name in VARIABLES)
+    return _per_key(history, _quarter_labels(panel.start, len(panel))) + _per_key(
+        ahead, _quarter_labels(path.origin.advanced(1), path.horizon)
+    )
+
+
 def emit_plot_data(
     forecasts: list[ForecastPath],
     panels: list[PanelDataset],
     index_base: QuarterDate,
-) -> list[tuple]:
-    """Relative-series rows: every value divided by the series' own level
-    at ``index_base``; history rows tagged 0, forecast rows 1."""
-    rows = []
+) -> list[str]:
+    """Relative-series plot.csv text, one block per model: every value
+    divided by the series' own level at ``index_base``; history rows
+    tagged 0, forecast rows 1."""
+    blocks = []
     for path, panel in zip(forecasts, panels):
         if index_base < panel.start or index_base > panel.end:
             raise IndexBaseMissing(f"{panel.state}/{panel.naics} lacks {index_base.label()}")
-        bases = {name: panel.series(name).at(index_base) for name in VARIABLES}
-        for i, when in enumerate(panel.output.quarters()):
-            for name in VARIABLES:
-                rows.append(
-                    (
-                        panel.state,
-                        panel.naics,
-                        when.label(),
-                        name,
-                        fmt6(panel.series(name).values[i] / bases[name]),
-                        "0",
-                    )
-                )
-        for h, when in enumerate(path.quarters()):
-            for j, name in enumerate(VARIABLES):
-                rows.append(
-                    (
-                        panel.state,
-                        panel.naics,
-                        when.label(),
-                        name,
-                        fmt6(path.values[h, j] / bases[name]),
-                        "1",
-                    )
-                )
-    return rows
+        levels = panel.matrix()
+        base = levels[index_base.quarters_since(panel.start)]
+        values = np.concatenate((levels / base, path.values / base))
+        blocks.append(_fill(_path_template(panel, path), values))
+    return blocks
 
 
 @dataclass
 class ModelOutput:
+    """One model's results; ``lines`` holds each report's text in chunks
+    of whole lines: one line per ``add``, one block per ``add_block``."""
+
     model: ModelConfig
     status: str = "ok"
     message: str = ""
     spec_used: dict = field(default_factory=dict)
-    rows: dict[str, list[tuple]] = field(default_factory=dict)
+    lines: dict[str, list[str]] = field(default_factory=dict)
     panel: PanelDataset | None = None
     forecast_path: ForecastPath | None = None
     seconds: float = 0.0
 
-    def add(self, report: str, row: tuple) -> None:
-        self.rows.setdefault(report, []).append(row)
+    def add(self, report: str, row: tuple[str, ...]) -> None:
+        self.lines.setdefault(report, []).append(",".join(row) + "\n")
+
+    def add_block(self, report: str, template: str, values: np.ndarray) -> None:
+        self.lines.setdefault(report, []).append(_fill(template, values))
 
 
 def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
@@ -367,14 +384,18 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
     started = time.perf_counter()
     state, naics = model.state, model.naics
     ident = (state, str(naics))
+    head = f"{state},{naics},"
     try:
         panel_path = os.path.join(config.data_dir, "panels", f"{state}_{naics}.csv")
         panel = ingest_panel(panel_path, state=state, naics=naics)
         out.panel = panel
 
         records = lq_records_for_panel(panel, aux)
-        for rec in records:
-            out.add("lq.csv", ident + (rec.quarter.label(), fmt6(rec.lq)))
+        out.add_block(
+            "lq.csv",
+            _per_key(f"{head}{{key}},%.6g\n", _quarter_labels(panel.start, len(panel))),
+            np.array([rec.lq for rec in records]),
+        )
         flag = lq_significance(records, config.defaults.lq_threshold)[0]
         out.add(
             "lq_flags.csv",
@@ -437,7 +458,8 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
 
         case = model.case or config.defaults.johansen_case
         k = model.k if model.k is not None else max(1, selection.chosen["byAic"])
-        jres = johansen_test(panel.matrix(), k, case)
+        levels = panel.matrix()
+        jres = johansen_test(levels, k, case)
         case_short = DeterministicCase.parse(case).short
         for r in range(len(jres.eigenvalues)):
             out.add(
@@ -457,7 +479,7 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
 
         r = model.r if model.r is not None else jres.selected_rank
         out.spec_used = {"k": k, "r": r, "case": case_short}
-        fit = fit_vecm(panel, ModelSpec(k=k, r=r, case=case))
+        fit = fit_vecm(panel, ModelSpec(k=k, r=r, case=case), jres)
 
         for lm in lm_autocorrelation(fit, LM_LAGS):
             out.add(
@@ -503,31 +525,22 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
             ),
         )
 
-        path = forecast(
-            fit, panel.matrix()[-k:], config.defaults.horizon, origin=panel.end
-        )
+        path = forecast(fit, levels[-k:], config.defaults.horizon, origin=panel.end)
         out.forecast_path = path
-        for i, when in enumerate(panel.output.quarters()):
-            for name in VARIABLES:
-                out.add(
-                    "forecast.csv",
-                    ident + (when.label(), name, fmt6(panel.series(name).values[i]), "0"),
-                )
-        for h, when in enumerate(path.quarters()):
-            for j, name in enumerate(VARIABLES):
-                out.add(
-                    "forecast.csv",
-                    ident + (when.label(), name, fmt6(path.values[h, j]), "1"),
-                )
+        out.add_block(
+            "forecast.csv", _path_template(panel, path), np.concatenate((levels, path.values))
+        )
 
+        # Rows run over h, then shock, then response: theta[h].T in row-major order.
         responses = irf(fit, config.defaults.horizon)
-        for h, theta in enumerate(responses.responses):
-            for shock_j, shock in enumerate(VARIABLES):
-                for resp_i, resp in enumerate(VARIABLES):
-                    out.add(
-                        "irf.csv",
-                        ident + (str(h), shock, resp, fmt6(theta[resp_i, shock_j])),
-                    )
+        per_h = "".join(
+            f"{head}{{key}},{shock},{resp},%.6g\n" for shock in VARIABLES for resp in VARIABLES
+        )
+        out.add_block(
+            "irf.csv",
+            _per_key(per_h, range(len(responses.responses))),
+            np.stack(responses.responses).transpose(0, 2, 1),
+        )
 
         if config.defaults.holdout_start is not None:
             bt = backtest(panel, ModelSpec(k=k, r=r, case=case), config.defaults.holdout_start)
@@ -548,20 +561,6 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
     return out
 
 
-def _thread_cap(n_models: int) -> int:
-    env = os.environ.get("COINTEGRA_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigInvalid(f"COINTEGRA_THREADS must be an integer: {env!r}") from exc
-        if cap < 1:
-            raise ConfigInvalid("COINTEGRA_THREADS must be at least 1")
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, n_models))
-
-
 def run_pipeline(config: RunConfig) -> RunManifest:
     """Execute every configured model and write the report bundle."""
     started = time.perf_counter()
@@ -575,34 +574,32 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         (m.naics for m in config.models),
     )
 
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(config.models))) as pool:
-        outputs = list(pool.map(lambda m: _run_model(m, config, aux), config.models))
+    outputs = [_run_model(m, config, aux) for m in config.models]
     outputs.sort(key=lambda o: (o.model.state, o.model.naics))
 
     # Relative plot series, indexed at the latest common start quarter.
     finished = [o for o in outputs if o.panel is not None and o.forecast_path is not None]
     if finished:
         index_base = max(o.panel.start for o in finished)
-        plot_rows = emit_plot_data(
+        plot_lines = emit_plot_data(
             [o.forecast_path for o in finished],
             [o.panel for o in finished],
             index_base,
         )
     else:
-        plot_rows = []
+        plot_lines = []
 
     os.makedirs(config.out_dir, exist_ok=True)
     files = []
     for report, header in REPORT_HEADERS.items():
-        rows = [row for o in outputs for row in o.rows.get(report, [])]
         if report == "plot.csv":
-            rows = plot_rows
-        if not rows:
+            lines = plot_lines
+        else:
+            lines = [line for o in outputs for line in o.lines.get(report, [])]
+        if not lines:
             continue
         with open(os.path.join(config.out_dir, report), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(",".join(header) + "\n" + "".join(lines))
         files.append(report)
 
     models = []

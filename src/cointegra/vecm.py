@@ -24,7 +24,13 @@ from .errors import (
     SampleTooShort,
     SingularCovariance,
 )
-from .johansen import DeterministicCase, _design_blocks, beta_normalize, johansen_test
+from .johansen import (
+    DeterministicCase,
+    JohansenResult,
+    _design_blocks,
+    beta_normalize,
+    johansen_test,
+)
 from .linalg import cholesky, ols
 from .panel import VARIABLES, PanelDataset
 from .quarters import QuarterDate
@@ -130,18 +136,23 @@ class BacktestResult:
     metrics: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-def fit_vecm(data, spec: ModelSpec) -> VecmFit:
+def fit_vecm(data, spec: ModelSpec, johansen: JohansenResult | None = None) -> VecmFit:
     """Estimate a VECM with the rank and lag order fixed by ``spec``.
 
     Parameters
     ----------
     data : PanelDataset or ndarray (T, n)
     spec : ModelSpec
+    johansen : JohansenResult, optional
+        The rank test already run on the same data at spec.k and spec.case;
+        reused instead of running the test again.
 
     Raises
     ------
     RankMismatch
         If spec.r exceeds the number of available eigenvectors (n).
+    ValueError
+        If ``johansen`` was run at another k, case or effective sample.
     SampleTooShort, SingularS00, NumericalFailure
         Propagated from the cointegration step.
     """
@@ -160,6 +171,14 @@ def fit_vecm(data, spec: ModelSpec) -> VecmFit:
 
     z0, z1, z2, t_eff = _design_blocks(x, spec.k, spec.case)
     m = z1.shape[1]
+    if johansen is not None and (johansen.k, johansen.case, johansen.t_eff) != (
+        spec.k, spec.case, t_eff
+    ):
+        raise ValueError(
+            f"rank test ran at k={johansen.k}, case={johansen.case.value}, "
+            f"t_eff={johansen.t_eff}; the fit needs k={spec.k}, case={spec.case.value}, "
+            f"t_eff={t_eff}"
+        )
 
     if spec.r == 0:
         # No long-run term to estimate; the eigen step is skipped entirely.
@@ -167,7 +186,7 @@ def fit_vecm(data, spec: ModelSpec) -> VecmFit:
         alpha = np.zeros((n, 0))
         target = z0
     else:
-        jres = johansen_test(x, spec.k, spec.case)
+        jres = johansen if johansen is not None else johansen_test(x, spec.k, spec.case)
         beta = beta_normalize(jres.beta, spec.r)
         s01 = jres.s_matrices["S01"]
         s11 = jres.s_matrices["S11"]

@@ -221,6 +221,17 @@ class TestMalformedCells:
         err = capsys.readouterr().err
         assert err == "error: MalformedValue: malformed value at row 5, column 'output'\n"
 
+    def test_quarter_out_of_range(self, tmp_path, capsys):
+        def quarter_seven(line):
+            year, _quarter, rest = line.split(",", 2)
+            return f"{year},7,{rest}"
+
+        config = _corrupt_copy(tmp_path, "panels/AL_113.csv", 3, quarter_seven)
+        args = ["ingest", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedValue: malformed value at row 3, column 'quarter'\n"
+
     def test_bad_value_in_aux_series(self, tmp_path, capsys):
         config = _corrupt_copy(
             tmp_path, "aux/national_total.csv", 7, lambda l: l.rsplit(",", 1)[0] + ",1.2.3\n"

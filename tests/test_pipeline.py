@@ -158,19 +158,23 @@ class TestPlotData:
         }
         return PanelDataset(state="AL", naics=113, **series)
 
+    @staticmethod
+    def split(blocks):
+        return [line.split(",") for line in "".join(blocks).splitlines()]
+
     def test_self_normalization(self):
         panel = self.make_panel([2.0, 4.0, 6.0])
         path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
-        rows = emit_plot_data([path], [panel], QuarterDate(2010, 1))
+        rows = self.split(emit_plot_data([path], [panel], QuarterDate(2010, 1)))
         history = [r for r in rows if r[5] == "0" and r[3] == "output"]
         assert [r[4] for r in history] == ["1", "2", "3"]
         forecast_rows = [r for r in rows if r[5] == "1" and r[3] == "output"]
-        assert forecast_rows == [("AL", 113, "2010Q4", "output", "4", "1")]
+        assert forecast_rows == [["AL", "113", "2010Q4", "output", "4", "1"]]
 
     def test_base_after_series_start(self):
         panel = self.make_panel([2.0, 4.0, 6.0])
         path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
-        rows = emit_plot_data([path], [panel], QuarterDate(2010, 2))
+        rows = self.split(emit_plot_data([path], [panel], QuarterDate(2010, 2)))
         history = [r for r in rows if r[5] == "0" and r[3] == "output"]
         assert [r[4] for r in history] == ["0.5", "1", "1.5"]
 
@@ -274,14 +278,6 @@ class TestRunPipeline:
         with open(tmp_path / "out" / "summary.csv") as fh:
             body = fh.read()
         assert "AL" in body and "ME" not in body
-
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("COINTEGRA_THREADS", "1")
-        manifest = run_pipeline(small_run_config(tmp_path))
-        assert not manifest.failed
-        monkeypatch.setenv("COINTEGRA_THREADS", "0")
-        with pytest.raises(ConfigInvalid):
-            run_pipeline(small_run_config(tmp_path / "again"))
 
     def test_plot_rows_normalized_at_shared_base(self, tmp_path):
         config = small_run_config(tmp_path)

@@ -163,6 +163,34 @@ class TestFit:
         araw = s01 @ braw @ np.linalg.inv(braw.T @ s11 @ braw)
         assert araw @ braw.T == pytest.approx(fit.pi_full, abs=1e-8)
 
+    def test_reuses_given_rank_test(self, monkeypatch):
+        from cointegra import vecm
+        from cointegra.johansen import johansen_test
+
+        rng = np.random.default_rng(11)
+        x = np.cumsum(rng.standard_normal((200, 2)), axis=0)
+        x[:, 1] = x[:, 0] + rng.standard_normal(200)
+        spec = ModelSpec(k=2, r=1, case="rconst")
+        fresh = fit_vecm(x, spec)
+        jres = johansen_test(x, 2, "rconst")
+        monkeypatch.setattr(vecm, "johansen_test", None)
+        reused = fit_vecm(x, spec, jres)
+        for name in ("alpha", "beta", "mu", "sigma", "residuals"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize(
+        "k, case, rows",
+        [(1, "rconst", 200), (2, "none", 200), (2, "rconst", 199)],
+    )
+    def test_rejects_mismatched_rank_test(self, k, case, rows):
+        from cointegra.johansen import johansen_test
+
+        rng = np.random.default_rng(11)
+        x = np.cumsum(rng.standard_normal((200, 2)), axis=0)
+        jres = johansen_test(x[:rows], k, case)
+        with pytest.raises(ValueError, match="rank test ran at"):
+            fit_vecm(x, ModelSpec(k=2, r=1, case="rconst"), jres)
+
 
 class TestLevelVar:
     def test_k1_random_walk(self):
