@@ -3,44 +3,31 @@
 Every subcommand reads a JSON run configuration (--config, default
 ./config.json) for data locations and defaults, then applies its own
 flags. Stage subcommands print CSV to stdout for one (state, naics)
-model; ``run`` executes the full pipeline for every configured model and
-writes the report bundle to the output directory.
+model: exactly the rows ``run`` writes for that model, built by the same
+functions. The model is the config's entry for (state, naics), if any, so
+its own k, r and case apply unless --k, --r or --case override them. A bad
+flag ends as ``error: …`` with exit status 2. ``run`` executes the full
+pipeline for every configured model and writes the report bundle to the
+output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import dataclasses
 import sys
 
-from .diagnostics import lm_autocorrelation, normality_tests
-from .errors import CointegraError
-from .johansen import DeterministicCase, johansen_test
+from .errors import CointegraError, ConfigInvalid
 from .lagselect import select_lags
-from .panel import VARIABLES, ingest_panel, lq_significance, summarize
+from .panel import VARIABLES, lq_significance
 from .pipeline import (
-    ADF_CASE,
-    ADF_LAG,
-    LM_LAGS,
-    REPORT_HEADERS,
-    RunConfig,
-    fmt3,
-    fmt6,
-    load_aux_series,
-    load_config,
-    lq_records_for_panel,
-    run_pipeline,
+    ADF_CASE, ADF_LAG, REPORT_HEADERS, RunConfig, adf_lines, backtest_lines, fmt6, forecast_lines,
+    johansen_lines, lags_lines, lm_lines, load_aux_series, load_config, load_panel, lq_lines,
+    lq_records_for_panel, model_config, normality_lines, parse_quarter, resolve_model,
+    run_pipeline, summary_lines,
 )
-from .quarters import QuarterDate
-from .unitroot import adf_test
-from .vecm import ModelSpec, backtest, fit_vecm, forecast, irf
-
-
-def _write_rows(header, rows, stream=None) -> None:
-    writer = csv.writer(stream or sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+from .unitroot import DETERMINISTIC_CASES
+from .vecm import ModelSpec, backtest, fit_vecm, forecast
 
 
 def _model_args(parser: argparse.ArgumentParser, with_spec: bool = False) -> None:
@@ -52,31 +39,33 @@ def _model_args(parser: argparse.ArgumentParser, with_spec: bool = False) -> Non
         parser.add_argument("--case", default=None)
 
 
-def _load_panel(config: RunConfig, state: str, naics: int):
-    import os
-
-    return ingest_panel(
-        os.path.join(config.data_dir, "panels", f"{state}_{naics}.csv"),
-        state=state,
-        naics=naics,
-    )
+def _report(report: str, lines: str) -> str:
+    return ",".join(REPORT_HEADERS[report]) + "\n" + lines
 
 
-def _resolve_spec(config: RunConfig, panel, args) -> ModelSpec:
-    """Fill k and r from lag selection and the rank test when not given."""
-    case = args.case or config.defaults.johansen_case
-    k = args.k
-    if k is None:
-        selection = select_lags(panel, max_lag=config.defaults.max_lag)
-        k = max(1, selection.chosen["byAic"])
-    r = args.r
-    if r is None:
-        r = johansen_test(panel.matrix(), k, case).selected_rank
-    return ModelSpec(k=k, r=r, case=case)
+def _stage(config: RunConfig, args, estimable: bool = True):
+    """The panel and model of a stage command: the config's entry for
+    (state, naics), if any, with --k, --r and --case overriding its fields."""
+    fields = {"state": args.state, "naics": args.naics}
+    for m in config.models:
+        if (m.state, m.naics) == (args.state, args.naics):
+            fields = dataclasses.asdict(m)
+    for key in ("k", "r", "case"):
+        if getattr(args, key, None) is not None:
+            fields[key] = getattr(args, key)
+    model = model_config(fields, estimable)
+    return load_panel(config.data_dir, model.state, model.naics), model
+
+
+def _spec(config: RunConfig, args):
+    """The panel, spec and rank test of a model-fitting stage command."""
+    panel, model = _stage(config, args)
+    k, r, case, jres = resolve_model(panel, model, config.defaults)
+    return panel, ModelSpec(k=k, r=r, case=case), jres
 
 
 def _cmd_ingest(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
+    panel, _ = _stage(config, args)
     print(
         f"ok {panel.state} {panel.naics} {len(panel)} quarters "
         f"{panel.start.label()}..{panel.end.label()}"
@@ -85,254 +74,109 @@ def _cmd_ingest(config, args) -> int:
 
 
 def _cmd_summarize(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    ident = (panel.state, panel.naics)
-    rows = [
-        ident
-        + (
-            name,
-            stats["n"],
-            fmt3(stats["mean"]),
-            fmt3(stats["sd"]),
-            fmt3(stats["min"]),
-            fmt3(stats["max"]),
-        )
-        for name, stats in summarize(panel).items()
-    ]
-    _write_rows(REPORT_HEADERS["summary.csv"], rows)
+    panel, _ = _stage(config, args)
+    sys.stdout.write(_report("summary.csv", summary_lines(panel)))
     return 0
 
 
 def _cmd_lq(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    aux = load_aux_series(config.data_dir, [args.state], [args.naics])
+    panel, _ = _stage(config, args)
+    aux = load_aux_series(config.data_dir, [panel.state], [panel.naics])
     records = lq_records_for_panel(panel, aux)
-    rows = [
-        (rec.state, rec.naics, rec.quarter.label(), fmt6(rec.lq)) for rec in records
-    ]
-    _write_rows(REPORT_HEADERS["lq.csv"], rows)
     flag = lq_significance(records, config.defaults.lq_threshold)[0]
-    print(
-        f"# mean_lq={fmt6(flag.mean_lq)} "
-        f"significant={'1' if flag.significant else '0'}"
+    sys.stdout.write(
+        _report("lq.csv", lq_lines(panel, records))
+        + f"# mean_lq={fmt6(flag.mean_lq)} significant={int(flag.significant)}\n"
     )
     return 0
 
 
 def _cmd_adf(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    rows = []
-    for name in VARIABLES:
-        res = adf_test(panel.series(name).values, args.lag, args.deterministic)
-        rows.append(
-            (
-                panel.state,
-                panel.naics,
-                name,
-                fmt6(res.statistic),
-                fmt6(res.critical_values[0.01]),
-                fmt6(res.critical_values[0.05]),
-                fmt6(res.critical_values[0.10]),
-                "1" if res.reject_at_5pct else "0",
-            )
-        )
-    _write_rows(REPORT_HEADERS["adf.csv"], rows)
+    if args.lag < 0:
+        raise ConfigInvalid("--lag must be a nonnegative integer")
+    if args.deterministic not in DETERMINISTIC_CASES:
+        raise ConfigInvalid(f"--deterministic must be one of {DETERMINISTIC_CASES}")
+    panel, _ = _stage(config, args)
+    sys.stdout.write(_report("adf.csv", adf_lines(panel, args.lag, args.deterministic)))
     return 0
 
 
 def _cmd_lags(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    selection = select_lags(panel, max_lag=args.max_lag or config.defaults.max_lag)
-    rows = []
-    for stats in selection.per_lag:
-        flags = "+".join(
-            sorted(
-                key.removeprefix("by").lower()
-                for key, lag in selection.chosen.items()
-                if lag == stats.lag
-            )
-        )
-        rows.append(
-            (
-                panel.state,
-                panel.naics,
-                stats.lag,
-                fmt6(stats.log_lik),
-                fmt6(stats.aic),
-                fmt6(stats.fpe),
-                fmt6(stats.hqic),
-                fmt6(stats.sbic),
-                "" if stats.lr_statistic is None else fmt6(stats.lr_statistic),
-                "" if stats.lr_pvalue is None else fmt6(stats.lr_pvalue),
-                flags,
-            )
-        )
-    _write_rows(REPORT_HEADERS["lags.csv"], rows)
+    max_lag = config.defaults.max_lag if args.max_lag is None else args.max_lag
+    if max_lag < 1:
+        raise ConfigInvalid("--max-lag must be a positive integer")
+    panel, _ = _stage(config, args)
+    sys.stdout.write(_report("lags.csv", lags_lines(panel, select_lags(panel, max_lag=max_lag))))
     return 0
 
 
 def _cmd_johansen(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    case = args.case or config.defaults.johansen_case
-    k = args.k
-    if k is None:
-        k = max(1, select_lags(panel, max_lag=config.defaults.max_lag).chosen["byAic"])
-    res = johansen_test(panel.matrix(), k, case)
-    short = DeterministicCase.parse(case).short
-    rows = []
-    for r in range(len(res.eigenvalues)):
-        cv = (
-            ""
-            if res.critical_values_5pct is None
-            else fmt6(res.critical_values_5pct["trace"][r])
-        )
-        rows.append(
-            (
-                panel.state,
-                panel.naics,
-                k,
-                short,
-                r,
-                fmt6(res.eigenvalues[r]),
-                fmt6(res.trace_stats[r]),
-                cv,
-                fmt6(res.max_eig_stats[r]),
-                "" if res.selected_rank is None else res.selected_rank,
-            )
-        )
-    _write_rows(REPORT_HEADERS["johansen.csv"], rows)
+    panel, model = _stage(config, args, estimable=False)
+    jres = resolve_model(panel, model, config.defaults)[3]
+    sys.stdout.write(_report("johansen.csv", johansen_lines(panel, jres)))
     return 0
 
 
-def _fit_rows(fit) -> list[tuple]:
+def _fit_lines(fit) -> str:
     """Long-format parameter listing: component, row label, column, value."""
-    spec = fit.spec
     n = fit.n
-    beta_labels = list(VARIABLES[:n])
-    if len(beta_labels) < n:
-        beta_labels = [f"var{i+1}" for i in range(n)]
+    labels = list(VARIABLES[:n]) if n <= len(VARIABLES) else [f"var{i+1}" for i in range(n)]
     if fit.beta.shape[0] == n + 1:
-        beta_labels.append("const")
-    rows = []
-    for j in range(spec.r):
-        for i, label in enumerate(beta_labels):
-            rows.append(("beta", label, j + 1, fmt6(fit.beta[i, j])))
-        for i in range(n):
-            rows.append(("alpha", beta_labels[i], j + 1, fmt6(fit.alpha[i, j])))
-    for g, gamma in enumerate(fit.gammas, start=1):
-        for i in range(n):
-            for j in range(n):
-                rows.append((f"gamma{g}", beta_labels[i], j + 1, fmt6(gamma[i, j])))
-    for i in range(n):
-        rows.append(("mu", beta_labels[i], 1, fmt6(fit.mu[i])))
-    for i in range(n):
-        for j in range(n):
-            rows.append(("sigma", beta_labels[i], j + 1, fmt6(fit.sigma[i, j])))
-    return rows
+        labels.append("const")
+    lines = []
+    for j in range(fit.spec.r):
+        lines += [f"beta,{lab},{j + 1},{fmt6(fit.beta[i, j])}\n" for i, lab in enumerate(labels)]
+        lines += [f"alpha,{labels[i]},{j + 1},{fmt6(fit.alpha[i, j])}\n" for i in range(n)]
+    blocks = [(f"gamma{g}", gamma) for g, gamma in enumerate(fit.gammas, start=1)]
+    for name, m in blocks + [("mu", fit.mu[:, None]), ("sigma", fit.sigma)]:
+        lines += [
+            f"{name},{labels[i]},{j + 1},{fmt6(m[i, j])}\n"
+            for i in range(n)
+            for j in range(m.shape[1])
+        ]
+    return "".join(lines)
 
 
 def _cmd_fit(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    spec = _resolve_spec(config, panel, args)
-    fit = fit_vecm(panel, spec)
-    print(
+    panel, spec, jres = _spec(config, args)
+    fit = fit_vecm(panel, spec, jres)
+    sys.stdout.write(
         f"# {panel.state} {panel.naics} k={spec.k} r={spec.r} "
-        f"case={spec.case.short} t_eff={fit.t_eff}"
+        f"case={spec.case.short} t_eff={fit.t_eff}\n"
+        "component,row,col,value\n" + _fit_lines(fit)
     )
-    _write_rows(("component", "row", "col", "value"), _fit_rows(fit))
     return 0
 
 
 def _cmd_diagnose(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    spec = _resolve_spec(config, panel, args)
-    fit = fit_vecm(panel, spec)
-    ident = (panel.state, panel.naics)
-    lm_rows = [
-        ident + (res.lag, fmt6(res.statistic), res.dof, fmt6(res.pvalue))
-        for res in lm_autocorrelation(fit, LM_LAGS)
-    ]
-    _write_rows(REPORT_HEADERS["lm.csv"], lm_rows)
-    print()
-    report = normality_tests(fit)
-    rows = [
-        ident
-        + (
-            eq.equation,
-            fmt6(eq.jb.stat),
-            eq.jb.dof,
-            fmt6(eq.jb.pvalue),
-            fmt6(eq.skew),
-            fmt6(eq.skew_test.stat),
-            eq.skew_test.dof,
-            fmt6(eq.skew_test.pvalue),
-            fmt6(eq.kurtosis),
-            fmt6(eq.kurtosis_test.stat),
-            eq.kurtosis_test.dof,
-            fmt6(eq.kurtosis_test.pvalue),
-        )
-        for eq in report.per_equation
-    ]
-    rows.append(
-        ident
-        + (
-            "ALL",
-            fmt6(report.joint_jb.stat),
-            report.joint_jb.dof,
-            fmt6(report.joint_jb.pvalue),
-            "",
-            fmt6(report.joint_skew.stat),
-            report.joint_skew.dof,
-            fmt6(report.joint_skew.pvalue),
-            "",
-            fmt6(report.joint_kurtosis.stat),
-            report.joint_kurtosis.dof,
-            fmt6(report.joint_kurtosis.pvalue),
-        )
+    panel, spec, jres = _spec(config, args)
+    fit = fit_vecm(panel, spec, jres)
+    sys.stdout.write(
+        _report("lm.csv", lm_lines(panel, fit))
+        + "\n"
+        + _report("normality.csv", normality_lines(panel, fit))
     )
-    _write_rows(REPORT_HEADERS["normality.csv"], rows)
     return 0
 
 
 def _cmd_forecast(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    spec = _resolve_spec(config, panel, args)
-    fit = fit_vecm(panel, spec)
-    horizon = args.horizon or config.defaults.horizon
+    horizon = config.defaults.horizon if args.horizon is None else args.horizon
+    panel, spec, jres = _spec(config, args)
+    fit = fit_vecm(panel, spec, jres)
     path = forecast(fit, panel.matrix()[-spec.k :], horizon, origin=panel.end)
-    rows = []
-    for h, when in enumerate(path.quarters()):
-        for j, name in enumerate(VARIABLES):
-            rows.append(
-                (panel.state, panel.naics, when.label(), name, fmt6(path.values[h, j]), 1)
-            )
-    _write_rows(REPORT_HEADERS["forecast.csv"], rows)
+    sys.stdout.write(_report("forecast.csv", forecast_lines(panel, path, history=False)))
     return 0
 
 
 def _cmd_backtest(config, args) -> int:
-    panel = _load_panel(config, args.state, args.naics)
-    spec = _resolve_spec(config, panel, args)
-    holdout = (
-        QuarterDate.parse(args.holdout)
-        if args.holdout
-        else config.defaults.holdout_start
-    )
+    if args.holdout is None:
+        holdout = config.defaults.holdout_start
+    else:
+        holdout = parse_quarter(args.holdout, "--holdout")
     if holdout is None:
-        print("no holdout start given (--holdout or defaults.holdoutStart)", file=sys.stderr)
-        return 2
-    result = backtest(panel, spec, holdout)
-    rows = [
-        (
-            panel.state,
-            panel.naics,
-            name,
-            fmt6(result.metrics[name]["rmse"]),
-            fmt6(result.metrics[name]["mape"]),
-        )
-        for name in VARIABLES
-    ]
-    _write_rows(REPORT_HEADERS["backtest.csv"], rows)
+        raise ConfigInvalid("no holdout start given (--holdout or defaults.holdoutStart)")
+    panel, spec, _ = _spec(config, args)
+    sys.stdout.write(_report("backtest.csv", backtest_lines(panel, backtest(panel, spec, holdout))))
     return 0
 
 

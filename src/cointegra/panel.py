@@ -115,11 +115,15 @@ def _parse_identity(csv_path: str) -> tuple[str, int]:
 
 def read_cell(raw: dict, column: str, row: int, cast=float):
     """``cast(raw[column])`` for one csv.DictReader row, raising
-    MalformedValue when the cell is missing (a short row) or does not parse."""
+    MalformedValue when the cell is missing (a short row), does not parse,
+    or is a nan or an infinity."""
     try:
-        return cast(raw[column])
+        value = cast(raw[column])
     except (TypeError, ValueError):
         raise MalformedValue(row, column) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise MalformedValue(row, column)
+    return value
 
 
 def ingest_panel(

@@ -8,15 +8,17 @@ another; failures are recorded per model and never abort the run. Given the
 same configuration, data, and seed, the report CSVs are byte-identical
 across runs; manifest timings are the only varying output.
 
-Reports are held as text: small reports as one line per row, the large
-ones (lq, forecast, irf, plot) as one block per model, filled from a
-``%.6g`` template in a single formatting call. No field ever needs CSV
-quoting: states and naics are validated, and every other field is a
-quarter label, a variable name or a formatted number.
+Each report has one builder (``summary_lines`` … ``backtest_lines``) that
+returns one model's rows as text; ``run`` writes them into the bundle and
+the stage commands print them. The large reports (lq, forecast, irf, plot)
+are filled from a ``%.6g`` template in a single formatting call. No field
+ever needs CSV quoting: states and naics are validated, and every other
+field is a quarter label, a variable name or a formatted number.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -28,8 +30,8 @@ import numpy as np
 
 from .diagnostics import lm_autocorrelation, normality_tests
 from .errors import ConfigInvalid, DataDirMissing, IndexBaseMissing, MissingColumn
-from .johansen import DeterministicCase, johansen_test
-from .lagselect import select_lags
+from .johansen import DeterministicCase, JohansenResult, johansen_test
+from .lagselect import LagSelection, select_lags
 from .panel import (
     VARIABLES,
     LqRecord,
@@ -42,7 +44,8 @@ from .panel import (
 )
 from .quarters import QuarterDate
 from .unitroot import adf_test
-from .vecm import ForecastPath, ModelSpec, backtest, fit_vecm, forecast, irf
+from .vecm import BacktestResult, ForecastPath, IrfSet, ModelSpec, VecmFit
+from .vecm import backtest, fit_vecm, forecast, irf
 
 SUPPORTED_STATES = ("AL", "AR", "ME", "MS", "OR", "WI")
 SUPPORTED_NAICS = (113, 321, 322)
@@ -105,14 +108,44 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigInvalid(f"missing {where} keys: {sorted(missing)}")
 
 
-def _parse_case(value, where: str) -> str:
+def _parse_case(value, where: str, estimable: bool = True) -> str:
     try:
         case = DeterministicCase.parse(value)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    if case.value not in FIT_CASES:
+    if estimable and case.value not in FIT_CASES:
         raise ConfigInvalid(f"{where}: case {case.value!r} is not estimable")
     return case.value
+
+
+def parse_quarter(value, name: str) -> QuarterDate:
+    try:
+        return QuarterDate.parse(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigInvalid(f"bad {name}: {exc}") from exc
+
+
+def model_config(entry, estimable: bool = True) -> ModelConfig:
+    """Validate one model entry; ``estimable=False`` also admits the trend
+    cases, which the rank test reports but the estimator cannot fit."""
+    if not isinstance(entry, dict):
+        raise ConfigInvalid("each model must be an object")
+    _require_keys(entry, {"state", "naics", "k", "r", "case"}, {"state", "naics"}, "model")
+    state, naics = entry["state"], entry["naics"]
+    if state not in SUPPORTED_STATES:
+        raise ConfigInvalid(f"unsupported state {state!r}")
+    if naics not in SUPPORTED_NAICS:
+        raise ConfigInvalid(f"unsupported naics {naics!r}")
+    k = entry.get("k")
+    r = entry.get("r")
+    if k is not None and (not isinstance(k, int) or k < 1):
+        raise ConfigInvalid(f"model {state}/{naics}: k must be a positive integer")
+    if r is not None and (not isinstance(r, int) or r < 0):
+        raise ConfigInvalid(f"model {state}/{naics}: r must be a nonnegative integer")
+    case = entry.get("case")
+    if case is not None:
+        case = _parse_case(case, f"model {state}/{naics}", estimable)
+    return ModelConfig(state=state, naics=naics, k=k, r=r, case=case)
 
 
 def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
@@ -132,26 +165,7 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
     if not isinstance(obj["models"], list) or not obj["models"]:
         raise ConfigInvalid("models must be a nonempty list")
 
-    models = []
-    for entry in obj["models"]:
-        if not isinstance(entry, dict):
-            raise ConfigInvalid("each model must be an object")
-        _require_keys(entry, {"state", "naics", "k", "r", "case"}, {"state", "naics"}, "model")
-        state, naics = entry["state"], entry["naics"]
-        if state not in SUPPORTED_STATES:
-            raise ConfigInvalid(f"unsupported state {state!r}")
-        if naics not in SUPPORTED_NAICS:
-            raise ConfigInvalid(f"unsupported naics {naics!r}")
-        k = entry.get("k")
-        r = entry.get("r")
-        if k is not None and (not isinstance(k, int) or k < 1):
-            raise ConfigInvalid(f"model {state}/{naics}: k must be a positive integer")
-        if r is not None and (not isinstance(r, int) or r < 0):
-            raise ConfigInvalid(f"model {state}/{naics}: r must be a nonnegative integer")
-        case = entry.get("case")
-        if case is not None:
-            case = _parse_case(case, f"model {state}/{naics}")
-        models.append(ModelConfig(state=state, naics=naics, k=k, r=r, case=case))
+    models = [model_config(entry) for entry in obj["models"]]
     if len({(m.state, m.naics) for m in models}) != len(models):
         raise ConfigInvalid("duplicate (state, naics) model entries")
 
@@ -172,10 +186,7 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigInvalid("horizon must be a positive integer")
     holdout = raw_defaults.get("holdoutStart")
     if holdout is not None:
-        try:
-            holdout = QuarterDate.parse(holdout)
-        except (ValueError, TypeError) as exc:
-            raise ConfigInvalid(f"bad holdoutStart: {exc}") from exc
+        holdout = parse_quarter(holdout, "holdoutStart")
     johansen_case = _parse_case(raw_defaults.get("johansenCase", "restrictedConstant"), "defaults")
     lq_threshold = raw_defaults.get("lqThreshold", 1.0)
     if not isinstance(lq_threshold, (int, float)) or isinstance(lq_threshold, bool):
@@ -328,15 +339,17 @@ def _fill(template: str, values: np.ndarray) -> str:
     return template % tuple(values.ravel().tolist())
 
 
-def _path_template(panel: PanelDataset, path: ForecastPath) -> str:
-    """Template of a model's history rows (flag 0) then its forecast rows
-    (flag 1), one per (quarter, variable), as in forecast.csv and plot.csv."""
+def _path_template(panel: PanelDataset, path: ForecastPath, history: bool = True) -> str:
+    """Template of a model's history rows (flag 0), unless ``history`` is
+    false, then its forecast rows (flag 1), one per (quarter, variable), as
+    in forecast.csv and plot.csv."""
     head = f"{panel.state},{panel.naics},{{key}},"
-    history = "".join(f"{head}{name},%.6g,0\n" for name in VARIABLES)
     ahead = "".join(f"{head}{name},%.6g,1\n" for name in VARIABLES)
-    return _per_key(history, _quarter_labels(panel.start, len(panel))) + _per_key(
-        ahead, _quarter_labels(path.origin.advanced(1), path.horizon)
-    )
+    template = _per_key(ahead, _quarter_labels(path.origin.advanced(1), path.horizon))
+    if not history:
+        return template
+    past = "".join(f"{head}{name},%.6g,0\n" for name in VARIABLES)
+    return _per_key(past, _quarter_labels(panel.start, len(panel))) + template
 
 
 def emit_plot_data(
@@ -358,202 +371,185 @@ def emit_plot_data(
     return blocks
 
 
+# One builder per report: each returns one model's rows of that report as
+# text. ``run`` writes them into the bundle; each stage command prints them.
+
+
+def _line(panel: PanelDataset, *fields) -> str:
+    return ",".join(map(str, (panel.state, panel.naics) + fields)) + "\n"
+
+
+def summary_lines(panel: PanelDataset) -> str:
+    return "".join(
+        _line(panel, name, s["n"], fmt3(s["mean"]), fmt3(s["sd"]), fmt3(s["min"]), fmt3(s["max"]))
+        for name, s in summarize(panel).items()
+    )
+
+
+def lq_lines(panel: PanelDataset, records: list[LqRecord]) -> str:
+    template = _per_key(
+        f"{panel.state},{panel.naics},{{key}},%.6g\n", _quarter_labels(panel.start, len(panel))
+    )
+    return _fill(template, np.array([rec.lq for rec in records]))
+
+
+def adf_lines(panel: PanelDataset, lag: int = ADF_LAG, deterministic: str = ADF_CASE) -> str:
+    lines = []
+    for name in VARIABLES:
+        res = adf_test(panel.series(name).values, lag, deterministic)
+        cvs = [fmt6(res.critical_values[level]) for level in (0.01, 0.05, 0.10)]
+        lines.append(_line(panel, name, fmt6(res.statistic), *cvs, int(res.reject_at_5pct)))
+    return "".join(lines)
+
+
+def lags_lines(panel: PanelDataset, selection: LagSelection) -> str:
+    lines = []
+    for s in selection.per_lag:
+        criteria = map(fmt6, (s.log_lik, s.aic, s.fpe, s.hqic, s.sbic))
+        lr = ["" if x is None else fmt6(x) for x in (s.lr_statistic, s.lr_pvalue)]
+        chosen = sorted(
+            key.removeprefix("by").lower() for key, lag in selection.chosen.items() if lag == s.lag
+        )
+        lines.append(_line(panel, s.lag, *criteria, *lr, "+".join(chosen)))
+    return "".join(lines)
+
+
+def johansen_lines(panel: PanelDataset, jres: JohansenResult) -> str:
+    """One row per r; trace_cv5 and selected_rank are blank for the trend
+    cases, which carry no critical values."""
+    cvs = jres.critical_values_5pct
+    rank = "" if jres.selected_rank is None else jres.selected_rank
+    return "".join(
+        _line(
+            panel, jres.k, jres.case.short, r, fmt6(jres.eigenvalues[r]), fmt6(jres.trace_stats[r]),
+            "" if cvs is None else fmt6(cvs["trace"][r]), fmt6(jres.max_eig_stats[r]), rank,
+        )
+        for r in range(len(jres.eigenvalues))
+    )
+
+
+def lm_lines(panel: PanelDataset, fit: VecmFit) -> str:
+    return "".join(
+        _line(panel, lm.lag, fmt6(lm.statistic), lm.dof, fmt6(lm.pvalue))
+        for lm in lm_autocorrelation(fit, LM_LAGS)
+    )
+
+
+def _stat_dof_p(t) -> tuple:
+    return fmt6(t.stat), t.dof, fmt6(t.pvalue)
+
+
+def normality_lines(panel: PanelDataset, fit: VecmFit) -> str:
+    """One row per equation, then the joint ``ALL`` row, which has no skew or kurt."""
+    rep = normality_tests(fit)
+    rows = [
+        (eq.equation, eq.jb, fmt6(eq.skew), eq.skew_test, fmt6(eq.kurtosis), eq.kurtosis_test)
+        for eq in rep.per_equation
+    ] + [("ALL", rep.joint_jb, "", rep.joint_skew, "", rep.joint_kurtosis)]
+    return "".join(
+        _line(panel, name, *_stat_dof_p(jb), skew, *_stat_dof_p(sk), kurt, *_stat_dof_p(ku))
+        for name, jb, skew, sk, kurt, ku in rows
+    )
+
+
+def forecast_lines(panel: PanelDataset, path: ForecastPath, history: bool = True) -> str:
+    """The panel's history (flag 0), unless ``history`` is false, then the
+    forecast path (flag 1)."""
+    values = np.concatenate((panel.matrix(), path.values)) if history else path.values
+    return _fill(_path_template(panel, path, history), values)
+
+
+def irf_lines(panel: PanelDataset, responses: IrfSet) -> str:
+    # Rows run over h, then shock, then response: theta[h].T in row-major order.
+    per_h = "".join(
+        f"{panel.state},{panel.naics},{{key}},{shock},{resp},%.6g\n"
+        for shock in VARIABLES
+        for resp in VARIABLES
+    )
+    return _fill(
+        _per_key(per_h, range(len(responses.responses))),
+        np.stack(responses.responses).transpose(0, 2, 1),
+    )
+
+
+def backtest_lines(panel: PanelDataset, result: BacktestResult) -> str:
+    return "".join(
+        _line(panel, name, fmt6(result.metrics[name]["rmse"]), fmt6(result.metrics[name]["mape"]))
+        for name in VARIABLES
+    )
+
+
+def load_panel(data_dir: str, state: str, naics: int) -> PanelDataset:
+    path = os.path.join(data_dir, "panels", f"{state}_{naics}.csv")
+    return ingest_panel(path, state=state, naics=naics)
+
+
+def resolve_model(
+    panel: PanelDataset, model: ModelConfig, defaults: RunDefaults, aic_lag: int | None = None
+) -> tuple[int, int | None, str, JohansenResult]:
+    """k, r and case of one model, and the rank test at that k and case. Each
+    is the model's own setting if it has one; else k is the AIC lag choice
+    (``aic_lag``, or a new lag selection), r the rank the test selects (None
+    for the trend cases) and the case the default one."""
+    case = model.case or defaults.johansen_case
+    k = model.k
+    if k is None:
+        if aic_lag is None:
+            aic_lag = select_lags(panel, max_lag=defaults.max_lag).chosen["byAic"]
+        k = max(1, aic_lag)
+    jres = johansen_test(panel.matrix(), k, case)
+    r = jres.selected_rank if model.r is None else model.r
+    return k, r, case, jres
+
+
 @dataclass
 class ModelOutput:
-    """One model's results; ``lines`` holds each report's text in chunks
-    of whole lines: one line per ``add``, one block per ``add_block``."""
+    """One model's results; ``lines`` maps each report to its text."""
 
     model: ModelConfig
     status: str = "ok"
     message: str = ""
     spec_used: dict = field(default_factory=dict)
-    lines: dict[str, list[str]] = field(default_factory=dict)
+    lines: dict[str, str] = field(default_factory=dict)
     panel: PanelDataset | None = None
     forecast_path: ForecastPath | None = None
     seconds: float = 0.0
 
-    def add(self, report: str, row: tuple[str, ...]) -> None:
-        self.lines.setdefault(report, []).append(",".join(row) + "\n")
-
-    def add_block(self, report: str, template: str, values: np.ndarray) -> None:
-        self.lines.setdefault(report, []).append(_fill(template, values))
-
 
 def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
     out = ModelOutput(model=model)
+    lines = out.lines
+    defaults = config.defaults
     started = time.perf_counter()
-    state, naics = model.state, model.naics
-    ident = (state, str(naics))
-    head = f"{state},{naics},"
     try:
-        panel_path = os.path.join(config.data_dir, "panels", f"{state}_{naics}.csv")
-        panel = ingest_panel(panel_path, state=state, naics=naics)
-        out.panel = panel
+        panel = out.panel = load_panel(config.data_dir, model.state, model.naics)
 
         records = lq_records_for_panel(panel, aux)
-        out.add_block(
-            "lq.csv",
-            _per_key(f"{head}{{key}},%.6g\n", _quarter_labels(panel.start, len(panel))),
-            np.array([rec.lq for rec in records]),
-        )
-        flag = lq_significance(records, config.defaults.lq_threshold)[0]
-        out.add(
-            "lq_flags.csv",
-            ident + (fmt6(flag.mean_lq), "1" if flag.significant else "0"),
-        )
+        lines["lq.csv"] = lq_lines(panel, records)
+        flag = lq_significance(records, defaults.lq_threshold)[0]
+        lines["lq_flags.csv"] = _line(panel, fmt6(flag.mean_lq), int(flag.significant))
+        lines["summary.csv"] = summary_lines(panel)
+        lines["adf.csv"] = adf_lines(panel)
 
-        for name, stats in summarize(panel).items():
-            out.add(
-                "summary.csv",
-                ident
-                + (
-                    name,
-                    str(stats["n"]),
-                    fmt3(stats["mean"]),
-                    fmt3(stats["sd"]),
-                    fmt3(stats["min"]),
-                    fmt3(stats["max"]),
-                ),
-            )
+        selection = select_lags(panel, max_lag=defaults.max_lag)
+        lines["lags.csv"] = lags_lines(panel, selection)
 
-        for name in VARIABLES:
-            adf = adf_test(panel.series(name).values, ADF_LAG, ADF_CASE)
-            out.add(
-                "adf.csv",
-                ident
-                + (
-                    name,
-                    fmt6(adf.statistic),
-                    fmt6(adf.critical_values[0.01]),
-                    fmt6(adf.critical_values[0.05]),
-                    fmt6(adf.critical_values[0.10]),
-                    "1" if adf.reject_at_5pct else "0",
-                ),
-            )
+        k, r, case, jres = resolve_model(panel, model, defaults, selection.chosen["byAic"])
+        lines["johansen.csv"] = johansen_lines(panel, jres)
+        out.spec_used = {"k": k, "r": r, "case": jres.case.short}
+        spec = ModelSpec(k=k, r=r, case=case)
+        fit = fit_vecm(panel, spec, jres)
+        lines["lm.csv"] = lm_lines(panel, fit)
+        lines["normality.csv"] = normality_lines(panel, fit)
 
-        selection = select_lags(panel, max_lag=config.defaults.max_lag)
-        for stats in selection.per_lag:
-            flags = "+".join(
-                sorted(
-                    key.removeprefix("by").lower()
-                    for key, lag in selection.chosen.items()
-                    if lag == stats.lag
-                )
-            )
-            out.add(
-                "lags.csv",
-                ident
-                + (
-                    str(stats.lag),
-                    fmt6(stats.log_lik),
-                    fmt6(stats.aic),
-                    fmt6(stats.fpe),
-                    fmt6(stats.hqic),
-                    fmt6(stats.sbic),
-                    "" if stats.lr_statistic is None else fmt6(stats.lr_statistic),
-                    "" if stats.lr_pvalue is None else fmt6(stats.lr_pvalue),
-                    flags,
-                ),
-            )
-
-        case = model.case or config.defaults.johansen_case
-        k = model.k if model.k is not None else max(1, selection.chosen["byAic"])
-        levels = panel.matrix()
-        jres = johansen_test(levels, k, case)
-        case_short = DeterministicCase.parse(case).short
-        for r in range(len(jres.eigenvalues)):
-            out.add(
-                "johansen.csv",
-                ident
-                + (
-                    str(k),
-                    case_short,
-                    str(r),
-                    fmt6(jres.eigenvalues[r]),
-                    fmt6(jres.trace_stats[r]),
-                    fmt6(jres.critical_values_5pct["trace"][r]),
-                    fmt6(jres.max_eig_stats[r]),
-                    str(jres.selected_rank),
-                ),
-            )
-
-        r = model.r if model.r is not None else jres.selected_rank
-        out.spec_used = {"k": k, "r": r, "case": case_short}
-        fit = fit_vecm(panel, ModelSpec(k=k, r=r, case=case), jres)
-
-        for lm in lm_autocorrelation(fit, LM_LAGS):
-            out.add(
-                "lm.csv",
-                ident + (str(lm.lag), fmt6(lm.statistic), str(lm.dof), fmt6(lm.pvalue)),
-            )
-        report = normality_tests(fit)
-        for eq in report.per_equation:
-            out.add(
-                "normality.csv",
-                ident
-                + (
-                    eq.equation,
-                    fmt6(eq.jb.stat),
-                    str(eq.jb.dof),
-                    fmt6(eq.jb.pvalue),
-                    fmt6(eq.skew),
-                    fmt6(eq.skew_test.stat),
-                    str(eq.skew_test.dof),
-                    fmt6(eq.skew_test.pvalue),
-                    fmt6(eq.kurtosis),
-                    fmt6(eq.kurtosis_test.stat),
-                    str(eq.kurtosis_test.dof),
-                    fmt6(eq.kurtosis_test.pvalue),
-                ),
-            )
-        out.add(
-            "normality.csv",
-            ident
-            + (
-                "ALL",
-                fmt6(report.joint_jb.stat),
-                str(report.joint_jb.dof),
-                fmt6(report.joint_jb.pvalue),
-                "",
-                fmt6(report.joint_skew.stat),
-                str(report.joint_skew.dof),
-                fmt6(report.joint_skew.pvalue),
-                "",
-                fmt6(report.joint_kurtosis.stat),
-                str(report.joint_kurtosis.dof),
-                fmt6(report.joint_kurtosis.pvalue),
-            ),
-        )
-
-        path = forecast(fit, levels[-k:], config.defaults.horizon, origin=panel.end)
+        path = forecast(fit, panel.matrix()[-k:], defaults.horizon, origin=panel.end)
         out.forecast_path = path
-        out.add_block(
-            "forecast.csv", _path_template(panel, path), np.concatenate((levels, path.values))
-        )
+        lines["forecast.csv"] = forecast_lines(panel, path)
+        lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))
 
-        # Rows run over h, then shock, then response: theta[h].T in row-major order.
-        responses = irf(fit, config.defaults.horizon)
-        per_h = "".join(
-            f"{head}{{key}},{shock},{resp},%.6g\n" for shock in VARIABLES for resp in VARIABLES
-        )
-        out.add_block(
-            "irf.csv",
-            _per_key(per_h, range(len(responses.responses))),
-            np.stack(responses.responses).transpose(0, 2, 1),
-        )
-
-        if config.defaults.holdout_start is not None:
-            bt = backtest(panel, ModelSpec(k=k, r=r, case=case), config.defaults.holdout_start)
-            for name in VARIABLES:
-                out.add(
-                    "backtest.csv",
-                    ident
-                    + (
-                        name,
-                        fmt6(bt.metrics[name]["rmse"]),
-                        fmt6(bt.metrics[name]["mape"]),
-                    ),
-                )
+        if defaults.holdout_start is not None:
+            result = backtest(panel, spec, defaults.holdout_start)
+            lines["backtest.csv"] = backtest_lines(panel, result)
     except Exception as exc:
         out.status = "error"
         out.message = f"{type(exc).__name__}: {exc}"
@@ -589,17 +585,22 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     else:
         plot_lines = []
 
+    # A report this run does not write is removed, so the bundle never
+    # mixes two runs.
     os.makedirs(config.out_dir, exist_ok=True)
     files = []
     for report, header in REPORT_HEADERS.items():
         if report == "plot.csv":
-            lines = plot_lines
+            text = "".join(plot_lines)
         else:
-            lines = [line for o in outputs for line in o.lines.get(report, [])]
-        if not lines:
+            text = "".join(o.lines.get(report, "") for o in outputs)
+        target = os.path.join(config.out_dir, report)
+        if not text:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(target)
             continue
-        with open(os.path.join(config.out_dir, report), "w", newline="") as fh:
-            fh.write(",".join(header) + "\n" + "".join(lines))
+        with open(target, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n" + text)
         files.append(report)
 
     models = []

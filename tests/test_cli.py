@@ -134,6 +134,135 @@ class TestStageCommands:
         assert "holdout" in capsys.readouterr().err
 
 
+def override_config(tmp_path):
+    """The bundled config with AL/113 fixed at k=2, r=1, unrestricted constant."""
+    with open(CONFIG) as fh:
+        obj = json.load(fh)
+    obj["dataDir"] = DATA_ROOT
+    obj["outDir"] = str(tmp_path / "out")
+    obj["models"][0].update(k=2, r=1, case="unrestrictedConstant")
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestStageBundleParity:
+    """Each stage command prints exactly that model's rows of the run bundle."""
+
+    @pytest.mark.parametrize("which", ["bundled", "override"])
+    def test_stage_stdout_equals_bundle_rows(self, which, tmp_path, capsys):
+        config = CONFIG if which == "bundled" else override_config(tmp_path)
+        out = tmp_path / "reports"
+        assert run_cli("run", "--config", config, "--out", str(out)) == 0
+        capsys.readouterr()
+        bundle = {}
+        for name in os.listdir(out):
+            if name.endswith(".csv"):
+                bundle[name] = (out / name).read_text().splitlines(keepends=True)
+
+        def rows(report, state, naics, keep=lambda line: True):
+            prefix = f"{state},{naics},"
+            lines = bundle[report]
+            return lines[0] + "".join(
+                l for l in lines[1:] if l.startswith(prefix) and keep(l)
+            )
+
+        with open(config) as fh:
+            models = json.load(fh)["models"]
+        assert len(models) == 16
+        for m in models:
+            state, naics = m["state"], m["naics"]
+
+            def stage(command):
+                argv = [command, "--config", config, "--state", state, "--naics", str(naics)]
+                assert run_cli(*argv) == 0
+                return capsys.readouterr().out
+
+            for command, report in [
+                ("summarize", "summary.csv"), ("adf", "adf.csv"), ("lags", "lags.csv"),
+                ("johansen", "johansen.csv"), ("backtest", "backtest.csv"),
+            ]:
+                assert stage(command) == rows(report, state, naics), (command, state, naics)
+            lq = stage("lq").splitlines(keepends=True)
+            assert lq[-1].startswith("# mean_lq=")
+            assert "".join(lq[:-1]) == rows("lq.csv", state, naics)
+            assert stage("diagnose") == (
+                rows("lm.csv", state, naics) + "\n" + rows("normality.csv", state, naics)
+            )
+            assert stage("forecast") == rows(
+                "forecast.csv", state, naics, keep=lambda l: l.endswith(",1\n")
+            )
+
+
+class TestConfiguredModel:
+    """Stage commands fit the config's own k, r and case for the model."""
+
+    def test_fit_uses_configured_spec(self, tmp_path, capsys):
+        config = override_config(tmp_path)
+        args = ["fit", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out.startswith("# AL 113 k=2 r=1 case=uconst ")
+
+    def test_flag_overrides_one_field(self, tmp_path, capsys):
+        config = override_config(tmp_path)
+        args = ["fit", "--config", config, "--state", "AL", "--naics", "113", "--k", "1"]
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out.startswith("# AL 113 k=1 r=1 case=uconst ")
+
+    def test_johansen_uses_configured_lag_and_case(self, tmp_path, capsys):
+        config = override_config(tmp_path)
+        args = ["johansen", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("AL,113,2,uconst,0,")
+
+    def test_johansen_accepts_trend_case(self, capsys):
+        assert run_cli(*stage_args("johansen", "AL", 113, "--case", "rtrend")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert fields[3] == "rtrend" and fields[7] == "" and fields[9] == ""
+
+
+class TestBadStageFlags:
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("johansen", ["--case", "bogus"], "ConfigInvalid: unknown deterministic case"),
+            ("fit", ["--case", "bogus"], "ConfigInvalid: unknown deterministic case"),
+            ("fit", ["--case", "rtrend"], "is not estimable"),
+            ("fit", ["--k", "0"], "k must be a positive integer"),
+            ("fit", ["--r", "-1"], "r must be a nonnegative integer"),
+            ("backtest", ["--holdout", "2016Q5"], "ConfigInvalid: bad --holdout"),
+            ("adf", ["--lag", "-1"], "--lag must be a nonnegative integer"),
+            ("adf", ["--deterministic", "bogus"], "--deterministic must be one of"),
+            ("forecast", ["--horizon", "0"], "HorizonZero"),
+            ("lags", ["--max-lag", "0"], "--max-lag must be a positive integer"),
+        ],
+    )
+    def test_bad_flag_is_a_typed_error(self, command, flags, message, capsys):
+        assert run_cli(*stage_args(command, "AL", 113, *flags)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("flags", [["--state", "XX"], ["--naics", "999"]])
+    def test_unsupported_model(self, flags, capsys):
+        args = ["summarize", "--config", CONFIG, "--state", "AL", "--naics", "113", *flags]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigInvalid: unsupported ")
+
+    def test_missing_holdout_is_a_typed_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        models = [{"state": "AL", "naics": 113}]
+        config.write_text(json.dumps({"dataDir": DATA_ROOT, "outDir": "out", "models": models}))
+        args = ["backtest", "--config", str(config), "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigInvalid: no holdout start")
+
+
 class TestRunCommand:
     def test_full_bundled_run(self, tmp_path, capsys):
         out = tmp_path / "reports"
@@ -247,3 +376,24 @@ class TestMalformedCells:
         assert run_cli(*args) == 2
         err = capsys.readouterr().err
         assert err == "error: MalformedValue: malformed value at row 0, column 'quarter'\n"
+
+    def test_nan_panel_value(self, tmp_path, capsys):
+        def nan_employment(line):
+            fields = line.split(",")
+            fields[2] = "nan"
+            return ",".join(fields)
+
+        config = _corrupt_copy(tmp_path, "panels/AL_113.csv", 3, nan_employment)
+        args = ["ingest", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedValue: malformed value at row 3, column 'employment'\n"
+
+    def test_inf_aux_value(self, tmp_path, capsys):
+        config = _corrupt_copy(
+            tmp_path, "aux/national_total.csv", 7, lambda l: l.rsplit(",", 1)[0] + ",inf\n"
+        )
+        args = ["lq", "--config", config, "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedValue: malformed value at row 7, column 'value'\n"

@@ -287,6 +287,21 @@ class TestRunPipeline:
         base_rows = [r for r in rows if ",2001Q1," in r and r.startswith("AL")]
         assert base_rows and all(r.split(",")[4] == "1" for r in base_rows)
 
+    def test_rerun_removes_reports_it_does_not_write(self, tmp_path):
+        with open(os.path.join(DATA_ROOT, "config.json")) as fh:
+            obj = json.load(fh)
+        obj["outDir"] = str(tmp_path)
+        run_pipeline(parse_config(copy.deepcopy(obj), base_dir=DATA_ROOT))
+        assert os.path.exists(tmp_path / "backtest.csv")
+
+        del obj["defaults"]["holdoutStart"]
+        run_pipeline(parse_config(obj, base_dir=DATA_ROOT))
+        assert not os.path.exists(tmp_path / "backtest.csv")
+        with open(tmp_path / "manifest.json") as fh:
+            files = json.load(fh)["files"]
+        assert len(files) == 11 and "backtest.csv" not in files
+        assert sorted(os.listdir(tmp_path)) == sorted(files + ["manifest.json"])
+
 
 class TestDefaultConfigObject:
     def test_round_trip_through_validation(self):
