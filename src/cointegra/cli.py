@@ -19,7 +19,7 @@ import sys
 
 from .errors import CointegraError, ConfigInvalid
 from .lagselect import select_lags
-from .panel import VARIABLES, lq_significance
+from .panel import VARIABLES, lq_flag
 from .pipeline import (
     ADF_CASE, ADF_LAG, REPORT_HEADERS, RunConfig, adf_lines, backtest_lines, fmt6, forecast_lines,
     johansen_lines, lags_lines, lm_lines, load_aux_series, load_config, load_panel, lq_lines,
@@ -82,10 +82,10 @@ def _cmd_summarize(config, args) -> int:
 def _cmd_lq(config, args) -> int:
     panel, _ = _stage(config, args)
     aux = load_aux_series(config.data_dir, [panel.state], [panel.naics])
-    records = lq_records_for_panel(panel, aux)
-    flag = lq_significance(records, config.defaults.lq_threshold)[0]
+    lq = lq_records_for_panel(panel, aux)
+    flag = lq_flag(panel.state, panel.naics, lq, config.defaults.lq_threshold)
     sys.stdout.write(
-        _report("lq.csv", lq_lines(panel, records))
+        _report("lq.csv", lq_lines(panel, lq))
         + f"# mean_lq={fmt6(flag.mean_lq)} significant={int(flag.significant)}\n"
     )
     return 0

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite, NumericalFailure, SampleTooShort, SingularCovariance
 from .johansen import _design_blocks
-from .linalg import chi2_sf, cholesky
+from .linalg import chi2_sf, cholesky, lstsq, solve_triangular
 from .panel import VARIABLES
 from .vecm import VecmFit
 
@@ -124,8 +123,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
     if base is None:
         sigma_base = e.T @ e / t_eff
     else:
-        coef, *_ = scipy.linalg.lstsq(base, e, lapack_driver="gelsy")
-        base_resid = e - base @ coef
+        base_resid = e - base @ lstsq(base, e)
         sigma_base = base_resid.T @ base_resid / t_eff
     log_det_base = _log_det(sigma_base)
 
@@ -134,8 +132,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
         lagged = np.zeros_like(e)
         lagged[j:] = e[:-j]
         aux_x = lagged if base is None else np.hstack([base, lagged])
-        coef, *_ = scipy.linalg.lstsq(aux_x, e, lapack_driver="gelsy")
-        aux_resid = e - aux_x @ coef
+        aux_resid = e - aux_x @ lstsq(aux_x, e)
         sigma_aux = aux_resid.T @ aux_resid / t_eff
         stat = -(t_eff - n * j - 0.5) * (_log_det(sigma_aux) - log_det_base)
         stat = max(stat, 0.0)
@@ -167,7 +164,7 @@ def normality_tests(fit: VecmFit, equation_names: tuple[str, ...] | None = None)
         p = cholesky(fit.sigma)
     except NotPositiveDefinite as exc:
         raise SingularCovariance(str(exc)) from exc
-    u = scipy.linalg.solve_triangular(p, e.T, lower=True).T
+    u = solve_triangular(p, e.T, lower=True).T
 
     gram = u.T @ u / t_eff
     off = gram - np.diag(np.diag(gram))

@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     LeadingBlockSingular,
@@ -21,7 +20,15 @@ from .errors import (
     SampleTooShort,
     SingularS00,
 )
-from .linalg import RANK_TOL, cholesky, generalized_sym_eig
+from .linalg import (
+    RANK_TOL,
+    cholesky,
+    generalized_sym_eig,
+    lstsq,
+    pivoted_qr,
+    qr_r,
+    solve_triangular,
+)
 
 _EIG_TOL = 1e-10
 
@@ -149,9 +156,7 @@ def _design_blocks(x: np.ndarray, k: int, case: DeterministicCase):
 def _partial_out(z0, z1, z2):
     if z2 is None:
         return z0, z1
-    coef0, *_ = scipy.linalg.lstsq(z2, z0, lapack_driver="gelsy")
-    coef1, *_ = scipy.linalg.lstsq(z2, z1, lapack_driver="gelsy")
-    return z0 - z2 @ coef0, z1 - z2 @ coef1
+    return z0 - z2 @ lstsq(z2, z0), z1 - z2 @ lstsq(z2, z1)
 
 
 def johansen_test(data, k: int, case="restrictedConstant") -> JohansenResult:
@@ -202,7 +207,7 @@ def johansen_test(data, k: int, case="restrictedConstant") -> JohansenResult:
         raise SingularS00("S00 numerically singular")
     l00 = d[:, None] * l_corr
     # A = S10 S00^-1 S01 formed as C'C with C = L^-1 S01 for symmetry.
-    c = scipy.linalg.solve_triangular(l00, s01, lower=True)
+    c = solve_triangular(l00, s01, lower=True)
     a = c.T @ c
 
     eigvals, eigvecs = generalized_sym_eig(a, s11)
@@ -266,7 +271,7 @@ def beta_normalize(beta: np.ndarray, r: int, return_pivot: bool = False):
     block = b[:r, :]
     if _near_singular(block):
         # Column-pivoted QR on b' ranks rows by leverage.
-        _q, rr, piv = scipy.linalg.qr(b.T, mode="economic", pivoting=True)
+        _q, rr, piv = pivoted_qr(b.T)
         d = np.abs(np.diag(rr))
         if d.size < r or d[0] == 0.0 or d[min(r, d.size) - 1] < RANK_TOL * d[0]:
             raise LeadingBlockSingular("beta columns have rank below r")
@@ -281,7 +286,7 @@ def beta_normalize(beta: np.ndarray, r: int, return_pivot: bool = False):
 
 
 def _near_singular(block: np.ndarray) -> bool:
-    d = np.abs(np.diag(scipy.linalg.qr(block, mode="r")[0] if block.size else block))
+    d = np.abs(np.diag(qr_r(block) if block.size else block))
     if d.size == 0:
         return True
     return d.min() < RANK_TOL * max(d.max(), 1e-300)

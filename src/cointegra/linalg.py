@@ -1,13 +1,25 @@
 """Dense matrix kernel: multivariate OLS, Cholesky, generalized symmetric eigen,
-and the chi-square upper-tail p-value shared by the test statistics.
+the LAPACK kernels under them, and the chi-square upper-tail p-value shared
+by the test statistics.
 
 All routines are pure functions. Residual covariances use the
 maximum-likelihood divisor T throughout; estimators that need a
 degrees-of-freedom correction apply it at the call site.
 
-The package uses only ``scipy.linalg`` and ``scipy.special``: importing
-``scipy.stats`` would roughly double the start-up time of every CLI process,
-and ``chi2_sf`` gives the same values without it.
+This is the only module of the package that imports scipy, and it uses only
+``scipy.linalg.lapack`` and ``scipy.special``. A run makes hundreds of LAPACK
+calls on matrices of a few dozen columns, and at that size the
+``scipy.linalg`` wrappers (batching, input validation, dispatch) cost about
+as much as the arithmetic. So ``pivoted_qr``, ``qr_r``, ``solve_triangular``
+and ``lstsq`` look their LAPACK routines up once, at import, and call them
+in the sequence ``scipy.linalg`` uses: the same workspace queries, the same
+arguments and the same memory layouts. Each result is bitwise equal to that
+of ``scipy.linalg.qr``, ``solve_triangular`` or
+``lstsq(lapack_driver="gelsy")``. Like those, they reject a NaN or an
+infinity with ``ValueError`` and check LAPACK's ``info`` after every call.
+
+Importing ``scipy.stats`` would roughly double the start-up time of every CLI
+process, and ``chi2_sf`` gives the same values without it.
 """
 
 from __future__ import annotations
@@ -15,13 +27,98 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack  # before scipy.special: the other order imports more slowly
 import scipy.special
 
 from .errors import NotPositiveDefinite, RankDeficient
 
 # Relative pivot threshold below which a design matrix is declared singular.
 RANK_TOL = 1e-10
+
+_GEQP3, _GEQRF, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = scipy.linalg.lapack.get_lapack_funcs(
+    ("geqp3", "geqrf", "orgqr", "trtrs", "gelsy", "gelsy_lwork"), dtype=np.float64
+)
+# gelsy's rank cutoff, scipy's default for lstsq.
+_EPS = np.finfo(np.float64).eps
+
+
+def _finite(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _call(routine, name: str, *args, **kwargs):
+    """Run a LAPACK routine at the workspace size its own query returns and
+    drop the trailing work and info outputs."""
+    query = routine(*args, lwork=-1, **kwargs)
+    out = routine(*args, lwork=int(query[-2][0]), **kwargs)
+    if out[-1] < 0:
+        raise ValueError(f"illegal value in argument {-out[-1]} of {name}")
+    return out[:-2]
+
+
+def pivoted_qr(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economic column-pivoted QR, ``a[:, piv] = q @ r``; the result of
+    ``scipy.linalg.qr(a, mode="economic", pivoting=True)``."""
+    a = _finite(a)
+    m, n = a.shape
+    qr, piv, tau = _call(_GEQP3, "geqp3", a)
+    piv -= 1
+    r = np.triu(qr) if m < n else np.triu(qr[:n, :])
+    # R is a copy, so orgqr may overwrite the factor in place.
+    (q,) = _call(_ORGQR, "orgqr", qr[:, :m] if m < n else qr, tau, overwrite_a=1)
+    return q, r, piv
+
+
+def qr_r(a) -> np.ndarray:
+    """R of the unpivoted QR of ``a``, with as many rows as ``a``;
+    ``scipy.linalg.qr(a, mode="r")[0]``."""
+    qr, _tau = _call(_GEQRF, "geqrf", _finite(a))
+    return np.triu(qr)
+
+
+def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
+    """Solve ``a @ x = b`` for triangular ``a``; the result of
+    ``scipy.linalg.solve_triangular(a, b, lower=lower)``.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If ``a`` has a zero on its diagonal.
+    """
+    a = _finite(a)
+    b = _finite(b)
+    # trtrs reads Fortran order, so a C-ordered ``a`` is solved as a.T.
+    if a.flags.f_contiguous:
+        x, info = _TRTRS(a, b, lower=lower, trans=0)
+    else:
+        x, info = _TRTRS(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    return x
+
+
+def lstsq(a, b) -> np.ndarray:
+    """Least-squares solution of ``a @ x = b`` by complete orthogonal
+    factorization; ``scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]``.
+    ``a`` needs at least as many rows as columns."""
+    a = _finite(a)
+    b = _finite(b)
+    m, n = a.shape
+    if m < n:
+        raise ValueError(f"need at least as many rows as columns, got {m}x{n}")
+    work, info = _GELSY_LWORK(m, n, b.shape[1] if b.ndim == 2 else 1, _EPS)
+    if info != 0:
+        raise ValueError(f"gelsy workspace query failed: {info}")
+    jpvt = np.zeros((n, 1), dtype=np.int32)
+    _v, x, _jpvt, _rank, info = _GELSY(a, b, jpvt, _EPS, int(work.real), False, False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gelsy")
+    return x[:n]
 
 
 @dataclass
@@ -63,13 +160,13 @@ def ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     t, p = x.shape
     if t <= p:
         raise RankDeficient(f"need more rows than regressors, got {t}x{p}")
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    q, r, piv = pivoted_qr(x)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0 or diag[-1] < RANK_TOL * diag[0]:
         raise RankDeficient(f"design matrix rank-deficient ({p} columns)")
     # X·P = Q·R, so B[piv] = R⁻¹·Q'·Y: solve from the factorization above.
     coef = np.empty((p, y.shape[1]))
-    coef[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    coef[piv] = solve_triangular(r, q.T @ y)
     resid = y - x @ coef
     cov = resid.T @ resid / t
     cov = (cov + cov.T) / 2.0
@@ -126,12 +223,12 @@ def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     l = cholesky(b)
-    linv_a = scipy.linalg.solve_triangular(l, a, lower=True)
-    c = scipy.linalg.solve_triangular(l, linv_a.T, lower=True)
+    linv_a = solve_triangular(l, a, lower=True)
+    c = solve_triangular(l, linv_a.T, lower=True)
     c = (c + c.T) / 2.0
     w, u = np.linalg.eigh(c)
     order = np.argsort(w)[::-1]
     w = w[order]
     u = u[:, order]
-    v = scipy.linalg.solve_triangular(l.T, u, lower=False)
+    v = solve_triangular(l.T, u, lower=False)
     return w, v

@@ -113,17 +113,62 @@ def _parse_identity(csv_path: str) -> tuple[str, int]:
     return stem, 0
 
 
-def read_cell(raw: dict, column: str, row: int, cast=float):
-    """``cast(raw[column])`` for one csv.DictReader row, raising
-    MalformedValue when the cell is missing (a short row), does not parse,
-    or is a nan or an infinity."""
-    try:
-        value = cast(raw[column])
-    except (TypeError, ValueError):
-        raise MalformedValue(row, column) from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise MalformedValue(row, column)
-    return value
+def read_table(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of a CSV file. The first line is the
+    header, even when blank; later blank lines are skipped and not counted
+    as rows."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        return header, [row for row in reader if row]
+
+
+def _cast_each(cells, cast) -> tuple[list, list[bool]]:
+    """``cast`` of every cell, with 0 for the cells it rejects, and the
+    rejected cells' flags."""
+    values, bad = [], []
+    for cell in cells:
+        try:
+            values.append(cast(cell))
+            bad.append(False)
+        except (TypeError, ValueError):
+            values.append(0)
+            bad.append(True)
+    return values, bad
+
+
+def parse_columns(
+    header: list[str], rows: list[list[str]], columns, casts
+) -> tuple[list, np.ndarray | None]:
+    """Cast each named column of ``rows`` with its cast (``int`` or ``float``).
+
+    A name repeated in the header reads its last column. Returns the
+    columns (an int list, or a float array) and either None or a bool array
+    (rows x columns) marking each malformed cell: one that is missing (a
+    short row), does not parse, or is a nan or an infinity. A malformed
+    cell's value is unspecified.
+    """
+    index = {name: i for i, name in enumerate(header)}
+    picks = [index[name] for name in columns]
+    width = max(picks) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    cells = list(zip(*rows)) if rows else [()] * width
+    out, bad = [], np.zeros((len(rows), len(picks)), dtype=bool)
+    for j, (i, cast) in enumerate(zip(picks, casts)):
+        try:
+            values = list(map(cast, cells[i]))
+        except (TypeError, ValueError):
+            values, bad[:, j] = _cast_each(cells[i], cast)
+        if cast is float:
+            values = np.array(values, dtype=float)
+            bad[:, j] |= ~np.isfinite(values)
+        out.append(values)
+    return out, bad if bad.any() else None
+
+
+def _quarter_label(index: int) -> str:
+    return f"{index // 4}Q{index % 4 + 1}"
 
 
 def ingest_panel(
@@ -149,61 +194,68 @@ def ingest_panel(
     ------
     MissingColumn
         A mapped column is absent from the header.
+    MalformedValue
+        A cell is missing, is not a number, or is a nan or an infinity, or
+        a quarter is outside 1..4.
+    NonPositiveValue
+        A data cell is zero or negative.
+    EmptyInput
+        The file has no data rows.
     DuplicateQuarter
-        The same (year, quarter) appears twice.
+        The same (year, quarter) appears twice; the first such quarter in
+        time order is named.
     GapInQuarters
         The sorted quarters are not contiguous; the error lists the holes.
-    MalformedValue
-        A cell is missing or is not a number, or a quarter is outside 1..4
-        (row index as below).
-    NonPositiveValue
-        A data cell is zero or negative (row index counts data rows from 0).
+
+    The cell errors name the first offending cell in reading order: rows
+    from the top (data rows count from 0, blank lines not counted), and in
+    a row the year, the quarter, then the variables in ``VARIABLES`` order.
     """
     schema = schema or {}
     colmap = {name: schema.get(name, name) for name in CSV_COLUMNS}
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for canonical, actual in colmap.items():
-            if actual not in header:
-                raise MissingColumn(f"column {actual!r} not found in {csv_path}")
-        rows = []
-        for i, raw in enumerate(reader):
-            year = read_cell(raw, colmap["year"], i, int)
-            try:
-                when = QuarterDate(year, read_cell(raw, colmap["quarter"], i, int))
-            except ValueError:
-                raise MalformedValue(i, colmap["quarter"]) from None
-            values = {}
-            for name in VARIABLES:
-                v = read_cell(raw, colmap[name], i)
-                if v <= 0.0 or not math.isfinite(v):
-                    raise NonPositiveValue(i, name)
-                values[name] = v
-            rows.append((when, values))
-
+    header, rows = read_table(csv_path)
+    for actual in colmap.values():
+        if actual not in header:
+            raise MissingColumn(f"column {actual!r} not found in {csv_path}")
+    names = ("year", "quarter") + VARIABLES
+    (years, quarters, *series), bad = parse_columns(
+        header, rows, [colmap[name] for name in names], (int, int) + (float,) * len(VARIABLES)
+    )
+    odd_quarter = [not 1 <= q <= 4 for q in quarters]
+    if bad is not None or any(odd_quarter) or not all((col > 0.0).all() for col in series):
+        # 1 marks a malformed cell, 2 a non-positive one.
+        codes = np.zeros((len(rows), len(names)), dtype=np.int8)
+        if bad is not None:
+            codes[bad] = 1
+        codes[:, 1] |= odd_quarter
+        codes[:, 2:][(codes[:, 2:] == 0) & (np.column_stack(series) <= 0.0)] = 2
+        row, col = divmod(int(np.flatnonzero(codes)[0]), len(names))
+        if codes[row, col] == 2:
+            raise NonPositiveValue(row, names[col])
+        raise MalformedValue(row, colmap[names[col]])
     if not rows:
         raise EmptyInput(f"no data rows in {csv_path}")
-    rows.sort(key=lambda r: r[0])
-    seen = set()
-    for when, _ in rows:
-        if when in seen:
-            raise DuplicateQuarter(f"quarter {when} duplicated in {csv_path}")
-        seen.add(when)
-    start = rows[0][0]
-    expected = [start.advanced(i) for i in range(rows[-1][0].quarters_since(start) + 1)]
-    missing = [q.label() for q in expected if q not in seen]
-    if missing:
-        raise GapInQuarters(missing)
+
+    # Quarter indices 4*year + quarter - 1 order the rows as QuarterDates do.
+    index = [4 * y + q - 1 for y, q in zip(years, quarters)]
+    ordered = sorted(index)
+    seen = set(ordered)
+    if len(seen) < len(ordered):
+        cur = next(cur for prev, cur in zip(ordered, ordered[1:]) if cur == prev)
+        raise DuplicateQuarter(f"quarter {_quarter_label(cur)} duplicated in {csv_path}")
+    first, last = ordered[0], ordered[-1]
+    if last - first + 1 != len(ordered):
+        raise GapInQuarters([_quarter_label(i) for i in range(first, last + 1) if i not in seen])
 
     if state is None or naics is None:
         parsed_state, parsed_naics = _parse_identity(csv_path)
         state = state if state is not None else parsed_state
         naics = naics if naics is not None else parsed_naics
-    series = {
-        name: QuarterlySeries(start, np.array([vals[name] for _, vals in rows]))
-        for name in VARIABLES
-    }
+    if ordered != index:
+        order = sorted(range(len(index)), key=index.__getitem__)
+        series = [col[order] for col in series]
+    start = QuarterDate(first // 4, first % 4 + 1)
+    series = {name: QuarterlySeries(start, col) for name, col in zip(VARIABLES, series)}
     return PanelDataset(state=state, naics=int(naics), **series)
 
 
@@ -270,6 +322,13 @@ def location_quotient(
     )
 
 
+def lq_flag(state: str, naics: int, lq, threshold: float = 1.0) -> LqSignificance:
+    """Mean of one pair's location quotients, flagged when it strictly
+    exceeds ``threshold``."""
+    mean_lq = float(np.mean(lq))
+    return LqSignificance(state, naics, mean_lq, mean_lq > threshold)
+
+
 def lq_significance(
     records: list[LqRecord], threshold: float = 1.0
 ) -> list[LqSignificance]:
@@ -279,11 +338,7 @@ def lq_significance(
     groups: dict[tuple[str, int], list[float]] = {}
     for rec in records:
         groups.setdefault((rec.state, rec.naics), []).append(rec.lq)
-    out = []
-    for (state, naics) in sorted(groups):
-        mean_lq = float(np.mean(groups[(state, naics)]))
-        out.append(LqSignificance(state, naics, mean_lq, mean_lq > threshold))
-    return out
+    return [lq_flag(*key, groups[key], threshold) for key in sorted(groups)]
 
 
 def summarize(panel: PanelDataset) -> dict[str, dict[str, float]]:

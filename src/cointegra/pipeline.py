@@ -19,27 +19,34 @@ field is a quarter label, a variable name or a formatted number.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .diagnostics import lm_autocorrelation, normality_tests
-from .errors import ConfigInvalid, DataDirMissing, IndexBaseMissing, MissingColumn
+from .errors import (
+    ConfigInvalid,
+    DataDirMissing,
+    IndexBaseMissing,
+    MalformedValue,
+    MissingColumn,
+)
 from .johansen import DeterministicCase, JohansenResult, johansen_test
 from .lagselect import LagSelection, select_lags
 from .panel import (
     VARIABLES,
-    LqRecord,
     PanelDataset,
     ingest_panel,
     location_quotient,
-    lq_significance,
-    read_cell,
+    lq_flag,
+    parse_columns,
+    read_table,
     summarize,
 )
 from .quarters import QuarterDate
@@ -125,6 +132,11 @@ def parse_quarter(value, name: str) -> QuarterDate:
         raise ConfigInvalid(f"bad {name}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def model_config(entry, estimable: bool = True) -> ModelConfig:
     """Validate one model entry; ``estimable=False`` also admits the trend
     cases, which the rank test reports but the estimator cannot fit."""
@@ -134,13 +146,13 @@ def model_config(entry, estimable: bool = True) -> ModelConfig:
     state, naics = entry["state"], entry["naics"]
     if state not in SUPPORTED_STATES:
         raise ConfigInvalid(f"unsupported state {state!r}")
-    if naics not in SUPPORTED_NAICS:
+    if not _is_int(naics) or naics not in SUPPORTED_NAICS:
         raise ConfigInvalid(f"unsupported naics {naics!r}")
     k = entry.get("k")
     r = entry.get("r")
-    if k is not None and (not isinstance(k, int) or k < 1):
+    if k is not None and (not _is_int(k) or k < 1):
         raise ConfigInvalid(f"model {state}/{naics}: k must be a positive integer")
-    if r is not None and (not isinstance(r, int) or r < 0):
+    if r is not None and (not _is_int(r) or r < 0):
         raise ConfigInvalid(f"model {state}/{naics}: r must be a nonnegative integer")
     case = entry.get("case")
     if case is not None:
@@ -180,20 +192,25 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
     )
     max_lag = raw_defaults.get("maxLag", 4)
     horizon = raw_defaults.get("horizon", 20)
-    if not isinstance(max_lag, int) or max_lag < 1:
+    if not _is_int(max_lag) or max_lag < 1:
         raise ConfigInvalid("maxLag must be a positive integer")
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_int(horizon) or horizon < 1:
         raise ConfigInvalid("horizon must be a positive integer")
     holdout = raw_defaults.get("holdoutStart")
     if holdout is not None:
         holdout = parse_quarter(holdout, "holdoutStart")
     johansen_case = _parse_case(raw_defaults.get("johansenCase", "restrictedConstant"), "defaults")
     lq_threshold = raw_defaults.get("lqThreshold", 1.0)
-    if not isinstance(lq_threshold, (int, float)) or isinstance(lq_threshold, bool):
-        raise ConfigInvalid("lqThreshold must be a number")
+    # NaN, the infinities and integers beyond the float range all fail the range test.
+    if (
+        not isinstance(lq_threshold, (int, float))
+        or isinstance(lq_threshold, bool)
+        or not -sys.float_info.max <= lq_threshold <= sys.float_info.max
+    ):
+        raise ConfigInvalid("lqThreshold must be a finite number")
 
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigInvalid("seed must be an integer")
 
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
@@ -267,15 +284,17 @@ REPORT_HEADERS = {
 
 
 def _read_value_series(path: str) -> dict[tuple[int, int], float]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"year", "quarter", "value"} - set(reader.fieldnames):
-            raise MissingColumn(f"{path}: expected columns year,quarter,value")
-        values = {}
-        for i, row in enumerate(reader):
-            key = (read_cell(row, "year", i, int), read_cell(row, "quarter", i, int))
-            values[key] = read_cell(row, "value", i)
-        return values
+    """A year,quarter,value file as {(year, quarter): value}; a quarter that
+    repeats keeps its last value."""
+    header, rows = read_table(path)
+    if {"year", "quarter", "value"} - set(header):
+        raise MissingColumn(f"{path}: expected columns year,quarter,value")
+    columns = ("year", "quarter", "value")
+    (years, quarters, values), bad = parse_columns(header, rows, columns, (int, int, float))
+    if bad is not None:
+        row, col = divmod(int(np.flatnonzero(bad)[0]), len(columns))
+        raise MalformedValue(row, columns[col])
+    return dict(zip(zip(years, quarters), values.tolist()))
 
 
 def load_aux_series(data_dir: str, states, naics_codes) -> dict:
@@ -297,29 +316,44 @@ def load_aux_series(data_dir: str, states, naics_codes) -> dict:
     return out
 
 
-def lq_records_for_panel(panel: PanelDataset, aux: dict) -> list[LqRecord]:
-    state_total = aux["state_total"][panel.state]
-    national_industry = aux["national_industry"][panel.naics]
-    national_total = aux["national_total"]
-    records = []
-    for i, when in enumerate(panel.employment.quarters()):
-        key = (when.year, when.quarter)
-        if key not in state_total or key not in national_industry or key not in national_total:
-            raise MissingColumn(f"screening series missing {when.label()}")
-        records.append(
-            LqRecord(
-                state=panel.state,
-                naics=panel.naics,
-                quarter=when,
-                lq=location_quotient(
-                    float(panel.employment.values[i]),
-                    state_total[key],
-                    national_industry[key],
-                    national_total[key],
-                ),
-            )
+def lq_records_for_panel(panel: PanelDataset, aux: dict) -> np.ndarray:
+    """Location quotient of each panel quarter, in quarter order: panel
+    employment over the state total, divided by national industry
+    employment over the national total (``location_quotient`` as arrays).
+
+    Raises
+    ------
+    MissingColumn
+        A screening series lacks a panel quarter; the first one is named.
+    NonPositiveInput
+        A screening value is zero or negative; the first such quarter is
+        reported, unless a missing quarter comes before it.
+    """
+    first = panel.start.year * 4 + panel.start.quarter - 1
+    keys = [(i // 4, i % 4 + 1) for i in range(first, first + len(panel))]
+    state_total, national_industry, national_total = (
+        np.fromiter(map(series.get, keys, repeat(np.nan)), float, len(keys))
+        for series in (
+            aux["state_total"][panel.state],
+            aux["national_industry"][panel.naics],
+            aux["national_total"],
         )
-    return records
+    )
+    employment = panel.employment.values
+    missing = np.isnan(state_total) | np.isnan(national_industry) | np.isnan(national_total)
+    bad = ~((state_total > 0.0) & (national_industry > 0.0) & (national_total > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if missing[i]:
+            raise MissingColumn(f"screening series missing {panel.start.advanced(i).label()}")
+        location_quotient(  # raises NonPositiveInput, naming the four inputs
+            float(employment[i]),
+            float(state_total[i]),
+            float(national_industry[i]),
+            float(national_total[i]),
+        )
+    with np.errstate(over="ignore"):  # a tiny screening value overflows to inf, as in floats
+        return (employment / state_total) / (national_industry / national_total)
 
 
 def _quarter_labels(first: QuarterDate, count: int) -> list[str]:
@@ -386,11 +420,11 @@ def summary_lines(panel: PanelDataset) -> str:
     )
 
 
-def lq_lines(panel: PanelDataset, records: list[LqRecord]) -> str:
+def lq_lines(panel: PanelDataset, lq: np.ndarray) -> str:
     template = _per_key(
         f"{panel.state},{panel.naics},{{key}},%.6g\n", _quarter_labels(panel.start, len(panel))
     )
-    return _fill(template, np.array([rec.lq for rec in records]))
+    return _fill(template, lq)
 
 
 def adf_lines(panel: PanelDataset, lag: int = ADF_LAG, deterministic: str = ADF_CASE) -> str:
@@ -524,9 +558,9 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
     try:
         panel = out.panel = load_panel(config.data_dir, model.state, model.naics)
 
-        records = lq_records_for_panel(panel, aux)
-        lines["lq.csv"] = lq_lines(panel, records)
-        flag = lq_significance(records, defaults.lq_threshold)[0]
+        lq = lq_records_for_panel(panel, aux)
+        lines["lq.csv"] = lq_lines(panel, lq)
+        flag = lq_flag(panel.state, panel.naics, lq, defaults.lq_threshold)
         lines["lq_flags.csv"] = _line(panel, fmt6(flag.mean_lq), int(flag.significant))
         lines["summary.csv"] = summary_lines(panel)
         lines["adf.csv"] = adf_lines(panel)

@@ -321,6 +321,32 @@ class TestErrorPaths:
         assert "error" in capsys.readouterr().err
 
 
+
+class TestConfigTypes:
+    """Config values of the wrong JSON type end as ConfigInvalid and exit 2."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj["models"][0].update(k=True),
+            lambda obj: obj["models"][0].update(r=False),
+            lambda obj: obj["defaults"].update(maxLag=True),
+            lambda obj: obj["defaults"].update(horizon=True),
+            lambda obj: obj["defaults"].update(lqThreshold=float("nan")),
+        ],
+        ids=["k-true", "r-false", "maxLag-true", "horizon-true", "lqThreshold-nan"],
+    )
+    def test_run_rejects(self, edit, tmp_path, capsys):
+        with open(CONFIG) as fh:
+            obj = json.load(fh)
+        obj["dataDir"] = DATA_ROOT
+        edit(obj)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))  # a NaN is written as the bare token NaN
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigInvalid: ")
+        assert not (tmp_path / "out").exists()
+
 def _corrupt_copy(tmp_path, relpath, row, edit):
     """Copy the bundled dataset into tmp_path and rewrite data row ``row``
     (0-based, after the header) of ``relpath`` with ``edit``."""

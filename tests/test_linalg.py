@@ -1,8 +1,35 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cointegra.errors import NotPositiveDefinite, RankDeficient
-from cointegra.linalg import cholesky, generalized_sym_eig, ols
+from cointegra.linalg import (
+    cholesky,
+    generalized_sym_eig,
+    lstsq,
+    ols,
+    pivoted_qr,
+    qr_r,
+    solve_triangular,
+)
+
+# The design shapes the pipeline factorizes: lag selection and fits at
+# T = 60-72 and k <= 4, and the long T = 312 panels at lag 12.
+SHAPES = [(60, 11), (64, 21), (300, 61)]
+LAYOUTS = ["C", "F", "transposed", "strided"]
+
+
+def layout(a: np.ndarray, how: str) -> np.ndarray:
+    """``a`` with the same values in another memory layout."""
+    if how == "C":
+        return np.ascontiguousarray(a)
+    if how == "F":
+        return np.asfortranarray(a)
+    if how == "transposed":
+        return np.ascontiguousarray(a.T).T
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return wide[:, ::2]
 
 
 class TestOls:
@@ -121,3 +148,99 @@ class TestGeneralizedSymEig:
                 assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(a)
             assert np.abs(v.T @ b @ v - np.eye(n)).max() < 1e-8
             assert w.sum() == pytest.approx(np.trace(np.linalg.solve(b, a)), rel=1e-8)
+
+
+class TestKernelParity:
+    """Each direct LAPACK kernel returns exactly what its scipy.linalg
+    counterpart returns, whatever the memory layout of its inputs."""
+
+    @pytest.mark.parametrize("how", LAYOUTS)
+    @pytest.mark.parametrize("shape", SHAPES + [(3, 5), (5, 5)])
+    def test_pivoted_qr(self, shape, how):
+        a = layout(np.random.default_rng(1).standard_normal(shape), how)
+        q, r, piv = pivoted_qr(a)
+        q0, r0, piv0 = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        assert np.array_equal(q, q0) and np.array_equal(r, r0) and np.array_equal(piv, piv0)
+        assert piv.dtype == piv0.dtype
+
+    @pytest.mark.parametrize("how", LAYOUTS)
+    @pytest.mark.parametrize("shape", SHAPES + [(3, 3), (3, 5)])
+    def test_qr_r(self, shape, how):
+        a = layout(np.random.default_rng(2).standard_normal(shape), how)
+        assert np.array_equal(qr_r(a), scipy.linalg.qr(a, mode="r")[0])
+
+    @pytest.mark.parametrize("rhs", ["1-D", "C", "F"])
+    @pytest.mark.parametrize("how", LAYOUTS)
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("n", [5, 11, 21, 61])
+    def test_solve_triangular(self, n, lower, how, rhs):
+        rng = np.random.default_rng(3)
+        tri = np.tril if lower else np.triu
+        a = layout(tri(rng.standard_normal((n, n))) + 4.0 * np.eye(n), how)
+        b = rng.standard_normal(n) if rhs == "1-D" else layout(rng.standard_normal((n, 5)), rhs)
+        x = solve_triangular(a, b, lower=lower)
+        assert np.array_equal(x, scipy.linalg.solve_triangular(a, b, lower=lower))
+        assert x.shape == b.shape
+
+    @pytest.mark.parametrize("rhs", ["1-D", "C", "F"])
+    @pytest.mark.parametrize("how", LAYOUTS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_lstsq(self, shape, how, rhs):
+        rng = np.random.default_rng(4)
+        a = layout(rng.standard_normal(shape), how)
+        m = shape[0]
+        b = rng.standard_normal(m) if rhs == "1-D" else layout(rng.standard_normal((m, 5)), rhs)
+        x = lstsq(a, b)
+        assert np.array_equal(x, scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0])
+        assert x.shape == (shape[1],) + b.shape[1:]
+
+    def test_lstsq_rank_deficient_design(self):
+        # gelsy's complete orthogonal factorization at rcond = eps: a repeated
+        # column still gets the same minimum-norm answer as scipy's.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((40, 6))
+        a[:, 5] = a[:, 2]
+        b = rng.standard_normal((40, 3))
+        assert np.array_equal(lstsq(a, b), scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((20, 4))
+        a[3, 1] = bad
+        b = rng.standard_normal((20, 2))
+        tri = np.triu(rng.standard_normal((4, 4))) + np.eye(4)
+        for call in (lambda: pivoted_qr(a), lambda: qr_r(a), lambda: lstsq(a, b)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                call()
+        b[7, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lstsq(rng.standard_normal((20, 4)), b)
+        tri_bad = tri.copy()
+        tri_bad[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_triangular(tri_bad, np.ones(4))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_triangular(tri, np.array([1.0, bad, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("how", ["C", "F"])
+    def test_singular_triangle_raises(self, lower, how):
+        a = np.triu(np.ones((4, 4))) if not lower else np.tril(np.ones((4, 4)))
+        a[2, 2] = 0.0
+        a = layout(a, how)
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+            solve_triangular(a, np.ones(4), lower=lower)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve_triangular(a, np.ones(4), lower=lower)
+
+    def test_ols_matches_scipy_sequence(self):
+        # ols is the pivoted QR and triangular solve above, composed.
+        rng = np.random.default_rng(7)
+        for t, p in SHAPES:
+            x = rng.standard_normal((t, p))
+            y = rng.standard_normal((t, 5))
+            q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+            coef = np.empty((p, 5))
+            coef[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+            assert np.array_equal(ols(x, y).coefficients, coef)

@@ -8,6 +8,7 @@ from cointegra.errors import (
     EmptyInput,
     GapInQuarters,
     IncompleteYear,
+    MalformedValue,
     MissingAnnualValue,
     MissingColumn,
     NonPositiveInput,
@@ -130,6 +131,160 @@ class TestIngest:
         for name in VARIABLES:
             assert np.array_equal(back.series(name).values, panel.series(name).values)
 
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def csv_lines(rows, header=CSV_COLUMNS):
+    return [",".join(map(str, header))] + [",".join(map(str, row)) for row in rows]
+
+
+class TestIngestCells:
+    """Row numbering, column lookup and the order in which cell errors are
+    reported: the first offending cell in reading order wins. Rows count
+    from 0 over data rows, blank lines not counted; within a row the year,
+    the quarter, then the variables in VARIABLES order (output first)."""
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        lines = csv_lines(panel_rows(QuarterDate(2005, 1), 8))
+        lines[6] = lines[6].replace("100.0", "-1.0", 1)  # data row 5, employment
+        write_lines(path, lines[:3] + ["", ""] + lines[3:] + [""])
+        with pytest.raises(NonPositiveValue) as err:
+            ingest_panel(str(path))
+        assert (err.value.row, err.value.column) == (5, "employment")
+
+    def test_blank_line_mid_file_still_parses(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        lines = csv_lines(panel_rows(QuarterDate(2005, 1), 8))
+        write_lines(path, lines[:4] + [""] + lines[4:])
+        panel = ingest_panel(str(path))
+        assert len(panel) == 8 and panel.end == QuarterDate(2006, 4)
+
+    def test_extra_columns_are_ignored(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = [row + ["note"] for row in panel_rows(QuarterDate(2005, 1), 8)]
+        rows[2].append("beyond the header")
+        write_rows(path, rows, header=CSV_COLUMNS + ("comment",))
+        panel = ingest_panel(str(path))
+        assert len(panel) == 8
+        assert np.array_equal(panel.matrix(), np.full((8, 5), 100.0))
+
+    def test_reordered_and_renamed_columns(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        header = ["price", "output", "qtr", "num_firms", "year", "wages", "employment"]
+        rows = []
+        for i in range(8):
+            q = QuarterDate(2005, 1).advanced(i)
+            rows.append([5.0 + i, 1.0 + i, q.quarter, 4.0 + i, q.year, 3.0 + i, 2.0 + i])
+        write_rows(path, rows[::-1], header=header)
+        panel = ingest_panel(str(path), schema={"quarter": "qtr"})
+        assert panel.start == QuarterDate(2005, 1)
+        expected = np.arange(8.0)[:, None] + np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert np.array_equal(panel.matrix(), expected)
+
+    def test_repeated_header_name_reads_the_last_column(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = [row + [200.0] for row in panel_rows(QuarterDate(2005, 1), 4)]
+        write_rows(path, rows, header=CSV_COLUMNS + ("price",))
+        assert np.array_equal(ingest_panel(str(path)).price.values, np.full(4, 200.0))
+
+    def test_short_row_names_the_first_missing_column(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 8)
+        rows[3] = rows[3][:4]  # year, quarter, employment, wages
+        write_rows(path, rows)
+        with pytest.raises(MalformedValue) as err:
+            ingest_panel(str(path))
+        assert (err.value.row, err.value.column) == (3, "output")
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("num_firms", "abc"), ("price", "nan"), ("wages", "-inf"), ("quarter", "2.0")],
+    )
+    def test_bad_cell_names_its_column(self, tmp_path, column, cell):
+        # A non-finite cell is malformed even when it is also negative.
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 8)
+        rows[6][CSV_COLUMNS.index(column)] = cell
+        write_rows(path, rows)
+        with pytest.raises(MalformedValue) as err:
+            ingest_panel(str(path))
+        assert (err.value.row, err.value.column) == (6, column)
+
+    def test_bad_cell_reports_the_file_column_name(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 8)
+        rows[1][0] = "y2k"
+        write_rows(path, rows, header=("yr",) + CSV_COLUMNS[1:])
+        with pytest.raises(MalformedValue) as err:
+            ingest_panel(str(path), schema={"year": "yr"})
+        assert (err.value.row, err.value.column) == (1, "yr")
+
+    def test_bad_year_beats_a_negative_value_in_its_row(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 8)
+        rows[2][0] = "20x5"
+        rows[2][CSV_COLUMNS.index("output")] = -4.0
+        write_rows(path, rows)
+        with pytest.raises(MalformedValue) as err:
+            ingest_panel(str(path))
+        assert (err.value.row, err.value.column) == (2, "year")
+
+    def test_reading_order_across_rows_and_columns(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 8)
+        rows[5][0] = "bad"  # a later row's malformed year comes second
+        rows[3][CSV_COLUMNS.index("employment")] = "bad"
+        rows[3][CSV_COLUMNS.index("output")] = 0.0  # output precedes employment
+        write_rows(path, rows)
+        with pytest.raises(NonPositiveValue) as err:
+            ingest_panel(str(path))
+        assert (err.value.row, err.value.column) == (3, "output")
+
+    def test_cell_errors_come_before_order_errors(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 8)
+        rows.append(list(rows[0]))  # a duplicate quarter
+        rows[7][1] = 9  # and a quarter outside 1..4
+        write_rows(path, rows)
+        with pytest.raises(MalformedValue) as err:
+            ingest_panel(str(path))
+        assert (err.value.row, err.value.column) == (7, "quarter")
+
+    def test_first_duplicate_in_time_order_is_named(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 8)
+        rows += [list(rows[6]), list(rows[1])]  # 2006Q3 and 2005Q2 again
+        write_rows(path, rows)
+        with pytest.raises(DuplicateQuarter, match="quarter 2005Q2 duplicated"):
+            ingest_panel(str(path))
+
+    def test_gap_lists_every_hole(self, tmp_path):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 12)
+        del rows[9], rows[4], rows[3]
+        write_rows(path, rows)
+        with pytest.raises(GapInQuarters) as err:
+            ingest_panel(str(path))
+        assert err.value.missing == ["2005Q4", "2006Q1", "2007Q2"]
+
+    @pytest.mark.parametrize("body", [[], ["", ""]])
+    def test_header_only_is_empty(self, tmp_path, body):
+        path = tmp_path / "AL_113.csv"
+        write_lines(path, [",".join(CSV_COLUMNS)] + body)
+        with pytest.raises(EmptyInput):
+            ingest_panel(str(path))
+
+    @pytest.mark.parametrize("text", ["", "\n" + ",".join(CSV_COLUMNS) + "\n"])
+    def test_no_header_is_a_missing_column(self, tmp_path, text):
+        # csv.DictReader takes the first line as the header, even a blank one.
+        path = tmp_path / "AL_113.csv"
+        path.write_text(text)
+        with pytest.raises(MissingColumn, match="'year'"):
+            ingest_panel(str(path))
 
 class TestDisaggregate:
     def test_flat_national_gives_uniform_shares(self):

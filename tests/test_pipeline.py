@@ -9,10 +9,12 @@ from cointegra.errors import (
     ConfigInvalid,
     DataDirMissing,
     IndexBaseMissing,
+    MalformedValue,
     MissingColumn,
+    NonPositiveInput,
 )
 from cointegra.fixtures import default_config
-from cointegra.panel import VARIABLES, PanelDataset
+from cointegra.panel import VARIABLES, PanelDataset, ingest_panel, location_quotient
 from cointegra.pipeline import (
     emit_plot_data,
     fmt3,
@@ -138,6 +140,38 @@ class TestParseConfig:
         assert overridden.seed == 9
         assert overridden.config_hash != base.config_hash
 
+    @pytest.mark.parametrize("field", ["k", "r"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_spec_field_rejected(self, field, flag):
+        # JSON true/false decode to bool, an int subclass: k=True once parsed as k=1.
+        with pytest.raises(ConfigInvalid, match=f"{field} must be"):
+            parse_config(minimal_config(models=[{"state": "AL", "naics": 113, field: flag}]))
+
+    def test_float_naics_rejected(self):
+        # 113.0 == 113 passed the membership test and read AL_113.0.csv.
+        with pytest.raises(ConfigInvalid, match="unsupported naics 113.0"):
+            parse_config(minimal_config(models=[{"state": "AL", "naics": 113.0}]))
+
+    @pytest.mark.parametrize("key", ["maxLag", "horizon"])
+    def test_boolean_default_rejected(self, key):
+        with pytest.raises(ConfigInvalid, match=f"{key} must be"):
+            parse_config(minimal_config(defaults={key: True}))
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), 10**400, True],
+        ids=["nan", "inf", "-inf", "huge-int", "true"],
+    )
+    def test_lq_threshold_must_be_a_finite_number(self, value):
+        # A NaN threshold compares false with every mean LQ and flagged every pair.
+        with pytest.raises(ConfigInvalid, match="lqThreshold"):
+            parse_config(minimal_config(defaults={"lqThreshold": value}))
+
+    def test_lq_threshold_accepts_int_and_float(self):
+        for value in (2, 0.5):
+            config = parse_config(minimal_config(defaults={"lqThreshold": value}))
+            assert config.defaults.lq_threshold == float(value)
+
 
 class TestFormatting:
     def test_fmt6(self):
@@ -195,11 +229,54 @@ class TestAuxLoading:
     def test_lq_records_missing_quarter(self):
         aux = load_aux_series(DATA_ROOT, ["AL"], [113])
         del aux["national_total"][(2013, 2)]
-        from cointegra.panel import ingest_panel
-
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
         with pytest.raises(MissingColumn):
             lq_records_for_panel(panel, aux)
+
+    def test_lq_records_equal_the_scalar_formula(self):
+        aux = load_aux_series(DATA_ROOT, ["ME"], [322])
+        panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "ME_322.csv"))
+        expected = [
+            location_quotient(
+                float(panel.employment.values[i]),
+                aux["state_total"]["ME"][(q.year, q.quarter)],
+                aux["national_industry"][322][(q.year, q.quarter)],
+                aux["national_total"][(q.year, q.quarter)],
+            )
+            for i, q in enumerate(panel.employment.quarters())
+        ]
+        assert lq_records_for_panel(panel, aux).tolist() == expected
+
+    def test_first_bad_quarter_decides_the_error(self):
+        panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
+        aux = load_aux_series(DATA_ROOT, ["AL"], [113])
+        aux["state_total"]["AL"][(2003, 1)] = -5.0
+        del aux["national_total"][(2013, 2)]
+        with pytest.raises(NonPositiveInput, match=r"-5\.0"):
+            lq_records_for_panel(panel, aux)
+        aux["state_total"]["AL"][(2003, 1)] = 5.0
+        aux["national_industry"][113][(2014, 1)] = 0.0
+        with pytest.raises(MissingColumn, match="2013Q2"):
+            lq_records_for_panel(panel, aux)
+
+    def test_aux_rows_blank_lines_and_repeats(self, tmp_path):
+        aux_dir = tmp_path / "aux"
+        aux_dir.mkdir()
+        for name in ("national_total", "state_total_AL", "national_industry_113"):
+            (aux_dir / f"{name}.csv").write_text("year,quarter,value\n2001,1,5\n")
+        (aux_dir / "national_total.csv").write_text(
+            "year,quarter,value,extra\n\n2001,1,5,x\n2001,7,6\n\n2001,1,8\n2001,2\n"
+        )
+        with pytest.raises(MalformedValue) as err:
+            load_aux_series(str(tmp_path), ["AL"], [113])
+        assert (err.value.row, err.value.column) == (3, "value")
+        text = (aux_dir / "national_total.csv").read_text()
+        (aux_dir / "national_total.csv").write_text(text.replace("2001,2\n", ""))
+        # A repeated quarter keeps its last value; an odd quarter is kept but never matched.
+        assert load_aux_series(str(tmp_path), ["AL"], [113])["national_total"] == {
+            (2001, 1): 8.0,
+            (2001, 7): 6.0,
+        }
 
 
 class TestRunPipeline:

@@ -1,4 +1,4 @@
-"""Chi-square p-values without scipy.stats.
+"""Chi-square p-values without scipy.stats, and scipy only behind linalg.
 
 ``linalg.chi2_sf`` must reproduce ``scipy.stats.chi2.sf`` bit for bit, and
 no command path may load ``scipy.stats``: importing it roughly doubles the
@@ -61,3 +61,27 @@ def test_cli_run_never_imports_scipy_stats(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "0 False"
+
+
+def test_only_linalg_imports_scipy():
+    # Every LAPACK call and p-value goes through linalg, which calls the
+    # LAPACK routines directly; no other module may reach for scipy.
+    import ast
+
+    src = os.path.join(ROOT, "src", "cointegra")
+    importers = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                importers.add(name)
+    assert importers == {"linalg.py"}
