@@ -14,7 +14,6 @@ from .panel import (
     disaggregate_annual_output,
     ingest_panel,
     location_quotient,
-    lq_significance,
     summarize,
 )
 from .quarters import QuarterDate, QuarterlySeries
@@ -40,7 +39,6 @@ __all__ = [
     "johansen_test",
     "lm_autocorrelation",
     "location_quotient",
-    "lq_significance",
     "normality_tests",
     "select_lags",
     "summarize",

@@ -6,15 +6,31 @@ All routines are pure functions. Residual covariances use the
 maximum-likelihood divisor T throughout; estimators that need a
 degrees-of-freedom correction apply it at the call site.
 
-This is the only module of the package that imports scipy, and it uses only
-``scipy.linalg.lapack`` and ``scipy.special``. A run makes hundreds of LAPACK
-calls on matrices of a few dozen columns, and at that size the
-``scipy.linalg`` wrappers (batching, input validation, dispatch) cost about
-as much as the arithmetic. So ``pivoted_qr``, ``qr_r``, ``solve_triangular``
-and ``lstsq`` look their LAPACK routines up once, at import, and call them
-in the sequence ``scipy.linalg`` uses: the same workspace queries, the same
-arguments and the same memory layouts. Each result is bitwise equal to that
-of ``scipy.linalg.qr``, ``solve_triangular`` or
+This is the only module of the package that imports scipy, and it loads only
+two of scipy's compiled extensions: ``scipy.linalg._flapack`` for LAPACK and
+``scipy.special._ufuncs`` for ``chdtrc``. ``import scipy.linalg`` or
+``import scipy.special`` would also run both packages' Python layers, which
+nothing here calls and which cost about 190 ms of every fresh process (2
+vCPU, scipy 1.17). So ``_load_extensions`` binds each package that is not
+imported yet to a bare stub with the real package directory as its
+``__path__``, imports the two extensions under the stubs and removes the
+stubs again. The extensions and their helper extensions stay in
+``sys.modules``, so a later ``import scipy.linalg`` or
+``import scipy.special`` runs the real package and reuses them:
+``get_lapack_funcs(..., dtype=np.float64)`` and ``scipy.special.chdtrc``
+return the very objects bound here. (Those real packages do not carry the
+preloaded submodules as attributes, as the import system binds a submodule
+to its parent only when it loads it; ``from scipy.linalg import _flapack``
+still finds it.) If the stubbed import fails, the two modules are imported
+the normal way, which is slower and gives the same objects.
+
+A run makes hundreds of LAPACK calls on matrices of a few dozen columns, and
+at that size the ``scipy.linalg`` wrappers (batching, input validation,
+dispatch) cost about as much as the arithmetic. So ``pivoted_qr``,
+``qr_r``, ``solve_triangular`` and ``lstsq`` call the double-precision
+routines directly, in the sequence ``scipy.linalg`` uses: the same workspace
+queries, the same arguments and the same memory layouts. Each result is
+bitwise equal to that of ``scipy.linalg.qr``, ``solve_triangular`` or
 ``lstsq(lapack_driver="gelsy")``. Like those, they reject a NaN or an
 infinity with ``ValueError`` and check LAPACK's ``info`` after every call.
 
@@ -24,19 +40,51 @@ process, and ``chi2_sf`` gives the same values without it.
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack  # before scipy.special: the other order imports more slowly
-import scipy.special
+import scipy
 
 from .errors import NotPositiveDefinite, RankDeficient
 
 # Relative pivot threshold below which a design matrix is declared singular.
 RANK_TOL = 1e-10
 
-_GEQP3, _GEQRF, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = scipy.linalg.lapack.get_lapack_funcs(
-    ("geqp3", "geqrf", "orgqr", "trtrs", "gelsy", "gelsy_lwork"), dtype=np.float64
+_EXTENSIONS = ("scipy.linalg._flapack", "scipy.special._ufuncs")
+
+
+def _load_extensions() -> list[types.ModuleType]:
+    """Import ``_EXTENSIONS`` without running the ``__init__`` of their
+    packages, falling back to a normal import."""
+    stubs = {}
+    for name in ("scipy.linalg", "scipy.special"):
+        if name not in sys.modules:
+            stub = types.ModuleType(name)
+            stub.__path__ = [os.path.join(scipy.__path__[0], name.rpartition(".")[2])]
+            sys.modules[name] = stubs[name] = stub
+    try:
+        return [importlib.import_module(name) for name in _EXTENSIONS]
+    except ImportError:
+        pass
+    finally:
+        for name, stub in stubs.items():
+            if sys.modules.get(name) is stub:
+                del sys.modules[name]
+    return [importlib.import_module(name) for name in _EXTENSIONS]
+
+
+_FLAPACK, _UFUNCS = _load_extensions()
+_GEQP3, _GEQRF, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
+    _FLAPACK.dgeqp3,
+    _FLAPACK.dgeqrf,
+    _FLAPACK.dorgqr,
+    _FLAPACK.dtrtrs,
+    _FLAPACK.dgelsy,
+    _FLAPACK.dgelsy_lwork,
 )
 # gelsy's rank cutoff, scipy's default for lstsq.
 _EPS = np.finfo(np.float64).eps
@@ -185,7 +233,7 @@ def chi2_sf(x: float, dof: int) -> float:
     """
     if x < 0.0:
         return 1.0
-    return float(scipy.special.chdtrc(dof, x))
+    return float(_UFUNCS.chdtrc(dof, x))
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

@@ -85,16 +85,6 @@ class PanelDataset:
 
 
 @dataclass(frozen=True)
-class LqRecord:
-    """One location-quotient observation."""
-
-    state: str
-    naics: int
-    quarter: QuarterDate
-    lq: float
-
-
-@dataclass(frozen=True)
 class LqSignificance:
     """Mean location quotient for one (state, naics) pair with its flag."""
 
@@ -327,18 +317,6 @@ def lq_flag(state: str, naics: int, lq, threshold: float = 1.0) -> LqSignificanc
     exceeds ``threshold``."""
     mean_lq = float(np.mean(lq))
     return LqSignificance(state, naics, mean_lq, mean_lq > threshold)
-
-
-def lq_significance(
-    records: list[LqRecord], threshold: float = 1.0
-) -> list[LqSignificance]:
-    """Flag (state, naics) pairs whose mean LQ strictly exceeds ``threshold``."""
-    if not records:
-        raise EmptyInput("no location-quotient records")
-    groups: dict[tuple[str, int], list[float]] = {}
-    for rec in records:
-        groups.setdefault((rec.state, rec.naics), []).append(rec.lq)
-    return [lq_flag(*key, groups[key], threshold) for key in sorted(groups)]
 
 
 def summarize(panel: PanelDataset) -> dict[str, dict[str, float]]:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -244,3 +248,83 @@ class TestKernelParity:
             coef = np.empty((p, 5))
             coef[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
             assert np.array_equal(ols(x, y).coefficients, coef)
+
+
+def run_fresh(script: str) -> list[str]:
+    """Stdout lines of ``script`` run in a fresh interpreter on this
+    checkout's ``src``: this test process has scipy loaded already."""
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.splitlines()
+
+
+# After cointegra.linalg: the routines scipy's own packages hand out are the
+# objects linalg bound, the packages work, and no stub is left in sys.modules.
+IDENTITY_CHECKS = """
+import numpy as np
+import scipy.linalg, scipy.linalg.lapack, scipy.special
+from scipy.linalg import _flapack
+names = ("geqp3", "geqrf", "orgqr", "trtrs", "gelsy", "gelsy_lwork")
+scipy_funcs = scipy.linalg.lapack.get_lapack_funcs(names, dtype=np.float64)
+bound = (linalg._GEQP3, linalg._GEQRF, linalg._ORGQR, linalg._TRTRS, linalg._GELSY,
+         linalg._GELSY_LWORK)
+print("lapack", all(f is g for f, g in zip(scipy_funcs, bound)), _flapack is linalg._FLAPACK)
+print("chdtrc", linalg._UFUNCS.chdtrc is scipy.special.chdtrc)
+q, r = scipy.linalg.qr(np.eye(3))
+print("qr", bool(np.allclose(q @ r, np.eye(3))))
+print("stubs", [n for n in ("scipy.linalg", "scipy.special") if sys.modules[n].__spec__ is None])
+"""
+IDENTITY_OK = ["lapack True True", "chdtrc True", "qr True", "stubs []"]
+
+
+class TestExtensionLoading:
+    """linalg loads scipy's LAPACK and ufunc extensions under temporary
+    package stubs; whatever scipy imports later must be the same objects."""
+
+    def test_scipy_packages_imported_after_reuse_the_extensions(self):
+        out = run_fresh(
+            "import sys\n"
+            "from cointegra import linalg\n"
+            "print('skipped init', 'scipy.linalg' not in sys.modules, 'scipy.special' not in sys.modules)\n"
+            + IDENTITY_CHECKS
+        )
+        assert out == ["skipped init True True"] + IDENTITY_OK
+
+    def test_scipy_packages_imported_before_are_left_in_place(self):
+        out = run_fresh(
+            "import sys\n"
+            "import scipy.linalg, scipy.special\n"
+            "before = sys.modules['scipy.linalg'], sys.modules['scipy.special']\n"
+            "from cointegra import linalg\n"
+            "after = sys.modules['scipy.linalg'], sys.modules['scipy.special']\n"
+            "print('kept', all(a is b for a, b in zip(before, after)))\n"
+            + IDENTITY_CHECKS
+        )
+        assert out == ["kept True"] + IDENTITY_OK
+
+    def test_failed_stubbed_import_falls_back_to_the_normal_import(self):
+        out = run_fresh(
+            "import sys\n"
+            "refused = []\n"
+            "class RefuseUnderStub:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        package = sys.modules.get('scipy.special')\n"
+            "        if name == 'scipy.special._ufuncs' and package is not None and package.__spec__ is None:\n"
+            "            refused.append(name)\n"
+            "            raise ImportError('refused under the stub')\n"
+            "sys.meta_path.insert(0, RefuseUnderStub())\n"
+            "from cointegra.linalg import chi2_sf\n"
+            "print('refused', refused)\n"
+            "print('stubs', [n for n in ('scipy.linalg', 'scipy.special')\n"
+            "                if n in sys.modules and sys.modules[n].__spec__ is None])\n"
+            "from scipy.stats import chi2\n"
+            "print('bitwise', chi2_sf(3.0, 2) == float(chi2.sf(3.0, 2)))\n"
+        )
+        assert out == ["refused ['scipy.special._ufuncs']", "stubs []", "bitwise True"]

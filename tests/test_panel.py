@@ -16,13 +16,12 @@ from cointegra.errors import (
 )
 from cointegra.panel import (
     CSV_COLUMNS,
-    LqRecord,
     PanelDataset,
     VARIABLES,
     disaggregate_annual_output,
     ingest_panel,
     location_quotient,
-    lq_significance,
+    lq_flag,
     summarize,
     write_panel_csv,
 )
@@ -346,38 +345,16 @@ class TestLocationQuotient:
 
 
 class TestLqSignificance:
-    def q(self):
-        return QuarterDate(2001, 1)
-
     def test_single_above_threshold(self):
-        out = lq_significance([LqRecord("ME", 113, self.q(), 1.5)])
-        assert out[0].significant is True
+        assert lq_flag("ME", 113, [1.5]).significant is True
 
     def test_boundary_is_not_significant(self):
-        out = lq_significance([LqRecord("ME", 113, self.q(), 1.0)])
-        assert out[0].significant is False
+        assert lq_flag("ME", 113, [1.0]).significant is False
 
     def test_mean_aggregation(self):
-        records = [
-            LqRecord("ME", 113, self.q(), 0.5),
-            LqRecord("ME", 113, self.q().advanced(1), 2.5),
-        ]
-        out = lq_significance(records)
-        assert out[0].mean_lq == pytest.approx(1.5)
-        assert out[0].significant is True
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            lq_significance([])
-
-    def test_groups_sorted(self):
-        records = [
-            LqRecord("WI", 321, self.q(), 2.0),
-            LqRecord("AL", 113, self.q(), 2.0),
-            LqRecord("AL", 322, self.q(), 0.4),
-        ]
-        out = lq_significance(records)
-        assert [(o.state, o.naics) for o in out] == [("AL", 113), ("AL", 322), ("WI", 321)]
+        out = lq_flag("ME", 113, np.array([0.5, 2.5]))
+        assert out.mean_lq == pytest.approx(1.5)
+        assert out.significant is True
 
 
 class TestSummarize:
