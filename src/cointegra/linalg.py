@@ -6,23 +6,30 @@ All routines are pure functions. Residual covariances use the
 maximum-likelihood divisor T throughout; estimators that need a
 degrees-of-freedom correction apply it at the call site.
 
-This is the only module of the package that imports scipy, and it loads only
-two of scipy's compiled extensions: ``scipy.linalg._flapack`` for LAPACK and
-``scipy.special._ufuncs`` for ``chdtrc``. ``import scipy.linalg`` or
-``import scipy.special`` would also run both packages' Python layers, which
-nothing here calls and which cost about 190 ms of every fresh process (2
-vCPU, scipy 1.17). So ``_load_extensions`` binds each package that is not
+This is the only module of the package that imports scipy or ctypes, and it
+loads only two of scipy's compiled extensions: ``scipy.linalg._flapack`` for
+LAPACK and ``scipy.special._ufuncs`` for ``chdtrc``. ``import scipy.linalg``
+or ``import scipy.special`` would also run both packages' Python layers,
+which nothing here calls and which cost about 190 ms of every fresh process
+(2 vCPU, scipy 1.17). So ``_load_extensions`` binds each package that is not
 imported yet to a bare stub with the real package directory as its
 ``__path__``, imports the two extensions under the stubs and removes the
-stubs again. The extensions and their helper extensions stay in
-``sys.modules``, so a later ``import scipy.linalg`` or
-``import scipy.special`` runs the real package and reuses them:
-``get_lapack_funcs(..., dtype=np.float64)`` and ``scipy.special.chdtrc``
-return the very objects bound here. (Those real packages do not carry the
-preloaded submodules as attributes, as the import system binds a submodule
-to its parent only when it loads it; ``from scipy.linalg import _flapack``
-still finds it.) If the stubbed import fails, the two modules are imported
-the normal way, which is slower and gives the same objects.
+stubs again. The extensions and their helpers stay in ``sys.modules``, so
+a later ``import scipy.linalg`` or ``import scipy.special`` runs the real
+package and reuses them: ``get_lapack_funcs(..., dtype=np.float64)`` and
+``scipy.special.chdtrc`` return the very objects bound here. (The real
+packages then lack the preloaded submodules as attributes, but
+``from scipy.linalg import _flapack`` still works.) A failed stubbed import
+falls back to the normal one, which is slower and gives the same objects.
+
+Importing this module sets numpy's OpenBLAS pool (``libscipy_openblas64_``,
+which runs ``@``) and scipy's (``libscipy_openblas``, LAPACK) to one thread
+for the whole process, overriding ``OPENBLAS_NUM_THREADS``; a program that
+imports cointegra inherits it. At a few dozen columns a second thread costs
+more in hand-off than it saves: ``long-panel`` (``geqp3`` on 300×61 designs)
+runs about 13% faster, and with the other vCPU busy a triangular solve took
+4.4 ms, not 15 µs (2 vCPU). Where a library or setter is missing from
+``<site-packages>/numpy.libs`` or ``scipy.libs``, nothing is set.
 
 A run makes hundreds of LAPACK calls on matrices of a few dozen columns, and
 at that size the ``scipy.linalg`` wrappers (batching, input validation,
@@ -40,6 +47,8 @@ process, and ``chi2_sf`` gives the same values without it.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import importlib
 import os
 import sys
@@ -55,6 +64,7 @@ from .errors import NotPositiveDefinite, RankDeficient
 RANK_TOL = 1e-10
 
 _EXTENSIONS = ("scipy.linalg._flapack", "scipy.special._ufuncs")
+_POOLS = {"numpy": (np, "64_"), "scipy": (scipy, "")}
 
 
 def _load_extensions() -> list[types.ModuleType]:
@@ -77,7 +87,28 @@ def _load_extensions() -> list[types.ModuleType]:
     return [importlib.import_module(name) for name in _EXTENSIONS]
 
 
+def _openblas(pool: str, verb: str, *args: int) -> int | None:
+    """Call ``scipy_openblas_<verb>_num_threads`` (``int get()``, ``void set(int)``)
+    of the OpenBLAS loaded for ``pool``; None where library or symbol is missing."""
+    package, suffix = _POOLS[pool]
+    found = glob.glob(os.path.join(package.__path__[0] + ".libs", f"libscipy_openblas{suffix}-*"))
+    symbol = f"scipy_openblas_{verb}_num_threads{suffix}"
+    func = getattr(ctypes.CDLL(found[0]), symbol, None) if found else None
+    if func is None:
+        return None
+    func.argtypes, func.restype = ([ctypes.c_int], None) if args else ([], ctypes.c_int)
+    return func(*args)
+
+
+def blas_threads() -> dict[str, int | None]:
+    """Threads of numpy's and scipy's OpenBLAS pools; None for a pool not found."""
+    return {pool: _openblas(pool, "get") for pool in _POOLS}
+
+
 _FLAPACK, _UFUNCS = _load_extensions()
+for _pool in _POOLS:
+    _openblas(_pool, "set", 1)
+SCIPY_VERSION = scipy.__version__
 _GEQP3, _GEQRF, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
     _FLAPACK.dgeqp3,
     _FLAPACK.dgeqrf,

@@ -29,6 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import lm_autocorrelation, normality_tests
 from .errors import (
     ConfigInvalid,
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .johansen import DeterministicCase, JohansenResult, johansen_test
 from .lagselect import LagSelection, select_lags
+from .linalg import SCIPY_VERSION, blas_threads
 from .panel import (
     VARIABLES,
     PanelDataset,
@@ -100,6 +102,7 @@ class RunManifest:
     models: list[dict]
     files: list[str]
     timings: dict
+    environment: dict
 
     @property
     def failed(self) -> bool:
@@ -656,6 +659,12 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 f"{o.model.state}_{o.model.naics}": round(o.seconds, 3) for o in outputs
             },
         },
+        environment={
+            "blasThreads": blas_threads(),
+            "cointegra": __version__,
+            "numpy": np.__version__,
+            "scipy": SCIPY_VERSION,
+        },
     )
     with open(os.path.join(config.out_dir, "manifest.json"), "w") as fh:
         json.dump(
@@ -664,6 +673,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 "models": manifest.models,
                 "files": manifest.files,
                 "timings": manifest.timings,
+                "environment": manifest.environment,
             },
             fh,
             indent=2,

@@ -250,6 +250,12 @@ def to_level_var(fit: VecmFit) -> tuple[list[np.ndarray], np.ndarray]:
     return mats, intercept
 
 
+def _companion_top(fit: VecmFit) -> tuple[np.ndarray, np.ndarray]:
+    """``[A_1 … A_k]``, the companion matrix's top block row, and the intercept."""
+    mats, intercept = to_level_var(fit)
+    return np.hstack(mats), intercept
+
+
 def forecast(
     fit: VecmFit,
     last_observations: np.ndarray,
@@ -257,7 +263,8 @@ def forecast(
     origin: QuarterDate | None = None,
     variable_names: tuple[str, ...] = VARIABLES,
 ) -> ForecastPath:
-    """Iterate the level-VAR form forward with zero future shocks.
+    """Iterate the level VAR forward with zero future shocks, one product of
+    ``[A_1 … A_k]`` per quarter: the term-by-term sum to 1e-14, not bitwise.
 
     Parameters
     ----------
@@ -270,19 +277,16 @@ def forecast(
     """
     if horizon < 1:
         raise HorizonZero(f"horizon must be >= 1, got {horizon}")
-    mats, intercept = to_level_var(fit)
+    top, intercept = _companion_top(fit)
     k, n = fit.spec.k, fit.n
     last = np.atleast_2d(np.asarray(last_observations, dtype=float))
     if last.shape != (k, n):
         raise ValueError(f"need the last {k} level vectors, got shape {last.shape}")
-    history = [last[i] for i in range(k)]
-    out = np.empty((horizon, n))
-    for h in range(horizon):
-        nxt = intercept.copy()
-        for i, a in enumerate(mats):
-            nxt = nxt + a @ history[-1 - i]
-        out[h] = nxt
-        history.append(nxt)
+    # Newest quarter first, so the k rows after row i are its state, as a view.
+    path = np.concatenate([np.empty((horizon, n)), last[::-1]])
+    for i in range(horizon - 1, -1, -1):
+        path[i] = intercept + top @ path[i + 1 : i + 1 + k].ravel()
+    out = path[:horizon][::-1].copy()
     return ForecastPath(origin=origin, horizon=horizon, values=out, variable_names=variable_names)
 
 
@@ -295,14 +299,9 @@ def irf(fit: VecmFit, horizons: int, ordering: tuple[str, ...] = VARIABLES) -> I
     if horizons < 0:
         raise ValueError("horizons must be nonnegative")
     p = cholesky(fit.sigma)
-    mats, _ = to_level_var(fit)
-    n, k = fit.n, fit.spec.k
-    nk = n * k
-    companion = np.zeros((nk, nk))
-    for i, a in enumerate(mats):
-        companion[:n, i * n : (i + 1) * n] = a
-    if k > 1:
-        companion[n:, : nk - n] = np.eye(nk - n)
+    top, _ = _companion_top(fit)
+    n, nk = top.shape
+    companion = np.vstack([top, np.eye(nk - n, nk)])
     responses = [p.copy()]
     power = np.eye(nk)
     for _ in range(horizons):

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import scipy.linalg
 
 from cointegra.errors import NotPositiveDefinite, RankDeficient
 from cointegra.linalg import (
+    blas_threads,
     cholesky,
     generalized_sym_eig,
     lstsq,
@@ -250,13 +253,16 @@ class TestKernelParity:
             assert np.array_equal(ols(x, y).coefficients, coef)
 
 
-def run_fresh(script: str) -> list[str]:
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+
+
+def run_fresh(script: str, **environ: str) -> list[str]:
     """Stdout lines of ``script`` run in a fresh interpreter on this
-    checkout's ``src``: this test process has scipy loaded already."""
-    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
-    env = dict(os.environ)
+    checkout's ``src``, with ``environ`` added to the environment: this test
+    process has scipy loaded already."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     child = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
@@ -328,3 +334,75 @@ class TestExtensionLoading:
             "print('bitwise', chi2_sf(3.0, 2) == float(chi2.sf(3.0, 2)))\n"
         )
         assert out == ["refused ['scipy.special._ufuncs']", "stubs []", "bitwise True"]
+
+
+def require_openblas() -> None:
+    missing = [pool for pool, threads in blas_threads().items() if threads is None]
+    if missing:
+        pytest.skip(f"no scipy-openblas library found for the {' and '.join(missing)} pool")
+
+
+# A long-panel lag-selection shape, large enough for OpenBLAS to split work
+# between threads when it may.
+OLS_DIGEST = """
+import hashlib
+import numpy as np
+rng = np.random.default_rng(5)
+fit = ols(rng.standard_normal((300, 61)), rng.standard_normal((300, 5)))
+parts = (fit.coefficients, fit.residuals, fit.residual_covariance)
+print("ols", hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
+"""
+
+
+class TestBlasPin:
+    """Importing linalg sets numpy's and scipy's OpenBLAS pools to one thread."""
+
+    def test_both_pools_read_one_thread_over_the_environment(self):
+        require_openblas()
+        out = run_fresh(
+            "from cointegra.linalg import blas_threads\nprint(blas_threads())",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert out == ["{'numpy': 1, 'scipy': 1}"]
+
+    def test_no_library_found_leaves_the_pools_and_the_results_alone(self, tmp_path):
+        require_openblas()
+        pinned = run_fresh(
+            "from cointegra.linalg import blas_threads, ols\nprint(blas_threads())" + OLS_DIGEST,
+            OPENBLAS_NUM_THREADS="2",
+        )
+        # This child's library lookup sees only an empty directory.
+        unpinned = run_fresh(
+            "import glob, os\n"
+            "real_glob = glob.glob\n"
+            f"glob.glob = lambda p: real_glob(os.path.join({str(tmp_path)!r}, os.path.basename(p)))\n"
+            "from cointegra.linalg import blas_threads, ols\n"
+            "print(blas_threads())\n"
+            "glob.glob = real_glob\n"
+            "print('pools', blas_threads())\n" + OLS_DIGEST,
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert pinned[0] == "{'numpy': 1, 'scipy': 1}"
+        assert unpinned[0] == "{'numpy': None, 'scipy': None}"
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if cpus >= 2:
+            assert unpinned[1] == "pools {'numpy': 2, 'scipy': 2}"
+        assert unpinned[2] == pinned[1]
+
+
+def test_only_linalg_imports_scipy_or_ctypes():
+    """linalg is the one module that reaches native libraries directly."""
+    importers = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "cointegra", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("scipy", "ctypes") for name in names):
+                importers.add(os.path.basename(path))
+    assert importers == {"linalg.py"}

@@ -313,6 +313,25 @@ class TestRunPipeline:
         me = next(m for m in manifest.models if m["state"] == "ME")
         assert (me["k"], me["r"], me["case"]) == (1, 0, "none")
 
+    def test_manifest_environment(self, tmp_path):
+        import scipy
+
+        import cointegra
+        from cointegra.linalg import blas_threads
+
+        config = small_run_config(tmp_path)
+        manifest = run_pipeline(config)
+        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
+            on_disk = json.load(fh)
+        assert set(on_disk) == {"configHash", "environment", "files", "models", "timings"}
+        assert on_disk["environment"] == manifest.environment == {
+            "blasThreads": blas_threads(),
+            "cointegra": cointegra.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        assert set(manifest.environment["blasThreads"]) == {"numpy", "scipy"}
+
     def test_determinism_byte_identical(self, tmp_path):
         config_a = small_run_config(tmp_path / "a")
         config_b = small_run_config(tmp_path / "b")

@@ -284,6 +284,44 @@ class TestForecast:
             assert np.abs(lib - oracle).max() <= 1e-8 * scale
 
 
+def term_by_term_forecast(fit, last_obs, horizon):
+    """The level-VAR recursion summed one ``A_i @ x`` at a time, as forecast
+    computed it before it became one product per quarter."""
+    mats, intercept = to_level_var(fit)
+    history = [np.asarray(row, dtype=float) for row in last_obs]
+    for _ in range(horizon):
+        nxt = intercept.copy()
+        for i, a in enumerate(mats):
+            nxt = nxt + a @ history[-1 - i]
+        history.append(nxt)
+    return np.array(history[len(last_obs) :])
+
+
+class TestForecastProduct:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["rconst", "uconst"])
+    def test_matches_term_by_term_recursion(self, k, case):
+        panel = simulate_panel(seed=k)
+        fit = fit_vecm(panel, ModelSpec(k=k, r=1, case=case))
+        last = panel.matrix()[-k:]
+        path = forecast(fit, last, 200)
+        assert path.values.shape == (200, 5)
+        assert path.values.flags.c_contiguous
+        np.testing.assert_allclose(
+            path.values, term_by_term_forecast(fit, last, 200), rtol=1e-12, atol=0
+        )
+
+    def test_horizon_checked_before_shape(self):
+        fit = random_walk_fit(n=2, k=2)
+        with pytest.raises(HorizonZero):
+            forecast(fit, np.ones((3, 2)), 0)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3)])
+    def test_wrong_number_of_observations_rejected(self, shape):
+        with pytest.raises(ValueError, match="need the last 2 level vectors"):
+            forecast(random_walk_fit(n=2, k=2), np.ones(shape), 4)
+
+
 class TestIrf:
     def test_unit_response_for_white_noise_differences(self):
         fit = random_walk_fit(n=3, k=1)
