@@ -9,13 +9,7 @@ configured state-industry models.
 from .diagnostics import lm_autocorrelation, normality_tests
 from .johansen import DeterministicCase, beta_normalize, johansen_test
 from .lagselect import select_lags
-from .panel import (
-    PanelDataset,
-    disaggregate_annual_output,
-    ingest_panel,
-    location_quotient,
-    summarize,
-)
+from .panel import PanelDataset, ingest_panel, location_quotient, summarize
 from .quarters import QuarterDate, QuarterlySeries
 from .unitroot import adf_test
 from .vecm import ModelSpec, backtest, fit_vecm, forecast, irf, to_level_var
@@ -31,7 +25,6 @@ __all__ = [
     "adf_test",
     "backtest",
     "beta_normalize",
-    "disaggregate_annual_output",
     "fit_vecm",
     "forecast",
     "ingest_panel",

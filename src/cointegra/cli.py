@@ -60,7 +60,7 @@ def _stage(config: RunConfig, args, estimable: bool = True):
 def _spec(config: RunConfig, args):
     """The panel, spec and rank test of a model-fitting stage command."""
     panel, model = _stage(config, args)
-    k, r, case, jres = resolve_model(panel, model, config.defaults)
+    k, r, case, jres = resolve_model(panel.matrix(), model, config.defaults)
     return panel, ModelSpec(k=k, r=r, case=case), jres
 
 
@@ -83,10 +83,10 @@ def _cmd_lq(config, args) -> int:
     panel, _ = _stage(config, args)
     aux = load_aux_series(config.data_dir, [panel.state], [panel.naics])
     lq = lq_records_for_panel(panel, aux)
-    flag = lq_flag(panel.state, panel.naics, lq, config.defaults.lq_threshold)
+    mean_lq, significant = lq_flag(lq, config.defaults.lq_threshold)
     sys.stdout.write(
         _report("lq.csv", lq_lines(panel, lq))
-        + f"# mean_lq={fmt6(flag.mean_lq)} significant={int(flag.significant)}\n"
+        + f"# mean_lq={fmt6(mean_lq)} significant={int(significant)}\n"
     )
     return 0
 
@@ -106,13 +106,14 @@ def _cmd_lags(config, args) -> int:
     if max_lag < 1:
         raise ConfigInvalid("--max-lag must be a positive integer")
     panel, _ = _stage(config, args)
-    sys.stdout.write(_report("lags.csv", lags_lines(panel, select_lags(panel, max_lag=max_lag))))
+    selection = select_lags(panel.matrix(), max_lag=max_lag)
+    sys.stdout.write(_report("lags.csv", lags_lines(panel, selection)))
     return 0
 
 
 def _cmd_johansen(config, args) -> int:
     panel, model = _stage(config, args, estimable=False)
-    jres = resolve_model(panel, model, config.defaults)[3]
+    jres = resolve_model(panel.matrix(), model, config.defaults)[3]
     sys.stdout.write(_report("johansen.csv", johansen_lines(panel, jres)))
     return 0
 
@@ -139,7 +140,7 @@ def _fit_lines(fit) -> str:
 
 def _cmd_fit(config, args) -> int:
     panel, spec, jres = _spec(config, args)
-    fit = fit_vecm(panel, spec, jres)
+    fit = fit_vecm(panel.matrix(), spec, jres)
     sys.stdout.write(
         f"# {panel.state} {panel.naics} k={spec.k} r={spec.r} "
         f"case={spec.case.short} t_eff={fit.t_eff}\n"
@@ -150,7 +151,7 @@ def _cmd_fit(config, args) -> int:
 
 def _cmd_diagnose(config, args) -> int:
     panel, spec, jres = _spec(config, args)
-    fit = fit_vecm(panel, spec, jres)
+    fit = fit_vecm(panel.matrix(), spec, jres)
     sys.stdout.write(
         _report("lm.csv", lm_lines(panel, fit))
         + "\n"
@@ -162,8 +163,8 @@ def _cmd_diagnose(config, args) -> int:
 def _cmd_forecast(config, args) -> int:
     horizon = config.defaults.horizon if args.horizon is None else args.horizon
     panel, spec, jres = _spec(config, args)
-    fit = fit_vecm(panel, spec, jres)
-    path = forecast(fit, panel.matrix()[-spec.k :], horizon, origin=panel.end)
+    x = panel.matrix()
+    path = forecast(fit_vecm(x, spec, jres), x[-spec.k :], horizon, origin=panel.end)
     sys.stdout.write(_report("forecast.csv", forecast_lines(panel, path, history=False)))
     return 0
 

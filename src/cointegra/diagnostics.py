@@ -141,7 +141,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
     return out
 
 
-def normality_tests(fit: VecmFit, equation_names: tuple[str, ...] | None = None) -> NormalityReport:
+def normality_tests(fit: VecmFit) -> NormalityReport:
     """Jarque-Bera, skewness, and kurtosis tests on orthogonalized residuals.
 
     Residuals are transformed as U = E (P^-1)' with P = cholesky(sigma), so
@@ -171,9 +171,7 @@ def normality_tests(fit: VecmFit, equation_names: tuple[str, ...] | None = None)
     if np.max(np.abs(off)) > 1e-8:
         raise NumericalFailure("orthogonalized residuals are not uncorrelated")
 
-    if equation_names is None:
-        base = VARIABLES if n == len(VARIABLES) else tuple(f"var{i+1}" for i in range(n))
-        equation_names = tuple(f"D_{name}" for name in base)
+    names = VARIABLES if n == len(VARIABLES) else tuple(f"var{i+1}" for i in range(n))
 
     per = []
     for j in range(n):
@@ -189,7 +187,7 @@ def normality_tests(fit: VecmFit, equation_names: tuple[str, ...] | None = None)
         jb = s_stat + k_stat
         per.append(
             EquationNormality(
-                equation=equation_names[j],
+                equation=f"D_{names[j]}",
                 skew=skew,
                 kurtosis=kurt,
                 skew_test=TestStat(s_stat, 1, chi2_sf(s_stat, 1)),

@@ -49,20 +49,16 @@ class NonPositiveValue(CointegraError):
 
 
 class MalformedValue(CointegraError):
-    """A CSV cell is missing or does not parse as the number its column holds."""
+    """A CSV cell is missing or does not parse as the number its column holds.
 
-    def __init__(self, row, column):
+    The message names ``path``, the file, when it is given.
+    """
+
+    def __init__(self, row, column, path=None):
         self.row = row
         self.column = column
-        super().__init__(f"malformed value at row {row}, column {column!r}")
-
-
-class IncompleteYear(CointegraError):
-    """A calendar year in the quarterly indicator has fewer than four quarters."""
-
-
-class MissingAnnualValue(CointegraError):
-    """An annual total is missing for a year covered by the quarterly indicator."""
+        where = "" if path is None else f" in {path}"
+        super().__init__(f"malformed value at row {row}, column {column!r}{where}")
 
 
 class NonPositiveInput(CointegraError):

@@ -61,7 +61,8 @@ class DeterministicCase(enum.Enum):
             "utrend": cls.UNRESTRICTED_TREND,
             "unrestrictedtrend": cls.UNRESTRICTED_TREND,
         }
-        key = str(text).strip().lower()
+        # Only a string names a case: str(None) would read as "none".
+        key = text.strip().lower() if isinstance(text, str) else None
         if key not in aliases:
             raise ValueError(f"unknown deterministic case {text!r}")
         return aliases[key]
@@ -159,12 +160,12 @@ def _partial_out(z0, z1, z2):
     return z0 - z2 @ lstsq(z2, z0), z1 - z2 @ lstsq(z2, z1)
 
 
-def johansen_test(data, k: int, case="restrictedConstant") -> JohansenResult:
+def johansen_test(x: np.ndarray, k: int, case="restrictedConstant") -> JohansenResult:
     """Run the cointegration-rank test on a level system.
 
     Parameters
     ----------
-    data : PanelDataset or ndarray (T, n)
+    x : ndarray (T, n)
     k : int
         Level-VAR lag order (k-1 lagged differences enter the short-run
         regression).
@@ -180,7 +181,7 @@ def johansen_test(data, k: int, case="restrictedConstant") -> JohansenResult:
         If an eigenvalue leaves [0, 1) by more than 1e-10.
     """
     case = DeterministicCase.parse(case)
-    x = data.matrix() if hasattr(data, "matrix") else np.asarray(data, dtype=float)
+    x = np.asarray(x, dtype=float)
     t, n = x.shape
     if k < 1:
         raise ValueError("lag order k must be at least 1")
@@ -250,13 +251,12 @@ def johansen_test(data, k: int, case="restrictedConstant") -> JohansenResult:
     )
 
 
-def beta_normalize(beta: np.ndarray, r: int, return_pivot: bool = False):
+def beta_normalize(beta: np.ndarray, r: int) -> np.ndarray:
     """Normalize the first r cointegrating vectors to an identity leading block.
 
     Returns beta* = b (c'b)^-1 with c selecting the first r rows, so that
     span(beta*) = span(b). When the leading r x r block is singular the rows
-    are re-pivoted so an invertible block exists; pass return_pivot=True to
-    receive the row indices actually used (in pivot order).
+    are re-pivoted so an invertible block exists.
 
     Raises
     ------
@@ -267,7 +267,6 @@ def beta_normalize(beta: np.ndarray, r: int, return_pivot: bool = False):
     if beta.ndim != 2 or not 1 <= r <= beta.shape[1]:
         raise ValueError("need a 2-d beta with at least r columns")
     b = beta[:, :r]
-    pivot = list(range(r))
     block = b[:r, :]
     if _near_singular(block):
         # Column-pivoted QR on b' ranks rows by leverage.
@@ -275,14 +274,10 @@ def beta_normalize(beta: np.ndarray, r: int, return_pivot: bool = False):
         d = np.abs(np.diag(rr))
         if d.size < r or d[0] == 0.0 or d[min(r, d.size) - 1] < RANK_TOL * d[0]:
             raise LeadingBlockSingular("beta columns have rank below r")
-        pivot = [int(i) for i in piv[:r]]
-        block = b[pivot, :]
+        block = b[piv[:r], :]
         if _near_singular(block):
             raise LeadingBlockSingular("no invertible r x r block found")
-    normalized = b @ np.linalg.inv(block)
-    if return_pivot:
-        return normalized, pivot
-    return normalized
+    return b @ np.linalg.inv(block)
 
 
 def _near_singular(block: np.ndarray) -> bool:

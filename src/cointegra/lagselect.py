@@ -52,12 +52,12 @@ def _log_det(sigma: np.ndarray) -> float:
     return float(logdet)
 
 
-def select_lags(data, max_lag: int) -> LagSelection:
+def select_lags(y: np.ndarray, max_lag: int) -> LagSelection:
     """Fit lags 0..max_lag and evaluate the selection criteria.
 
     Parameters
     ----------
-    data : PanelDataset or ndarray (T, n)
+    y : ndarray (T, n)
     max_lag : int
 
     Raises
@@ -66,7 +66,7 @@ def select_lags(data, max_lag: int) -> LagSelection:
         If the common effective sample T - max_lag falls below
         5*n*max_lag/2 or leaves no residual degrees of freedom.
     """
-    y = data.matrix() if hasattr(data, "matrix") else np.asarray(data, dtype=float)
+    y = np.asarray(y, dtype=float)
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     t, n = y.shape

@@ -1,5 +1,5 @@
-"""Quarterly state-industry panels: ingestion, proxy construction, location
-quotients, and summary statistics.
+"""Quarterly state-industry panels: ingestion, location quotients, and
+summary statistics.
 
 A panel couples five series for one (state, naics) pair. The system ordering
 used by every estimator downstream is :data:`VARIABLES`:
@@ -19,9 +19,7 @@ from .errors import (
     DuplicateQuarter,
     EmptyInput,
     GapInQuarters,
-    IncompleteYear,
     MalformedValue,
-    MissingAnnualValue,
     MissingColumn,
     NonPositiveInput,
     NonPositiveValue,
@@ -31,7 +29,7 @@ from .quarters import QuarterDate, QuarterlySeries
 # System ordering of the panel variables in every vector/matrix downstream.
 VARIABLES = ("output", "employment", "wages", "num_firms", "price")
 
-# Column order used when panels are written back to CSV.
+# Columns a panel CSV's header must name, in any order; more are ignored.
 CSV_COLUMNS = ("year", "quarter", "employment", "wages", "num_firms", "output", "price")
 
 
@@ -82,16 +80,6 @@ class PanelDataset:
             self.naics,
             *[self.series(v).window(first, last) for v in VARIABLES],
         )
-
-
-@dataclass(frozen=True)
-class LqSignificance:
-    """Mean location quotient for one (state, naics) pair with its flag."""
-
-    state: str
-    naics: int
-    mean_lq: float
-    significant: bool
 
 
 def _parse_identity(csv_path: str) -> tuple[str, int]:
@@ -161,21 +149,13 @@ def _quarter_label(index: int) -> str:
     return f"{index // 4}Q{index % 4 + 1}"
 
 
-def ingest_panel(
-    csv_path: str,
-    schema: dict[str, str] | None = None,
-    state: str | None = None,
-    naics: int | None = None,
-) -> PanelDataset:
+def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = None) -> PanelDataset:
     """Read one (state, naics) panel from CSV.
 
     Parameters
     ----------
     csv_path : str
-        File with columns year, quarter, employment, wages, num_firms,
-        output, price (renameable through ``schema``).
-    schema : dict, optional
-        Maps canonical column names to the names used in the file.
+        File with the columns of ``CSV_COLUMNS``.
     state, naics : optional
         Panel identity; defaults are parsed from a ``{STATE}_{NAICS}.csv``
         file name.
@@ -183,7 +163,7 @@ def ingest_panel(
     Raises
     ------
     MissingColumn
-        A mapped column is absent from the header.
+        A required column is absent from the header.
     MalformedValue
         A cell is missing, is not a number, or is a nan or an infinity, or
         a quarter is outside 1..4.
@@ -201,15 +181,13 @@ def ingest_panel(
     from the top (data rows count from 0, blank lines not counted), and in
     a row the year, the quarter, then the variables in ``VARIABLES`` order.
     """
-    schema = schema or {}
-    colmap = {name: schema.get(name, name) for name in CSV_COLUMNS}
     header, rows = read_table(csv_path)
-    for actual in colmap.values():
-        if actual not in header:
-            raise MissingColumn(f"column {actual!r} not found in {csv_path}")
+    for name in CSV_COLUMNS:
+        if name not in header:
+            raise MissingColumn(f"column {name!r} not found in {csv_path}")
     names = ("year", "quarter") + VARIABLES
     (years, quarters, *series), bad = parse_columns(
-        header, rows, [colmap[name] for name in names], (int, int) + (float,) * len(VARIABLES)
+        header, rows, names, (int, int) + (float,) * len(VARIABLES)
     )
     odd_quarter = [not 1 <= q <= 4 for q in quarters]
     if bad is not None or any(odd_quarter) or not all((col > 0.0).all() for col in series):
@@ -222,7 +200,7 @@ def ingest_panel(
         row, col = divmod(int(np.flatnonzero(codes)[0]), len(names))
         if codes[row, col] == 2:
             raise NonPositiveValue(row, names[col])
-        raise MalformedValue(row, colmap[names[col]])
+        raise MalformedValue(row, names[col])
     if not rows:
         raise EmptyInput(f"no data rows in {csv_path}")
 
@@ -249,49 +227,6 @@ def ingest_panel(
     return PanelDataset(state=state, naics=int(naics), **series)
 
 
-def write_panel_csv(panel: PanelDataset, csv_path: str) -> None:
-    """Serialize a panel with the standard column layout."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i, when in enumerate(panel.output.quarters()):
-            writer.writerow(
-                [when.year, when.quarter]
-                + [repr(float(panel.series(v).values[i])) for v in ("employment", "wages", "num_firms")]
-                + [repr(float(panel.output.values[i])), repr(float(panel.price.values[i]))]
-            )
-
-
-def disaggregate_annual_output(
-    state_annual: dict[int, float], national_quarterly: QuarterlySeries
-) -> QuarterlySeries:
-    """Spread annual totals over quarters in proportion to a national series.
-
-    result(t) = annual[year(t)] * national(t) / sum of national over year(t),
-    so the four quarters of each year add back to the annual total.
-
-    Raises
-    ------
-    IncompleteYear
-        The national series does not cover whole calendar years.
-    MissingAnnualValue
-        A covered year has no annual entry.
-    """
-    if len(national_quarterly) == 0:
-        raise EmptyInput("national series is empty")
-    if national_quarterly.start.quarter != 1 or national_quarterly.end.quarter != 4:
-        raise IncompleteYear("national series must cover whole calendar years")
-    values = national_quarterly.values
-    out = np.empty_like(values)
-    for offset in range(0, len(values), 4):
-        year = national_quarterly.start.advanced(offset).year
-        if year not in state_annual:
-            raise MissingAnnualValue(f"no annual value for {year}")
-        block = values[offset : offset + 4]
-        out[offset : offset + 4] = state_annual[year] * block / block.sum()
-    return QuarterlySeries(national_quarterly.start, out)
-
-
 def location_quotient(
     industry_regional: float,
     employment_regional: float,
@@ -312,11 +247,11 @@ def location_quotient(
     )
 
 
-def lq_flag(state: str, naics: int, lq, threshold: float = 1.0) -> LqSignificance:
-    """Mean of one pair's location quotients, flagged when it strictly
+def lq_flag(lq, threshold: float = 1.0) -> tuple[float, bool]:
+    """Mean of one pair's location quotients, and whether it strictly
     exceeds ``threshold``."""
     mean_lq = float(np.mean(lq))
-    return LqSignificance(state, naics, mean_lq, mean_lq > threshold)
+    return mean_lq, mean_lq > threshold
 
 
 def summarize(panel: PanelDataset) -> dict[str, dict[str, float]]:

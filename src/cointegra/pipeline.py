@@ -53,14 +53,11 @@ from .panel import (
 )
 from .quarters import QuarterDate
 from .unitroot import adf_test
-from .vecm import BacktestResult, ForecastPath, IrfSet, ModelSpec, VecmFit
+from .vecm import FIT_CASES, BacktestResult, ForecastPath, IrfSet, ModelSpec, VecmFit
 from .vecm import backtest, fit_vecm, forecast, irf
 
 SUPPORTED_STATES = ("AL", "AR", "ME", "MS", "OR", "WI")
 SUPPORTED_NAICS = (113, 321, 322)
-
-# Cases the estimator accepts; trend cases are report-only elsewhere.
-FIT_CASES = ("none", "restrictedConstant", "unrestrictedConstant")
 
 # Fixed stage settings not exposed through the configuration schema.
 ADF_LAG = 4
@@ -123,7 +120,7 @@ def _parse_case(value, where: str, estimable: bool = True) -> str:
         case = DeterministicCase.parse(value)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    if estimable and case.value not in FIT_CASES:
+    if estimable and case not in FIT_CASES:
         raise ConfigInvalid(f"{where}: case {case.value!r} is not estimable")
     return case.value
 
@@ -177,6 +174,9 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
         {"dataDir", "outDir", "models"},
         "top-level",
     )
+    for key in ("dataDir", "outDir"):
+        if not isinstance(obj[key], str):
+            raise ConfigInvalid(f"{key} must be a string")
     if not isinstance(obj["models"], list) or not obj["models"]:
         raise ConfigInvalid("models must be a nonempty list")
 
@@ -296,7 +296,7 @@ def _read_value_series(path: str) -> dict[tuple[int, int], float]:
     (years, quarters, values), bad = parse_columns(header, rows, columns, (int, int, float))
     if bad is not None:
         row, col = divmod(int(np.flatnonzero(bad)[0]), len(columns))
-        raise MalformedValue(row, columns[col])
+        raise MalformedValue(row, columns[col], path)
     return dict(zip(zip(years, quarters), values.tolist()))
 
 
@@ -522,19 +522,20 @@ def load_panel(data_dir: str, state: str, naics: int) -> PanelDataset:
 
 
 def resolve_model(
-    panel: PanelDataset, model: ModelConfig, defaults: RunDefaults, aic_lag: int | None = None
+    x: np.ndarray, model: ModelConfig, defaults: RunDefaults, aic_lag: int | None = None
 ) -> tuple[int, int | None, str, JohansenResult]:
-    """k, r and case of one model, and the rank test at that k and case. Each
-    is the model's own setting if it has one; else k is the AIC lag choice
-    (``aic_lag``, or a new lag selection), r the rank the test selects (None
-    for the trend cases) and the case the default one."""
+    """k, r and case of one model with levels ``x``, and the rank test at
+    that k and case. Each is the model's own setting if it has one; else k
+    is the AIC lag choice (``aic_lag``, or a new lag selection), r the rank
+    the test selects (None for the trend cases) and the case the default
+    one."""
     case = model.case or defaults.johansen_case
     k = model.k
     if k is None:
         if aic_lag is None:
-            aic_lag = select_lags(panel, max_lag=defaults.max_lag).chosen["byAic"]
+            aic_lag = select_lags(x, max_lag=defaults.max_lag).chosen["byAic"]
         k = max(1, aic_lag)
-    jres = johansen_test(panel.matrix(), k, case)
+    jres = johansen_test(x, k, case)
     r = jres.selected_rank if model.r is None else model.r
     return k, r, case, jres
 
@@ -563,23 +564,24 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
 
         lq = lq_records_for_panel(panel, aux)
         lines["lq.csv"] = lq_lines(panel, lq)
-        flag = lq_flag(panel.state, panel.naics, lq, defaults.lq_threshold)
-        lines["lq_flags.csv"] = _line(panel, fmt6(flag.mean_lq), int(flag.significant))
+        mean_lq, significant = lq_flag(lq, defaults.lq_threshold)
+        lines["lq_flags.csv"] = _line(panel, fmt6(mean_lq), int(significant))
         lines["summary.csv"] = summary_lines(panel)
         lines["adf.csv"] = adf_lines(panel)
 
-        selection = select_lags(panel, max_lag=defaults.max_lag)
+        x = panel.matrix()
+        selection = select_lags(x, max_lag=defaults.max_lag)
         lines["lags.csv"] = lags_lines(panel, selection)
 
-        k, r, case, jres = resolve_model(panel, model, defaults, selection.chosen["byAic"])
+        k, r, case, jres = resolve_model(x, model, defaults, selection.chosen["byAic"])
         lines["johansen.csv"] = johansen_lines(panel, jres)
         out.spec_used = {"k": k, "r": r, "case": jres.case.short}
         spec = ModelSpec(k=k, r=r, case=case)
-        fit = fit_vecm(panel, spec, jres)
+        fit = fit_vecm(x, spec, jres)
         lines["lm.csv"] = lm_lines(panel, fit)
         lines["normality.csv"] = normality_lines(panel, fit)
 
-        path = forecast(fit, panel.matrix()[-k:], defaults.horizon, origin=panel.end)
+        path = forecast(fit, x[-k:], defaults.horizon, origin=panel.end)
         out.forecast_path = path
         lines["forecast.csv"] = forecast_lines(panel, path)
         lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))

@@ -49,7 +49,9 @@ class QuarterDate:
 
     @classmethod
     def parse(cls, text: str) -> "QuarterDate":
-        """Parse a '2001Q1'-style label."""
+        """Parse a '2001Q1'-style label; a non-string raises TypeError."""
+        if not isinstance(text, str):
+            raise TypeError(f"quarter label must be a string, got {text!r}")
         m = _LABEL_RE.match(text.strip())
         if m is None:
             raise ValueError(f"not a quarter label: {text!r}")
@@ -87,13 +89,6 @@ class QuarterlySeries:
 
     def quarters(self) -> list[QuarterDate]:
         return [self.start.advanced(i) for i in range(len(self))]
-
-    def at(self, when: QuarterDate) -> float:
-        """Value at a given quarter; raises KeyError outside the sample."""
-        i = when.quarters_since(self.start)
-        if not 0 <= i < len(self):
-            raise KeyError(f"{when} outside sample {self.start}..{self.end}")
-        return float(self.values[i])
 
     def window(self, first: QuarterDate, last: QuarterDate) -> "QuarterlySeries":
         """Inclusive sub-series from ``first`` to ``last``."""

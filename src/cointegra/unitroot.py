@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConstantSeries, SampleTooShort
 from .linalg import ols
-from .quarters import QuarterlySeries
 
 DETERMINISTIC_CASES = ("none", "constant", "constantTrend")
 
@@ -61,14 +60,12 @@ def _critical_values(case: str, t_eff: int) -> dict[float, float]:
     return out
 
 
-def adf_test(
-    y: QuarterlySeries | np.ndarray, lag_order: int, deterministic: str = "constant"
-) -> AdfResult:
+def adf_test(y: np.ndarray, lag_order: int, deterministic: str = "constant") -> AdfResult:
     """Test a single series for a unit root.
 
     Parameters
     ----------
-    y : QuarterlySeries or 1-d array
+    y : 1-d array
     lag_order : int
         Number of lagged differences augmenting the regression.
     deterministic : str
@@ -85,7 +82,7 @@ def adf_test(
         raise ValueError(f"deterministic must be one of {DETERMINISTIC_CASES}")
     if lag_order < 0:
         raise ValueError("lag_order must be nonnegative")
-    values = y.values if isinstance(y, QuarterlySeries) else np.asarray(y, dtype=float)
+    values = np.asarray(y, dtype=float)
     length = values.size
     if length < lag_order + 10:
         raise SampleTooShort(f"need at least {lag_order + 10} observations, got {length}")

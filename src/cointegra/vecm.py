@@ -35,7 +35,8 @@ from .linalg import cholesky, ols
 from .panel import VARIABLES, PanelDataset
 from .quarters import QuarterDate
 
-_FIT_CASES = (
+# The cases the estimator can fit; the trend cases are rank-test only.
+FIT_CASES = (
     DeterministicCase.NONE,
     DeterministicCase.RESTRICTED_CONSTANT,
     DeterministicCase.UNRESTRICTED_CONSTANT,
@@ -44,13 +45,11 @@ _FIT_CASES = (
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Identification of one fitted model: lag order, rank, case, panel id."""
+    """Identification of one fitted model: lag order, rank, case."""
 
     k: int
     r: int
     case: DeterministicCase = DeterministicCase.RESTRICTED_CONSTANT
-    state: str | None = None
-    naics: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "case", DeterministicCase.parse(self.case))
@@ -103,7 +102,6 @@ class ForecastPath:
     origin: QuarterDate | None
     horizon: int
     values: np.ndarray
-    variable_names: tuple[str, ...] = VARIABLES
 
     def quarters(self) -> list[QuarterDate]:
         if self.origin is None:
@@ -119,9 +117,7 @@ class IrfSet:
     one-standard-deviation shock in equation j under the Cholesky ordering.
     """
 
-    horizons: int
     responses: list[np.ndarray]
-    ordering: tuple[str, ...] = VARIABLES
 
 
 @dataclass
@@ -136,12 +132,12 @@ class BacktestResult:
     metrics: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-def fit_vecm(data, spec: ModelSpec, johansen: JohansenResult | None = None) -> VecmFit:
+def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = None) -> VecmFit:
     """Estimate a VECM with the rank and lag order fixed by ``spec``.
 
     Parameters
     ----------
-    data : PanelDataset or ndarray (T, n)
+    x : ndarray (T, n)
     spec : ModelSpec
     johansen : JohansenResult, optional
         The rank test already run on the same data at spec.k and spec.case;
@@ -156,11 +152,11 @@ def fit_vecm(data, spec: ModelSpec, johansen: JohansenResult | None = None) -> V
     SampleTooShort, SingularS00, NumericalFailure
         Propagated from the cointegration step.
     """
-    if spec.case not in _FIT_CASES:
+    if spec.case not in FIT_CASES:
         raise ValueError(
-            f"fitting supports cases {[c.value for c in _FIT_CASES]}, got {spec.case.value}"
+            f"fitting supports cases {[c.value for c in FIT_CASES]}, got {spec.case.value}"
         )
-    x = data.matrix() if hasattr(data, "matrix") else np.asarray(data, dtype=float)
+    x = np.asarray(x, dtype=float)
     t, n = x.shape
     if spec.r > n:
         raise RankMismatch(f"rank {spec.r} exceeds dimension {n}")
@@ -261,7 +257,6 @@ def forecast(
     last_observations: np.ndarray,
     horizon: int,
     origin: QuarterDate | None = None,
-    variable_names: tuple[str, ...] = VARIABLES,
 ) -> ForecastPath:
     """Iterate the level VAR forward with zero future shocks, one product of
     ``[A_1 … A_k]`` per quarter: the term-by-term sum to 1e-14, not bitwise.
@@ -287,10 +282,10 @@ def forecast(
     for i in range(horizon - 1, -1, -1):
         path[i] = intercept + top @ path[i + 1 : i + 1 + k].ravel()
     out = path[:horizon][::-1].copy()
-    return ForecastPath(origin=origin, horizon=horizon, values=out, variable_names=variable_names)
+    return ForecastPath(origin=origin, horizon=horizon, values=out)
 
 
-def irf(fit: VecmFit, horizons: int, ordering: tuple[str, ...] = VARIABLES) -> IrfSet:
+def irf(fit: VecmFit, horizons: int) -> IrfSet:
     """Orthogonalized impulse responses from the companion form.
 
     Theta_h = J C^h J' P where C is the companion matrix of the level VAR
@@ -307,7 +302,7 @@ def irf(fit: VecmFit, horizons: int, ordering: tuple[str, ...] = VARIABLES) -> I
     for _ in range(horizons):
         power = companion @ power
         responses.append(power[:n, :n] @ p)
-    return IrfSet(horizons=horizons, responses=responses, ordering=ordering)
+    return IrfSet(responses=responses)
 
 
 def backtest(panel: PanelDataset, spec: ModelSpec, holdout_start: QuarterDate) -> BacktestResult:
@@ -331,9 +326,9 @@ def backtest(panel: PanelDataset, spec: ModelSpec, holdout_start: QuarterDate) -
         )
     train = panel.window(panel.start, holdout_start.advanced(-1))
     horizon = panel.end.quarters_since(holdout_start) + 1
-    fit = fit_vecm(train, spec)
-    last = train.matrix()[-spec.k :]
-    path = forecast(fit, last, horizon, origin=train.end)
+    x = train.matrix()
+    fit = fit_vecm(x, spec)
+    path = forecast(fit, x[-spec.k :], horizon, origin=train.end)
     actuals = panel.matrix()[offset : offset + horizon]
     metrics = {}
     for j, name in enumerate(VARIABLES):

@@ -6,11 +6,12 @@ default run configuration. Each generated series reproduces its target
 summary row (N, mean, sd with the N-1 divisor, min, max) exactly, so
 summary output can be checked against known constants.
 
-Regenerate with ``python3 -m cointegra.fixtures <directory>``.
+Regenerate with ``PYTHONPATH=src python3 tests/fixtures.py data/sixstate``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import PanelDataset, write_panel_csv
-from .quarters import QuarterDate, QuarterlySeries
+from cointegra.panel import CSV_COLUMNS, PanelDataset
+from cointegra.quarters import QuarterDate, QuarterlySeries
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,19 @@ def build_panel(state: str, naics: int) -> PanelDataset:
         start, matched_series(PRICE_STATS[naics], _seed("price", naics))
     )
     return PanelDataset(state=state, naics=naics, **series)
+
+
+def write_panel_csv(panel: PanelDataset, csv_path: str) -> None:
+    """Serialize a panel with the columns in ``CSV_COLUMNS`` order."""
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for i, when in enumerate(panel.output.quarters()):
+            writer.writerow(
+                [when.year, when.quarter]
+                + [repr(float(panel.series(v).values[i])) for v in ("employment", "wages", "num_firms")]
+                + [repr(float(panel.output.values[i])), repr(float(panel.price.values[i]))]
+            )
 
 
 def _aux_values(base: float, seed: int) -> np.ndarray:

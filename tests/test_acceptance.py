@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from cointegra.diagnostics import lm_autocorrelation, normality_tests
-from cointegra.fixtures import MODELS, PANEL_STATS, PRICE_STATS
+from fixtures import MODELS, PANEL_STATS, PRICE_STATS
 from cointegra.johansen import DeterministicCase, johansen_test
 from cointegra.lagselect import select_lags
 from cointegra.panel import ingest_panel, summarize
@@ -56,9 +56,10 @@ def bundled_fits():
     if not _FITS:
         for naics, state in MODELS:
             panel = load_panel(state, naics)
-            k = max(1, select_lags(panel, max_lag=4).chosen["byAic"])
-            rank = johansen_test(panel.matrix(), k, "restrictedConstant").selected_rank
-            fit = fit_vecm(panel, ModelSpec(k=k, r=rank, case="restrictedConstant"))
+            x = panel.matrix()
+            k = max(1, select_lags(x, max_lag=4).chosen["byAic"])
+            rank = johansen_test(x, k, "restrictedConstant").selected_rank
+            fit = fit_vecm(x, ModelSpec(k=k, r=rank, case="restrictedConstant"))
             _FITS.append((panel, fit))
     return _FITS
 
@@ -375,7 +376,7 @@ def test_criterion_8_backtest_and_martingale_forecasts():
         for name, scores in result.metrics.items():
             if not (math.isfinite(scores["rmse"]) and math.isfinite(scores["mape"])):
                 nonfinite.append((panel.state, panel.naics, name))
-        flat_fit = fit_vecm(panel, ModelSpec(k=1, r=0, case="none"))
+        flat_fit = fit_vecm(panel.matrix(), ModelSpec(k=1, r=0, case="none"))
         last = panel.matrix()[-1]
         path = forecast(flat_fit, panel.matrix()[-1:], 8)
         if not np.array_equal(path.values, np.tile(last, (8, 1))):

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from cointegra.cli import main
-from cointegra.fixtures import PANEL_STATS
+from fixtures import PANEL_STATS
 
 DATA_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "data", "sixstate")
@@ -347,6 +347,29 @@ class TestConfigTypes:
         assert capsys.readouterr().err.startswith("error: ConfigInvalid: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda obj: obj["defaults"].update(holdoutStart=2016),
+                "bad holdoutStart: quarter label must be a string, got 2016",
+            ),
+            (lambda obj: obj.update(dataDir=5), "dataDir must be a string"),
+            (lambda obj: obj.update(outDir=["x"]), "outDir must be a string"),
+        ],
+        ids=["holdoutStart-int", "dataDir-int", "outDir-list"],
+    )
+    def test_backtest_rejects(self, edit, message, tmp_path, capsys):
+        with open(CONFIG) as fh:
+            obj = json.load(fh)
+        obj["dataDir"] = DATA_ROOT
+        edit(obj)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        args = ["backtest", "--config", str(config), "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == f"error: ConfigInvalid: {message}\n"
+
 def _corrupt_copy(tmp_path, relpath, row, edit):
     """Copy the bundled dataset into tmp_path and rewrite data row ``row``
     (0-based, after the header) of ``relpath`` with ``edit``."""
@@ -394,14 +417,18 @@ class TestMalformedCells:
         args = ["lq", "--config", config, "--state", "AL", "--naics", "113"]
         assert run_cli(*args) == 2
         err = capsys.readouterr().err
-        assert err == "error: MalformedValue: malformed value at row 7, column 'value'\n"
+        path = tmp_path / "sixstate" / "aux" / "national_total.csv"
+        assert err == f"error: MalformedValue: malformed value at row 7, column 'value' in {path}\n"
 
     def test_short_aux_row(self, tmp_path, capsys):
         config = _corrupt_copy(tmp_path, "aux/state_total_AL.csv", 0, lambda l: "2001\n")
         args = ["lq", "--config", config, "--state", "AL", "--naics", "113"]
         assert run_cli(*args) == 2
         err = capsys.readouterr().err
-        assert err == "error: MalformedValue: malformed value at row 0, column 'quarter'\n"
+        path = tmp_path / "sixstate" / "aux" / "state_total_AL.csv"
+        assert err == (
+            f"error: MalformedValue: malformed value at row 0, column 'quarter' in {path}\n"
+        )
 
     def test_nan_panel_value(self, tmp_path, capsys):
         def nan_employment(line):
@@ -422,4 +449,16 @@ class TestMalformedCells:
         args = ["lq", "--config", config, "--state", "AL", "--naics", "113"]
         assert run_cli(*args) == 2
         err = capsys.readouterr().err
-        assert err == "error: MalformedValue: malformed value at row 7, column 'value'\n"
+        path = tmp_path / "sixstate" / "aux" / "national_total.csv"
+        assert err == f"error: MalformedValue: malformed value at row 7, column 'value' in {path}\n"
+
+    def test_run_names_the_screening_file(self, tmp_path, capsys):
+        # run reads up to ten aux files; the message says which one is bad.
+        config = _corrupt_copy(
+            tmp_path, "aux/state_total_ME.csv", 2, lambda l: l.rsplit(",", 1)[0] + ",inf\n"
+        )
+        assert run_cli("run", "--config", config, "--out", str(tmp_path / "out")) == 2
+        path = tmp_path / "sixstate" / "aux" / "state_total_ME.csv"
+        assert capsys.readouterr().err == (
+            f"error: MalformedValue: malformed value at row 2, column 'value' in {path}\n"
+        )

@@ -194,10 +194,6 @@ class TestNormality:
         ]
         two = normality_tests(residual_fit(rng.standard_normal((80, 2))))
         assert [eq.equation for eq in two.per_equation] == ["D_var1", "D_var2"]
-        named = normality_tests(
-            residual_fit(rng.standard_normal((80, 2))), equation_names=("a", "b")
-        )
-        assert [eq.equation for eq in named.per_equation] == ["a", "b"]
 
     def test_gaussian_residuals_accepted(self):
         rng = np.random.default_rng(11)
@@ -231,7 +227,7 @@ class TestNormality:
                 QuarterDate(2001, 1), 100.0 * np.exp(base + noise)
             )
         panel = PanelDataset(state="ME", naics=113, **series)
-        fit = fit_vecm(panel, ModelSpec(k=2, r=1, case="rconst"))
+        fit = fit_vecm(panel.matrix(), ModelSpec(k=2, r=1, case="rconst"))
         report = normality_tests(fit)
         assert report.per_equation[0].equation == "D_output"
         assert report.joint_jb.dof == 10

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from cointegra.fixtures import (
+from fixtures import (
     MODELS,
     PANEL_STATS,
     PRICE_STATS,

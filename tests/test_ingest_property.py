@@ -37,13 +37,13 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=
 # per row.
 
 
-def _cell(raw, column, row, cast=float):
+def _cell(raw, column, row, cast=float, path=None):
     try:
         value = cast(raw[column])
     except (TypeError, ValueError):
-        raise MalformedValue(row, column) from None
+        raise MalformedValue(row, column, path) from None
     if isinstance(value, float) and not math.isfinite(value):
-        raise MalformedValue(row, column)
+        raise MalformedValue(row, column, path)
     return value
 
 
@@ -91,8 +91,8 @@ def reference_value_series(path):
             raise MissingColumn(f"{path}: expected columns year,quarter,value")
         values = {}
         for i, row in enumerate(reader):
-            key = (_cell(row, "year", i, int), _cell(row, "quarter", i, int))
-            values[key] = _cell(row, "value", i)
+            key = (_cell(row, "year", i, int, path), _cell(row, "quarter", i, int, path))
+            values[key] = _cell(row, "value", i, float, path)
         return values
 
 

@@ -151,8 +151,8 @@ class TestBetaNormalize:
         assert beta_normalize(b, 2) == pytest.approx(b)
 
     def test_zero_pivot_falls_back(self):
-        out, pivot = beta_normalize(np.array([[0.0], [1.0]]), 1, return_pivot=True)
-        assert pivot == [1]
+        # Row 0 cannot lead, so row 1 is scaled to one.
+        out = beta_normalize(np.array([[0.0], [2.0]]), 1)
         assert out == pytest.approx(np.array([[0.0], [1.0]]))
 
     def test_rank_deficient_raises(self):

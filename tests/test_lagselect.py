@@ -30,7 +30,7 @@ class TestPreconditions:
         }
         panel = PanelDataset(state="AL", naics=113, **series)
         with pytest.raises(SampleTooShort):
-            select_lags(panel, 1)
+            select_lags(panel.matrix(), 1)
 
     def test_negative_max_lag_rejected(self):
         with pytest.raises(ValueError):

@@ -406,3 +406,30 @@ def test_only_linalg_imports_scipy_or_ctypes():
             if any(name.split(".")[0] in ("scipy", "ctypes") for name in names):
                 importers.add(os.path.basename(path))
     assert importers == {"linalg.py"}
+
+
+def test_every_top_level_name_is_used_or_public():
+    """Each name in ``cointegra.__all__`` resolves, and each top-level def
+    or class in the package is either in ``__all__`` or read somewhere in
+    the package besides its own definition."""
+    import cointegra
+
+    assert [name for name in cointegra.__all__ if not hasattr(cointegra, name)] == []
+    defined, read = {}, set()
+    for path in glob.glob(os.path.join(ROOT, "src", "cointegra", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = os.path.basename(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = {
+        name: module
+        for name, module in defined.items()
+        if name not in read and name not in cointegra.__all__
+    }
+    assert unused == {}

@@ -7,9 +7,7 @@ from cointegra.errors import (
     DuplicateQuarter,
     EmptyInput,
     GapInQuarters,
-    IncompleteYear,
     MalformedValue,
-    MissingAnnualValue,
     MissingColumn,
     NonPositiveInput,
     NonPositiveValue,
@@ -18,14 +16,13 @@ from cointegra.panel import (
     CSV_COLUMNS,
     PanelDataset,
     VARIABLES,
-    disaggregate_annual_output,
     ingest_panel,
     location_quotient,
     lq_flag,
     summarize,
-    write_panel_csv,
 )
 from cointegra.quarters import QuarterDate, QuarterlySeries
+from fixtures import write_panel_csv
 
 
 def make_panel(start=QuarterDate(2001, 1), length=72, state="AL", naics=113, seed=3):
@@ -112,14 +109,6 @@ class TestIngest:
         assert err.value.row == 4
         assert err.value.column == "wages"
 
-    def test_schema_renames_columns(self, tmp_path):
-        path = tmp_path / "AL_113.csv"
-        rows = panel_rows(QuarterDate(2005, 1), 8)
-        header = ["yr", "quarter", "employment", "wages", "num_firms", "output", "price"]
-        write_rows(path, rows, header=header)
-        panel = ingest_panel(str(path), schema={"year": "yr"})
-        assert len(panel) == 8
-
     def test_round_trip_identity(self, tmp_path):
         panel = make_panel(length=24)
         path = tmp_path / "AL_113.csv"
@@ -173,13 +162,13 @@ class TestIngestCells:
 
     def test_reordered_and_renamed_columns(self, tmp_path):
         path = tmp_path / "AL_113.csv"
-        header = ["price", "output", "qtr", "num_firms", "year", "wages", "employment"]
+        header = ["price", "output", "quarter", "num_firms", "year", "wages", "employment"]
         rows = []
         for i in range(8):
             q = QuarterDate(2005, 1).advanced(i)
             rows.append([5.0 + i, 1.0 + i, q.quarter, 4.0 + i, q.year, 3.0 + i, 2.0 + i])
         write_rows(path, rows[::-1], header=header)
-        panel = ingest_panel(str(path), schema={"quarter": "qtr"})
+        panel = ingest_panel(str(path))
         assert panel.start == QuarterDate(2005, 1)
         expected = np.arange(8.0)[:, None] + np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         assert np.array_equal(panel.matrix(), expected)
@@ -212,15 +201,6 @@ class TestIngestCells:
         with pytest.raises(MalformedValue) as err:
             ingest_panel(str(path))
         assert (err.value.row, err.value.column) == (6, column)
-
-    def test_bad_cell_reports_the_file_column_name(self, tmp_path):
-        path = tmp_path / "AL_113.csv"
-        rows = panel_rows(QuarterDate(2005, 1), 8)
-        rows[1][0] = "y2k"
-        write_rows(path, rows, header=("yr",) + CSV_COLUMNS[1:])
-        with pytest.raises(MalformedValue) as err:
-            ingest_panel(str(path), schema={"year": "yr"})
-        assert (err.value.row, err.value.column) == (1, "yr")
 
     def test_bad_year_beats_a_negative_value_in_its_row(self, tmp_path):
         path = tmp_path / "AL_113.csv"
@@ -285,41 +265,6 @@ class TestIngestCells:
         with pytest.raises(MissingColumn, match="'year'"):
             ingest_panel(str(path))
 
-class TestDisaggregate:
-    def test_flat_national_gives_uniform_shares(self):
-        nat = QuarterlySeries(QuarterDate(2010, 1), np.array([100.0] * 4))
-        out = disaggregate_annual_output({2010: 400.0}, nat)
-        assert list(out.values) == [100.0, 100.0, 100.0, 100.0]
-
-    def test_proportional_shares(self):
-        nat = QuarterlySeries(QuarterDate(2010, 1), np.array([100.0, 200.0, 300.0, 400.0]))
-        out = disaggregate_annual_output({2010: 400.0}, nat)
-        assert out.values == pytest.approx([40.0, 80.0, 120.0, 160.0])
-
-    def test_partial_year_rejected(self):
-        nat = QuarterlySeries(QuarterDate(2010, 1), np.array([100.0] * 3))
-        with pytest.raises(IncompleteYear):
-            disaggregate_annual_output({2010: 400.0}, nat)
-
-    def test_missing_annual_entry_rejected(self):
-        nat = QuarterlySeries(QuarterDate(2010, 1), np.array([100.0] * 8))
-        with pytest.raises(MissingAnnualValue):
-            disaggregate_annual_output({2010: 400.0}, nat)
-
-    def test_annual_totals_preserved(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            years = int(rng.integers(1, 6))
-            nat = QuarterlySeries(
-                QuarterDate(2005, 1), rng.random(4 * years) * 100.0 + 1.0
-            )
-            annual = {2005 + i: float(rng.random() * 1000.0 + 1.0) for i in range(years)}
-            out = disaggregate_annual_output(annual, nat)
-            for i in range(years):
-                total = out.values[4 * i : 4 * i + 4].sum()
-                assert total == pytest.approx(annual[2005 + i], rel=1e-9)
-
-
 class TestLocationQuotient:
     def test_equal_shares_give_one(self):
         assert location_quotient(10.0, 100.0, 1000.0, 10000.0) == pytest.approx(1.0)
@@ -346,15 +291,15 @@ class TestLocationQuotient:
 
 class TestLqSignificance:
     def test_single_above_threshold(self):
-        assert lq_flag("ME", 113, [1.5]).significant is True
+        assert lq_flag([1.5]) == (1.5, True)
 
     def test_boundary_is_not_significant(self):
-        assert lq_flag("ME", 113, [1.0]).significant is False
+        assert lq_flag([1.0]) == (1.0, False)
 
     def test_mean_aggregation(self):
-        out = lq_flag("ME", 113, np.array([0.5, 2.5]))
-        assert out.mean_lq == pytest.approx(1.5)
-        assert out.significant is True
+        mean_lq, significant = lq_flag(np.array([0.5, 2.5]))
+        assert mean_lq == pytest.approx(1.5)
+        assert significant is True
 
 
 class TestSummarize:

@@ -13,7 +13,7 @@ from cointegra.errors import (
     MissingColumn,
     NonPositiveInput,
 )
-from cointegra.fixtures import default_config
+from fixtures import default_config
 from cointegra.panel import VARIABLES, PanelDataset, ingest_panel, location_quotient
 from cointegra.pipeline import (
     emit_plot_data,
@@ -171,6 +171,25 @@ class TestParseConfig:
         for value in (2, 0.5):
             config = parse_config(minimal_config(defaults={"lqThreshold": value}))
             assert config.defaults.lq_threshold == float(value)
+
+    @pytest.mark.parametrize("value", [2016, [2016, 1], {"year": 2016}, True])
+    def test_holdout_start_must_be_a_string(self, value):
+        # QuarterDate.parse once called .strip() on it: an AttributeError traceback.
+        with pytest.raises(ConfigInvalid, match="bad holdoutStart: quarter label must be a string"):
+            parse_config(minimal_config(defaults={"holdoutStart": value}))
+
+    @pytest.mark.parametrize("value", [None, False, 1])
+    def test_johansen_case_must_be_a_string(self, value):
+        # A null johansenCase once read as str(None) == "none": no deterministic terms.
+        with pytest.raises(ConfigInvalid, match="unknown deterministic case"):
+            parse_config(minimal_config(defaults={"johansenCase": value}))
+
+    @pytest.mark.parametrize("key", ["dataDir", "outDir"])
+    @pytest.mark.parametrize("value", [5, None, ["x"], {"path": "x"}])
+    def test_paths_must_be_strings(self, key, value):
+        # os.path.join once raised TypeError on them: a traceback.
+        with pytest.raises(ConfigInvalid, match=f"{key} must be a string"):
+            parse_config(minimal_config(**{key: value}))
 
 
 class TestFormatting:

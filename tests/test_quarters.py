@@ -41,15 +41,12 @@ class TestQuarterlySeries:
 
     def test_at_and_window(self):
         s = QuarterlySeries(QuarterDate(2001, 1), np.arange(1.0, 9.0))
-        assert s.at(QuarterDate(2001, 4)) == 4.0
         w = s.window(QuarterDate(2001, 2), QuarterDate(2002, 1))
         assert w.start == QuarterDate(2001, 2)
         assert list(w.values) == [2.0, 3.0, 4.0, 5.0]
 
     def test_out_of_range_access_raises(self):
         s = QuarterlySeries(QuarterDate(2001, 1), np.array([1.0, 2.0]))
-        with pytest.raises(KeyError):
-            s.at(QuarterDate(2000, 4))
         with pytest.raises(KeyError):
             s.window(QuarterDate(2001, 1), QuarterDate(2001, 4))
 

@@ -302,7 +302,7 @@ class TestForecastProduct:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     def test_matches_term_by_term_recursion(self, k, case):
         panel = simulate_panel(seed=k)
-        fit = fit_vecm(panel, ModelSpec(k=k, r=1, case=case))
+        fit = fit_vecm(panel.matrix(), ModelSpec(k=k, r=1, case=case))
         last = panel.matrix()[-k:]
         path = forecast(fit, last, 200)
         assert path.values.shape == (200, 5)
