@@ -327,28 +327,37 @@ def lq_records_for_panel(panel: PanelDataset, aux: dict) -> np.ndarray:
     Raises
     ------
     MissingColumn
-        A screening series lacks a panel quarter; the first one is named.
+        A screening series lacks a panel quarter; the first such quarter
+        and the file of the first series lacking it are named.
     NonPositiveInput
         A screening value is zero or negative; the first such quarter is
         reported, unless a missing quarter comes before it.
     """
     first = panel.start.year * 4 + panel.start.quarter - 1
     keys = [(i // 4, i % 4 + 1) for i in range(first, first + len(panel))]
-    state_total, national_industry, national_total = (
+    files = (
+        f"state_total_{panel.state}.csv",
+        f"national_industry_{panel.naics}.csv",
+        "national_total.csv",
+    )
+    state_total, national_industry, national_total = columns = [
         np.fromiter(map(series.get, keys, repeat(np.nan)), float, len(keys))
         for series in (
             aux["state_total"][panel.state],
             aux["national_industry"][panel.naics],
             aux["national_total"],
         )
-    )
+    ]
     employment = panel.employment.values
     missing = np.isnan(state_total) | np.isnan(national_industry) | np.isnan(national_total)
     bad = ~((state_total > 0.0) & (national_industry > 0.0) & (national_total > 0.0))
     if bad.any():
         i = int(np.argmax(bad))
         if missing[i]:
-            raise MissingColumn(f"screening series missing {panel.start.advanced(i).label()}")
+            name = next(f for f, column in zip(files, columns) if np.isnan(column[i]))
+            raise MissingColumn(
+                f"screening series missing {panel.start.advanced(i).label()} in {name}"
+            )
         location_quotient(  # raises NonPositiveInput, naming the four inputs
             float(employment[i]),
             float(state_total[i]),

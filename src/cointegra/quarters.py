@@ -87,9 +87,6 @@ class QuarterlySeries:
             raise EmptyInput("empty series has no end quarter")
         return self.start.advanced(len(self) - 1)
 
-    def quarters(self) -> list[QuarterDate]:
-        return [self.start.advanced(i) for i in range(len(self))]
-
     def window(self, first: QuarterDate, last: QuarterDate) -> "QuarterlySeries":
         """Inclusive sub-series from ``first`` to ``last``."""
         i = first.quarters_since(self.start)

@@ -250,7 +250,8 @@ def write_panel_csv(panel: PanelDataset, csv_path: str) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for i, when in enumerate(panel.output.quarters()):
+        for i in range(len(panel)):
+            when = panel.start.advanced(i)
             writer.writerow(
                 [when.year, when.quarter]
                 + [repr(float(panel.series(v).values[i])) for v in ("employment", "wages", "num_firms")]

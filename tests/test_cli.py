@@ -302,6 +302,60 @@ class TestRunCommand:
         assert "WI 113: error" in out
 
 
+def _degenerate_copy(tmp_path, kind):
+    """Copy the bundled dataset into tmp_path with AL 113's price column
+    replaced by an exact function of other columns or of time."""
+    root = tmp_path / "sixstate"
+    shutil.copytree(DATA_ROOT, root)
+    path = root / "panels" / "AL_113.csv"
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    out = [header]
+    for t, line in enumerate(rows):
+        row = dict(zip(names, line.split(",")))
+        output, firms = float(row["output"]), float(row["num_firms"])
+        row["price"] = repr(
+            {
+                "constant": 1.5,
+                "scaled duplicate": 3.0 * output,
+                "sum": output + firms,
+                "linear trend": 0.5 + 0.01 * t,
+            }[kind]
+        )
+        out.append(",".join(row[name] for name in names))
+    path.write_text("\n".join(out) + "\n")
+    return str(root / "config.json")
+
+
+DEGENERATE = ["constant", "scaled duplicate", "sum", "linear trend"]
+
+
+class TestDegeneratePanel:
+    @pytest.mark.parametrize("kind", DEGENERATE)
+    def test_lags_is_a_typed_error(self, kind, tmp_path, capsys):
+        config = _degenerate_copy(tmp_path, kind)
+        assert run_cli("lags", "--config", config, "--state", "AL", "--naics", "113") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: RankDeficient: ")
+
+    @pytest.mark.parametrize("kind", DEGENERATE)
+    def test_run_records_the_model_as_error(self, kind, tmp_path, capsys):
+        config = _degenerate_copy(tmp_path, kind)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config, "--out", str(out)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"wrote 12 reports to {out}"
+        manifest = json.loads((out / "manifest.json").read_text())
+        failed = [m for m in manifest["models"] if m["status"] != "ok"]
+        assert [(m["state"], m["naics"]) for m in failed] == [("AL", 113)]
+        assert len(manifest["models"]) == 16
+        # ADF screens each variable before lag selection: a constant series
+        # stops there, with its own type.
+        expected = "ConstantSeries: " if kind == "constant" else "RankDeficient: "
+        assert failed[0]["message"].startswith(expected)
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(*stage_args("ingest")[:1], "--config", str(tmp_path / "nope.json"),

@@ -97,11 +97,18 @@ def reference_value_series(path):
 
 
 def reference_lq(panel, state_total, national_industry, national_total):
+    files = {
+        f"state_total_{panel.state}.csv": state_total,
+        f"national_industry_{panel.naics}.csv": national_industry,
+        "national_total.csv": national_total,
+    }
     out = []
-    for i, when in enumerate(panel.employment.quarters()):
+    for i in range(len(panel)):
+        when = panel.start.advanced(i)
         key = (when.year, when.quarter)
-        if key not in state_total or key not in national_industry or key not in national_total:
-            raise MissingColumn(f"screening series missing {when.label()}")
+        for name, series in files.items():
+            if key not in series:
+                raise MissingColumn(f"screening series missing {when.label()} in {name}")
         out.append(
             location_quotient(
                 float(panel.employment.values[i]),

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import os
 
 import numpy as np
@@ -262,7 +263,7 @@ class TestAuxLoading:
                 aux["national_industry"][322][(q.year, q.quarter)],
                 aux["national_total"][(q.year, q.quarter)],
             )
-            for i, q in enumerate(panel.employment.quarters())
+            for i, q in enumerate(map(panel.start.advanced, range(len(panel))))
         ]
         assert lq_records_for_panel(panel, aux).tolist() == expected
 
@@ -275,7 +276,24 @@ class TestAuxLoading:
             lq_records_for_panel(panel, aux)
         aux["state_total"]["AL"][(2003, 1)] = 5.0
         aux["national_industry"][113][(2014, 1)] = 0.0
-        with pytest.raises(MissingColumn, match="2013Q2"):
+        with pytest.raises(MissingColumn, match=r"missing 2013Q2 in national_total\.csv$"):
+            lq_records_for_panel(panel, aux)
+
+    @pytest.mark.parametrize(
+        "kind, key, name",
+        [
+            ("state_total", "AL", "state_total_AL.csv"),
+            ("national_industry", 113, "national_industry_113.csv"),
+            ("national_total", None, "national_total.csv"),
+        ],
+    )
+    def test_missing_quarter_names_the_file(self, kind, key, name):
+        panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
+        aux = load_aux_series(DATA_ROOT, ["AL"], [113])
+        series = aux[kind] if key is None else aux[kind][key]
+        del series[(2010, 3)]
+        message = f"^screening series missing 2010Q3 in {re.escape(name)}$"
+        with pytest.raises(MissingColumn, match=message):
             lq_records_for_panel(panel, aux)
 
     def test_aux_rows_blank_lines_and_repeats(self, tmp_path):
