@@ -165,7 +165,7 @@ def _cmd_forecast(config, args) -> int:
     panel, spec, jres = _spec(config, args)
     x = panel.matrix()
     path = forecast(fit_vecm(x, spec, jres), x[-spec.k :], horizon, origin=panel.end)
-    sys.stdout.write(_report("forecast.csv", forecast_lines(panel, path, history=False)))
+    sys.stdout.write(_report("forecast.csv", forecast_lines(panel, path)))
     return 0
 
 

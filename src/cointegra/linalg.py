@@ -40,6 +40,9 @@ queries, the same arguments and the same memory layouts. Each result is
 bitwise equal to that of ``scipy.linalg.qr``, ``solve_triangular`` or
 ``lstsq(lapack_driver="gelsy")``. Like those, they reject a NaN or an
 infinity with ``ValueError`` and check LAPACK's ``info`` after every call.
+``stacked_qr_r`` factors a stack of small designs (the ADF and LM
+regressions of one model) in one ``numpy.linalg.qr`` call, which loops over
+the stack in C, and rejects a NaN or an infinity the same way.
 
 Importing ``scipy.stats`` would roughly double the start-up time of every CLI
 process, and ``chi2_sf`` gives the same values without it.
@@ -156,6 +159,14 @@ def qr_r(a) -> np.ndarray:
     ``scipy.linalg.qr(a, mode="r")[0]``."""
     qr, _tau = _call(_GEQRF, "geqrf", _finite(a))
     return np.triu(qr)
+
+
+def stacked_qr_r(a) -> np.ndarray:
+    """R of the unpivoted QR of each matrix in the stack ``a`` of shape
+    (..., M, N), with shape (..., min(M, N), N);
+    ``numpy.linalg.qr(a, mode="r")``, which factors the whole stack in one
+    call."""
+    return np.linalg.qr(_finite(a), mode="r")
 
 
 def solve_triangular(a, b, lower: bool = False) -> np.ndarray:

@@ -52,7 +52,7 @@ from .panel import (
     summarize,
 )
 from .quarters import QuarterDate
-from .unitroot import adf_test
+from .unitroot import adf_tests
 from .vecm import FIT_CASES, BacktestResult, ForecastPath, IrfSet, ModelSpec, VecmFit
 from .vecm import backtest, fit_vecm, forecast, irf
 
@@ -401,19 +401,21 @@ def _path_template(panel: PanelDataset, path: ForecastPath, history: bool = True
 def emit_plot_data(
     forecasts: list[ForecastPath],
     panels: list[PanelDataset],
+    templates: list[str],
     index_base: QuarterDate,
 ) -> list[str]:
     """Relative-series plot.csv text, one block per model: every value
     divided by the series' own level at ``index_base``; history rows
-    tagged 0, forecast rows 1."""
+    tagged 0, forecast rows 1. ``templates`` holds each model's
+    ``_path_template(panel, path)``, the one its forecast.csv rows fill."""
     blocks = []
-    for path, panel in zip(forecasts, panels):
+    for path, panel, template in zip(forecasts, panels, templates):
         if index_base < panel.start or index_base > panel.end:
             raise IndexBaseMissing(f"{panel.state}/{panel.naics} lacks {index_base.label()}")
         levels = panel.matrix()
         base = levels[index_base.quarters_since(panel.start)]
         values = np.concatenate((levels / base, path.values / base))
-        blocks.append(_fill(_path_template(panel, path), values))
+        blocks.append(_fill(template, values))
     return blocks
 
 
@@ -440,12 +442,14 @@ def lq_lines(panel: PanelDataset, lq: np.ndarray) -> str:
 
 
 def adf_lines(panel: PanelDataset, lag: int = ADF_LAG, deterministic: str = ADF_CASE) -> str:
-    lines = []
-    for name in VARIABLES:
-        res = adf_test(panel.series(name).values, lag, deterministic)
-        cvs = [fmt6(res.critical_values[level]) for level in (0.01, 0.05, 0.10)]
-        lines.append(_line(panel, name, fmt6(res.statistic), *cvs, int(res.reject_at_5pct)))
-    return "".join(lines)
+    """One row per variable; an error names the first variable that fails."""
+    results = adf_tests(panel.matrix(), lag, deterministic, VARIABLES)
+    # Every test has the same effective sample, so the same critical values.
+    cvs = [fmt6(results[0].critical_values[level]) for level in (0.01, 0.05, 0.10)]
+    return "".join(
+        _line(panel, name, fmt6(res.statistic), *cvs, int(res.reject_at_5pct))
+        for name, res in zip(VARIABLES, results)
+    )
 
 
 def lags_lines(panel: PanelDataset, selection: LagSelection) -> str:
@@ -498,11 +502,12 @@ def normality_lines(panel: PanelDataset, fit: VecmFit) -> str:
     )
 
 
-def forecast_lines(panel: PanelDataset, path: ForecastPath, history: bool = True) -> str:
-    """The panel's history (flag 0), unless ``history`` is false, then the
-    forecast path (flag 1)."""
-    values = np.concatenate((panel.matrix(), path.values)) if history else path.values
-    return _fill(_path_template(panel, path, history), values)
+def forecast_lines(panel: PanelDataset, path: ForecastPath, template: str | None = None) -> str:
+    """The forecast path's rows (flag 1); given ``template``, a
+    ``_path_template(panel, path)``, the panel's history rows (flag 0) first."""
+    if template is None:
+        return _fill(_path_template(panel, path, history=False), path.values)
+    return _fill(template, np.concatenate((panel.matrix(), path.values)))
 
 
 def irf_lines(panel: PanelDataset, responses: IrfSet) -> str:
@@ -560,6 +565,7 @@ class ModelOutput:
     lines: dict[str, str] = field(default_factory=dict)
     panel: PanelDataset | None = None
     forecast_path: ForecastPath | None = None
+    path_template: str = ""
     seconds: float = 0.0
 
 
@@ -592,7 +598,8 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
 
         path = forecast(fit, x[-k:], defaults.horizon, origin=panel.end)
         out.forecast_path = path
-        lines["forecast.csv"] = forecast_lines(panel, path)
+        out.path_template = _path_template(panel, path)
+        lines["forecast.csv"] = forecast_lines(panel, path, out.path_template)
         lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))
 
         if defaults.holdout_start is not None:
@@ -628,6 +635,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         plot_lines = emit_plot_data(
             [o.forecast_path for o in finished],
             [o.panel for o in finished],
+            [o.path_template for o in finished],
             index_base,
         )
     else:

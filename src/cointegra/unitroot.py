@@ -8,6 +8,27 @@ with c and d included per the deterministic case, and the statistic is the
 OLS t-ratio on rho. Critical values come from embedded response-surface
 coefficients evaluated at the effective sample size, so the test is
 left-tailed: reject when the statistic falls below the critical value.
+
+``adf_tests`` tests every column of a panel at once, and ``adf_test`` is
+that path for one series. The m designs ``[dy lags, deterministics, y_{t-1}
+| dy_t]`` are stacked as one (m, T_eff, q + 1) array, q the regressor
+count, and factored by one batched unpivoted QR. With y_{t-1} last among
+the regressors, its coefficient is ``R[q-1, q] / R[q-1, q-1]``, the
+residual sum of squares is ``R[q, q]²`` and its variance factor
+``(X'X)⁻¹`` entry is ``1 / R[q-1, q-1]²``, so
+
+    t = R[q-1, q] * sign(R[q-1, q-1]) / (|R[q, q]| / sqrt(T_eff - q)).
+
+This replaces a pivoted-QR least-squares fit and an explicit ``(X'X)⁻¹``
+per series, which made the ADF screen about an eighth of a pipeline run.
+A design is rank-deficient when ``min |Rⱼⱼ|`` over ``j < q`` is at most
+``RANK_TOL`` times the largest.
+
+The statistics match a per-series fit to a relative 1e-12 (absolute 1e-12
+near zero), not bitwise; on the bundled panels, whose levels sit about 20
+standard deviations from zero, the worst relative difference is 6e-12 and
+no ``%.6g`` digit moves. Where the level is much farther from zero, the
+explicit inverse, which squares cond(X), was the less accurate of the two.
 """
 
 from __future__ import annotations
@@ -16,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeries, SampleTooShort
-from .linalg import ols
+from .errors import ConstantSeries, RankDeficient, SampleTooShort
+from .linalg import RANK_TOL, stacked_qr_r
 
 DETERMINISTIC_CASES = ("none", "constant", "constantTrend")
 
@@ -60,61 +81,90 @@ def _critical_values(case: str, t_eff: int) -> dict[float, float]:
     return out
 
 
-def adf_test(y: np.ndarray, lag_order: int, deterministic: str = "constant") -> AdfResult:
-    """Test a single series for a unit root.
+def adf_tests(
+    y: np.ndarray, lag_order: int, deterministic: str = "constant", names: tuple | None = None
+) -> list[AdfResult]:
+    """Test each column of ``y`` for a unit root.
 
     Parameters
     ----------
-    y : 1-d array
+    y : 2-d array (T, m)
+        One series per column.
     lag_order : int
-        Number of lagged differences augmenting the regression.
+        Number of lagged differences augmenting each regression.
     deterministic : str
         'none', 'constant', or 'constantTrend'.
+    names : sequence of str, optional
+        Column names; an error for column i ends with ``in '<names[i]>'``.
 
     Raises
     ------
     SampleTooShort
-        If len(y) < lag_order + 10.
+        If T < lag_order + 10.
+    ValueError
+        If ``y`` holds a NaN or an infinity, before any column is tested.
     ConstantSeries
-        If the series has zero variance.
+        If a series has zero variance.
+    RankDeficient
+        If a design has no more rows than regressors or is rank-deficient.
+
+    The first column that fails decides the error, as testing the columns
+    one at a time in order would.
     """
     if deterministic not in DETERMINISTIC_CASES:
         raise ValueError(f"deterministic must be one of {DETERMINISTIC_CASES}")
     if lag_order < 0:
         raise ValueError("lag_order must be nonnegative")
     values = np.asarray(y, dtype=float)
-    length = values.size
+    length, m = values.shape
     if length < lag_order + 10:
         raise SampleTooShort(f"need at least {lag_order + 10} observations, got {length}")
-    if np.ptp(values) == 0.0:
-        raise ConstantSeries("series has zero variance")
 
-    dy = np.diff(values)
+    dy = np.diff(values, axis=0).T
     # Dependent variable runs over t = lag_order+1 .. length-1.
-    lhs = dy[lag_order:]
-    t_eff = lhs.size
-    cols = [values[lag_order:-1]]
+    t_eff = length - 1 - lag_order
+    # A case's index in DETERMINISTIC_CASES is its number of deterministic columns.
+    q = lag_order + DETERMINISTIC_CASES.index(deterministic) + 1
+    stack = np.empty((m, t_eff, q + 1))
     for i in range(1, lag_order + 1):
-        cols.append(dy[lag_order - i : dy.size - i])
+        stack[:, :, i - 1] = dy[:, lag_order - i : dy.shape[1] - i]
     if deterministic in ("constant", "constantTrend"):
-        cols.append(np.ones(t_eff))
+        stack[:, :, lag_order] = 1.0
     if deterministic == "constantTrend":
-        cols.append(np.arange(1.0, t_eff + 1.0))
-    x = np.column_stack(cols)
+        stack[:, :, lag_order + 1] = np.arange(1.0, t_eff + 1.0)
+    stack[:, :, q - 1] = values[lag_order:-1].T
+    stack[:, :, q] = dy[:, lag_order:]
+    r = stacked_qr_r(stack)
 
-    fit = ols(x, lhs)
-    resid = fit.residuals
-    dof = t_eff - x.shape[1]
-    s2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(x.T @ x)
-    se_rho = np.sqrt(s2 * xtx_inv[0, 0])
-    stat = float(fit.coefficients[0] / se_rho)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :q])
+    # At most, not below: an all-zero design has largest 0.
+    singular = diag.min(axis=1) <= RANK_TOL * diag.max(axis=1)
+    constant = np.ptp(values, axis=0) == 0.0
+    # Checked column by column, so the first column that fails decides the error.
+    for j in range(m):
+        where = "" if names is None else f" in {names[j]!r}"
+        if constant[j]:
+            raise ConstantSeries(f"series has zero variance{where}")
+        if t_eff <= q:
+            raise RankDeficient(f"need more rows than regressors, got {t_eff}x{q}{where}")
+        if singular[j]:
+            raise RankDeficient(f"design matrix rank-deficient ({q} columns){where}")
 
+    stats = r[:, q - 1, q] * np.sign(r[:, q - 1, q - 1]) * np.sqrt(t_eff - q) / np.abs(r[:, q, q])
     cvs = _critical_values(deterministic, t_eff)
-    return AdfResult(
-        statistic=stat,
-        lag_order=lag_order,
-        deterministic=deterministic,
-        critical_values=cvs,
-        reject_at_5pct=stat < cvs[0.05],
-    )
+    return [
+        AdfResult(
+            statistic=stat,
+            lag_order=lag_order,
+            deterministic=deterministic,
+            critical_values=dict(cvs),
+            reject_at_5pct=stat < cvs[0.05],
+        )
+        for stat in stats.tolist()
+    ]
+
+
+def adf_test(y: np.ndarray, lag_order: int, deterministic: str = "constant") -> AdfResult:
+    """Test a single series for a unit root: ``adf_tests`` on one column,
+    raising what it raises."""
+    return adf_tests(np.asarray(y, dtype=float).reshape(-1, 1), lag_order, deterministic)[0]

@@ -330,7 +330,26 @@ def _degenerate_copy(tmp_path, kind):
 DEGENERATE = ["constant", "scaled duplicate", "sum", "linear trend"]
 
 
+# The error each degenerate price column ends ``run`` with. ADF screens each
+# variable before lag selection, so a constant or trending price stops
+# there and is named; the other two are singular only as a system.
+RUN_ERRORS = {
+    "constant": "ConstantSeries: series has zero variance in 'price'",
+    "scaled duplicate": "RankDeficient: ",
+    "sum": "RankDeficient: ",
+    "linear trend": "RankDeficient: design matrix rank-deficient (6 columns) in 'price'",
+}
+
+
 class TestDegeneratePanel:
+    @pytest.mark.parametrize("kind", ["constant", "linear trend"])
+    def test_adf_names_the_variable(self, kind, tmp_path, capsys):
+        config = _degenerate_copy(tmp_path, kind)
+        assert run_cli("adf", "--config", config, "--state", "AL", "--naics", "113") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {RUN_ERRORS[kind]}\n"
+
     @pytest.mark.parametrize("kind", DEGENERATE)
     def test_lags_is_a_typed_error(self, kind, tmp_path, capsys):
         config = _degenerate_copy(tmp_path, kind)
@@ -350,10 +369,10 @@ class TestDegeneratePanel:
         failed = [m for m in manifest["models"] if m["status"] != "ok"]
         assert [(m["state"], m["naics"]) for m in failed] == [("AL", 113)]
         assert len(manifest["models"]) == 16
-        # ADF screens each variable before lag selection: a constant series
-        # stops there, with its own type.
-        expected = "ConstantSeries: " if kind == "constant" else "RankDeficient: "
-        assert failed[0]["message"].startswith(expected)
+        assert failed[0]["message"].startswith(RUN_ERRORS[kind])
+        if kind in ("constant", "linear trend"):
+            assert failed[0]["message"] == RUN_ERRORS[kind]
+            assert f"AL 113: error ({RUN_ERRORS[kind]})" in lines
 
 
 class TestErrorPaths:

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 from scipy.stats import chi2, kurtosis, skew
 
-from cointegra.diagnostics import lm_autocorrelation, normality_tests
+from cointegra.diagnostics import _original_regressors, lm_autocorrelation, normality_tests
 from cointegra.errors import NumericalFailure, SampleTooShort, SingularCovariance
+from cointegra.linalg import cholesky, lstsq, solve_triangular
 from cointegra.panel import VARIABLES, PanelDataset
 from cointegra.quarters import QuarterDate, QuarterlySeries
 from cointegra.vecm import ModelSpec, VecmFit, fit_vecm
@@ -231,3 +232,101 @@ class TestNormality:
         report = normality_tests(fit)
         assert report.per_equation[0].equation == "D_output"
         assert report.joint_jb.dof == 10
+
+
+def lm_loop(fit, max_lag):
+    """(statistic, p-value) per lag from one ``lstsq`` fit per lag plus the
+    base fit: the loop ``lm_autocorrelation`` replaced, kept as its
+    reference."""
+    e = fit.residuals
+    t_eff, n = e.shape
+    base = _original_regressors(fit)
+
+    def log_det(x):
+        resid = e if x is None else e - x @ lstsq(x, e)
+        return float(np.linalg.slogdet(resid.T @ resid / t_eff)[1])
+
+    log_det_base = log_det(base)
+    out = []
+    for j in range(1, max_lag + 1):
+        lagged = np.zeros_like(e)
+        lagged[j:] = e[:-j]
+        aux = lagged if base is None else np.hstack([base, lagged])
+        stat = max(-(t_eff - n * j - 0.5) * (log_det(aux) - log_det_base), 0.0)
+        out.append((stat, chi2.sf(stat, n * n)))
+    return np.array(out)
+
+
+def moments_loop(fit):
+    """(skew, kurtosis) per equation from a loop over the orthogonalized
+    residual columns: the loop ``normality_tests`` replaced."""
+    e = fit.residuals
+    u = solve_triangular(cholesky(fit.sigma), e.T, lower=True).T
+    out = []
+    for j in range(e.shape[1]):
+        col = u[:, j]
+        centered = col - col.mean()
+        m2 = float(np.mean(centered**2))
+        m3 = float(np.mean(centered**3))
+        m4 = float(np.mean(centered**4))
+        out.append((m3 / m2**1.5, m4 / m2**2))
+    return out
+
+
+def system_fit(k, r, case, seed=17, t=72):
+    """A five-variable model: four random walks and a fifth cointegrated
+    with the first, at the sample length the pipeline runs."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal((t, 5)), axis=0)
+    x[:, 4] = 0.5 * x[:, 0] + rng.standard_normal(t)
+    return fit_vecm(x + 100.0, ModelSpec(k=k, r=r, case=case))
+
+
+PARITY_FITS = {
+    # k = 1, r = 0 and no deterministic term: no base regressors at all.
+    "k1-r0-none": lambda: residual_fit(np.random.default_rng(21).standard_normal((60, 5))),
+    "k1-r0-none-n1": lambda: residual_fit(np.random.default_rng(22).standard_normal((50, 1))),
+    "k2-r1-rconst-n2": cointegrated_fit,
+    "k1-r1-rconst": lambda: system_fit(1, 1, "rconst"),
+    "k3-r0-uconst": lambda: system_fit(3, 0, "uconst"),
+    "k4-r2-uconst": lambda: system_fit(4, 2, "uconst"),
+    "k2-r1-none": lambda: system_fit(2, 1, "none"),
+}
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("max_lag", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(PARITY_FITS))
+    def test_lm_matches_per_lag_fits(self, name, max_lag):
+        fit = PARITY_FITS[name]()
+        got = [(res.statistic, res.pvalue) for res in lm_autocorrelation(fit, max_lag)]
+        np.testing.assert_allclose(got, lm_loop(fit, max_lag), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(PARITY_FITS))
+    def test_normality_moments_equal_the_column_loop(self, name):
+        fit = PARITY_FITS[name]()
+        got = [(eq.skew, eq.kurtosis) for eq in normality_tests(fit).per_equation]
+        assert got == moments_loop(fit)
+
+    def test_collinear_residuals_are_singular(self):
+        # Exactly collinear columns: the base residual covariance, and
+        # every auxiliary one, has rank one.
+        e = np.random.default_rng(23).standard_normal((60, 1)) @ np.array([[1.0, -2.0, 0.5]])
+        with pytest.raises(SingularCovariance, match="residual covariance is singular"):
+            lm_autocorrelation(residual_fit(e), 4)
+
+    def test_collinear_residuals_of_a_fitted_model_are_singular(self):
+        fit = system_fit(2, 1, "rconst")
+        fit.residuals[:, 3] = 2.0 * fit.residuals[:, 1] - fit.residuals[:, 0]
+        with pytest.raises(SingularCovariance, match="residual covariance is singular"):
+            lm_autocorrelation(fit, 4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_auxiliary_regression_without_spare_rows_is_singular(self, seed):
+        # 5 rows, 3 equations, lag 1: the auxiliary regression has 3
+        # regressors, so its residual has rank 2 at most. A per-lag fit
+        # turned the rounding noise of that singular covariance into a
+        # statistic for some draws.
+        e = np.random.default_rng(seed).standard_normal((5, 3))
+        with pytest.raises(SingularCovariance, match="residual covariance is singular"):
+            lm_autocorrelation(residual_fit(e), 1)

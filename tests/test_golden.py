@@ -1,21 +1,28 @@
-"""Byte-level guard on the bundled run: the sha256 of each report CSV.
+"""Byte-level guard on the bundled run: the sha256 of each report CSV, and
+of the ``adf`` and ``diagnose`` stage stdouts of every bundled model.
 
-The digests are those stored for ``sixstate`` in ``benchmarks/golden.json``.
-A change that moves any formatted number, row order or header fails here.
+The digests are those stored for ``sixstate`` and ``cold-cli`` in
+``benchmarks/golden.json``. A change that moves any formatted number, row
+order or header fails here.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
+from cointegra import cli
 from cointegra.pipeline import _fill, fmt6, load_config, run_pipeline
 
-CONFIG = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "data", "sixstate", "config.json")
-)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+CONFIG = os.path.join(ROOT, "data", "sixstate", "config.json")
+with open(os.path.join(ROOT, "benchmarks", "golden.json")) as _fh:
+    STAGE_STDOUT = json.load(_fh)["cold-cli"]["stdout"]
 
 SIXSTATE_SHA256 = {
     "adf.csv": "8ea698fb862aecef90f71cdc2731a26e71e4dfd86466cd3080e3f19e9b504eb2",
@@ -65,3 +72,15 @@ def test_bulk_fill_matches_fmt6():
     template = "AL,113,2016Q1,output,%.6g,1\n" * values.size
     expected = "".join(f"AL,113,2016Q1,output,{fmt6(v)},1\n" for v in values.ravel())
     assert _fill(template, values) == expected
+
+
+@pytest.mark.parametrize(
+    "command", sorted(key for key in STAGE_STDOUT if key.split()[0] in ("adf", "diagnose"))
+)
+def test_stage_stdout_digest(command):
+    name, state, naics = command.split()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([name, "--config", CONFIG, "--state", state, "--naics", naics])
+    assert code == STAGE_STDOUT[command]["exit"]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == STAGE_STDOUT[command]["sha256"]

@@ -2,10 +2,12 @@ import copy
 import json
 import re
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cointegra import diagnostics, linalg, unitroot
 from cointegra.errors import (
     ConfigInvalid,
     DataDirMissing,
@@ -17,17 +19,22 @@ from cointegra.errors import (
 from fixtures import default_config
 from cointegra.panel import VARIABLES, PanelDataset, ingest_panel, location_quotient
 from cointegra.pipeline import (
+    LM_LAGS,
+    _path_template,
+    adf_lines,
     emit_plot_data,
     fmt3,
     fmt6,
     load_aux_series,
     load_config,
+    load_panel,
     lq_records_for_panel,
     parse_config,
+    resolve_model,
     run_pipeline,
 )
 from cointegra.quarters import QuarterDate, QuarterlySeries
-from cointegra.vecm import ForecastPath
+from cointegra.vecm import ForecastPath, ModelSpec, fit_vecm
 
 DATA_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "data", "sixstate")
@@ -219,7 +226,7 @@ class TestPlotData:
     def test_self_normalization(self):
         panel = self.make_panel([2.0, 4.0, 6.0])
         path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
-        rows = self.split(emit_plot_data([path], [panel], QuarterDate(2010, 1)))
+        rows = self.split(emit_plot_data([path], [panel], [_path_template(panel, path)], QuarterDate(2010, 1)))
         history = [r for r in rows if r[5] == "0" and r[3] == "output"]
         assert [r[4] for r in history] == ["1", "2", "3"]
         forecast_rows = [r for r in rows if r[5] == "1" and r[3] == "output"]
@@ -228,7 +235,7 @@ class TestPlotData:
     def test_base_after_series_start(self):
         panel = self.make_panel([2.0, 4.0, 6.0])
         path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
-        rows = self.split(emit_plot_data([path], [panel], QuarterDate(2010, 2)))
+        rows = self.split(emit_plot_data([path], [panel], [_path_template(panel, path)], QuarterDate(2010, 2)))
         history = [r for r in rows if r[5] == "0" and r[3] == "output"]
         assert [r[4] for r in history] == ["0.5", "1", "1.5"]
 
@@ -236,7 +243,7 @@ class TestPlotData:
         panel = self.make_panel([2.0, 4.0, 6.0])
         path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
         with pytest.raises(IndexBaseMissing):
-            emit_plot_data([path], [panel], QuarterDate(2009, 4))
+            emit_plot_data([path], [panel], [_path_template(panel, path)], QuarterDate(2009, 4))
 
 
 class TestAuxLoading:
@@ -445,3 +452,32 @@ class TestDefaultConfigObject:
         for model in config.models:
             naics_counts[model.naics] = naics_counts.get(model.naics, 0) + 1
         assert naics_counts == {113: 5, 321: 6, 322: 5}
+
+
+class TestOneFactorizationPerModel:
+    def test_adf_and_lm_factor_one_stack_each(self, monkeypatch):
+        config = load_config(os.path.join(DATA_ROOT, "config.json"))
+        model = config.models[0]
+        panel = load_panel(config.data_dir, model.state, model.naics)
+        k, r, case, jres = resolve_model(panel.matrix(), model, config.defaults)
+        fit = fit_vecm(panel.matrix(), ModelSpec(k=k, r=r, case=case), jres)
+
+        calls = Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        names = ("stacked_qr_r", "qr_r", "pivoted_qr", "ols", "lstsq")
+        originals = {name: getattr(linalg, name) for name in names if hasattr(linalg, name)}
+        for module in (linalg, unitroot, diagnostics):
+            for name, func in originals.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, func))
+        adf_lines(panel)
+        assert calls == Counter(stacked_qr_r=1)
+        diagnostics.lm_autocorrelation(fit, LM_LAGS)
+        assert calls == Counter(stacked_qr_r=2)
