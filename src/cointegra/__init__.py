@@ -10,7 +10,7 @@ from .diagnostics import lm_autocorrelation, normality_tests
 from .johansen import DeterministicCase, beta_normalize, johansen_test
 from .lagselect import select_lags
 from .panel import PanelDataset, ingest_panel, location_quotient, summarize
-from .quarters import QuarterDate, QuarterlySeries
+from .quarters import QuarterDate
 from .unitroot import adf_test
 from .vecm import ModelSpec, backtest, fit_vecm, forecast, irf, to_level_var
 
@@ -21,7 +21,6 @@ __all__ = [
     "ModelSpec",
     "PanelDataset",
     "QuarterDate",
-    "QuarterlySeries",
     "adf_test",
     "backtest",
     "beta_normalize",

@@ -60,7 +60,7 @@ def _stage(config: RunConfig, args, estimable: bool = True):
 def _spec(config: RunConfig, args):
     """The panel, spec and rank test of a model-fitting stage command."""
     panel, model = _stage(config, args)
-    k, r, case, jres = resolve_model(panel.matrix(), model, config.defaults)
+    k, r, case, jres = resolve_model(panel.levels, model, config.defaults)
     return panel, ModelSpec(k=k, r=r, case=case), jres
 
 
@@ -106,14 +106,14 @@ def _cmd_lags(config, args) -> int:
     if max_lag < 1:
         raise ConfigInvalid("--max-lag must be a positive integer")
     panel, _ = _stage(config, args)
-    selection = select_lags(panel.matrix(), max_lag=max_lag)
+    selection = select_lags(panel.levels, max_lag=max_lag)
     sys.stdout.write(_report("lags.csv", lags_lines(panel, selection)))
     return 0
 
 
 def _cmd_johansen(config, args) -> int:
     panel, model = _stage(config, args, estimable=False)
-    jres = resolve_model(panel.matrix(), model, config.defaults)[3]
+    jres = resolve_model(panel.levels, model, config.defaults)[3]
     sys.stdout.write(_report("johansen.csv", johansen_lines(panel, jres)))
     return 0
 
@@ -140,7 +140,7 @@ def _fit_lines(fit) -> str:
 
 def _cmd_fit(config, args) -> int:
     panel, spec, jres = _spec(config, args)
-    fit = fit_vecm(panel.matrix(), spec, jres)
+    fit = fit_vecm(panel.levels, spec, jres)
     sys.stdout.write(
         f"# {panel.state} {panel.naics} k={spec.k} r={spec.r} "
         f"case={spec.case.short} t_eff={fit.t_eff}\n"
@@ -151,7 +151,7 @@ def _cmd_fit(config, args) -> int:
 
 def _cmd_diagnose(config, args) -> int:
     panel, spec, jres = _spec(config, args)
-    fit = fit_vecm(panel.matrix(), spec, jres)
+    fit = fit_vecm(panel.levels, spec, jres)
     sys.stdout.write(
         _report("lm.csv", lm_lines(panel, fit))
         + "\n"
@@ -163,7 +163,7 @@ def _cmd_diagnose(config, args) -> int:
 def _cmd_forecast(config, args) -> int:
     horizon = config.defaults.horizon if args.horizon is None else args.horizon
     panel, spec, jres = _spec(config, args)
-    x = panel.matrix()
+    x = panel.levels
     path = forecast(fit_vecm(x, spec, jres), x[-spec.k :], horizon, origin=panel.end)
     sys.stdout.write(_report("forecast.csv", forecast_lines(panel, path)))
     return 0

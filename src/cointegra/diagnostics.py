@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, SampleTooShort, SingularCovariance
-from .johansen import _design_blocks
 from .linalg import RANK_TOL, chi2_sf, cholesky, solve_triangular, stacked_qr_r
 from .panel import VARIABLES
 from .vecm import VecmFit
@@ -91,26 +90,10 @@ def _log_det(sigma: np.ndarray) -> float:
     return float(logdet)
 
 
-def _original_regressors(fit: VecmFit) -> np.ndarray | None:
-    """Regressor block of the fitted model: [beta'X*_{t-1}, dX lags, const]."""
-    spec = fit.spec
-    if fit.source_levels is None:
-        raise ValueError("fit carries no source levels; refit before diagnostics")
-    z0, z1, z2, _t_eff = _design_blocks(fit.source_levels, spec.k, spec.case)
-    blocks = []
-    if spec.r > 0:
-        blocks.append(z1 @ fit.beta)
-    if z2 is not None:
-        blocks.append(z2)
-    if not blocks:
-        return None
-    return np.hstack(blocks)
-
-
 def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
     """LM test for residual autocorrelation at each lag 1..max_lag.
 
-    For lag j the residuals are regressed on the original regressors plus
+    For lag j the residuals are regressed on the fit's regressors plus
     the residuals lagged j (missing leading rows set to zero); the statistic
     is -(T_eff - n*j - 0.5) * ln(|Sigma_aux_j| / |Sigma_base|) with n^2
     degrees of freedom. All max_lag + 1 regressions come from one stacked
@@ -130,7 +113,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
         return []
     e = fit.residuals
     t_eff, n = e.shape
-    base = _original_regressors(fit)
+    base = fit.regressors
     m = 0 if base is None else base.shape[1]
     if t_eff <= n * max_lag + m:
         raise SampleTooShort(

@@ -61,6 +61,10 @@ class MalformedValue(CointegraError):
         super().__init__(f"malformed value at row {row}, column {column!r}{where}")
 
 
+class MalformedFile(CointegraError):
+    """An input file is not UTF-8 text; the message names the file."""
+
+
 class NonPositiveInput(CointegraError):
     """Location-quotient inputs must be strictly positive."""
 

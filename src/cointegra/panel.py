@@ -1,9 +1,11 @@
 """Quarterly state-industry panels: ingestion, location quotients, and
 summary statistics.
 
-A panel couples five series for one (state, naics) pair. The system ordering
-used by every estimator downstream is :data:`VARIABLES`:
-output, employment, wages, num_firms, price.
+A panel is one (state, naics) pair's T x 5 matrix of levels: row i is the
+quarter ``start.advanced(i)``, and the columns follow :data:`VARIABLES`
+(output, employment, wages, num_firms, price), the system ordering of every
+estimator downstream. The matrix is read-only, so every stage can share it
+and a window of it is a view.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from .errors import (
     DuplicateQuarter,
     EmptyInput,
     GapInQuarters,
+    MalformedFile,
     MalformedValue,
     MissingColumn,
     NonPositiveInput,
     NonPositiveValue,
 )
-from .quarters import QuarterDate, QuarterlySeries
+from .quarters import QuarterDate
 
 # System ordering of the panel variables in every vector/matrix downstream.
 VARIABLES = ("output", "employment", "wages", "num_firms", "price")
@@ -35,51 +38,45 @@ CSV_COLUMNS = ("year", "quarter", "employment", "wages", "num_firms", "output", 
 
 @dataclass
 class PanelDataset:
-    """Five aligned quarterly series for one state-industry pair."""
+    """One state-industry pair's levels: a T x 5 matrix in ``VARIABLES``
+    column order whose row i is the quarter ``start.advanced(i)``.
+
+    ``levels`` is made read-only. It must be 2-d with 5 columns, finite and
+    strictly positive, else ValueError; zero rows raise EmptyInput.
+    """
 
     state: str
     naics: int
-    output: QuarterlySeries
-    employment: QuarterlySeries
-    wages: QuarterlySeries
-    num_firms: QuarterlySeries
-    price: QuarterlySeries
+    start: QuarterDate
+    levels: np.ndarray
 
     def __post_init__(self):
-        series = [getattr(self, v) for v in VARIABLES]
-        first = series[0]
-        for name, s in zip(VARIABLES, series):
-            if s.start != first.start or len(s) != len(first):
-                raise ValueError(f"series {name!r} is not aligned with output")
-            if len(s) and np.min(s.values) <= 0.0:
-                raise ValueError(f"series {name!r} must be strictly positive")
+        # A view, so making it read-only leaves the caller's array as it was.
+        levels = np.asarray(self.levels, dtype=float).view()
+        if levels.ndim != 2 or levels.shape[1] != len(VARIABLES):
+            raise ValueError(f"levels must be T x {len(VARIABLES)}, got shape {levels.shape}")
+        if not len(levels):
+            raise EmptyInput("panel has no quarters")
+        # NaN fails both comparisons.
+        if not ((levels > 0.0) & (levels < np.inf)).all():
+            raise ValueError("levels must be finite and strictly positive")
+        levels.flags.writeable = False
+        self.levels = levels
 
     def __len__(self) -> int:
-        return len(self.output)
-
-    @property
-    def start(self) -> QuarterDate:
-        return self.output.start
+        return len(self.levels)
 
     @property
     def end(self) -> QuarterDate:
-        return self.output.end
-
-    def matrix(self) -> np.ndarray:
-        """T x 5 array in system variable order."""
-        return np.column_stack([getattr(self, v).values for v in VARIABLES])
-
-    def series(self, variable: str) -> QuarterlySeries:
-        if variable not in VARIABLES:
-            raise KeyError(f"unknown variable {variable!r}")
-        return getattr(self, variable)
+        return self.start.advanced(len(self) - 1)
 
     def window(self, first: QuarterDate, last: QuarterDate) -> "PanelDataset":
-        return PanelDataset(
-            self.state,
-            self.naics,
-            *[self.series(v).window(first, last) for v in VARIABLES],
-        )
+        """Inclusive sub-panel from ``first`` to ``last``; its levels are a view."""
+        i = first.quarters_since(self.start)
+        j = last.quarters_since(self.start)
+        if i < 0 or j >= len(self) or j < i:
+            raise KeyError(f"window {first}..{last} outside sample")
+        return PanelDataset(self.state, self.naics, first, self.levels[i : j + 1])
 
 
 def _parse_identity(csv_path: str) -> tuple[str, int]:
@@ -94,11 +91,14 @@ def _parse_identity(csv_path: str) -> tuple[str, int]:
 def read_table(path: str) -> tuple[list[str], list[list[str]]]:
     """The header and the data rows of a CSV file. The first line is the
     header, even when blank; later blank lines are skipped and not counted
-    as rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        return header, [row for row in reader if row]
+    as rows. A file that is not UTF-8 raises MalformedFile."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            return header, [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _cast_each(cells, cast) -> tuple[list, list[bool]]:
@@ -162,6 +162,8 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
 
     Raises
     ------
+    MalformedFile
+        The file is not UTF-8 text.
     MissingColumn
         A required column is absent from the header.
     MalformedValue
@@ -189,14 +191,15 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
     (years, quarters, *series), bad = parse_columns(
         header, rows, names, (int, int) + (float,) * len(VARIABLES)
     )
+    levels = np.column_stack(series)
     odd_quarter = [not 1 <= q <= 4 for q in quarters]
-    if bad is not None or any(odd_quarter) or not all((col > 0.0).all() for col in series):
+    if bad is not None or any(odd_quarter) or not (levels > 0.0).all():
         # 1 marks a malformed cell, 2 a non-positive one.
         codes = np.zeros((len(rows), len(names)), dtype=np.int8)
         if bad is not None:
             codes[bad] = 1
         codes[:, 1] |= odd_quarter
-        codes[:, 2:][(codes[:, 2:] == 0) & (np.column_stack(series) <= 0.0)] = 2
+        codes[:, 2:][(codes[:, 2:] == 0) & (levels <= 0.0)] = 2
         row, col = divmod(int(np.flatnonzero(codes)[0]), len(names))
         if codes[row, col] == 2:
             raise NonPositiveValue(row, names[col])
@@ -220,11 +223,8 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
         state = state if state is not None else parsed_state
         naics = naics if naics is not None else parsed_naics
     if ordered != index:
-        order = sorted(range(len(index)), key=index.__getitem__)
-        series = [col[order] for col in series]
-    start = QuarterDate(first // 4, first % 4 + 1)
-    series = {name: QuarterlySeries(start, col) for name, col in zip(VARIABLES, series)}
-    return PanelDataset(state=state, naics=int(naics), **series)
+        levels = levels[np.argsort(index)]
+    return PanelDataset(state, int(naics), QuarterDate(first // 4, first % 4 + 1), levels)
 
 
 def location_quotient(
@@ -256,11 +256,8 @@ def lq_flag(lq, threshold: float = 1.0) -> tuple[float, bool]:
 
 def summarize(panel: PanelDataset) -> dict[str, dict[str, float]]:
     """Per-variable N, mean, sd (N-1 divisor), min, max."""
-    if len(panel) == 0:
-        raise EmptyInput("cannot summarize an empty panel")
     out = {}
-    for name in VARIABLES:
-        v = panel.series(name).values
+    for name, v in zip(VARIABLES, panel.levels.T):
         out[name] = {
             "n": int(v.size),
             "mean": float(np.mean(v)),

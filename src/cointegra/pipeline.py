@@ -237,10 +237,12 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
     """Read and validate a config file; overrides replace the raw fields
     before hashing so the manifest hash reflects the effective run."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     if isinstance(obj, dict):
@@ -348,7 +350,7 @@ def lq_records_for_panel(panel: PanelDataset, aux: dict) -> np.ndarray:
             aux["national_total"],
         )
     ]
-    employment = panel.employment.values
+    employment = panel.levels[:, VARIABLES.index("employment")]
     missing = np.isnan(state_total) | np.isnan(national_industry) | np.isnan(national_total)
     bad = ~((state_total > 0.0) & (national_industry > 0.0) & (national_total > 0.0))
     if bad.any():
@@ -412,9 +414,8 @@ def emit_plot_data(
     for path, panel, template in zip(forecasts, panels, templates):
         if index_base < panel.start or index_base > panel.end:
             raise IndexBaseMissing(f"{panel.state}/{panel.naics} lacks {index_base.label()}")
-        levels = panel.matrix()
-        base = levels[index_base.quarters_since(panel.start)]
-        values = np.concatenate((levels / base, path.values / base))
+        base = panel.levels[index_base.quarters_since(panel.start)]
+        values = np.concatenate((panel.levels / base, path.values / base))
         blocks.append(_fill(template, values))
     return blocks
 
@@ -443,7 +444,7 @@ def lq_lines(panel: PanelDataset, lq: np.ndarray) -> str:
 
 def adf_lines(panel: PanelDataset, lag: int = ADF_LAG, deterministic: str = ADF_CASE) -> str:
     """One row per variable; an error names the first variable that fails."""
-    results = adf_tests(panel.matrix(), lag, deterministic, VARIABLES)
+    results = adf_tests(panel.levels, lag, deterministic, VARIABLES)
     # Every test has the same effective sample, so the same critical values.
     cvs = [fmt6(results[0].critical_values[level]) for level in (0.01, 0.05, 0.10)]
     return "".join(
@@ -507,7 +508,7 @@ def forecast_lines(panel: PanelDataset, path: ForecastPath, template: str | None
     ``_path_template(panel, path)``, the panel's history rows (flag 0) first."""
     if template is None:
         return _fill(_path_template(panel, path, history=False), path.values)
-    return _fill(template, np.concatenate((panel.matrix(), path.values)))
+    return _fill(template, np.concatenate((panel.levels, path.values)))
 
 
 def irf_lines(panel: PanelDataset, responses: IrfSet) -> str:
@@ -584,7 +585,7 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
         lines["summary.csv"] = summary_lines(panel)
         lines["adf.csv"] = adf_lines(panel)
 
-        x = panel.matrix()
+        x = panel.levels
         selection = select_lags(x, max_lag=defaults.max_lag)
         lines["lags.csv"] = lags_lines(panel, selection)
 

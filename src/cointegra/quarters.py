@@ -1,18 +1,14 @@
 """Quarterly calendar primitives.
 
 A :class:`QuarterDate` is an immutable (year, quarter) pair with lexicographic
-ordering; a :class:`QuarterlySeries` couples a start quarter with a gap-free
-run of finite values.
+ordering. A panel (``panel.PanelDataset``) dates row i of its levels as
+``start.advanced(i)``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .errors import EmptyInput
+from dataclasses import dataclass
 
 _LABEL_RE = re.compile(r"^(\d{4})Q([1-4])$")
 
@@ -60,37 +56,3 @@ class QuarterDate:
     def __str__(self) -> str:
         return self.label()
 
-
-@dataclass
-class QuarterlySeries:
-    """A gap-free quarterly series.
-
-    Value ``i`` corresponds to ``start.advanced(i)``. Values must be finite.
-    """
-
-    start: QuarterDate
-    values: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if self.values.size and not np.all(np.isfinite(self.values)):
-            raise ValueError("series values must be finite")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def end(self) -> QuarterDate:
-        if len(self) == 0:
-            raise EmptyInput("empty series has no end quarter")
-        return self.start.advanced(len(self) - 1)
-
-    def window(self, first: QuarterDate, last: QuarterDate) -> "QuarterlySeries":
-        """Inclusive sub-series from ``first`` to ``last``."""
-        i = first.quarters_since(self.start)
-        j = last.quarters_since(self.start)
-        if i < 0 or j >= len(self) or j < i:
-            raise KeyError(f"window {first}..{last} outside sample")
-        return QuarterlySeries(first, self.values[i : j + 1].copy())

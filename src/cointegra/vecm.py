@@ -63,8 +63,9 @@ class ModelSpec:
 class VecmFit:
     """Estimated VECM parameters and residuals.
 
-    source_levels keeps the level matrix the model was fit on so diagnostic
-    auxiliary regressions can rebuild the original design blocks.
+    ``regressors`` is the fit's regressor block ``[z1·beta, z2]``
+    (beta'X*_{t-1}, the lagged differences and any unrestricted constant),
+    or None when it is empty; the LM test's auxiliary regressions extend it.
     """
 
     alpha: np.ndarray
@@ -75,7 +76,7 @@ class VecmFit:
     residuals: np.ndarray
     spec: ModelSpec
     t_eff: int
-    source_levels: np.ndarray | None = None
+    regressors: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -181,6 +182,7 @@ def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = N
         beta = np.zeros((m, 0))
         alpha = np.zeros((n, 0))
         target = z0
+        blocks = []
     else:
         jres = johansen if johansen is not None else johansen_test(x, spec.k, spec.case)
         beta = beta_normalize(jres.beta, spec.r)
@@ -191,11 +193,13 @@ def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = N
             alpha = s01 @ beta @ np.linalg.inv(bsb)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance(f"beta'S11 beta singular: {exc}") from exc
-        target = z0 - z1 @ beta @ alpha.T
+        blocks = [z1 @ beta]
+        target = z0 - blocks[0] @ alpha.T
 
     gammas: list[np.ndarray] = []
     mu = np.zeros(n)
     if z2 is not None:
+        blocks.append(z2)
         fit = ols(z2, target)
         phi = fit.coefficients
         resid = fit.residuals
@@ -218,7 +222,7 @@ def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = N
         residuals=resid,
         spec=spec,
         t_eff=t_eff,
-        source_levels=x,
+        regressors=np.hstack(blocks) if blocks else None,
     )
 
 
@@ -326,10 +330,9 @@ def backtest(panel: PanelDataset, spec: ModelSpec, holdout_start: QuarterDate) -
         )
     train = panel.window(panel.start, holdout_start.advanced(-1))
     horizon = panel.end.quarters_since(holdout_start) + 1
-    x = train.matrix()
-    fit = fit_vecm(x, spec)
-    path = forecast(fit, x[-spec.k :], horizon, origin=train.end)
-    actuals = panel.matrix()[offset : offset + horizon]
+    fit = fit_vecm(train.levels, spec)
+    path = forecast(fit, train.levels[-spec.k :], horizon, origin=train.end)
+    actuals = panel.levels[offset : offset + horizon]
     metrics = {}
     for j, name in enumerate(VARIABLES):
         err = path.values[:, j] - actuals[:, j]

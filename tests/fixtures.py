@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cointegra.panel import CSV_COLUMNS, PanelDataset
-from cointegra.quarters import QuarterDate, QuarterlySeries
+from cointegra.panel import CSV_COLUMNS, VARIABLES, PanelDataset
+from cointegra.quarters import QuarterDate
 
 
 @dataclass(frozen=True)
@@ -235,14 +235,13 @@ def matched_series(stats: SeriesStats, seed: int) -> np.ndarray:
 
 def build_panel(state: str, naics: int) -> PanelDataset:
     """Assemble one panel; the price column is shared across an industry."""
-    start = START[naics]
-    series = {}
-    for name, stats in PANEL_STATS[(naics, state)].items():
-        series[name] = QuarterlySeries(start, matched_series(stats, _seed(state, naics, name)))
-    series["price"] = QuarterlySeries(
-        start, matched_series(PRICE_STATS[naics], _seed("price", naics))
-    )
-    return PanelDataset(state=state, naics=naics, **series)
+    series = {
+        name: matched_series(stats, _seed(state, naics, name))
+        for name, stats in PANEL_STATS[(naics, state)].items()
+    }
+    series["price"] = matched_series(PRICE_STATS[naics], _seed("price", naics))
+    levels = np.column_stack([series[name] for name in VARIABLES])
+    return PanelDataset(state, naics, START[naics], levels)
 
 
 def write_panel_csv(panel: PanelDataset, csv_path: str) -> None:
@@ -250,13 +249,10 @@ def write_panel_csv(panel: PanelDataset, csv_path: str) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for i in range(len(panel)):
+        columns = [VARIABLES.index(name) for name in CSV_COLUMNS[2:]]
+        for i, row in enumerate(panel.levels[:, columns].tolist()):
             when = panel.start.advanced(i)
-            writer.writerow(
-                [when.year, when.quarter]
-                + [repr(float(panel.series(v).values[i])) for v in ("employment", "wages", "num_firms")]
-                + [repr(float(panel.output.values[i])), repr(float(panel.price.values[i]))]
-            )
+            writer.writerow([when.year, when.quarter] + [repr(v) for v in row])
 
 
 def _aux_values(base: float, seed: int) -> np.ndarray:

@@ -56,7 +56,7 @@ def bundled_fits():
     if not _FITS:
         for naics, state in MODELS:
             panel = load_panel(state, naics)
-            x = panel.matrix()
+            x = panel.levels
             k = max(1, select_lags(x, max_lag=4).chosen["byAic"])
             rank = johansen_test(x, k, "restrictedConstant").selected_rank
             fit = fit_vecm(x, ModelSpec(k=k, r=rank, case="restrictedConstant"))
@@ -291,7 +291,6 @@ def white_noise_fit(e: np.ndarray) -> VecmFit:
         residuals=e,
         spec=ModelSpec(k=1, r=0, case="none"),
         t_eff=t_eff,
-        source_levels=np.zeros((t_eff + 1, n)),
     )
 
 
@@ -376,9 +375,9 @@ def test_criterion_8_backtest_and_martingale_forecasts():
         for name, scores in result.metrics.items():
             if not (math.isfinite(scores["rmse"]) and math.isfinite(scores["mape"])):
                 nonfinite.append((panel.state, panel.naics, name))
-        flat_fit = fit_vecm(panel.matrix(), ModelSpec(k=1, r=0, case="none"))
-        last = panel.matrix()[-1]
-        path = forecast(flat_fit, panel.matrix()[-1:], 8)
+        flat_fit = fit_vecm(panel.levels, ModelSpec(k=1, r=0, case="none"))
+        last = panel.levels[-1]
+        path = forecast(flat_fit, panel.levels[-1:], 8)
         if not np.array_equal(path.values, np.tile(last, (8, 1))):
             not_flat.append((panel.state, panel.naics))
     ok = not nonfinite and not not_flat

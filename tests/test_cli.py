@@ -535,3 +535,57 @@ class TestMalformedCells:
         assert capsys.readouterr().err == (
             f"error: MalformedValue: malformed value at row 2, column 'value' in {path}\n"
         )
+
+
+def _append_bytes(tmp_path, relpath, data):
+    """Copy the bundled dataset into tmp_path and append ``data`` to ``relpath``."""
+    root = tmp_path / "sixstate"
+    shutil.copytree(DATA_ROOT, root)
+    with open(root / relpath, "ab") as fh:
+        fh.write(data)
+    return root
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 ends as a typed error naming the file, not a traceback."""
+
+    def test_panel_file(self, tmp_path, capsys):
+        root = _append_bytes(tmp_path, "panels/AL_113.csv", b"\xff\xfe")
+        config = str(root / "config.json")
+        assert run_cli("ingest", "--config", config, "--state", "AL", "--naics", "113") == 2
+        err = capsys.readouterr().err
+        path = root / "panels" / "AL_113.csv"
+        assert err.startswith(f"error: MalformedFile: {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+    def test_panel_file_fails_only_its_model_in_run(self, tmp_path, capsys):
+        root = _append_bytes(tmp_path, "panels/AL_113.csv", b"\xff\xfe")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(root / "config.json"), "--out", str(out)) == 1
+        with open(out / "manifest.json") as fh:
+            models = json.load(fh)["models"]
+        failed = [m for m in models if m["status"] != "ok"]
+        assert [(m["state"], m["naics"]) for m in failed] == [("AL", 113)]
+        path = root / "panels" / "AL_113.csv"
+        assert failed[0]["message"].startswith(f"MalformedFile: {path} is not UTF-8 text: ")
+        assert "AL 113: error (MalformedFile: " in capsys.readouterr().out
+
+    def test_aux_file(self, tmp_path, capsys):
+        root = _append_bytes(tmp_path, "aux/national_total.csv", b"\xff\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(root / "config.json"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        path = root / "aux" / "national_total.csv"
+        assert err.startswith(f"error: MalformedFile: {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "ingest", "fit"])
+    def test_config_file(self, command, tmp_path, capsys):
+        root = _append_bytes(tmp_path, "config.json", b"\n\xff\n")
+        args = [command, "--config", str(root / "config.json")]
+        if command != "run":
+            args += ["--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigInvalid: config is not UTF-8 text: ")
+        assert err.count("\n") == 1

@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 from scipy.stats import chi2, kurtosis, skew
 
-from cointegra.diagnostics import _original_regressors, lm_autocorrelation, normality_tests
+from cointegra.diagnostics import lm_autocorrelation, normality_tests
 from cointegra.errors import NumericalFailure, SampleTooShort, SingularCovariance
 from cointegra.linalg import cholesky, lstsq, solve_triangular
 from cointegra.panel import VARIABLES, PanelDataset
-from cointegra.quarters import QuarterDate, QuarterlySeries
+from cointegra.quarters import QuarterDate
 from cointegra.vecm import ModelSpec, VecmFit, fit_vecm
 
 
@@ -32,7 +32,6 @@ def residual_fit(e, sigma=None, case="none"):
         residuals=e,
         spec=ModelSpec(k=1, r=0, case=case),
         t_eff=t_eff,
-        source_levels=np.zeros((t_eff + 1, n)),
     )
 
 
@@ -221,14 +220,10 @@ class TestNormality:
     def test_fitted_model_names_panel_variables(self):
         rng = np.random.default_rng(13)
         base = np.cumsum(rng.standard_normal(90)) * 0.05
-        series = {}
-        for name in VARIABLES:
-            noise = np.cumsum(rng.standard_normal(90)) * 0.02
-            series[name] = QuarterlySeries(
-                QuarterDate(2001, 1), 100.0 * np.exp(base + noise)
-            )
-        panel = PanelDataset(state="ME", naics=113, **series)
-        fit = fit_vecm(panel.matrix(), ModelSpec(k=2, r=1, case="rconst"))
+        noise = [np.cumsum(rng.standard_normal(90)) * 0.02 for _ in VARIABLES]
+        levels = 100.0 * np.exp(base[:, None] + np.column_stack(noise))
+        panel = PanelDataset("ME", 113, QuarterDate(2001, 1), levels)
+        fit = fit_vecm(panel.levels, ModelSpec(k=2, r=1, case="rconst"))
         report = normality_tests(fit)
         assert report.per_equation[0].equation == "D_output"
         assert report.joint_jb.dof == 10
@@ -240,7 +235,7 @@ def lm_loop(fit, max_lag):
     reference."""
     e = fit.residuals
     t_eff, n = e.shape
-    base = _original_regressors(fit)
+    base = fit.regressors
 
     def log_det(x):
         resid = e if x is None else e - x @ lstsq(x, e)

@@ -82,7 +82,7 @@ class TestCommittedDataset:
             path = os.path.join(DATA_ROOT, "panels", f"{state}_{naics}.csv")
             committed = ingest_panel(path)
             generated = build_panel(state, naics)
-            assert np.array_equal(committed.matrix(), generated.matrix()), (state, naics)
+            assert np.array_equal(committed.levels, generated.levels), (state, naics)
 
     def test_config_parses_with_16_models(self):
         path = os.path.join(DATA_ROOT, "config.json")

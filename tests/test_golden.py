@@ -1,8 +1,10 @@
-"""Byte-level guard on the bundled run: the sha256 of each report CSV, and
-of the ``adf`` and ``diagnose`` stage stdouts of every bundled model.
+"""Byte-level guard on every stored output: the sha256 of each report CSV
+of the bundled run, of the ``long-horizon`` bundle and of the
+``long-panel`` bundle at its stored seed, and the exit code and stdout
+digest of every CLI command of every bundled model.
 
-The digests are those stored for ``sixstate`` and ``cold-cli`` in
-``benchmarks/golden.json``. A change that moves any formatted number, row
+The digests are those stored in ``benchmarks/golden.json``, which these
+tests read and never write. A change that moves any formatted number, row
 order or header fails here.
 """
 
@@ -12,6 +14,7 @@ import io
 import json
 import math
 import os
+import runpy
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from cointegra.pipeline import _fill, fmt6, load_config, run_pipeline
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 CONFIG = os.path.join(ROOT, "data", "sixstate", "config.json")
 with open(os.path.join(ROOT, "benchmarks", "golden.json")) as _fh:
-    STAGE_STDOUT = json.load(_fh)["cold-cli"]["stdout"]
+    GOLDEN = json.load(_fh)
+STAGE_STDOUT = GOLDEN["cold-cli"]["stdout"]
 
 SIXSTATE_SHA256 = {
     "adf.csv": "8ea698fb862aecef90f71cdc2731a26e71e4dfd86466cd3080e3f19e9b504eb2",
@@ -74,13 +78,46 @@ def test_bulk_fill_matches_fmt6():
     assert _fill(template, values) == expected
 
 
-@pytest.mark.parametrize(
-    "command", sorted(key for key in STAGE_STDOUT if key.split()[0] in ("adf", "diagnose"))
-)
-def test_stage_stdout_digest(command):
-    name, state, naics = command.split()
+@pytest.mark.parametrize("command", sorted(STAGE_STDOUT))
+def test_stage_stdout_digest(command, tmp_path):
+    # ``run`` prints its output directory, which the stored digest spells <out>.
+    out = str(tmp_path / "out")
+    if command == "run":
+        argv = ["run", "--config", CONFIG, "--out", out]
+    else:
+        name, state, naics = command.split()
+        argv = [name, "--config", CONFIG, "--state", state, "--naics", naics]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main([name, "--config", CONFIG, "--state", state, "--naics", naics])
+        code = cli.main(argv)
+    stdout = buf.getvalue().encode().replace(out.encode(), b"<out>")
     assert code == STAGE_STDOUT[command]["exit"]
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == STAGE_STDOUT[command]["sha256"]
+    assert hashlib.sha256(stdout).hexdigest() == STAGE_STDOUT[command]["sha256"]
+
+
+def bundle_digests(config, out):
+    manifest = run_pipeline(load_config(config, out_dir=str(out)))
+    assert not manifest.failed
+    digests = {}
+    for report in manifest.files:
+        with open(out / report, "rb") as fh:
+            digests[report] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def test_long_horizon_bundle_digest(tmp_path):
+    # The bundled configuration with a 200-quarter horizon.
+    with open(CONFIG) as fh:
+        obj = json.load(fh)
+    obj["dataDir"] = os.path.dirname(CONFIG)
+    obj["defaults"]["horizon"] = 200
+    config = tmp_path / "long-horizon.json"
+    config.write_text(json.dumps(obj))
+    assert bundle_digests(config, tmp_path / "out") == GOLDEN["long-horizon"]["files"]
+
+
+def test_long_panel_bundle_digest(tmp_path):
+    # run_path leaves no bytecode cache in benchmarks/.
+    generate = runpy.run_path(os.path.join(ROOT, "benchmarks", "longpanel.py"))["generate"]
+    config = generate(str(tmp_path / "data"), GOLDEN["long-panel"]["seed"])
+    assert bundle_digests(config, tmp_path / "out") == GOLDEN["long-panel"]["files"]

@@ -111,7 +111,7 @@ def reference_lq(panel, state_total, national_industry, national_total):
                 raise MissingColumn(f"screening series missing {when.label()} in {name}")
         out.append(
             location_quotient(
-                float(panel.employment.values[i]),
+                float(panel.levels[i, VARIABLES.index("employment")]),
                 state_total[key],
                 national_industry[key],
                 national_total[key],
@@ -191,7 +191,7 @@ def data_copy(tmp_path_factory):
 
 def _read_panel(path):
     panel = ingest_panel(path)
-    return panel.start, panel.matrix().tolist()
+    return panel.start, panel.levels.tolist()
 
 
 @SETTINGS

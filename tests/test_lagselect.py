@@ -8,7 +8,7 @@ from cointegra import lagselect, linalg
 from cointegra.errors import RankDeficient, SampleTooShort
 from cointegra.lagselect import LagSelection, LagStats, select_lags
 from cointegra.panel import VARIABLES, PanelDataset
-from cointegra.quarters import QuarterDate, QuarterlySeries
+from cointegra.quarters import QuarterDate
 
 
 def simulate_var(coefs, t, rng, burn=50):
@@ -26,13 +26,10 @@ def simulate_var(coefs, t, rng, burn=50):
 
 class TestPreconditions:
     def test_six_observation_panel_rejected(self):
-        series = {
-            name: QuarterlySeries(QuarterDate(2001, 1), np.arange(1.0, 7.0))
-            for name in VARIABLES
-        }
-        panel = PanelDataset(state="AL", naics=113, **series)
+        levels = np.repeat(np.arange(1.0, 7.0)[:, None], len(VARIABLES), axis=1)
+        panel = PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
         with pytest.raises(SampleTooShort):
-            select_lags(panel.matrix(), 1)
+            select_lags(panel.levels, 1)
 
     def test_negative_max_lag_rejected(self):
         with pytest.raises(ValueError):

@@ -21,17 +21,14 @@ from cointegra.panel import (
     lq_flag,
     summarize,
 )
-from cointegra.quarters import QuarterDate, QuarterlySeries
+from cointegra.quarters import QuarterDate
 from fixtures import write_panel_csv
 
 
 def make_panel(start=QuarterDate(2001, 1), length=72, state="AL", naics=113, seed=3):
     rng = np.random.default_rng(seed)
-    series = {
-        name: QuarterlySeries(start, 100.0 + rng.random(length) * 50.0)
-        for name in VARIABLES
-    }
-    return PanelDataset(state=state, naics=naics, **series)
+    levels = np.column_stack([100.0 + rng.random(length) * 50.0 for _ in VARIABLES])
+    return PanelDataset(state, naics, start, levels)
 
 
 def write_rows(path, rows, header=CSV_COLUMNS):
@@ -47,6 +44,71 @@ def panel_rows(start, length, value=100.0):
         q = start.advanced(i)
         rows.append([q.year, q.quarter, value, value, value, value, value])
     return rows
+
+
+class TestPanelDataset:
+    def test_end_and_quarters(self):
+        panel = make_panel(start=QuarterDate(2001, 3), length=3)
+        assert panel.end == QuarterDate(2002, 1)
+        labels = [panel.start.advanced(i).label() for i in range(len(panel))]
+        assert labels == ["2001Q3", "2001Q4", "2002Q1"]
+
+    def test_at_and_window(self):
+        levels = np.arange(1.0, 9.0)[:, None] * np.arange(1.0, 6.0)
+        panel = PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
+        w = panel.window(QuarterDate(2001, 2), QuarterDate(2002, 1))
+        assert (w.state, w.naics, w.start, len(w)) == ("AL", 113, QuarterDate(2001, 2), 4)
+        assert list(w.levels[:, 0]) == [2.0, 3.0, 4.0, 5.0]
+        assert np.array_equal(w.levels, levels[1:5])
+        assert np.shares_memory(w.levels, panel.levels)
+
+    def test_out_of_range_access_raises(self):
+        panel = make_panel(length=2)
+        for first, last in [
+            (QuarterDate(2001, 1), QuarterDate(2001, 4)),
+            (QuarterDate(2000, 4), QuarterDate(2001, 1)),
+            (QuarterDate(2001, 2), QuarterDate(2001, 1)),
+        ]:
+            with pytest.raises(KeyError):
+                panel.window(first, last)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            levels = np.full((4, 5), 100.0)
+            levels[2, 3] = bad
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_rejected(self, bad):
+        levels = np.full((4, 5), 100.0)
+        levels[0, 4] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 4), (8, 6), (2, 8, 5)])
+    def test_misshaped_levels_rejected(self, shape):
+        with pytest.raises(ValueError, match="levels must be T x 5"):
+            PanelDataset("AL", 113, QuarterDate(2001, 1), np.full(shape, 100.0))
+
+    def test_zero_rows_is_empty(self):
+        with pytest.raises(EmptyInput):
+            PanelDataset("AL", 113, QuarterDate(2001, 1), np.empty((0, 5)))
+
+    def test_levels_are_read_only(self):
+        panel = make_panel(length=8)
+        window = panel.window(QuarterDate(2001, 2), QuarterDate(2001, 4))
+        for levels in (panel.levels, window.levels):
+            with pytest.raises(ValueError, match="read-only"):
+                levels[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                levels *= 2.0
+
+    def test_caller_array_stays_writeable(self):
+        levels = np.full((4, 5), 100.0)
+        panel = PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
+        levels[0, 0] = 1.0
+        assert levels.flags.writeable and not panel.levels.flags.writeable
 
 
 class TestIngest:
@@ -116,8 +178,7 @@ class TestIngest:
         back = ingest_panel(str(path))
         assert back.state == panel.state and back.naics == panel.naics
         assert back.start == panel.start
-        for name in VARIABLES:
-            assert np.array_equal(back.series(name).values, panel.series(name).values)
+        assert np.array_equal(back.levels, panel.levels)
 
 
 
@@ -158,7 +219,7 @@ class TestIngestCells:
         write_rows(path, rows, header=CSV_COLUMNS + ("comment",))
         panel = ingest_panel(str(path))
         assert len(panel) == 8
-        assert np.array_equal(panel.matrix(), np.full((8, 5), 100.0))
+        assert np.array_equal(panel.levels, np.full((8, 5), 100.0))
 
     def test_reordered_and_renamed_columns(self, tmp_path):
         path = tmp_path / "AL_113.csv"
@@ -171,13 +232,14 @@ class TestIngestCells:
         panel = ingest_panel(str(path))
         assert panel.start == QuarterDate(2005, 1)
         expected = np.arange(8.0)[:, None] + np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert np.array_equal(panel.matrix(), expected)
+        assert np.array_equal(panel.levels, expected)
 
     def test_repeated_header_name_reads_the_last_column(self, tmp_path):
         path = tmp_path / "AL_113.csv"
         rows = [row + [200.0] for row in panel_rows(QuarterDate(2005, 1), 4)]
         write_rows(path, rows, header=CSV_COLUMNS + ("price",))
-        assert np.array_equal(ingest_panel(str(path)).price.values, np.full(4, 200.0))
+        price = ingest_panel(str(path)).levels[:, VARIABLES.index("price")]
+        assert np.array_equal(price, np.full(4, 200.0))
 
     def test_short_row_names_the_first_missing_column(self, tmp_path):
         path = tmp_path / "AL_113.csv"
@@ -304,34 +366,20 @@ class TestLqSignificance:
 
 class TestSummarize:
     def test_constant_series(self):
-        series = {
-            name: QuarterlySeries(QuarterDate(2001, 1), np.array([5.0, 5.0, 5.0]))
-            for name in VARIABLES
-        }
-        panel = PanelDataset(state="AL", naics=113, **series)
+        panel = PanelDataset("AL", 113, QuarterDate(2001, 1), np.full((3, 5), 5.0))
         stats = summarize(panel)["output"]
         assert stats == {"n": 3, "mean": 5.0, "sd": 0.0, "min": 5.0, "max": 5.0}
 
     def test_sample_sd_divisor(self):
-        series = {
-            name: QuarterlySeries(QuarterDate(2001, 1), np.array([1.0, 2.0, 3.0, 4.0]))
-            for name in VARIABLES
-        }
-        panel = PanelDataset(state="AL", naics=113, **series)
+        levels = np.repeat(np.array([[1.0], [2.0], [3.0], [4.0]]), 5, axis=1)
+        panel = PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
         # sum of squared deviations 5, divided by N-1=3
         assert summarize(panel)["price"]["sd"] == pytest.approx(np.sqrt(5.0 / 3.0))
 
     def test_merged_mean_is_average_of_means(self):
         a = make_panel(seed=1, length=20)
         b = make_panel(seed=2, length=20)
-        merged = {
-            name: QuarterlySeries(
-                a.start,
-                np.concatenate([a.series(name).values, b.series(name).values]),
-            )
-            for name in VARIABLES
-        }
-        mp = PanelDataset(state="AL", naics=113, **merged)
+        mp = PanelDataset("AL", 113, a.start, np.concatenate([a.levels, b.levels]))
         for name in VARIABLES:
             left = summarize(a)[name]["mean"]
             right = summarize(b)[name]["mean"]

@@ -33,7 +33,7 @@ from cointegra.pipeline import (
     resolve_model,
     run_pipeline,
 )
-from cointegra.quarters import QuarterDate, QuarterlySeries
+from cointegra.quarters import QuarterDate
 from cointegra.vecm import ForecastPath, ModelSpec, fit_vecm
 
 DATA_ROOT = os.path.abspath(
@@ -213,11 +213,8 @@ class TestFormatting:
 
 class TestPlotData:
     def make_panel(self, values, start=QuarterDate(2010, 1)):
-        series = {
-            name: QuarterlySeries(start, np.asarray(values, dtype=float))
-            for name in VARIABLES
-        }
-        return PanelDataset(state="AL", naics=113, **series)
+        levels = np.repeat(np.asarray(values, dtype=float)[:, None], len(VARIABLES), axis=1)
+        return PanelDataset("AL", 113, start, levels)
 
     @staticmethod
     def split(blocks):
@@ -265,7 +262,7 @@ class TestAuxLoading:
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "ME_322.csv"))
         expected = [
             location_quotient(
-                float(panel.employment.values[i]),
+                float(panel.levels[i, VARIABLES.index("employment")]),
                 aux["state_total"]["ME"][(q.year, q.quarter)],
                 aux["national_industry"][322][(q.year, q.quarter)],
                 aux["national_total"][(q.year, q.quarter)],
@@ -459,8 +456,8 @@ class TestOneFactorizationPerModel:
         config = load_config(os.path.join(DATA_ROOT, "config.json"))
         model = config.models[0]
         panel = load_panel(config.data_dir, model.state, model.naics)
-        k, r, case, jres = resolve_model(panel.matrix(), model, config.defaults)
-        fit = fit_vecm(panel.matrix(), ModelSpec(k=k, r=r, case=case), jres)
+        k, r, case, jres = resolve_model(panel.levels, model, config.defaults)
+        fit = fit_vecm(panel.levels, ModelSpec(k=k, r=r, case=case), jres)
 
         calls = Counter()
 

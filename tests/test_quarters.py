@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from cointegra.quarters import QuarterDate, QuarterlySeries
+from cointegra.quarters import QuarterDate
 
 
 class TestQuarterDate:
@@ -32,25 +31,3 @@ class TestQuarterDate:
         with pytest.raises(ValueError):
             QuarterDate(2001, 5)
 
-
-class TestQuarterlySeries:
-    def test_end_and_quarters(self):
-        s = QuarterlySeries(QuarterDate(2001, 3), np.array([1.0, 2.0, 3.0]))
-        assert s.end == QuarterDate(2002, 1)
-        labels = [s.start.advanced(i).label() for i in range(len(s))]
-        assert labels == ["2001Q3", "2001Q4", "2002Q1"]
-
-    def test_at_and_window(self):
-        s = QuarterlySeries(QuarterDate(2001, 1), np.arange(1.0, 9.0))
-        w = s.window(QuarterDate(2001, 2), QuarterDate(2002, 1))
-        assert w.start == QuarterDate(2001, 2)
-        assert list(w.values) == [2.0, 3.0, 4.0, 5.0]
-
-    def test_out_of_range_access_raises(self):
-        s = QuarterlySeries(QuarterDate(2001, 1), np.array([1.0, 2.0]))
-        with pytest.raises(KeyError):
-            s.window(QuarterDate(2001, 1), QuarterDate(2001, 4))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            QuarterlySeries(QuarterDate(2001, 1), np.array([1.0, np.nan]))

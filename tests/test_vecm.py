@@ -4,7 +4,7 @@ import pytest
 from cointegra.errors import HoldoutOutOfRange, HorizonZero, RankMismatch, SampleTooShort
 from cointegra.johansen import DeterministicCase
 from cointegra.panel import VARIABLES, PanelDataset
-from cointegra.quarters import QuarterDate, QuarterlySeries
+from cointegra.quarters import QuarterDate
 from cointegra.vecm import (
     BacktestResult,
     ModelSpec,
@@ -67,13 +67,9 @@ def vecm_recursion_forecast(fit, last_obs, horizon):
 def simulate_panel(seed=0, length=80):
     rng = np.random.default_rng(seed)
     base = np.cumsum(rng.standard_normal(length)) * 0.05
-    series = {}
-    for i, name in enumerate(VARIABLES):
-        drift = np.cumsum(rng.standard_normal(length)) * 0.03
-        series[name] = QuarterlySeries(
-            QuarterDate(2001, 1), 100.0 * np.exp(base + drift)
-        )
-    return PanelDataset(state="AL", naics=113, **series)
+    drifts = [np.cumsum(rng.standard_normal(length)) * 0.03 for _ in VARIABLES]
+    levels = 100.0 * np.exp(base[:, None] + np.column_stack(drifts))
+    return PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
 
 
 class TestModelSpec:
@@ -177,6 +173,25 @@ class TestFit:
         reused = fit_vecm(x, spec, jres)
         for name in ("alpha", "beta", "mu", "sigma", "residuals"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize(
+        "k, r, case",
+        [(1, 0, "none"), (1, 0, "uconst"), (1, 1, "rconst"), (2, 0, "none"), (3, 2, "uconst"),
+         (4, 1, "rconst")],
+    )
+    def test_regressors_are_the_fit_design(self, k, r, case):
+        # [z1·beta, z2] rebuilt from the levels, as the LM test used to do
+        # on every call; None when the model has no regressors.
+        from cointegra.johansen import _design_blocks
+
+        x = simulate_panel(seed=k + r).levels
+        fit = fit_vecm(x, ModelSpec(k=k, r=r, case=case))
+        _z0, z1, z2, _t_eff = _design_blocks(x, k, DeterministicCase.parse(case))
+        blocks = ([z1 @ fit.beta] if r else []) + ([] if z2 is None else [z2])
+        if not blocks:
+            assert fit.regressors is None
+        else:
+            assert np.array_equal(fit.regressors, np.hstack(blocks))
 
     @pytest.mark.parametrize(
         "k, case, rows",
@@ -302,8 +317,8 @@ class TestForecastProduct:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     def test_matches_term_by_term_recursion(self, k, case):
         panel = simulate_panel(seed=k)
-        fit = fit_vecm(panel.matrix(), ModelSpec(k=k, r=1, case=case))
-        last = panel.matrix()[-k:]
+        fit = fit_vecm(panel.levels, ModelSpec(k=k, r=1, case=case))
+        last = panel.levels[-k:]
         path = forecast(fit, last, 200)
         assert path.values.shape == (200, 5)
         assert path.values.flags.c_contiguous
@@ -354,11 +369,8 @@ class TestIrf:
 class TestBacktest:
     def constant_panel(self, train_level=110.0, holdout_level=100.0):
         values = np.concatenate([np.full(40, train_level), np.full(4, holdout_level)])
-        series = {
-            name: QuarterlySeries(QuarterDate(2001, 1), values.copy())
-            for name in VARIABLES
-        }
-        return PanelDataset(state="AL", naics=113, **series)
+        levels = np.repeat(values[:, None], len(VARIABLES), axis=1)
+        return PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
 
     def test_hand_metrics(self):
         panel = self.constant_panel()
@@ -376,11 +388,7 @@ class TestBacktest:
         # off-by-one in the forecast origin would leave a full step of error.
         steps = np.array([1.0, 0.5, 2.0, 0.25, 0.01])
         t = np.arange(60.0)
-        series = {
-            name: QuarterlySeries(QuarterDate(2001, 1), 100.0 + steps[j] * t)
-            for j, name in enumerate(VARIABLES)
-        }
-        panel = PanelDataset(state="AL", naics=113, **series)
+        panel = PanelDataset("AL", 113, QuarterDate(2001, 1), 100.0 + steps * t[:, None])
         res = backtest(panel, ModelSpec(k=1, r=0, case="uconst"), QuarterDate(2014, 1))
         for name in VARIABLES:
             assert res.metrics[name]["rmse"] < 1e-9
