@@ -164,7 +164,7 @@ def _cmd_forecast(config, args) -> int:
     horizon = config.defaults.horizon if args.horizon is None else args.horizon
     panel, spec, jres = _spec(config, args)
     x = panel.levels
-    path = forecast(fit_vecm(x, spec, jres), x[-spec.k :], horizon, origin=panel.end)
+    path = forecast(fit_vecm(x, spec, jres), x[-spec.k :], horizon)
     sys.stdout.write(_report("forecast.csv", forecast_lines(panel, path)))
     return 0
 
@@ -177,7 +177,7 @@ def _cmd_backtest(config, args) -> int:
     if holdout is None:
         raise ConfigInvalid("no holdout start given (--holdout or defaults.holdoutStart)")
     panel, spec, _ = _spec(config, args)
-    sys.stdout.write(_report("backtest.csv", backtest_lines(panel, backtest(panel, spec, holdout))))
+    sys.stdout.write(_report("backtest.csv", backtest_lines(panel, *backtest(panel, spec, holdout))))
     return 0
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, SampleTooShort, SingularCovariance
-from .linalg import RANK_TOL, chi2_sf, cholesky, solve_triangular, stacked_qr_r
+from .linalg import RANK_TOL, chi2_sf, cholesky, qr_r, solve_triangular
 from .panel import VARIABLES
 from .vecm import VecmFit
 
@@ -126,7 +126,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
     for j in range(1, max_lag + 1):
         stack[j, j:, m : m + n] = e[:-j]
     stack[:, :, m + n :] = e
-    r = stacked_qr_r(stack)
+    r = qr_r(stack)
 
     # The zero block of j = 0 leaves rows m..m+n-1 unreduced, so the base
     # residual cross-product is the full block below row m.

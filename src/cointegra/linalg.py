@@ -34,15 +34,15 @@ runs about 13% faster, and with the other vCPU busy a triangular solve took
 A run makes hundreds of LAPACK calls on matrices of a few dozen columns, and
 at that size the ``scipy.linalg`` wrappers (batching, input validation,
 dispatch) cost about as much as the arithmetic. So ``pivoted_qr``,
-``qr_r``, ``solve_triangular`` and ``lstsq`` call the double-precision
-routines directly, in the sequence ``scipy.linalg`` uses: the same workspace
-queries, the same arguments and the same memory layouts. Each result is
-bitwise equal to that of ``scipy.linalg.qr``, ``solve_triangular`` or
+``solve_triangular`` and ``lstsq`` call the double-precision routines
+directly, in the sequence ``scipy.linalg`` uses: the same workspace queries,
+the same arguments and the same memory layouts. Each result is bitwise equal
+to that of ``scipy.linalg.qr``, ``solve_triangular`` or
 ``lstsq(lapack_driver="gelsy")``. Like those, they reject a NaN or an
 infinity with ``ValueError`` and check LAPACK's ``info`` after every call.
-``stacked_qr_r`` factors a stack of small designs (the ADF and LM
-regressions of one model) in one ``numpy.linalg.qr`` call, which loops over
-the stack in C, and rejects a NaN or an infinity the same way.
+``qr_r`` is ``numpy.linalg.qr(mode="r")``, which factors one matrix or a
+whole stack of them (the ADF and LM regressions of one model) in one call,
+looping over the stack in C; it rejects a NaN or an infinity the same way.
 
 Importing ``scipy.stats`` would roughly double the start-up time of every CLI
 process, and ``chi2_sf`` gives the same values without it.
@@ -112,9 +112,8 @@ _FLAPACK, _UFUNCS = _load_extensions()
 for _pool in _POOLS:
     _openblas(_pool, "set", 1)
 SCIPY_VERSION = scipy.__version__
-_GEQP3, _GEQRF, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
+_GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
     _FLAPACK.dgeqp3,
-    _FLAPACK.dgeqrf,
     _FLAPACK.dorgqr,
     _FLAPACK.dtrtrs,
     _FLAPACK.dgelsy,
@@ -155,17 +154,11 @@ def pivoted_qr(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def qr_r(a) -> np.ndarray:
-    """R of the unpivoted QR of ``a``, with as many rows as ``a``;
-    ``scipy.linalg.qr(a, mode="r")[0]``."""
-    qr, _tau = _call(_GEQRF, "geqrf", _finite(a))
-    return np.triu(qr)
-
-
-def stacked_qr_r(a) -> np.ndarray:
-    """R of the unpivoted QR of each matrix in the stack ``a`` of shape
-    (..., M, N), with shape (..., min(M, N), N);
-    ``numpy.linalg.qr(a, mode="r")``, which factors the whole stack in one
-    call."""
+    """R of the unpivoted QR of ``a`` or of each matrix in a stack ``a`` of
+    shape (..., M, N), with shape (..., min(M, N), N);
+    ``numpy.linalg.qr(a, mode="r")``. Its rows are, bitwise, the top
+    min(M, N) rows of ``scipy.linalg.qr(a, mode="r")[0]``, whose other rows
+    are zero."""
     return np.linalg.qr(_finite(a), mode="r")
 
 

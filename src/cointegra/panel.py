@@ -91,9 +91,10 @@ def _parse_identity(csv_path: str) -> tuple[str, int]:
 def read_table(path: str) -> tuple[list[str], list[list[str]]]:
     """The header and the data rows of a CSV file. The first line is the
     header, even when blank; later blank lines are skipped and not counted
-    as rows. A file that is not UTF-8 raises MalformedFile."""
+    as rows. A leading byte-order mark is dropped, as Excel's "CSV UTF-8"
+    writes one; a file that is not UTF-8 raises MalformedFile."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             return header, [row for row in reader if row]

@@ -10,10 +10,13 @@ across runs; manifest timings are the only varying output.
 
 Each report has one builder (``summary_lines`` … ``backtest_lines``) that
 returns one model's rows as text; ``run`` writes them into the bundle and
-the stage commands print them. The large reports (lq, forecast, irf, plot)
-are filled from a ``%.6g`` template in a single formatting call. No field
-ever needs CSV quoting: states and naics are validated, and every other
-field is a quarter label, a variable name or a formatted number.
+the stage commands print them. plot.csv is filled per model too, once every
+model has run, since its base quarter is the latest start among them; a
+model whose panel lacks that quarter fails alone. The large reports (lq,
+forecast, irf, plot) are filled from a ``%.6g`` template in a single
+formatting call. No field ever needs CSV quoting: states and naics are
+validated, and every other field is a quarter label, a variable name or a
+formatted number.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .panel import (
 )
 from .quarters import QuarterDate
 from .unitroot import adf_tests
-from .vecm import FIT_CASES, BacktestResult, ForecastPath, IrfSet, ModelSpec, VecmFit
+from .vecm import FIT_CASES, ModelSpec, VecmFit
 from .vecm import backtest, fit_vecm, forecast, irf
 
 SUPPORTED_STATES = ("AL", "AR", "ME", "MS", "OR", "WI")
@@ -237,7 +240,7 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
     """Read and validate a config file; overrides replace the raw fields
     before hashing so the manifest hash reflects the effective run."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
@@ -387,13 +390,13 @@ def _fill(template: str, values: np.ndarray) -> str:
     return template % tuple(values.ravel().tolist())
 
 
-def _path_template(panel: PanelDataset, path: ForecastPath, history: bool = True) -> str:
+def _path_template(panel: PanelDataset, horizon: int, history: bool = True) -> str:
     """Template of a model's history rows (flag 0), unless ``history`` is
-    false, then its forecast rows (flag 1), one per (quarter, variable), as
-    in forecast.csv and plot.csv."""
+    false, then of its ``horizon`` forecast rows after the panel end (flag
+    1), one per (quarter, variable), as in forecast.csv and plot.csv."""
     head = f"{panel.state},{panel.naics},{{key}},"
     ahead = "".join(f"{head}{name},%.6g,1\n" for name in VARIABLES)
-    template = _per_key(ahead, _quarter_labels(path.origin.advanced(1), path.horizon))
+    template = _per_key(ahead, _quarter_labels(panel.end.advanced(1), horizon))
     if not history:
         return template
     past = "".join(f"{head}{name},%.6g,0\n" for name in VARIABLES)
@@ -401,23 +404,14 @@ def _path_template(panel: PanelDataset, path: ForecastPath, history: bool = True
 
 
 def emit_plot_data(
-    forecasts: list[ForecastPath],
-    panels: list[PanelDataset],
-    templates: list[str],
-    index_base: QuarterDate,
-) -> list[str]:
-    """Relative-series plot.csv text, one block per model: every value
-    divided by the series' own level at ``index_base``; history rows
-    tagged 0, forecast rows 1. ``templates`` holds each model's
-    ``_path_template(panel, path)``, the one its forecast.csv rows fill."""
-    blocks = []
-    for path, panel, template in zip(forecasts, panels, templates):
-        if index_base < panel.start or index_base > panel.end:
-            raise IndexBaseMissing(f"{panel.state}/{panel.naics} lacks {index_base.label()}")
-        base = panel.levels[index_base.quarters_since(panel.start)]
-        values = np.concatenate((panel.levels / base, path.values / base))
-        blocks.append(_fill(template, values))
-    return blocks
+    panel: PanelDataset, rows: np.ndarray, template: str, index_base: QuarterDate
+) -> str:
+    """One model's relative-series plot.csv rows: each of its forecast.csv
+    ``rows`` (the levels, then the forecast path, filling ``template``)
+    divided by the series' own level at ``index_base``."""
+    if index_base < panel.start or index_base > panel.end:
+        raise IndexBaseMissing(f"{panel.state}/{panel.naics} lacks {index_base.label()}")
+    return _fill(template, rows / rows[index_base.quarters_since(panel.start)])
 
 
 # One builder per report: each returns one model's rows of that report as
@@ -503,31 +497,25 @@ def normality_lines(panel: PanelDataset, fit: VecmFit) -> str:
     )
 
 
-def forecast_lines(panel: PanelDataset, path: ForecastPath, template: str | None = None) -> str:
-    """The forecast path's rows (flag 1); given ``template``, a
-    ``_path_template(panel, path)``, the panel's history rows (flag 0) first."""
-    if template is None:
-        return _fill(_path_template(panel, path, history=False), path.values)
-    return _fill(template, np.concatenate((panel.levels, path.values)))
+def forecast_lines(panel: PanelDataset, path: np.ndarray) -> str:
+    """The forecast path's rows (flag 1), dated from the quarter after the
+    panel end; forecast.csv in ``run`` also holds the history rows."""
+    return _fill(_path_template(panel, len(path), history=False), path)
 
 
-def irf_lines(panel: PanelDataset, responses: IrfSet) -> str:
+def irf_lines(panel: PanelDataset, theta: np.ndarray) -> str:
     # Rows run over h, then shock, then response: theta[h].T in row-major order.
     per_h = "".join(
         f"{panel.state},{panel.naics},{{key}},{shock},{resp},%.6g\n"
         for shock in VARIABLES
         for resp in VARIABLES
     )
-    return _fill(
-        _per_key(per_h, range(len(responses.responses))),
-        np.stack(responses.responses).transpose(0, 2, 1),
-    )
+    return _fill(_per_key(per_h, range(len(theta))), theta.transpose(0, 2, 1))
 
 
-def backtest_lines(panel: PanelDataset, result: BacktestResult) -> str:
+def backtest_lines(panel: PanelDataset, rmse: np.ndarray, mape: np.ndarray) -> str:
     return "".join(
-        _line(panel, name, fmt6(result.metrics[name]["rmse"]), fmt6(result.metrics[name]["mape"]))
-        for name in VARIABLES
+        _line(panel, name, fmt6(rmse[j]), fmt6(mape[j])) for j, name in enumerate(VARIABLES)
     )
 
 
@@ -557,7 +545,9 @@ def resolve_model(
 
 @dataclass
 class ModelOutput:
-    """One model's results; ``lines`` maps each report to its text."""
+    """One model's results; ``lines`` maps each report to its text, and
+    ``rows`` holds forecast.csv's values (the levels, then the forecast
+    path) in the order they fill ``template``, once forecast has run."""
 
     model: ModelConfig
     status: str = "ok"
@@ -565,9 +555,15 @@ class ModelOutput:
     spec_used: dict = field(default_factory=dict)
     lines: dict[str, str] = field(default_factory=dict)
     panel: PanelDataset | None = None
-    forecast_path: ForecastPath | None = None
-    path_template: str = ""
+    rows: np.ndarray | None = None
+    template: str = ""
     seconds: float = 0.0
+
+    def fail(self, exc: Exception) -> None:
+        """Record the model's first failure; the rows already built stay."""
+        if self.status == "ok":
+            self.status = "error"
+            self.message = f"{type(exc).__name__}: {exc}"
 
 
 def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
@@ -597,18 +593,17 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
         lines["lm.csv"] = lm_lines(panel, fit)
         lines["normality.csv"] = normality_lines(panel, fit)
 
-        path = forecast(fit, x[-k:], defaults.horizon, origin=panel.end)
-        out.forecast_path = path
-        out.path_template = _path_template(panel, path)
-        lines["forecast.csv"] = forecast_lines(panel, path, out.path_template)
+        path = forecast(fit, x[-k:], defaults.horizon)
+        out.template = _path_template(panel, defaults.horizon)
+        out.rows = np.concatenate((x, path))
+        lines["forecast.csv"] = _fill(out.template, out.rows)
         lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))
 
         if defaults.holdout_start is not None:
-            result = backtest(panel, spec, defaults.holdout_start)
-            lines["backtest.csv"] = backtest_lines(panel, result)
+            rmse, mape = backtest(panel, spec, defaults.holdout_start)
+            lines["backtest.csv"] = backtest_lines(panel, rmse, mape)
     except Exception as exc:
-        out.status = "error"
-        out.message = f"{type(exc).__name__}: {exc}"
+        out.fail(exc)
     out.seconds = time.perf_counter() - started
     return out
 
@@ -630,27 +625,20 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     outputs.sort(key=lambda o: (o.model.state, o.model.naics))
 
     # Relative plot series, indexed at the latest common start quarter.
-    finished = [o for o in outputs if o.panel is not None and o.forecast_path is not None]
-    if finished:
-        index_base = max(o.panel.start for o in finished)
-        plot_lines = emit_plot_data(
-            [o.forecast_path for o in finished],
-            [o.panel for o in finished],
-            [o.path_template for o in finished],
-            index_base,
-        )
-    else:
-        plot_lines = []
+    forecasted = [o for o in outputs if o.rows is not None]
+    index_base = max((o.panel.start for o in forecasted), default=None)
+    for o in forecasted:
+        try:
+            o.lines["plot.csv"] = emit_plot_data(o.panel, o.rows, o.template, index_base)
+        except IndexBaseMissing as exc:
+            o.fail(exc)
 
     # A report this run does not write is removed, so the bundle never
     # mixes two runs.
     os.makedirs(config.out_dir, exist_ok=True)
     files = []
     for report, header in REPORT_HEADERS.items():
-        if report == "plot.csv":
-            text = "".join(plot_lines)
-        else:
-            text = "".join(o.lines.get(report, "") for o in outputs)
+        text = "".join(o.lines.get(report, "") for o in outputs)
         target = os.path.join(config.out_dir, report)
         if not text:
             with contextlib.suppress(FileNotFoundError):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantSeries, RankDeficient, SampleTooShort
-from .linalg import RANK_TOL, stacked_qr_r
+from .linalg import RANK_TOL, qr_r
 
 DETERMINISTIC_CASES = ("none", "constant", "constantTrend")
 
@@ -134,7 +134,7 @@ def adf_tests(
         stack[:, :, lag_order + 1] = np.arange(1.0, t_eff + 1.0)
     stack[:, :, q - 1] = values[lag_order:-1].T
     stack[:, :, q] = dy[:, lag_order:]
-    r = stacked_qr_r(stack)
+    r = qr_r(stack)
 
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :q])
     # At most, not below: an all-zero design has largest 0.

@@ -9,11 +9,15 @@ where X*_{t-1} carries any restricted deterministic term. Estimation is
 reduced-rank maximum likelihood: beta from the cointegration eigenvectors
 (identity-block normalized), alpha and the short-run terms by least squares
 given beta. Residual covariance uses the maximum-likelihood divisor T.
+
+What comes out of a fit is plain arrays: ``forecast`` gives the (h, n)
+path, ``irf`` the (H+1, n, n) responses and ``backtest`` the per-variable
+RMSE and MAPE, each in the variable order of the input matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .johansen import (
     johansen_test,
 )
 from .linalg import cholesky, ols
-from .panel import VARIABLES, PanelDataset
+from .panel import PanelDataset
 from .quarters import QuarterDate
 
 # The cases the estimator can fit; the trend cases are rank-test only.
@@ -94,43 +98,6 @@ class VecmFit:
     def pi(self) -> np.ndarray:
         """The n x n long-run impact matrix."""
         return self.pi_full[:, : self.n]
-
-
-@dataclass
-class ForecastPath:
-    """Point forecasts in levels; row h-1 is the h-step-ahead forecast."""
-
-    origin: QuarterDate | None
-    horizon: int
-    values: np.ndarray
-
-    def quarters(self) -> list[QuarterDate]:
-        if self.origin is None:
-            raise ValueError("forecast path carries no origin quarter")
-        return [self.origin.advanced(h) for h in range(1, self.horizon + 1)]
-
-
-@dataclass
-class IrfSet:
-    """Orthogonalized impulse responses Theta_0..Theta_H.
-
-    responses[h][i, j] is the response of variable i at horizon h to a
-    one-standard-deviation shock in equation j under the Cholesky ordering.
-    """
-
-    responses: list[np.ndarray]
-
-
-@dataclass
-class BacktestResult:
-    """Holdout evaluation: aligned forecast/actual paths and error metrics."""
-
-    spec: ModelSpec
-    holdout_start: QuarterDate
-    quarters: list[QuarterDate]
-    forecasts: np.ndarray
-    actuals: np.ndarray
-    metrics: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = None) -> VecmFit:
@@ -256,12 +223,7 @@ def _companion_top(fit: VecmFit) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack(mats), intercept
 
 
-def forecast(
-    fit: VecmFit,
-    last_observations: np.ndarray,
-    horizon: int,
-    origin: QuarterDate | None = None,
-) -> ForecastPath:
+def forecast(fit: VecmFit, last_observations: np.ndarray, horizon: int) -> np.ndarray:
     """Iterate the level VAR forward with zero future shocks, one product of
     ``[A_1 … A_k]`` per quarter: the term-by-term sum to 1e-14, not bitwise.
 
@@ -270,9 +232,12 @@ def forecast(
     last_observations : ndarray (k, n)
         The final k level vectors in chronological order.
     horizon : int
-    origin : QuarterDate, optional
-        Quarter of the last observation; forecast row h then dates to
-        origin advanced by h+1 quarters.
+
+    Returns
+    -------
+    ndarray (horizon, n)
+        Point forecasts in levels, C-contiguous; row h-1 is the h-step-ahead
+        forecast, the quarter h after the last observation.
     """
     if horizon < 1:
         raise HorizonZero(f"horizon must be >= 1, got {horizon}")
@@ -285,15 +250,21 @@ def forecast(
     path = np.concatenate([np.empty((horizon, n)), last[::-1]])
     for i in range(horizon - 1, -1, -1):
         path[i] = intercept + top @ path[i + 1 : i + 1 + k].ravel()
-    out = path[:horizon][::-1].copy()
-    return ForecastPath(origin=origin, horizon=horizon, values=out)
+    return path[:horizon][::-1].copy()
 
 
-def irf(fit: VecmFit, horizons: int) -> IrfSet:
-    """Orthogonalized impulse responses from the companion form.
+def irf(fit: VecmFit, horizons: int) -> np.ndarray:
+    """Orthogonalized impulse responses Theta_0..Theta_H from the companion form.
 
     Theta_h = J C^h J' P where C is the companion matrix of the level VAR
     and P = cholesky(sigma); Theta_0 = P.
+
+    Returns
+    -------
+    ndarray (horizons + 1, n, n)
+        ``[h, i, j]`` is the response of variable i at horizon h to a
+        one-standard-deviation shock in equation j under the Cholesky
+        ordering.
     """
     if horizons < 0:
         raise ValueError("horizons must be nonnegative")
@@ -301,19 +272,25 @@ def irf(fit: VecmFit, horizons: int) -> IrfSet:
     top, _ = _companion_top(fit)
     n, nk = top.shape
     companion = np.vstack([top, np.eye(nk - n, nk)])
-    responses = [p.copy()]
+    responses = np.empty((horizons + 1, n, n))
+    responses[0] = p
     power = np.eye(nk)
-    for _ in range(horizons):
+    for h in range(1, horizons + 1):
         power = companion @ power
-        responses.append(power[:n, :n] @ p)
-    return IrfSet(responses=responses)
+        responses[h] = power[:n, :n] @ p
+    return responses
 
 
-def backtest(panel: PanelDataset, spec: ModelSpec, holdout_start: QuarterDate) -> BacktestResult:
+def backtest(
+    panel: PanelDataset, spec: ModelSpec, holdout_start: QuarterDate
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit before ``holdout_start``, forecast through the panel end, score.
 
-    rmse is the root of the mean squared error and mape the mean of
-    |error|/|actual| (a fraction), both per variable over the holdout range.
+    Returns
+    -------
+    rmse, mape : ndarray (n,)
+        Per variable over the holdout range: the root of the mean squared
+        error, and the mean of |error|/|actual| (a fraction).
 
     Raises
     ------
@@ -328,22 +305,10 @@ def backtest(panel: PanelDataset, spec: ModelSpec, holdout_start: QuarterDate) -
             f"holdout start {holdout_start} outside usable range "
             f"{panel.start.advanced(1)}..{panel.end}"
         )
-    train = panel.window(panel.start, holdout_start.advanced(-1))
-    horizon = panel.end.quarters_since(holdout_start) + 1
-    fit = fit_vecm(train.levels, spec)
-    path = forecast(fit, train.levels[-spec.k :], horizon, origin=train.end)
-    actuals = panel.levels[offset : offset + horizon]
-    metrics = {}
-    for j, name in enumerate(VARIABLES):
-        err = path.values[:, j] - actuals[:, j]
-        rmse = float(np.sqrt(np.mean(err**2)))
-        mape = float(np.mean(np.abs(err) / np.abs(actuals[:, j])))
-        metrics[name] = {"rmse": rmse, "mape": mape}
-    return BacktestResult(
-        spec=spec,
-        holdout_start=holdout_start,
-        quarters=path.quarters(),
-        forecasts=path.values,
-        actuals=actuals,
-        metrics=metrics,
-    )
+    train = panel.window(panel.start, holdout_start.advanced(-1)).levels
+    fit = fit_vecm(train, spec)
+    path = forecast(fit, train[-spec.k :], len(panel) - offset)
+    # One contiguous row per variable, so each mean sums in index order.
+    actuals = np.ascontiguousarray(panel.levels[offset:].T)
+    err = np.ascontiguousarray(path.T) - actuals
+    return np.sqrt(np.mean(err**2, axis=1)), np.mean(np.abs(err) / np.abs(actuals), axis=1)

@@ -23,7 +23,7 @@ from cointegra.diagnostics import lm_autocorrelation, normality_tests
 from fixtures import MODELS, PANEL_STATS, PRICE_STATS
 from cointegra.johansen import DeterministicCase, johansen_test
 from cointegra.lagselect import select_lags
-from cointegra.panel import ingest_panel, summarize
+from cointegra.panel import VARIABLES, ingest_panel, summarize
 from cointegra.pipeline import load_config, run_pipeline
 from cointegra.quarters import QuarterDate
 from cointegra.unitroot import adf_test
@@ -179,7 +179,7 @@ def test_criterion_3_dual_representation_forecasts():
             t_eff=12,
         )
         last = 100.0 + rng.standard_normal((k, n)) * 10.0
-        lib = forecast(fit, last, 20).values
+        lib = forecast(fit, last, 20)
         oracle = difference_recursion(fit, last, 20)
         # unit floor keeps the metric finite where a path crosses zero
         rel = np.abs(lib - oracle) / np.maximum(np.abs(oracle), 1.0)
@@ -371,14 +371,14 @@ def test_criterion_8_backtest_and_martingale_forecasts():
     nonfinite = []
     not_flat = []
     for panel, fit in bundled_fits():
-        result = backtest(panel, fit.spec, HOLDOUT)
-        for name, scores in result.metrics.items():
-            if not (math.isfinite(scores["rmse"]) and math.isfinite(scores["mape"])):
+        rmse, mape = backtest(panel, fit.spec, HOLDOUT)
+        for name, rmse_j, mape_j in zip(VARIABLES, rmse, mape, strict=True):
+            if not (math.isfinite(rmse_j) and math.isfinite(mape_j)):
                 nonfinite.append((panel.state, panel.naics, name))
         flat_fit = fit_vecm(panel.levels, ModelSpec(k=1, r=0, case="none"))
         last = panel.levels[-1]
         path = forecast(flat_fit, panel.levels[-1:], 8)
-        if not np.array_equal(path.values, np.tile(last, (8, 1))):
+        if not np.array_equal(path, np.tile(last, (8, 1))):
             not_flat.append((panel.state, panel.naics))
     ok = not nonfinite and not not_flat
     _report(

@@ -589,3 +589,38 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigInvalid: config is not UTF-8 text: ")
         assert err.count("\n") == 1
+
+
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark, as Excel's "CSV UTF-8"
+    export writes one, reads as the same file without it."""
+
+    @staticmethod
+    def stdout_without_and_with_bom(tmp_path, capsys, relpath, command):
+        """AL 113's ``command`` stdout on a copy of the bundled data, then
+        again after a BOM is put in front of ``relpath``."""
+        root = tmp_path / "sixstate"
+        shutil.copytree(DATA_ROOT, root)
+        argv = [command, "--config", str(root / "config.json"), "--state", "AL", "--naics", "113"]
+        assert run_cli(*argv) == 0
+        plain = capsys.readouterr().out
+        path = root / relpath
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run_cli(*argv) == 0
+        return plain, capsys.readouterr().out
+
+    def test_panel_file(self, tmp_path, capsys):
+        plain, bom = self.stdout_without_and_with_bom(
+            tmp_path, capsys, "panels/AL_113.csv", "summarize"
+        )
+        assert bom == plain and plain.count("\n") == 6
+
+    def test_aux_file(self, tmp_path, capsys):
+        plain, bom = self.stdout_without_and_with_bom(
+            tmp_path, capsys, "aux/national_total.csv", "lq"
+        )
+        assert bom == plain and plain.startswith("state,naics,quarter,lq\nAL,113,2001Q1,")
+
+    def test_config_file(self, tmp_path, capsys):
+        plain, bom = self.stdout_without_and_with_bom(tmp_path, capsys, "config.json", "ingest")
+        assert bom == plain == "ok AL 113 72 quarters 2001Q1..2018Q4\n"

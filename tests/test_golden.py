@@ -27,21 +27,7 @@ CONFIG = os.path.join(ROOT, "data", "sixstate", "config.json")
 with open(os.path.join(ROOT, "benchmarks", "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
 STAGE_STDOUT = GOLDEN["cold-cli"]["stdout"]
-
-SIXSTATE_SHA256 = {
-    "adf.csv": "8ea698fb862aecef90f71cdc2731a26e71e4dfd86466cd3080e3f19e9b504eb2",
-    "backtest.csv": "462a205bd3b98f4713fd2b33186bb2e155d27fb7b5dac59482c9f1d705f51b27",
-    "forecast.csv": "030746b188afcbe4fa142173c9df7af09d919406caa6211e0ac06fa165c9ff16",
-    "irf.csv": "e849c72951d5ba433d6fd9c56815fe7bdaf580de796e0bd5e6e5b09f562b0430",
-    "johansen.csv": "20dbe2e323ed472fc42dd503d7e42a3e2708cdc99842a98d4e45891150fb0678",
-    "lags.csv": "355f538a9fded1b91c0b1f28550b7a9bb0eca72b99b44b8ad01101da6447966d",
-    "lm.csv": "22ce21db53f117ad5fae71a748b282577cc449effe2306054938d81db1853f52",
-    "lq.csv": "c001532fe61db44776a0f2fa974a7135bf8d247a8ad27a47bfc39324bc4bed97",
-    "lq_flags.csv": "0ea61b1f92f0b33d10b852b5da108987409908d274cc140efe4c7671b2036b15",
-    "normality.csv": "574bc4dad1a3781fca28bcf27d12a7946d360b5bb13c0bddb7db9fcd0131f3ee",
-    "plot.csv": "aa200eccb40dcb3bffbd486a75f49ba50678f842f708d71e7b807d24726ba7a1",
-    "summary.csv": "c787ab2fecc6443dd19165b215cb993c856648e1259c98778c06d2ef2511df6a",
-}
+SIXSTATE_SHA256 = GOLDEN["sixstate"]["files"]
 
 
 @pytest.fixture(scope="module")

@@ -173,8 +173,44 @@ class TestKernelParity:
     @pytest.mark.parametrize("how", LAYOUTS)
     @pytest.mark.parametrize("shape", SHAPES + [(3, 3), (3, 5)])
     def test_qr_r(self, shape, how):
+        # numpy's R has min(M, N) rows; scipy's has M, and the rest are zero.
         a = layout(np.random.default_rng(2).standard_normal(shape), how)
-        assert np.array_equal(qr_r(a), scipy.linalg.qr(a, mode="r")[0])
+        r, r0 = qr_r(a), scipy.linalg.qr(a, mode="r")[0]
+        top = min(shape)
+        assert r.shape == (top, shape[1])
+        assert np.array_equal(r, r0[:top]) and not r0[top:].any()
+
+    @pytest.mark.parametrize("shape", [(5, 63, 6), (5, 64, 26), (3, 4, 6)])
+    def test_qr_r_of_a_stack_is_each_matrix_alone(self, shape):
+        stack = np.random.default_rng(8).standard_normal(shape)
+        r = qr_r(stack)
+        top = min(shape[1:])
+        assert r.shape == (shape[0], top, shape[2])
+        for a, ra in zip(stack, r):
+            assert np.array_equal(ra, qr_r(a))
+            assert np.array_equal(ra, scipy.linalg.qr(a, mode="r")[0][:top])
+
+    def test_qr_r_on_every_design_of_a_run(self, tmp_path, monkeypatch):
+        # The lag designs, ADF and LM stacks and beta blocks of the bundled
+        # run, each against scipy's R of the same matrix.
+        from cointegra import diagnostics, johansen, lagselect, pipeline, unitroot
+
+        seen = []
+
+        def recorded(a):
+            seen.append(np.array(a))
+            return qr_r(a)
+
+        for module in (lagselect, johansen, unitroot, diagnostics):
+            monkeypatch.setattr(module, "qr_r", recorded)
+        config = os.path.join(ROOT, "data", "sixstate", "config.json")
+        pipeline.run_pipeline(pipeline.load_config(config, out_dir=str(tmp_path)))
+        matrices = [m for a in seen for m in (a if a.ndim == 3 else [a])]
+        assert len(matrices) >= 16 * 3
+        for a in matrices:
+            r0 = scipy.linalg.qr(a, mode="r")[0]
+            top = min(a.shape)
+            assert np.array_equal(qr_r(a), r0[:top]) and not r0[top:].any()
 
     @pytest.mark.parametrize("rhs", ["1-D", "C", "F"])
     @pytest.mark.parametrize("how", LAYOUTS)
@@ -277,10 +313,9 @@ IDENTITY_CHECKS = """
 import numpy as np
 import scipy.linalg, scipy.linalg.lapack, scipy.special
 from scipy.linalg import _flapack
-names = ("geqp3", "geqrf", "orgqr", "trtrs", "gelsy", "gelsy_lwork")
+names = ("geqp3", "orgqr", "trtrs", "gelsy", "gelsy_lwork")
 scipy_funcs = scipy.linalg.lapack.get_lapack_funcs(names, dtype=np.float64)
-bound = (linalg._GEQP3, linalg._GEQRF, linalg._ORGQR, linalg._TRTRS, linalg._GELSY,
-         linalg._GELSY_LWORK)
+bound = (linalg._GEQP3, linalg._ORGQR, linalg._TRTRS, linalg._GELSY, linalg._GELSY_LWORK)
 print("lapack", all(f is g for f, g in zip(scipy_funcs, bound)), _flapack is linalg._FLAPACK)
 print("chdtrc", linalg._UFUNCS.chdtrc is scipy.special.chdtrc)
 q, r = scipy.linalg.qr(np.eye(3))

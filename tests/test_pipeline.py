@@ -34,7 +34,7 @@ from cointegra.pipeline import (
     run_pipeline,
 )
 from cointegra.quarters import QuarterDate
-from cointegra.vecm import ForecastPath, ModelSpec, fit_vecm
+from cointegra.vecm import ModelSpec, fit_vecm
 
 DATA_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "data", "sixstate")
@@ -217,13 +217,15 @@ class TestPlotData:
         return PanelDataset("AL", 113, start, levels)
 
     @staticmethod
-    def split(blocks):
-        return [line.split(",") for line in "".join(blocks).splitlines()]
+    def plot_rows(panel, base):
+        """plot.csv rows of ``panel`` with a one-quarter forecast of 8s."""
+        rows = np.concatenate((panel.levels, np.full((1, 5), 8.0)))
+        text = emit_plot_data(panel, rows, _path_template(panel, 1), base)
+        return [line.split(",") for line in text.splitlines()]
 
     def test_self_normalization(self):
         panel = self.make_panel([2.0, 4.0, 6.0])
-        path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
-        rows = self.split(emit_plot_data([path], [panel], [_path_template(panel, path)], QuarterDate(2010, 1)))
+        rows = self.plot_rows(panel, QuarterDate(2010, 1))
         history = [r for r in rows if r[5] == "0" and r[3] == "output"]
         assert [r[4] for r in history] == ["1", "2", "3"]
         forecast_rows = [r for r in rows if r[5] == "1" and r[3] == "output"]
@@ -231,16 +233,16 @@ class TestPlotData:
 
     def test_base_after_series_start(self):
         panel = self.make_panel([2.0, 4.0, 6.0])
-        path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
-        rows = self.split(emit_plot_data([path], [panel], [_path_template(panel, path)], QuarterDate(2010, 2)))
+        rows = self.plot_rows(panel, QuarterDate(2010, 2))
         history = [r for r in rows if r[5] == "0" and r[3] == "output"]
         assert [r[4] for r in history] == ["0.5", "1", "1.5"]
 
     def test_missing_index_base(self):
         panel = self.make_panel([2.0, 4.0, 6.0])
-        path = ForecastPath(origin=panel.end, horizon=1, values=np.full((1, 5), 8.0))
         with pytest.raises(IndexBaseMissing):
-            emit_plot_data([path], [panel], [_path_template(panel, path)], QuarterDate(2009, 4))
+            self.plot_rows(panel, QuarterDate(2009, 4))
+        with pytest.raises(IndexBaseMissing):
+            self.plot_rows(panel, QuarterDate(2010, 4))
 
 
 class TestAuxLoading:
@@ -424,6 +426,52 @@ class TestRunPipeline:
         base_rows = [r for r in rows if ",2001Q1," in r and r.startswith("AL")]
         assert base_rows and all(r.split(",")[4] == "1" for r in base_rows)
 
+    def test_model_without_plot_base_fails_alone(self, tmp_path):
+        # AL 113 ends (2009Q2) before AR 113 starts (2010Q3), the latest
+        # start and so the plot base: only AL 113 fails, after its other
+        # reports are built.
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(DATA_ROOT, data)
+        for name, keep in (("AL_113", slice(None, 34)), ("AR_113", slice(-34, None))):
+            path = data / "panels" / f"{name}.csv"
+            header, *rows = path.read_text().splitlines(keepends=True)
+            path.write_text(header + "".join(rows[keep]))
+        config = parse_config(
+            {
+                "dataDir": str(data),
+                "outDir": str(tmp_path / "out"),
+                "models": [
+                    {"state": "AL", "naics": 113},
+                    {"state": "AR", "naics": 113},
+                    {"state": "ME", "naics": 113},
+                ],
+                "defaults": {"maxLag": 1, "horizon": 8},
+            }
+        )
+        manifest = run_pipeline(config)
+        assert manifest.failed
+        by_state = {m["state"]: m for m in manifest.models}
+        assert by_state["AL"] == {
+            "state": "AL",
+            "naics": 113,
+            "status": "error",
+            "message": "IndexBaseMissing: AL/113 lacks 2010Q3",
+        }
+        assert by_state["AR"]["status"] == by_state["ME"]["status"] == "ok"
+
+        def models_in(report):
+            with open(tmp_path / "out" / report) as fh:
+                return Counter(line.split(",")[0] for line in fh.read().splitlines()[1:])
+
+        assert models_in("forecast.csv") == {"AL": 5 * (34 + 8), "AR": 5 * (34 + 8), "ME": 5 * 80}
+        assert models_in("irf.csv").keys() == {"AL", "AR", "ME"}
+        assert models_in("plot.csv") == {"AR": 5 * (34 + 8), "ME": 5 * 80}
+        with open(tmp_path / "out" / "plot.csv") as fh:
+            first_ar = next(line for line in fh if line.startswith("AR,"))
+        assert first_ar == "AR,113,2010Q3,output,1,0\n"
+
     def test_rerun_removes_reports_it_does_not_write(self, tmp_path):
         with open(os.path.join(DATA_ROOT, "config.json")) as fh:
             obj = json.load(fh)
@@ -468,13 +516,13 @@ class TestOneFactorizationPerModel:
 
             return wrapper
 
-        names = ("stacked_qr_r", "qr_r", "pivoted_qr", "ols", "lstsq")
+        names = ("qr_r", "pivoted_qr", "ols", "lstsq")
         originals = {name: getattr(linalg, name) for name in names if hasattr(linalg, name)}
         for module in (linalg, unitroot, diagnostics):
             for name, func in originals.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, func))
         adf_lines(panel)
-        assert calls == Counter(stacked_qr_r=1)
+        assert calls == Counter(qr_r=1)
         diagnostics.lm_autocorrelation(fit, LM_LAGS)
-        assert calls == Counter(stacked_qr_r=2)
+        assert calls == Counter(qr_r=2)
