@@ -4,9 +4,13 @@ Loads a JSON run configuration, executes the stage chain (ingest, location
 quotients, unit-root tests, lag selection, cointegration rank, VECM fit,
 residual diagnostics, forecast, backtest, impulse responses) for every
 configured model, and writes one report bundle. Models run one after
-another; failures are recorded per model and never abort the run. Given the
-same configuration, data, and seed, the report CSVs are byte-identical
-across runs; manifest timings are the only varying output.
+another in report order, (state, naics); failures are recorded per model and
+never abort the run. Each model's rows are appended to temp files in the
+output directory as soon as it ends, so a run holds one model's text at a
+time; the reports and then the manifest are renamed into place at the end,
+and an interrupted run leaves the previous bundle as it was. Given the same
+configuration, data, and seed, the report CSVs are byte-identical across
+runs; manifest timings are the only varying output.
 
 Each report has one builder (``summary_lines`` … ``backtest_lines``) that
 returns one model's rows as text; ``run`` writes them into the bundle and
@@ -545,9 +549,11 @@ def resolve_model(
 
 @dataclass
 class ModelOutput:
-    """One model's results; ``lines`` maps each report to its text, and
-    ``rows`` holds forecast.csv's values (the levels, then the forecast
-    path) in the order they fill ``template``, once forecast has run."""
+    """One model's results. ``lines`` maps each report to the model's text
+    until ``run_pipeline`` appends it to the bundle and clears it. ``rows``
+    holds forecast.csv's values (the levels, then the forecast path) in the
+    order they fill ``template``, once forecast has run; the plot pass reads
+    both after every model has run."""
 
     model: ModelConfig
     status: str = "ok"
@@ -609,7 +615,16 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
 
 
 def run_pipeline(config: RunConfig) -> RunManifest:
-    """Execute every configured model and write the report bundle."""
+    """Execute every configured model and write the report bundle.
+
+    Models run in report order, (state, naics), and each one's rows are
+    appended to temp files in ``out_dir`` as soon as it ends, so the run
+    holds one model's text at a time. Once every report and the manifest
+    are written, each temp file is renamed onto its report, a report this
+    run does not write is removed, and the manifest is renamed last. If
+    anything escapes (an interrupt, a failed write), the temp files are
+    deleted and the previous bundle stays as it was.
+    """
     started = time.perf_counter()
     if not os.path.isdir(config.data_dir):
         raise DataDirMissing(config.data_dir)
@@ -621,71 +636,96 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         (m.naics for m in config.models),
     )
 
-    outputs = [_run_model(m, config, aux) for m in config.models]
-    outputs.sort(key=lambda o: (o.model.state, o.model.naics))
-
-    # Relative plot series, indexed at the latest common start quarter.
-    forecasted = [o for o in outputs if o.rows is not None]
-    index_base = max((o.panel.start for o in forecasted), default=None)
-    for o in forecasted:
-        try:
-            o.lines["plot.csv"] = emit_plot_data(o.panel, o.rows, o.template, index_base)
-        except IndexBaseMissing as exc:
-            o.fail(exc)
-
-    # A report this run does not write is removed, so the bundle never
-    # mixes two runs.
     os.makedirs(config.out_dir, exist_ok=True)
-    files = []
-    for report, header in REPORT_HEADERS.items():
-        text = "".join(o.lines.get(report, "") for o in outputs)
-        target = os.path.join(config.out_dir, report)
-        if not text:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(target)
-            continue
-        with open(target, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n" + text)
-        files.append(report)
+    # A leading dot and the pid keep a temp name off every report and off
+    # a user's own files.
+    temp = {
+        name: os.path.join(config.out_dir, f".{name}.{os.getpid()}.tmp")
+        for name in (*REPORT_HEADERS, "manifest.json")
+    }
+    handles = {}  # report -> its temp file, opened when its first text arrives
+    try:
+        with contextlib.ExitStack() as stack:
 
-    models = []
-    for o in sorted(outputs, key=lambda o: (o.model.naics, o.model.state)):
-        entry = {"state": o.model.state, "naics": o.model.naics, "status": o.status}
-        if o.status == "ok":
+            def append(report: str, text: str) -> None:
+                fh = handles.get(report)
+                if fh is None:
+                    fh = handles[report] = stack.enter_context(
+                        open(temp[report], "w", newline="")
+                    )
+                    fh.write(",".join(REPORT_HEADERS[report]) + "\n")
+                fh.write(text)
+
+            outputs = []
+            for model in sorted(config.models, key=lambda m: (m.state, m.naics)):
+                o = _run_model(model, config, aux)
+                for report, text in o.lines.items():
+                    append(report, text)
+                o.lines.clear()
+                outputs.append(o)
+
+            # Relative plot series, indexed at the latest common start quarter.
+            forecasted = [o for o in outputs if o.rows is not None]
+            index_base = max((o.panel.start for o in forecasted), default=None)
+            for o in forecasted:
+                try:
+                    append("plot.csv", emit_plot_data(o.panel, o.rows, o.template, index_base))
+                except IndexBaseMissing as exc:
+                    o.fail(exc)
+
+        models = []
+        for o in sorted(outputs, key=lambda o: (o.model.naics, o.model.state)):
+            entry = {"state": o.model.state, "naics": o.model.naics, "status": o.status}
             entry.update(o.spec_used)
-        else:
-            entry["message"] = o.message
-        models.append(entry)
+            if o.status != "ok":
+                entry["message"] = o.message
+            models.append(entry)
 
-    manifest = RunManifest(
-        config_hash=config.config_hash,
-        models=models,
-        files=sorted(files),
-        timings={
-            "totalSeconds": round(time.perf_counter() - started, 3),
-            "perModel": {
-                f"{o.model.state}_{o.model.naics}": round(o.seconds, 3) for o in outputs
+        manifest = RunManifest(
+            config_hash=config.config_hash,
+            models=models,
+            files=sorted(handles),
+            timings={
+                "totalSeconds": round(time.perf_counter() - started, 3),
+                "perModel": {
+                    f"{o.model.state}_{o.model.naics}": round(o.seconds, 3) for o in outputs
+                },
             },
-        },
-        environment={
-            "blasThreads": blas_threads(),
-            "cointegra": __version__,
-            "numpy": np.__version__,
-            "scipy": SCIPY_VERSION,
-        },
-    )
-    with open(os.path.join(config.out_dir, "manifest.json"), "w") as fh:
-        json.dump(
-            {
-                "configHash": manifest.config_hash,
-                "models": manifest.models,
-                "files": manifest.files,
-                "timings": manifest.timings,
-                "environment": manifest.environment,
+            environment={
+                "blasThreads": blas_threads(),
+                "cointegra": __version__,
+                "numpy": np.__version__,
+                "scipy": SCIPY_VERSION,
             },
-            fh,
-            indent=2,
-            sort_keys=True,
         )
-        fh.write("\n")
+        with open(temp["manifest.json"], "w") as fh:
+            json.dump(
+                {
+                    "configHash": manifest.config_hash,
+                    "models": manifest.models,
+                    "files": manifest.files,
+                    "timings": manifest.timings,
+                    "environment": manifest.environment,
+                },
+                fh,
+                indent=2,
+                sort_keys=True,
+            )
+            fh.write("\n")
+
+        # A report this run does not write is removed, so the bundle never
+        # mixes two runs.
+        for report in REPORT_HEADERS:
+            target = os.path.join(config.out_dir, report)
+            if report in handles:
+                os.replace(temp[report], target)
+            else:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(target)
+        os.replace(temp["manifest.json"], os.path.join(config.out_dir, "manifest.json"))
+    except BaseException:
+        for path in temp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     return manifest

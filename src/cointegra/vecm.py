@@ -257,7 +257,10 @@ def irf(fit: VecmFit, horizons: int) -> np.ndarray:
     """Orthogonalized impulse responses Theta_0..Theta_H from the companion form.
 
     Theta_h = J C^h J' P where C is the companion matrix of the level VAR
-    and P = cholesky(sigma); Theta_0 = P.
+    and P = cholesky(sigma); Theta_0 = P. Only the top-left block of C^h is
+    formed: Phi_h = [A_1 … A_k] [Phi_{h-1}; …; Phi_{h-k}], with Phi_0 = I
+    and zero before it, since C's lower block rows only shift the first
+    block column of C^(h-1) down.
 
     Returns
     -------
@@ -270,14 +273,16 @@ def irf(fit: VecmFit, horizons: int) -> np.ndarray:
         raise ValueError("horizons must be nonnegative")
     p = cholesky(fit.sigma)
     top, _ = _companion_top(fit)
-    n, nk = top.shape
-    companion = np.vstack([top, np.eye(nk - n, nk)])
+    k, n = fit.spec.k, fit.n
+    # Newest first: phi[horizons - h] is Phi_h, so the k blocks after row i
+    # are its inputs, as a contiguous view.
+    phi = np.zeros((horizons + k, n, n))
+    phi[horizons] = np.eye(n)
+    for i in range(horizons - 1, -1, -1):
+        np.matmul(top, phi[i + 1 : i + 1 + k].reshape(k * n, n), out=phi[i])
     responses = np.empty((horizons + 1, n, n))
     responses[0] = p
-    power = np.eye(nk)
-    for h in range(1, horizons + 1):
-        power = companion @ power
-        responses[h] = power[:n, :n] @ p
+    np.matmul(phi[:horizons][::-1], p, out=responses[1:])
     return responses
 
 

@@ -2,12 +2,13 @@ import copy
 import json
 import re
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cointegra import diagnostics, linalg, unitroot
+from cointegra import diagnostics, linalg, pipeline, unitroot
 from cointegra.errors import (
     ConfigInvalid,
     DataDirMissing,
@@ -458,6 +459,9 @@ class TestRunPipeline:
             "naics": 113,
             "status": "error",
             "message": "IndexBaseMissing: AL/113 lacks 2010Q3",
+            "k": 1,
+            "r": 4,
+            "case": "rconst",
         }
         assert by_state["AR"]["status"] == by_state["ME"]["status"] == "ok"
 
@@ -486,6 +490,41 @@ class TestRunPipeline:
             files = json.load(fh)["files"]
         assert len(files) == 11 and "backtest.csv" not in files
         assert sorted(os.listdir(tmp_path)) == sorted(files + ["manifest.json"])
+
+    def test_model_failing_in_backtest_keeps_its_spec(self, tmp_path):
+        # AL 113 ends in 2009Q2, before the holdout starts: its backtest
+        # fails after k, r and case were chosen and its other rows written.
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(DATA_ROOT, data)
+        path = data / "panels" / "AL_113.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(rows[:34]))
+        config = parse_config(
+            {
+                "dataDir": str(data),
+                "outDir": str(tmp_path / "out"),
+                "models": [{"state": "AL", "naics": 113}, {"state": "ME", "naics": 113}],
+                "defaults": {"maxLag": 2, "horizon": 4, "holdoutStart": "2012Q1"},
+            }
+        )
+        manifest = run_pipeline(config)
+        by_state = {m["state"]: m for m in manifest.models}
+        al = by_state["AL"]
+        assert al["status"] == "error"
+        assert al["message"].startswith("HoldoutOutOfRange: ")
+        assert by_state["ME"]["status"] == "ok"
+
+        with open(tmp_path / "out" / "johansen.csv") as fh:
+            written = {
+                (row[2], row[3], row[9])
+                for row in (line.split(",") for line in fh.read().splitlines()[1:])
+                if row[0] == "AL"
+            }
+        assert written == {(str(al["k"]), al["case"], str(al["r"]))}
+        with open(tmp_path / "out" / "backtest.csv") as fh:
+            assert {line.split(",")[0] for line in fh.read().splitlines()[1:]} == {"ME"}
 
 
 class TestDefaultConfigObject:
@@ -526,3 +565,60 @@ class TestOneFactorizationPerModel:
         assert calls == Counter(qr_r=1)
         diagnostics.lm_autocorrelation(fit, LM_LAGS)
         assert calls == Counter(qr_r=2)
+
+
+def _bundle(out_dir) -> dict[str, bytes]:
+    """Every file in ``out_dir``, by name."""
+    bundle = {}
+    for name in os.listdir(out_dir):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            bundle[name] = fh.read()
+    return bundle
+
+
+class TestStreamedBundle:
+    def test_run_holds_one_model_of_text_not_the_bundle(self, tmp_path):
+        with open(os.path.join(DATA_ROOT, "config.json")) as fh:
+            obj = json.load(fh)
+        obj["outDir"] = str(tmp_path)
+        obj["defaults"]["horizon"] = 200
+        config = parse_config(obj, base_dir=DATA_ROOT)
+        run_pipeline(config)  # warm: lazily built caches are not the run's text
+        tracemalloc.start()
+        try:
+            run_pipeline(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        irf_size = os.path.getsize(tmp_path / "irf.csv")
+        assert irf_size > 2_000_000
+        assert peak < irf_size
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, OSError])
+    @pytest.mark.parametrize("where", ["second model", "plot pass"])
+    def test_interrupted_run_leaves_the_previous_bundle(self, tmp_path, monkeypatch, where, exc):
+        config = small_run_config(tmp_path)
+        run_pipeline(config)
+        before = _bundle(config.out_dir)
+        assert len(before) == 13
+
+        if where == "second model":
+            calls = []
+            run_model = pipeline._run_model
+
+            def interrupted(*args):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise exc()
+                return run_model(*args)
+
+            monkeypatch.setattr(pipeline, "_run_model", interrupted)
+        else:
+
+            def interrupted(*args):
+                raise exc()
+
+            monkeypatch.setattr(pipeline, "emit_plot_data", interrupted)
+        with pytest.raises(exc):
+            run_pipeline(config)
+        assert _bundle(config.out_dir) == before

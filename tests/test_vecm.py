@@ -1,13 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from cointegra.errors import HoldoutOutOfRange, HorizonZero, RankMismatch, SampleTooShort
 from cointegra.johansen import DeterministicCase
-from cointegra.panel import VARIABLES, PanelDataset
+from cointegra.panel import VARIABLES, PanelDataset, ingest_panel
 from cointegra.quarters import QuarterDate
 from cointegra.vecm import (
     ModelSpec,
     VecmFit,
+    _companion_top,
     backtest,
     fit_vecm,
     forecast,
@@ -355,6 +358,31 @@ class TestIrf:
 
         assert np.array_equal(out[0], cholesky(fit.sigma))
         assert np.allclose(np.triu(out[0], 1), 0.0)
+
+    @pytest.mark.parametrize("horizons", [0, 1, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_the_full_companion_power(self, k, horizons):
+        from cointegra.linalg import cholesky
+
+        def full_power_irf(fit, horizons):
+            # Every step multiplies the whole nk x nk companion power.
+            p = cholesky(fit.sigma)
+            top, _ = _companion_top(fit)
+            n, nk = top.shape
+            companion = np.vstack([top, np.eye(nk - n, nk)])
+            responses = np.empty((horizons + 1, n, n))
+            responses[0] = p
+            power = np.eye(nk)
+            for h in range(1, horizons + 1):
+                power = companion @ power
+                responses[h] = power[:n, :n] @ p
+            return responses
+
+        panels = os.path.join(os.path.dirname(__file__), "..", "data", "sixstate", "panels")
+        for name in ("AL_113", "ME_321", "WI_322"):
+            levels = ingest_panel(os.path.join(panels, f"{name}.csv")).levels
+            fit = fit_vecm(levels, ModelSpec(k=k, r=2, case="rconst"))
+            assert np.array_equal(irf(fit, horizons), full_power_irf(fit, horizons)), name
 
 
 class TestBacktest:
