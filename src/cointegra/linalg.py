@@ -7,20 +7,28 @@ maximum-likelihood divisor T throughout; estimators that need a
 degrees-of-freedom correction apply it at the call site.
 
 This is the only module of the package that imports scipy or ctypes, and it
-loads only two of scipy's compiled extensions: ``scipy.linalg._flapack`` for
-LAPACK and ``scipy.special._ufuncs`` for ``chdtrc``. ``import scipy.linalg``
-or ``import scipy.special`` would also run both packages' Python layers,
-which nothing here calls and which cost about 190 ms of every fresh process
-(2 vCPU, scipy 1.17). So ``_load_extensions`` binds each package that is not
+runs none of scipy's Python code: a process that imports cointegra holds
+exactly two scipy modules, the compiled extensions ``scipy.linalg._flapack``
+for LAPACK and ``scipy.special._special_ufuncs`` for ``gammaincc``; the
+latter imports no other scipy module. ``import scipy.linalg, scipy.special``
+would also run scipy's and both packages' ``__init__`` files, which nothing
+here calls: after numpy, that import took about 0.35 s and 32 MB of resident
+memory, and this module's import 0.04 s and 5 MB. Of the difference, scipy's
+root ``__init__`` and the 300-ufunc ``scipy.special._ufuncs`` (home of
+``chdtrc``) alone are about 14 ms and 2.4 MB (2 vCPU, scipy 1.17). So
+``_load_extensions`` finds scipy's directory with ``importlib.util.find_spec``,
+binds each of ``scipy``, ``scipy.linalg`` and ``scipy.special`` that is not
 imported yet to a bare stub with the real package directory as its
-``__path__``, imports the two extensions under the stubs and removes the
-stubs again. The extensions and their helpers stay in ``sys.modules``, so
-a later ``import scipy.linalg`` or ``import scipy.special`` runs the real
-package and reuses them: ``get_lapack_funcs(..., dtype=np.float64)`` and
-``scipy.special.chdtrc`` return the very objects bound here. (The real
-packages then lack the preloaded submodules as attributes, but
-``from scipy.linalg import _flapack`` still works.) A failed stubbed import
-falls back to the normal one, which is slower and gives the same objects.
+``__path__``, imports the two extensions and ``scipy.version`` under the
+stubs, and removes the stubs and ``scipy.version`` again. The extensions stay
+in ``sys.modules``, so a later ``import scipy.linalg`` or ``import
+scipy.special`` runs the real package and reuses them:
+``get_lapack_funcs(..., dtype=np.float64)`` and ``scipy.special.gammaincc``
+return the very objects bound here. (The real packages then lack the
+preloaded submodules as attributes, but ``from scipy.linalg import _flapack``
+still works.) A failed stubbed import falls back to importing ``_flapack``
+and the public ``scipy.special`` normally, which is slower and gives the same
+objects; it also serves a scipy without the private ``_special_ufuncs``.
 
 Importing this module sets numpy's OpenBLAS pool (``libscipy_openblas64_``,
 which runs ``@``) and scipy's (``libscipy_openblas``, LAPACK) to one thread
@@ -52,49 +60,68 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import importlib
+import importlib.util
 import os
 import sys
 import types
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import NotPositiveDefinite, RankDeficient
 
 # Relative pivot threshold below which a design matrix is declared singular.
 RANK_TOL = 1e-10
 
-_EXTENSIONS = ("scipy.linalg._flapack", "scipy.special._ufuncs")
-_POOLS = {"numpy": (np, "64_"), "scipy": (scipy, "")}
+# find_spec locates a package without running its ``__init__``.
+_SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
+# pool -> (package directory, whose sibling ``<dir>.libs`` holds its OpenBLAS; symbol suffix)
+_POOLS = {"numpy": (np.__path__[0], "64_"), "scipy": (_SCIPY_DIR, "")}
 
 
-def _load_extensions() -> list[types.ModuleType]:
-    """Import ``_EXTENSIONS`` without running the ``__init__`` of their
-    packages, falling back to a normal import."""
+def _load_extensions() -> tuple[types.ModuleType, types.ModuleType, str]:
+    """``scipy.linalg._flapack``, the module that provides ``gammaincc`` and
+    scipy's version, imported without running any scipy ``__init__``.
+
+    ``scipy``, ``scipy.linalg`` and ``scipy.special``, each where not
+    imported yet, are bare stubs with the real package directory as
+    ``__path__`` during the imports; the stubs and ``scipy.version`` are
+    removed again after them. If the stubbed imports fail, ``_flapack`` and
+    the public ``scipy.special`` are imported normally.
+    """
     stubs = {}
-    for name in ("scipy.linalg", "scipy.special"):
+    for name in ("scipy", "scipy.linalg", "scipy.special"):
         if name not in sys.modules:
             stub = types.ModuleType(name)
-            stub.__path__ = [os.path.join(scipy.__path__[0], name.rpartition(".")[2])]
+            stub.__path__ = [os.path.join(_SCIPY_DIR, *name.split(".")[1:])]
             sys.modules[name] = stubs[name] = stub
     try:
-        return [importlib.import_module(name) for name in _EXTENSIONS]
+        from scipy.linalg import _flapack
+        from scipy.special import _special_ufuncs
+        from scipy.version import version
+
+        return _flapack, _special_ufuncs, version
     except ImportError:
         pass
     finally:
+        if "scipy" in stubs:
+            # A real ``import scipy`` would find it loaded and never bind
+            # it as the attribute ``scipy.version``.
+            sys.modules.pop("scipy.version", None)
         for name, stub in stubs.items():
             if sys.modules.get(name) is stub:
                 del sys.modules[name]
-    return [importlib.import_module(name) for name in _EXTENSIONS]
+    import scipy.special
+    from scipy.linalg import _flapack
+
+    return _flapack, scipy.special, scipy.__version__
 
 
 def _openblas(pool: str, verb: str, *args: int) -> int | None:
     """Call ``scipy_openblas_<verb>_num_threads`` (``int get()``, ``void set(int)``)
     of the OpenBLAS loaded for ``pool``; None where library or symbol is missing."""
-    package, suffix = _POOLS[pool]
-    found = glob.glob(os.path.join(package.__path__[0] + ".libs", f"libscipy_openblas{suffix}-*"))
+    directory, suffix = _POOLS[pool]
+    found = glob.glob(os.path.join(directory + ".libs", f"libscipy_openblas{suffix}-*"))
     symbol = f"scipy_openblas_{verb}_num_threads{suffix}"
     func = getattr(ctypes.CDLL(found[0]), symbol, None) if found else None
     if func is None:
@@ -108,10 +135,9 @@ def blas_threads() -> dict[str, int | None]:
     return {pool: _openblas(pool, "get") for pool in _POOLS}
 
 
-_FLAPACK, _UFUNCS = _load_extensions()
+_FLAPACK, _UFUNCS, SCIPY_VERSION = _load_extensions()
 for _pool in _POOLS:
     _openblas(_pool, "set", 1)
-SCIPY_VERSION = scipy.__version__
 _GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
     _FLAPACK.dgeqp3,
     _FLAPACK.dorgqr,
@@ -262,13 +288,15 @@ def ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
 def chi2_sf(x: float, dof: int) -> float:
     """Upper-tail probability P(X > x) for X ~ chi-square(dof).
 
-    Bitwise equal to ``scipy.stats.chi2.sf(x, dof)``, which evaluates the
-    same ``chdtrc``. As there, a negative statistic gives 1.0 (``chdtrc``
+    ``gammaincc(dof / 2, x / 2)``, the regularized upper incomplete gamma
+    function, which is what ``scipy.special.chdtrc(dof, x)`` evaluates; so
+    bitwise equal to ``chdtrc`` and to ``scipy.stats.chi2.sf(x, dof)``,
+    which calls it. As there, a negative statistic gives 1.0 (``chdtrc``
     alone gives NaN) and NaN stays NaN.
     """
     if x < 0.0:
         return 1.0
-    return float(_UFUNCS.chdtrc(dof, x))
+    return float(_UFUNCS.gammaincc(dof / 2.0, x / 2.0))
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

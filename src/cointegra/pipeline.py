@@ -8,9 +8,11 @@ another in report order, (state, naics); failures are recorded per model and
 never abort the run. Each model's rows are appended to temp files in the
 output directory as soon as it ends, so a run holds one model's text at a
 time; the reports and then the manifest are renamed into place at the end,
-and an interrupted run leaves the previous bundle as it was. Given the same
-configuration, data, and seed, the report CSVs are byte-identical across
-runs; manifest timings are the only varying output.
+and an interrupted run leaves the previous bundle as it was. The manifest
+times each model's stages and names the stage and exception class of a
+failed model. Given the same configuration, data, and seed, the report CSVs
+are byte-identical across runs; manifest timings are the only varying
+output.
 
 Each report has one builder (``summary_lines`` … ``backtest_lines``) that
 returns one model's rows as text; ``run`` writes them into the bundle and
@@ -29,6 +31,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -553,11 +556,16 @@ class ModelOutput:
     until ``run_pipeline`` appends it to the bundle and clears it. ``rows``
     holds forecast.csv's values (the levels, then the forecast path) in the
     order they fill ``template``, once forecast has run; the plot pass reads
-    both after every model has run."""
+    both after every model has run. ``stages`` maps each stage entered, in
+    order, to its seconds; ``stage`` is the stage last entered, and after a
+    failure the stage that failed."""
 
     model: ModelConfig
     status: str = "ok"
     message: str = ""
+    error_type: str = ""
+    stage: str = ""
+    stages: dict[str, float] = field(default_factory=dict)
     spec_used: dict = field(default_factory=dict)
     lines: dict[str, str] = field(default_factory=dict)
     panel: PanelDataset | None = None
@@ -565,53 +573,106 @@ class ModelOutput:
     template: str = ""
     seconds: float = 0.0
 
-    def fail(self, exc: Exception) -> None:
-        """Record the model's first failure; the rows already built stay."""
+    @contextlib.contextmanager
+    def timed(self, stage: str):
+        """Run one stage, adding its seconds to ``stages``."""
+        self.stage = stage
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[stage] = time.perf_counter() - started
+
+    def fail(self, exc: Exception, stage: str = "") -> None:
+        """Record the model's first failure, in ``stage`` or else in the
+        stage last entered; the rows already built stay."""
         if self.status == "ok":
             self.status = "error"
-            self.message = f"{type(exc).__name__}: {exc}"
+            self.stage = stage or self.stage
+            self.error_type = type(exc).__name__
+            self.message = f"{self.error_type}: {exc}"
 
 
 def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
     out = ModelOutput(model=model)
     lines = out.lines
     defaults = config.defaults
+    timed = out.timed
     started = time.perf_counter()
     try:
-        panel = out.panel = load_panel(config.data_dir, model.state, model.naics)
+        with timed("ingest"):
+            panel = out.panel = load_panel(config.data_dir, model.state, model.naics)
 
-        lq = lq_records_for_panel(panel, aux)
-        lines["lq.csv"] = lq_lines(panel, lq)
-        mean_lq, significant = lq_flag(lq, defaults.lq_threshold)
-        lines["lq_flags.csv"] = _line(panel, fmt6(mean_lq), int(significant))
-        lines["summary.csv"] = summary_lines(panel)
-        lines["adf.csv"] = adf_lines(panel)
+        with timed("lq"):
+            lq = lq_records_for_panel(panel, aux)
+            lines["lq.csv"] = lq_lines(panel, lq)
+            mean_lq, significant = lq_flag(lq, defaults.lq_threshold)
+            lines["lq_flags.csv"] = _line(panel, fmt6(mean_lq), int(significant))
+        with timed("summary"):
+            lines["summary.csv"] = summary_lines(panel)
+        with timed("adf"):
+            lines["adf.csv"] = adf_lines(panel)
 
         x = panel.levels
-        selection = select_lags(x, max_lag=defaults.max_lag)
-        lines["lags.csv"] = lags_lines(panel, selection)
+        with timed("lags"):
+            selection = select_lags(x, max_lag=defaults.max_lag)
+            lines["lags.csv"] = lags_lines(panel, selection)
 
-        k, r, case, jres = resolve_model(x, model, defaults, selection.chosen["byAic"])
-        lines["johansen.csv"] = johansen_lines(panel, jres)
-        out.spec_used = {"k": k, "r": r, "case": jres.case.short}
-        spec = ModelSpec(k=k, r=r, case=case)
-        fit = fit_vecm(x, spec, jres)
-        lines["lm.csv"] = lm_lines(panel, fit)
-        lines["normality.csv"] = normality_lines(panel, fit)
+        with timed("johansen"):
+            k, r, case, jres = resolve_model(x, model, defaults, selection.chosen["byAic"])
+            lines["johansen.csv"] = johansen_lines(panel, jres)
+            out.spec_used = {"k": k, "r": r, "case": jres.case.short}
+        with timed("fit"):
+            spec = ModelSpec(k=k, r=r, case=case)
+            fit = fit_vecm(x, spec, jres)
+        with timed("lm"):
+            lines["lm.csv"] = lm_lines(panel, fit)
+        with timed("normality"):
+            lines["normality.csv"] = normality_lines(panel, fit)
 
-        path = forecast(fit, x[-k:], defaults.horizon)
-        out.template = _path_template(panel, defaults.horizon)
-        out.rows = np.concatenate((x, path))
-        lines["forecast.csv"] = _fill(out.template, out.rows)
-        lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))
+        with timed("forecast"):
+            path = forecast(fit, x[-k:], defaults.horizon)
+            out.template = _path_template(panel, defaults.horizon)
+            out.rows = np.concatenate((x, path))
+            lines["forecast.csv"] = _fill(out.template, out.rows)
+        with timed("irf"):
+            lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))
 
         if defaults.holdout_start is not None:
-            rmse, mape = backtest(panel, spec, defaults.holdout_start)
-            lines["backtest.csv"] = backtest_lines(panel, rmse, mape)
+            with timed("backtest"):
+                rmse, mape = backtest(panel, spec, defaults.holdout_start)
+                lines["backtest.csv"] = backtest_lines(panel, rmse, mape)
     except Exception as exc:
         out.fail(exc)
     out.seconds = time.perf_counter() - started
     return out
+
+
+# A run's temp name, as ``run_pipeline`` builds it.
+_TEMP_NAME = re.compile(r"\.(?P<name>.+)\.(?P<pid>[0-9]+)\.tmp")
+
+
+def _remove_dead_runs_temp_files(out_dir: str) -> None:
+    """Delete the temp files in ``out_dir`` of runs whose process no longer
+    exists: a run killed by a signal it cannot catch (SIGKILL, the OOM
+    killer) never reaches its own cleanup. A name is removed only if it is
+    a report's or the manifest's, with a pid that is not this process and
+    that ``os.kill(pid, 0)`` finds gone. Only on POSIX: elsewhere
+    ``os.kill`` terminates the process it names."""
+    if os.name != "posix":
+        return
+    ours = (*REPORT_HEADERS, "manifest.json")
+    for entry in os.listdir(out_dir):
+        match = _TEMP_NAME.fullmatch(entry)
+        if match is None or match["name"] not in ours or int(match["pid"]) == os.getpid():
+            continue
+        try:
+            os.kill(int(match["pid"]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, entry))
+        except (PermissionError, OverflowError):
+            pass  # another user's live process, or a number no pid can be
 
 
 def run_pipeline(config: RunConfig) -> RunManifest:
@@ -623,7 +684,12 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     are written, each temp file is renamed onto its report, a report this
     run does not write is removed, and the manifest is renamed last. If
     anything escapes (an interrupt, a failed write), the temp files are
-    deleted and the previous bundle stays as it was.
+    deleted and the previous bundle stays as it was; the temp files of a
+    run killed outright are deleted by the next run into ``out_dir``.
+
+    ``timings.writeSeconds`` is the time spent writing and closing the
+    reports' temp files; the manifest's own write and the renames come
+    after it is taken.
     """
     started = time.perf_counter()
     if not os.path.isdir(config.data_dir):
@@ -637,6 +703,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     )
 
     os.makedirs(config.out_dir, exist_ok=True)
+    _remove_dead_runs_temp_files(config.out_dir)
     # A leading dot and the pid keep a temp name off every report and off
     # a user's own files.
     temp = {
@@ -644,10 +711,13 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         for name in (*REPORT_HEADERS, "manifest.json")
     }
     handles = {}  # report -> its temp file, opened when its first text arrives
+    write_seconds = 0.0
     try:
         with contextlib.ExitStack() as stack:
 
             def append(report: str, text: str) -> None:
+                nonlocal write_seconds
+                write_started = time.perf_counter()
                 fh = handles.get(report)
                 if fh is None:
                     fh = handles[report] = stack.enter_context(
@@ -655,6 +725,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                     )
                     fh.write(",".join(REPORT_HEADERS[report]) + "\n")
                 fh.write(text)
+                write_seconds += time.perf_counter() - write_started
 
             outputs = []
             for model in sorted(config.models, key=lambda m: (m.state, m.naics)):
@@ -671,14 +742,17 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 try:
                     append("plot.csv", emit_plot_data(o.panel, o.rows, o.template, index_base))
                 except IndexBaseMissing as exc:
-                    o.fail(exc)
+                    o.fail(exc, "plot")
+            closing = time.perf_counter()
+        # Closing the temp files flushes their last rows.
+        write_seconds += time.perf_counter() - closing
 
         models = []
         for o in sorted(outputs, key=lambda o: (o.model.naics, o.model.state)):
             entry = {"state": o.model.state, "naics": o.model.naics, "status": o.status}
             entry.update(o.spec_used)
             if o.status != "ok":
-                entry["message"] = o.message
+                entry.update(message=o.message, stage=o.stage, errorType=o.error_type)
             models.append(entry)
 
         manifest = RunManifest(
@@ -690,6 +764,14 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 "perModel": {
                     f"{o.model.state}_{o.model.naics}": round(o.seconds, 3) for o in outputs
                 },
+                # Stages take tens to hundreds of µs, which 3 decimals would round to 0.
+                "perStage": {
+                    f"{o.model.state}_{o.model.naics}": {
+                        stage: round(seconds, 6) for stage, seconds in o.stages.items()
+                    }
+                    for o in outputs
+                },
+                "writeSeconds": round(write_seconds, 6),
             },
             environment={
                 "blasThreads": blas_threads(),

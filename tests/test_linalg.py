@@ -317,17 +317,18 @@ names = ("geqp3", "orgqr", "trtrs", "gelsy", "gelsy_lwork")
 scipy_funcs = scipy.linalg.lapack.get_lapack_funcs(names, dtype=np.float64)
 bound = (linalg._GEQP3, linalg._ORGQR, linalg._TRTRS, linalg._GELSY, linalg._GELSY_LWORK)
 print("lapack", all(f is g for f, g in zip(scipy_funcs, bound)), _flapack is linalg._FLAPACK)
-print("chdtrc", linalg._UFUNCS.chdtrc is scipy.special.chdtrc)
+print("gammaincc", linalg._UFUNCS.gammaincc is scipy.special.gammaincc)
 q, r = scipy.linalg.qr(np.eye(3))
 print("qr", bool(np.allclose(q @ r, np.eye(3))))
-print("stubs", [n for n in ("scipy.linalg", "scipy.special") if sys.modules[n].__spec__ is None])
+print("stubs", [n for n in ("scipy", "scipy.linalg", "scipy.special") if sys.modules[n].__spec__ is None])
 """
-IDENTITY_OK = ["lapack True True", "chdtrc True", "qr True", "stubs []"]
+IDENTITY_OK = ["lapack True True", "gammaincc True", "qr True", "stubs []"]
 
 
 class TestExtensionLoading:
-    """linalg loads scipy's LAPACK and ufunc extensions under temporary
-    package stubs; whatever scipy imports later must be the same objects."""
+    """linalg loads scipy's LAPACK and special-function extensions under
+    temporary package stubs; whatever scipy imports later must be the same
+    objects."""
 
     def test_scipy_packages_imported_after_reuse_the_extensions(self):
         out = run_fresh(
@@ -357,7 +358,7 @@ class TestExtensionLoading:
             "class RefuseUnderStub:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
             "        package = sys.modules.get('scipy.special')\n"
-            "        if name == 'scipy.special._ufuncs' and package is not None and package.__spec__ is None:\n"
+            "        if name == 'scipy.special._special_ufuncs' and package is not None and package.__spec__ is None:\n"
             "            refused.append(name)\n"
             "            raise ImportError('refused under the stub')\n"
             "sys.meta_path.insert(0, RefuseUnderStub())\n"
@@ -368,7 +369,40 @@ class TestExtensionLoading:
             "from scipy.stats import chi2\n"
             "print('bitwise', chi2_sf(3.0, 2) == float(chi2.sf(3.0, 2)))\n"
         )
-        assert out == ["refused ['scipy.special._ufuncs']", "stubs []", "bitwise True"]
+        assert out == ["refused ['scipy.special._special_ufuncs']", "stubs []", "bitwise True"]
+
+    def test_without_special_ufuncs_linalg_uses_the_public_gammaincc(self):
+        # As a scipy without the private _special_ufuncs would: linalg's own
+        # import of it fails under the stub and under the real package alike.
+        # (scipy 1.17's _ufuncs imports it too, and stays allowed to.)
+        out = run_fresh(
+            "import sys\n"
+            "refused = []\n"
+            "class RefuseToLinalg:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        frame = sys._getframe(1)\n"
+            "        while frame.f_code.co_filename.startswith('<frozen importlib'):\n"
+            "            frame = frame.f_back\n"
+            "        if name == 'scipy.special._special_ufuncs' and frame.f_globals['__name__'] == 'cointegra.linalg':\n"
+            "            refused.append(sys.modules['scipy.special'].__spec__ is None)\n"
+            "            raise ImportError('refused to linalg')\n"
+            "sys.meta_path.insert(0, RefuseToLinalg())\n"
+            "from cointegra import linalg\n"
+            "print('refused under stub', refused)\n"
+            "print('ufuncs', linalg._UFUNCS.__name__)\n"
+            "import numpy as np\n"
+            "from scipy.stats import chi2\n"
+            "dof = np.arange(1, 51)[:, None]\n"
+            "x = np.concatenate([[0.0, 1e-300], np.linspace(1e-3, 200.0, 101), [np.inf]])\n"
+            "ours = np.frompyfunc(linalg.chi2_sf, 2, 1)(x, dof).astype(float)\n"
+            "print('bitwise', ours.tobytes() == chi2.sf(x, dof).tobytes())\n"
+            + IDENTITY_CHECKS
+        )
+        assert out == [
+            "refused under stub [True]",
+            "ufuncs scipy.special",
+            "bitwise True",
+        ] + IDENTITY_OK
 
 
 def require_openblas() -> None:

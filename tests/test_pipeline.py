@@ -2,6 +2,8 @@ import copy
 import json
 import re
 import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -376,6 +378,24 @@ class TestRunPipeline:
         }
         assert set(manifest.environment["blasThreads"]) == {"numpy", "scipy"}
 
+    def test_manifest_times_every_stage(self, tmp_path):
+        config = small_run_config(tmp_path)
+        manifest = run_pipeline(config)
+        stages = [
+            "ingest", "lq", "summary", "adf", "lags", "johansen",
+            "fit", "lm", "normality", "forecast", "irf", "backtest",
+        ]
+        per_stage = manifest.timings["perStage"]
+        assert {model: list(times) for model, times in per_stage.items()} == {
+            "AL_113": stages,
+            "ME_113": stages,
+        }
+        seconds = [s for times in per_stage.values() for s in times.values()]
+        assert all(s >= 0.0 and s == round(s, 6) for s in seconds)
+        assert 0.0 <= manifest.timings["writeSeconds"] < manifest.timings["totalSeconds"] + 1e-3
+        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
+            assert json.load(fh)["timings"] == manifest.timings
+
     def test_determinism_byte_identical(self, tmp_path):
         config_a = small_run_config(tmp_path / "a")
         config_b = small_run_config(tmp_path / "b")
@@ -415,6 +435,11 @@ class TestRunPipeline:
         assert by_state["AL"]["status"] == "ok"
         assert by_state["ME"]["status"] == "error"
         assert "message" in by_state["ME"]
+        assert (by_state["ME"]["stage"], by_state["ME"]["errorType"]) == (
+            "ingest",
+            "FileNotFoundError",
+        )
+        assert list(manifest.timings["perStage"]["ME_113"]) == ["ingest"]
         with open(tmp_path / "out" / "summary.csv") as fh:
             body = fh.read()
         assert "AL" in body and "ME" not in body
@@ -459,6 +484,8 @@ class TestRunPipeline:
             "naics": 113,
             "status": "error",
             "message": "IndexBaseMissing: AL/113 lacks 2010Q3",
+            "stage": "plot",
+            "errorType": "IndexBaseMissing",
             "k": 1,
             "r": 4,
             "case": "rconst",
@@ -514,6 +541,7 @@ class TestRunPipeline:
         al = by_state["AL"]
         assert al["status"] == "error"
         assert al["message"].startswith("HoldoutOutOfRange: ")
+        assert (al["stage"], al["errorType"]) == ("backtest", "HoldoutOutOfRange")
         assert by_state["ME"]["status"] == "ok"
 
         with open(tmp_path / "out" / "johansen.csv") as fh:
@@ -622,3 +650,28 @@ class TestStreamedBundle:
         with pytest.raises(exc):
             run_pipeline(config)
         assert _bundle(config.out_dir) == before
+
+    @pytest.mark.skipif(os.name != "posix", reason="the liveness test is POSIX only")
+    def test_temp_files_of_dead_runs_are_removed(self, tmp_path):
+        config = small_run_config(tmp_path)
+        run_pipeline(config)
+        before = _bundle(config.out_dir)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: no process has this pid now
+        dead, live = child.pid, os.getppid()
+        left = {
+            f".irf.csv.{dead}.tmp": False,
+            f".manifest.json.{dead}.tmp": False,
+            f".irf.csv.{live}.tmp": True,
+            ".lq.csv.backup.tmp": True,
+        }
+        for name in left:
+            (tmp_path / "out" / name).write_text("stale\n")
+
+        run_pipeline(config)
+        after = _bundle(config.out_dir)
+        assert {name: name in after for name in left} == left
+        assert len(before) == 13
+        assert {n: b for n, b in after.items() if n.endswith(".csv")} == {
+            n: b for n, b in before.items() if n.endswith(".csv")
+        }
