@@ -93,22 +93,13 @@ TRACE_CV5 = {
         8.18, 18.01, 32.02, 49.92, 71.67, 97.17,
     ),
 }
-MAXEIG_CV5 = {
-    DeterministicCase.NONE: (4.1296, 11.2246, 17.7961, 24.1592, 30.4428, 36.6301),
-    DeterministicCase.RESTRICTED_CONSTANT: (
-        9.1645, 15.8921, 22.2996, 28.5881, 34.8059, 40.9568,
-    ),
-    DeterministicCase.UNRESTRICTED_CONSTANT: (
-        8.18, 15.00, 21.40, 27.95, 34.20, 40.20,
-    ),
-}
 
 
 @dataclass
 class JohansenResult:
     """Eigenvalues, statistics, and the rank decision for one system.
 
-    critical_values_5pct holds per-r lists for 'trace' and 'maxEig'; it is
+    critical_values_5pct holds the per-r list for 'trace'; it is
     None (along with selected_rank) for the trend cases, which carry no
     embedded tables.
     """
@@ -226,8 +217,7 @@ def johansen_test(x: np.ndarray, k: int, case="restrictedConstant") -> JohansenR
         if n > len(TRACE_CV5[case]):
             raise ValueError(f"no critical values for {n}-dimensional systems")
         trace_cv = np.array([TRACE_CV5[case][n - r - 1] for r in range(n)])
-        maxeig_cv = np.array([MAXEIG_CV5[case][n - r - 1] for r in range(n)])
-        cvs = {"trace": trace_cv, "maxEig": maxeig_cv}
+        cvs = {"trace": trace_cv}
         selected = n
         for r in range(n):
             if trace[r] < trace_cv[r]:

@@ -6,37 +6,44 @@ All routines are pure functions. Residual covariances use the
 maximum-likelihood divisor T throughout; estimators that need a
 degrees-of-freedom correction apply it at the call site.
 
-This is the only module of the package that imports scipy or ctypes, and it
-runs none of scipy's Python code: a process that imports cointegra holds
-exactly two scipy modules, the compiled extensions ``scipy.linalg._flapack``
-for LAPACK and ``scipy.special._special_ufuncs`` for ``gammaincc``; the
-latter imports no other scipy module. ``import scipy.linalg, scipy.special``
-would also run scipy's and both packages' ``__init__`` files, which nothing
-here calls: after numpy, that import took about 0.35 s and 32 MB of resident
-memory, and this module's import 0.04 s and 5 MB. Of the difference, scipy's
-root ``__init__`` and the 300-ufunc ``scipy.special._ufuncs`` (home of
-``chdtrc``) alone are about 14 ms and 2.4 MB (2 vCPU, scipy 1.17). So
-``_load_extensions`` finds scipy's directory with ``importlib.util.find_spec``,
-binds each of ``scipy``, ``scipy.linalg`` and ``scipy.special`` that is not
-imported yet to a bare stub with the real package directory as its
-``__path__``, imports the two extensions and ``scipy.version`` under the
-stubs, and removes the stubs and ``scipy.version`` again. The extensions stay
-in ``sys.modules``, so a later ``import scipy.linalg`` or ``import
-scipy.special`` runs the real package and reuses them:
-``get_lapack_funcs(..., dtype=np.float64)`` and ``scipy.special.gammaincc``
-return the very objects bound here. (The real packages then lack the
-preloaded submodules as attributes, but ``from scipy.linalg import _flapack``
-still works.) A failed stubbed import falls back to importing ``_flapack``
-and the public ``scipy.special`` normally, which is slower and gives the same
-objects; it also serves a scipy without the private ``_special_ufuncs``.
+This is the only module of the package that imports scipy or ctypes. A
+process that runs cointegra loads one OpenBLAS, numpy's, and one scipy
+module, the compiled extension ``scipy.special._special_ufuncs`` for
+``gammaincc``, which imports no other scipy module: no scipy Python code,
+no scipy LAPACK wrapper, no scipy OpenBLAS or libgfortran. (With
+``pipeline``'s built-in SHA-256, no OpenSSL either.) ``_numpy_lapack``
+binds ``dgeqp3``, ``dorgqr``, ``dtrtrs`` and ``dgelsy`` with ctypes in the
+OpenBLAS numpy has loaded for ``@``
+(``<site-packages>/numpy.libs/libscipy_openblas64_-*``, 64-bit integers),
+each taking the arguments and giving the results of its
+``scipy.linalg._flapack`` namesake; so the outputs depend on that library
+alone. Where the library or a routine is missing (a numpy on another BLAS),
+the bindings are ``_flapack``'s, loaded with scipy's OpenBLAS. Fresh-process
+peak RSS of ``cointegra run`` fell from 42.0 to 34.4 MB when scipy's
+OpenBLAS and OpenSSL stopped loading (2 vCPU, numpy 2.4, scipy 1.17).
 
-Importing this module sets numpy's OpenBLAS pool (``libscipy_openblas64_``,
-which runs ``@``) and scipy's (``libscipy_openblas``, LAPACK) to one thread
-for the whole process, overriding ``OPENBLAS_NUM_THREADS``; a program that
-imports cointegra inherits it. At a few dozen columns a second thread costs
-more in hand-off than it saves: ``long-panel`` (``geqp3`` on 300×61 designs)
-runs about 13% faster, and with the other vCPU busy a triangular solve took
-4.4 ms, not 15 µs (2 vCPU). Where a library or setter is missing from
+``import scipy.special`` would also run scipy's and the package's
+``__init__`` files, which nothing here calls. So ``_load_extensions`` finds
+scipy's directory with ``importlib.util.find_spec``, binds each of
+``scipy``, ``scipy.special`` (and, on the fallback, ``scipy.linalg``) that
+is not imported yet to a bare stub with the real package directory as its
+``__path__``, imports the extensions and ``scipy.version`` under the stubs,
+and removes the stubs and ``scipy.version`` again. The extensions stay in
+``sys.modules``, so a later ``import scipy.special`` runs the real package
+and reuses them: ``scipy.special.gammaincc`` is the very object bound
+here. (The real packages then lack the preloaded submodules as attributes,
+but ``from scipy.special import _special_ufuncs`` still works.) A failed
+stubbed import falls back to importing the public ``scipy.special``
+normally, which is slower and gives the same objects; it also serves a
+scipy without the private ``_special_ufuncs``.
+
+Importing this module sets the OpenBLAS pools it loaded (numpy's, and on
+the fallback scipy's) to one thread for the whole process, overriding
+``OPENBLAS_NUM_THREADS``; a program that imports cointegra inherits it. At
+a few dozen columns a second thread costs more in hand-off than it saves:
+``long-panel`` (``geqp3`` on 300×61 designs) runs about 13% faster, and
+with the other vCPU busy a triangular solve took 4.4 ms, not 15 µs (2
+vCPU). Where a library or setter is missing from
 ``<site-packages>/numpy.libs`` or ``scipy.libs``, nothing is set.
 
 A run makes hundreds of LAPACK calls on matrices of a few dozen columns, and
@@ -59,6 +66,7 @@ process, and ``chi2_sf`` gives the same values without it.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import importlib.util
 import os
@@ -76,31 +84,38 @@ RANK_TOL = 1e-10
 # find_spec locates a package without running its ``__init__``.
 _SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
 # pool -> (package directory, whose sibling ``<dir>.libs`` holds its OpenBLAS; symbol suffix)
-_POOLS = {"numpy": (np.__path__[0], "64_"), "scipy": (_SCIPY_DIR, "")}
+_LIBRARIES = {"numpy": (np.__path__[0], "64_"), "scipy": (_SCIPY_DIR, "")}
 
 
-def _load_extensions() -> tuple[types.ModuleType, types.ModuleType, str]:
-    """``scipy.linalg._flapack``, the module that provides ``gammaincc`` and
-    scipy's version, imported without running any scipy ``__init__``.
+def _library(pool: str) -> str | None:
+    """Path of the OpenBLAS shipped with ``pool``'s package; None if not found."""
+    directory, suffix = _LIBRARIES[pool]
+    found = glob.glob(os.path.join(directory + ".libs", f"libscipy_openblas{suffix}-*"))
+    return found[0] if found else None
 
-    ``scipy``, ``scipy.linalg`` and ``scipy.special``, each where not
-    imported yet, are bare stubs with the real package directory as
+
+def _load_extensions(flapack: bool) -> tuple[types.ModuleType | None, types.ModuleType, str]:
+    """``scipy.linalg._flapack`` if ``flapack`` (else None), the module that
+    provides ``gammaincc`` and scipy's version, imported without running any
+    scipy ``__init__``.
+
+    ``scipy``, ``scipy.special`` and, for ``_flapack``, ``scipy.linalg``, each
+    where not imported yet, are bare stubs with the real package directory as
     ``__path__`` during the imports; the stubs and ``scipy.version`` are
     removed again after them. If the stubbed imports fail, ``_flapack`` and
     the public ``scipy.special`` are imported normally.
     """
     stubs = {}
-    for name in ("scipy", "scipy.linalg", "scipy.special"):
+    for name in ("scipy", "scipy.special", "scipy.linalg")[: 3 if flapack else 2]:
         if name not in sys.modules:
             stub = types.ModuleType(name)
             stub.__path__ = [os.path.join(_SCIPY_DIR, *name.split(".")[1:])]
             sys.modules[name] = stubs[name] = stub
     try:
-        from scipy.linalg import _flapack
         from scipy.special import _special_ufuncs
         from scipy.version import version
 
-        return _flapack, _special_ufuncs, version
+        return _flapack(flapack), _special_ufuncs, version
     except ImportError:
         pass
     finally:
@@ -112,18 +127,20 @@ def _load_extensions() -> tuple[types.ModuleType, types.ModuleType, str]:
             if sys.modules.get(name) is stub:
                 del sys.modules[name]
     import scipy.special
-    from scipy.linalg import _flapack
 
-    return _flapack, scipy.special, scipy.__version__
+    return _flapack(flapack), scipy.special, scipy.__version__
+
+
+def _flapack(wanted: bool) -> types.ModuleType | None:
+    return importlib.import_module("scipy.linalg._flapack") if wanted else None
 
 
 def _openblas(pool: str, verb: str, *args: int) -> int | None:
     """Call ``scipy_openblas_<verb>_num_threads`` (``int get()``, ``void set(int)``)
     of the OpenBLAS loaded for ``pool``; None where library or symbol is missing."""
-    directory, suffix = _POOLS[pool]
-    found = glob.glob(os.path.join(directory + ".libs", f"libscipy_openblas{suffix}-*"))
-    symbol = f"scipy_openblas_{verb}_num_threads{suffix}"
-    func = getattr(ctypes.CDLL(found[0]), symbol, None) if found else None
+    path = _library(pool)
+    symbol = f"scipy_openblas_{verb}_num_threads{_LIBRARIES[pool][1]}"
+    func = getattr(ctypes.CDLL(path), symbol, None) if path else None
     if func is None:
         return None
     func.argtypes, func.restype = ([ctypes.c_int], None) if args else ([], ctypes.c_int)
@@ -131,20 +148,168 @@ def _openblas(pool: str, verb: str, *args: int) -> int | None:
 
 
 def blas_threads() -> dict[str, int | None]:
-    """Threads of numpy's and scipy's OpenBLAS pools; None for a pool not found."""
+    """Threads of each OpenBLAS pool this process loaded; None for a pool
+    whose library or setter was not found."""
     return {pool: _openblas(pool, "get") for pool in _POOLS}
 
 
-_FLAPACK, _UFUNCS, SCIPY_VERSION = _load_extensions()
+# One call's integer arguments (M, N, LDA, LWORK, INFO, ...) sit in one
+# int64 array, passed by address like every other argument.
+_INTS = ctypes.c_int64 * 8
+_P = ctypes.c_void_p
+# Pointers, the character arguments as one-byte strings, and gfortran's
+# hidden lengths of those.
+_SIGNATURES = {
+    "dgeqp3": [_P] * 9,
+    "dorgqr": [_P] * 9,
+    "dtrtrs": [ctypes.c_char_p] * 3 + [_P] * 7 + [ctypes.c_size_t] * 3,
+    "dgelsy": [_P] * 13,
+}
+# An ndarray's data pointer is the first field after the object header.
+_DATA_OFFSET = object.__basicsize__
+_pointer_at = _P.from_address
+
+
+def _data(a: np.ndarray) -> int:
+    """Address of ``a``'s first element; 0.2 µs, where ``a.ctypes.data``
+    takes 1.6 (2 vCPU)."""
+    return _pointer_at(id(a) + _DATA_OFFSET).value
+
+
+def _numpy_lapack() -> tuple[str, tuple] | None:
+    """The library's file name and build string, and ``dgeqp3``, ``dorgqr``,
+    ``dtrtrs``, ``dgelsy`` and gelsy's workspace query on the OpenBLAS numpy
+    has loaded, each called and answering as its ``scipy.linalg._flapack``
+    namesake; None where the library or a symbol is missing, or where an
+    ndarray's data pointer is not where ``_data`` reads it.
+
+    Like f2py, each copies the arrays LAPACK overwrites into fresh
+    Fortran-ordered ones and reads the others in place, made
+    Fortran-contiguous. A workspace query's answer depends only on its
+    integer arguments, so each is asked once per shape.
+    """
+    path = _library("numpy")
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)  # numpy loaded it already: no second copy
+    routines = {name: getattr(lib, f"scipy_{name}_64_", None) for name in _SIGNATURES}
+    config = getattr(lib, "scipy_openblas_get_config64_", None)
+    probe = np.empty(1)
+    if config is None or None in routines.values() or _data(probe) != probe.ctypes.data:
+        return None
+    for name, routine in routines.items():
+        routine.argtypes, routine.restype = _SIGNATURES[name], None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    geqp3_, orgqr_, trtrs_, gelsy_ = routines.values()
+
+    @functools.lru_cache(maxsize=256)
+    def query(name: str, m: int, n: int, k: int) -> tuple[tuple[float], int]:
+        """``((work[0],), info)`` of the workspace query of ``name`` at M, N
+        and orgqr's K or gelsy's NRHS."""
+        ints = _INTS()
+        ints[:5] = m, n, k, -1, max(m, n)  # LWORK, gelsy's LDB; INFO, WORK, RANK follow
+        i = ctypes.addressof(ints)
+        m_, n_, k_, lwork, ldb, info, work, rank = (i + 8 * j for j in range(8))
+        # A query reads no array and no RCOND: those point at ``ints``; LDA = M.
+        if name == "dgeqp3":  # M N A LDA JPVT TAU WORK LWORK INFO
+            geqp3_(m_, n_, i, m_, i, i, work, lwork, info)
+        elif name == "dorgqr":  # M N K A LDA TAU WORK LWORK INFO
+            orgqr_(m_, n_, k_, i, m_, i, work, lwork, info)
+        else:  # M N NRHS A LDA B LDB JPVT RCOND RANK WORK LWORK INFO
+            gelsy_(m_, n_, k_, i, m_, i, ldb, i, i, rank, work, lwork, info)
+        return (ctypes.c_double.from_address(work).value,), ints[5]
+
+    def geqp3(a, lwork=-1):
+        m, n = a.shape
+        if lwork == -1:
+            return query("dgeqp3", m, n, 0)
+        ints = _INTS()
+        ints[:3] = m, n, lwork  # INFO at 3
+        i = ctypes.addressof(ints)
+        k = m if m < n else n
+        qr = np.array(a, dtype=np.float64, order="F")
+        jpvt = np.zeros(n, dtype=np.int64)  # every column free
+        work = np.empty(k + lwork)  # tau, then work
+        w = _data(work)
+        # M N A LDA(=M) JPVT TAU WORK LWORK INFO
+        geqp3_(i, i + 8, _data(qr), i, _data(jpvt), w, w + 8 * k, i + 16, i + 24)
+        return qr, jpvt.astype(np.int32), work[:k], work, ints[3]
+
+    def orgqr(a, tau, lwork=-1, overwrite_a=0):
+        m, n = a.shape
+        k = tau.shape[0]
+        if lwork == -1:
+            return query("dorgqr", m, n, k)
+        ints = _INTS()
+        ints[:4] = m, n, k, lwork  # INFO at 4
+        i = ctypes.addressof(ints)
+        if overwrite_a and a.flags.writeable:
+            a = np.asfortranarray(a, dtype=np.float64)  # in place where it can be
+        else:
+            a = np.array(a, dtype=np.float64, order="F")
+        tau = np.ascontiguousarray(tau, dtype=np.float64)
+        work = np.empty(lwork)
+        # M N K A LDA(=M) TAU WORK LWORK INFO
+        orgqr_(i, i + 8, i + 16, _data(a), i, _data(tau), _data(work), i + 24, i + 32)
+        return a, work, ints[4]
+
+    def trtrs(a, b, lower=0, trans=0):
+        a = np.asfortranarray(a, dtype=np.float64)
+        x = np.array(b, dtype=np.float64, order="F")
+        lda, n = a.shape
+        shape = x.shape
+        ints = _INTS()
+        ints[:4] = n, shape[1] if len(shape) == 2 else 1, lda, shape[0]  # INFO at 4
+        i = ctypes.addressof(ints)
+        uplo, op = b"L" if lower else b"U", b"T" if trans else b"N"
+        # UPLO TRANS DIAG N NRHS A LDA B LDB INFO, then the three lengths
+        trtrs_(uplo, op, b"N", i, i + 8, _data(a), i + 16, _data(x), i + 24, i + 32, 1, 1, 1)
+        return x, ints[4]
+
+    def gelsy_lwork(m, n, nrhs, cond):
+        work, info = query("dgelsy", m, n, nrhs)
+        return work[0], info
+
+    def gelsy(a, b, jptv, cond, lwork, overwrite_a=0, overwrite_b=0):
+        m, n = a.shape
+        v = np.array(a, dtype=np.float64, order="F")
+        x = np.array(b, dtype=np.float64, order="F")
+        jpvt = np.array(jptv, dtype=np.int64)
+        if jpvt.size != n:
+            raise ValueError(f"jptv needs {n} entries, got {jpvt.size}")
+        work = np.empty(1 + lwork)  # RCOND, then work
+        work[0] = cond
+        w = _data(work)
+        shape = x.shape
+        ints = _INTS()
+        ints[:5] = m, n, shape[1] if len(shape) == 2 else 1, shape[0], lwork  # INFO at 5, RANK at 6
+        i = ctypes.addressof(ints)
+        # M N NRHS A LDA(=M) B LDB JPVT RCOND RANK WORK LWORK INFO
+        gelsy_(i, i + 8, i + 16, _data(v), i, _data(x), i + 24, _data(jpvt), w, i + 48, w + 8, i + 32, i + 40)
+        return v, x, jpvt.astype(np.int32), ints[6], ints[5]
+
+    build = " ".join(config().decode().split())
+    return f"{os.path.basename(path)}: {build}", (geqp3, orgqr, trtrs, gelsy, gelsy_lwork)
+
+
+_NUMPY_LAPACK = _numpy_lapack()
+_FLAPACK, _UFUNCS, SCIPY_VERSION = _load_extensions(flapack=_NUMPY_LAPACK is None)
+if _NUMPY_LAPACK is None:
+    # Where numpy's library or a routine is missing, scipy's own wrappers.
+    LAPACK = "scipy.linalg._flapack"
+    _POOLS = ("numpy", "scipy")
+    _GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
+        _FLAPACK.dgeqp3,
+        _FLAPACK.dorgqr,
+        _FLAPACK.dtrtrs,
+        _FLAPACK.dgelsy,
+        _FLAPACK.dgelsy_lwork,
+    )
+else:
+    _POOLS = ("numpy",)
+    LAPACK, (_GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK) = _NUMPY_LAPACK
 for _pool in _POOLS:
     _openblas(_pool, "set", 1)
-_GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
-    _FLAPACK.dgeqp3,
-    _FLAPACK.dorgqr,
-    _FLAPACK.dtrtrs,
-    _FLAPACK.dgelsy,
-    _FLAPACK.dgelsy_lwork,
-)
 # gelsy's rank cutoff, scipy's default for lstsq.
 _EPS = np.finfo(np.float64).eps
 

@@ -28,7 +28,6 @@ formatted number.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import re
@@ -36,6 +35,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
+
+# CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -50,7 +58,7 @@ from .errors import (
 )
 from .johansen import DeterministicCase, JohansenResult, johansen_test
 from .lagselect import LagSelection, select_lags
-from .linalg import SCIPY_VERSION, blas_threads
+from .linalg import LAPACK, SCIPY_VERSION, blas_threads
 from .panel import (
     VARIABLES,
     PanelDataset,
@@ -239,7 +247,7 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
             lq_threshold=float(lq_threshold),
         ),
         seed=seed,
-        config_hash=hashlib.sha256(canonical).hexdigest(),
+        config_hash=sha256(canonical).hexdigest(),
     )
 
 
@@ -776,6 +784,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             environment={
                 "blasThreads": blas_threads(),
                 "cointegra": __version__,
+                "lapack": LAPACK,
                 "numpy": np.__version__,
                 "scipy": SCIPY_VERSION,
             },

@@ -15,6 +15,8 @@ import json
 import math
 import os
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -107,3 +109,36 @@ def test_long_panel_bundle_digest(tmp_path):
     generate = runpy.run_path(os.path.join(ROOT, "benchmarks", "longpanel.py"))["generate"]
     config = generate(str(tmp_path / "data"), GOLDEN["long-panel"]["seed"])
     assert bundle_digests(config, tmp_path / "out") == GOLDEN["long-panel"]["files"]
+
+
+def test_fallback_lapack_writes_the_same_bundle(tmp_path):
+    # A child whose library lookup sees only an empty directory binds
+    # scipy.linalg._flapack, as with a numpy built on another BLAS: both
+    # LAPACK providers must write the same bytes.
+    out = tmp_path / "out"
+    script = (
+        "import glob, os, sys\n"
+        "real_glob = glob.glob\n"
+        "glob.glob = lambda p: real_glob(os.path.join(sys.argv[3], os.path.basename(p)))\n"
+        "from cointegra import cli, linalg\n"
+        "print(linalg.LAPACK)\n"
+        "sys.exit(cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+    )
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, CONFIG, str(out), str(empty)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[0] == "scipy.linalg._flapack"
+    digests = {}
+    for report in sorted(SIXSTATE_SHA256):
+        with open(out / report, "rb") as fh:
+            digests[report] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == SIXSTATE_SHA256
+    assert sorted(n for n in os.listdir(out) if n.endswith(".csv")) == sorted(SIXSTATE_SHA256)

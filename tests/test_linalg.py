@@ -307,28 +307,34 @@ def run_fresh(script: str, **environ: str) -> list[str]:
     return child.stdout.splitlines()
 
 
-# After cointegra.linalg: the routines scipy's own packages hand out are the
-# objects linalg bound, the packages work, and no stub is left in sys.modules.
+# After cointegra.linalg and a later import of scipy's packages: linalg's
+# kernels give bitwise scipy.linalg's results in the same process, the
+# packages work, and no stub is left in sys.modules.
 IDENTITY_CHECKS = """
 import numpy as np
-import scipy.linalg, scipy.linalg.lapack, scipy.special
-from scipy.linalg import _flapack
-names = ("geqp3", "orgqr", "trtrs", "gelsy", "gelsy_lwork")
-scipy_funcs = scipy.linalg.lapack.get_lapack_funcs(names, dtype=np.float64)
-bound = (linalg._GEQP3, linalg._ORGQR, linalg._TRTRS, linalg._GELSY, linalg._GELSY_LWORK)
-print("lapack", all(f is g for f, g in zip(scipy_funcs, bound)), _flapack is linalg._FLAPACK)
+import scipy.linalg, scipy.special
+rng = np.random.default_rng(9)
+a, b = rng.standard_normal((64, 21)), rng.standard_normal((64, 5))
+t = np.triu(rng.standard_normal((21, 21))) + 4.0 * np.eye(21)
+ours = (*linalg.pivoted_qr(a), linalg.lstsq(a, b), linalg.solve_triangular(t, b[:21]))
+theirs = (
+    *scipy.linalg.qr(a, mode="economic", pivoting=True),
+    scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0],
+    scipy.linalg.solve_triangular(t, b[:21]),
+)
+print("lapack", [x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(ours, theirs)])
 print("gammaincc", linalg._UFUNCS.gammaincc is scipy.special.gammaincc)
 q, r = scipy.linalg.qr(np.eye(3))
 print("qr", bool(np.allclose(q @ r, np.eye(3))))
 print("stubs", [n for n in ("scipy", "scipy.linalg", "scipy.special") if sys.modules[n].__spec__ is None])
 """
-IDENTITY_OK = ["lapack True True", "gammaincc True", "qr True", "stubs []"]
+IDENTITY_OK = ["lapack [True, True, True, True, True]", "gammaincc True", "qr True", "stubs []"]
 
 
 class TestExtensionLoading:
-    """linalg loads scipy's LAPACK and special-function extensions under
-    temporary package stubs; whatever scipy imports later must be the same
-    objects."""
+    """linalg loads scipy's special-function extension under temporary
+    package stubs; whatever scipy imports later must be the same object,
+    and scipy.linalg must agree with linalg's kernels bit for bit."""
 
     def test_scipy_packages_imported_after_reuse_the_extensions(self):
         out = run_fresh(
@@ -424,7 +430,9 @@ print("ols", hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
 
 
 class TestBlasPin:
-    """Importing linalg sets numpy's and scipy's OpenBLAS pools to one thread."""
+    """Importing linalg sets the OpenBLAS pools it loaded to one thread:
+    numpy's alone, which also runs LAPACK, unless numpy's library is not
+    found and scipy's LAPACK wrappers load scipy's."""
 
     def test_both_pools_read_one_thread_over_the_environment(self):
         require_openblas()
@@ -432,7 +440,7 @@ class TestBlasPin:
             "from cointegra.linalg import blas_threads\nprint(blas_threads())",
             OPENBLAS_NUM_THREADS="2",
         )
-        assert out == ["{'numpy': 1, 'scipy': 1}"]
+        assert out == ["{'numpy': 1}"]
 
     def test_no_library_found_leaves_the_pools_and_the_results_alone(self, tmp_path):
         require_openblas()
@@ -441,22 +449,28 @@ class TestBlasPin:
             OPENBLAS_NUM_THREADS="2",
         )
         # This child's library lookup sees only an empty directory.
-        unpinned = run_fresh(
+        fallback = run_fresh(
             "import glob, os\n"
             "real_glob = glob.glob\n"
             f"glob.glob = lambda p: real_glob(os.path.join({str(tmp_path)!r}, os.path.basename(p)))\n"
+            "from cointegra import linalg\n"
             "from cointegra.linalg import blas_threads, ols\n"
+            "from scipy.linalg import _flapack\n"
+            "names = ('dgeqp3', 'dorgqr', 'dtrtrs', 'dgelsy', 'dgelsy_lwork')\n"
+            "bound = (linalg._GEQP3, linalg._ORGQR, linalg._TRTRS, linalg._GELSY, linalg._GELSY_LWORK)\n"
+            "print(linalg.LAPACK, all(getattr(_flapack, n) is f for n, f in zip(names, bound)))\n"
             "print(blas_threads())\n"
             "glob.glob = real_glob\n"
             "print('pools', blas_threads())\n" + OLS_DIGEST,
             OPENBLAS_NUM_THREADS="2",
         )
-        assert pinned[0] == "{'numpy': 1, 'scipy': 1}"
-        assert unpinned[0] == "{'numpy': None, 'scipy': None}"
+        assert pinned[0] == "{'numpy': 1}"
+        assert fallback[0] == "scipy.linalg._flapack True"
+        assert fallback[1] == "{'numpy': None, 'scipy': None}"
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         if cpus >= 2:
-            assert unpinned[1] == "pools {'numpy': 2, 'scipy': 2}"
-        assert unpinned[2] == pinned[1]
+            assert fallback[2] == "pools {'numpy': 2, 'scipy': 2}"
+        assert fallback[3] == pinned[1]
 
 
 def test_only_linalg_imports_scipy_or_ctypes():

@@ -363,20 +363,28 @@ class TestRunPipeline:
         import scipy
 
         import cointegra
-        from cointegra.linalg import blas_threads
+        from cointegra.linalg import LAPACK, blas_threads
 
         config = small_run_config(tmp_path)
         manifest = run_pipeline(config)
         with open(os.path.join(config.out_dir, "manifest.json")) as fh:
             on_disk = json.load(fh)
         assert set(on_disk) == {"configHash", "environment", "files", "models", "timings"}
+        # numpy's OpenBLAS runs LAPACK and is the one pool loaded; scipy's
+        # wrappers and pool only where numpy's library is not found.
+        if LAPACK == "scipy.linalg._flapack":
+            blas = blas_threads()
+            assert set(blas) == {"numpy", "scipy"}
+        else:
+            assert re.fullmatch(r"libscipy_openblas64_-\w+\.so: OpenBLAS \S+ .*USE64BITINT.*", LAPACK)
+            blas = {"numpy": 1}
         assert on_disk["environment"] == manifest.environment == {
-            "blasThreads": blas_threads(),
+            "blasThreads": blas,
             "cointegra": cointegra.__version__,
+            "lapack": LAPACK,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         }
-        assert set(manifest.environment["blasThreads"]) == {"numpy", "scipy"}
 
     def test_manifest_times_every_stage(self, tmp_path):
         config = small_run_config(tmp_path)
