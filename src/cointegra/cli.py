@@ -43,7 +43,7 @@ def _report(report: str, lines: str) -> str:
     return ",".join(REPORT_HEADERS[report]) + "\n" + lines
 
 
-def _stage(config: RunConfig, args, estimable: bool = True):
+def _stage(config: RunConfig, args):
     """The panel and model of a stage command: the config's entry for
     (state, naics), if any, with --k, --r and --case overriding its fields."""
     fields = {"state": args.state, "naics": args.naics}
@@ -53,7 +53,7 @@ def _stage(config: RunConfig, args, estimable: bool = True):
     for key in ("k", "r", "case"):
         if getattr(args, key, None) is not None:
             fields[key] = getattr(args, key)
-    model = model_config(fields, estimable)
+    model = model_config(fields)
     return load_panel(config.data_dir, model.state, model.naics), model
 
 
@@ -112,7 +112,7 @@ def _cmd_lags(config, args) -> int:
 
 
 def _cmd_johansen(config, args) -> int:
-    panel, model = _stage(config, args, estimable=False)
+    panel, model = _stage(config, args)
     jres = resolve_model(panel.levels, model, config.defaults)[3]
     sys.stdout.write(_report("johansen.csv", johansen_lines(panel, jres)))
     return 0

@@ -43,8 +43,6 @@ class DeterministicCase(enum.Enum):
     NONE = "none"
     RESTRICTED_CONSTANT = "restrictedConstant"
     UNRESTRICTED_CONSTANT = "unrestrictedConstant"
-    RESTRICTED_TREND = "restrictedTrend"
-    UNRESTRICTED_TREND = "unrestrictedTrend"
 
     @classmethod
     def parse(cls, text) -> "DeterministicCase":
@@ -56,10 +54,6 @@ class DeterministicCase(enum.Enum):
             "restrictedconstant": cls.RESTRICTED_CONSTANT,
             "uconst": cls.UNRESTRICTED_CONSTANT,
             "unrestrictedconstant": cls.UNRESTRICTED_CONSTANT,
-            "rtrend": cls.RESTRICTED_TREND,
-            "restrictedtrend": cls.RESTRICTED_TREND,
-            "utrend": cls.UNRESTRICTED_TREND,
-            "unrestrictedtrend": cls.UNRESTRICTED_TREND,
         }
         # Only a string names a case: str(None) would read as "none".
         key = text.strip().lower() if isinstance(text, str) else None
@@ -73,8 +67,6 @@ class DeterministicCase(enum.Enum):
             DeterministicCase.NONE: "none",
             DeterministicCase.RESTRICTED_CONSTANT: "rconst",
             DeterministicCase.UNRESTRICTED_CONSTANT: "uconst",
-            DeterministicCase.RESTRICTED_TREND: "rtrend",
-            DeterministicCase.UNRESTRICTED_TREND: "utrend",
         }[self]
 
 
@@ -99,16 +91,14 @@ TRACE_CV5 = {
 class JohansenResult:
     """Eigenvalues, statistics, and the rank decision for one system.
 
-    critical_values_5pct holds the per-r list for 'trace'; it is
-    None (along with selected_rank) for the trend cases, which carry no
-    embedded tables.
+    critical_values_5pct holds the per-r list for 'trace'.
     """
 
     eigenvalues: np.ndarray
     trace_stats: np.ndarray
     max_eig_stats: np.ndarray
-    critical_values_5pct: dict[str, np.ndarray] | None
-    selected_rank: int | None
+    critical_values_5pct: dict[str, np.ndarray]
+    selected_rank: int
     beta: np.ndarray
     s_matrices: dict[str, np.ndarray]
     case: DeterministicCase
@@ -121,26 +111,16 @@ def _design_blocks(x: np.ndarray, k: int, case: DeterministicCase):
     dx = np.diff(x, axis=0)
     z0 = dx[k - 1 :]
     t_eff = z0.shape[0]
-    trend = np.arange(1.0, t_eff + 1.0)[:, None]
     ones = np.ones((t_eff, 1))
 
     z1_cols = [x[k - 1 : t - 1]]
     if case is DeterministicCase.RESTRICTED_CONSTANT:
         z1_cols.append(ones)
-    elif case is DeterministicCase.RESTRICTED_TREND:
-        z1_cols.append(trend)
     z1 = np.hstack(z1_cols)
 
     z2_cols = [dx[k - 1 - i : dx.shape[0] - i] for i in range(1, k)]
-    if case in (
-        DeterministicCase.UNRESTRICTED_CONSTANT,
-        DeterministicCase.UNRESTRICTED_TREND,
-    ):
+    if case is DeterministicCase.UNRESTRICTED_CONSTANT:
         z2_cols.append(ones)
-    elif case is DeterministicCase.RESTRICTED_TREND:
-        z2_cols.append(ones)
-    if case is DeterministicCase.UNRESTRICTED_TREND:
-        z2_cols.append(trend)
     z2 = np.hstack(z2_cols) if z2_cols else None
     return z0, z1, z2, t_eff
 
@@ -213,25 +193,20 @@ def johansen_test(x: np.ndarray, k: int, case="restrictedConstant") -> JohansenR
     trace = np.array([-t_eff * log_terms[r:].sum() for r in range(n)])
     maxeig = -t_eff * log_terms
 
-    if case in TRACE_CV5:
-        if n > len(TRACE_CV5[case]):
-            raise ValueError(f"no critical values for {n}-dimensional systems")
-        trace_cv = np.array([TRACE_CV5[case][n - r - 1] for r in range(n)])
-        cvs = {"trace": trace_cv}
-        selected = n
-        for r in range(n):
-            if trace[r] < trace_cv[r]:
-                selected = r
-                break
-    else:
-        cvs = None
-        selected = None
+    if n > len(TRACE_CV5[case]):
+        raise ValueError(f"no critical values for {n}-dimensional systems")
+    trace_cv = np.array([TRACE_CV5[case][n - r - 1] for r in range(n)])
+    selected = n
+    for r in range(n):
+        if trace[r] < trace_cv[r]:
+            selected = r
+            break
 
     return JohansenResult(
         eigenvalues=eigvals,
         trace_stats=trace,
         max_eig_stats=maxeig,
-        critical_values_5pct=cvs,
+        critical_values_5pct={"trace": trace_cv},
         selected_rank=selected,
         beta=beta,
         s_matrices={"S00": s00, "S01": s01, "S11": s11},

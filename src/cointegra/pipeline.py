@@ -16,10 +16,10 @@ output.
 
 Each report has one builder (``summary_lines`` … ``backtest_lines``) that
 returns one model's rows as text; ``run`` writes them into the bundle and
-the stage commands print them. plot.csv is filled per model too, once every
-model has run, since its base quarter is the latest start among them; a
-model whose panel lacks that quarter fails alone. The large reports (lq,
-forecast, irf, plot) are filled from a ``%.6g`` template in a single
+the stage commands print them. Every panel is read before the first model
+runs, since plot.csv's base quarter is the latest start among the panels
+read; a model whose panel lacks that quarter fails alone. The large reports
+(lq, forecast, irf, plot) are filled from a ``%.6g`` template in a single
 formatting call. No field ever needs CSV quoting: states and naics are
 validated, and every other field is a quarter label, a variable name or a
 formatted number.
@@ -71,7 +71,7 @@ from .panel import (
 )
 from .quarters import QuarterDate
 from .unitroot import adf_tests
-from .vecm import FIT_CASES, ModelSpec, VecmFit
+from .vecm import ModelSpec, VecmFit
 from .vecm import backtest, fit_vecm, forecast, irf
 
 SUPPORTED_STATES = ("AL", "AR", "ME", "MS", "OR", "WI")
@@ -118,6 +118,7 @@ class RunManifest:
     files: list[str]
     timings: dict
     environment: dict
+    plot_base: str | None  # label of plot.csv's base quarter; None if no panel was read
 
     @property
     def failed(self) -> bool:
@@ -133,14 +134,11 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigInvalid(f"missing {where} keys: {sorted(missing)}")
 
 
-def _parse_case(value, where: str, estimable: bool = True) -> str:
+def _parse_case(value) -> str:
     try:
-        case = DeterministicCase.parse(value)
+        return DeterministicCase.parse(value).value
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    if estimable and case not in FIT_CASES:
-        raise ConfigInvalid(f"{where}: case {case.value!r} is not estimable")
-    return case.value
 
 
 def parse_quarter(value, name: str) -> QuarterDate:
@@ -155,9 +153,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def model_config(entry, estimable: bool = True) -> ModelConfig:
-    """Validate one model entry; ``estimable=False`` also admits the trend
-    cases, which the rank test reports but the estimator cannot fit."""
+def model_config(entry) -> ModelConfig:
+    """Validate one model entry."""
     if not isinstance(entry, dict):
         raise ConfigInvalid("each model must be an object")
     _require_keys(entry, {"state", "naics", "k", "r", "case"}, {"state", "naics"}, "model")
@@ -174,7 +171,7 @@ def model_config(entry, estimable: bool = True) -> ModelConfig:
         raise ConfigInvalid(f"model {state}/{naics}: r must be a nonnegative integer")
     case = entry.get("case")
     if case is not None:
-        case = _parse_case(case, f"model {state}/{naics}", estimable)
+        case = _parse_case(case)
     return ModelConfig(state=state, naics=naics, k=k, r=r, case=case)
 
 
@@ -220,7 +217,7 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
     holdout = raw_defaults.get("holdoutStart")
     if holdout is not None:
         holdout = parse_quarter(holdout, "holdoutStart")
-    johansen_case = _parse_case(raw_defaults.get("johansenCase", "restrictedConstant"), "defaults")
+    johansen_case = _parse_case(raw_defaults.get("johansenCase", "restrictedConstant"))
     lq_threshold = raw_defaults.get("lqThreshold", 1.0)
     # NaN, the infinities and integers beyond the float range all fail the range test.
     if (
@@ -475,14 +472,11 @@ def lags_lines(panel: PanelDataset, selection: LagSelection) -> str:
 
 
 def johansen_lines(panel: PanelDataset, jres: JohansenResult) -> str:
-    """One row per r; trace_cv5 and selected_rank are blank for the trend
-    cases, which carry no critical values."""
-    cvs = jres.critical_values_5pct
-    rank = "" if jres.selected_rank is None else jres.selected_rank
+    cvs = jres.critical_values_5pct["trace"]
     return "".join(
         _line(
             panel, jres.k, jres.case.short, r, fmt6(jres.eigenvalues[r]), fmt6(jres.trace_stats[r]),
-            "" if cvs is None else fmt6(cvs["trace"][r]), fmt6(jres.max_eig_stats[r]), rank,
+            fmt6(cvs[r]), fmt6(jres.max_eig_stats[r]), jres.selected_rank,
         )
         for r in range(len(jres.eigenvalues))
     )
@@ -541,12 +535,11 @@ def load_panel(data_dir: str, state: str, naics: int) -> PanelDataset:
 
 def resolve_model(
     x: np.ndarray, model: ModelConfig, defaults: RunDefaults, aic_lag: int | None = None
-) -> tuple[int, int | None, str, JohansenResult]:
+) -> tuple[int, int, str, JohansenResult]:
     """k, r and case of one model with levels ``x``, and the rank test at
     that k and case. Each is the model's own setting if it has one; else k
     is the AIC lag choice (``aic_lag``, or a new lag selection), r the rank
-    the test selects (None for the trend cases) and the case the default
-    one."""
+    the test selects and the case the default one."""
     case = model.case or defaults.johansen_case
     k = model.k
     if k is None:
@@ -561,12 +554,9 @@ def resolve_model(
 @dataclass
 class ModelOutput:
     """One model's results. ``lines`` maps each report to the model's text
-    until ``run_pipeline`` appends it to the bundle and clears it. ``rows``
-    holds forecast.csv's values (the levels, then the forecast path) in the
-    order they fill ``template``, once forecast has run; the plot pass reads
-    both after every model has run. ``stages`` maps each stage entered, in
-    order, to its seconds; ``stage`` is the stage last entered, and after a
-    failure the stage that failed."""
+    until ``run_pipeline`` appends it to the bundle and clears it.
+    ``stages`` maps each stage entered, in order, to its seconds; ``stage``
+    is the stage last entered, and after a failure the stage that failed."""
 
     model: ModelConfig
     status: str = "ok"
@@ -576,10 +566,6 @@ class ModelOutput:
     stages: dict[str, float] = field(default_factory=dict)
     spec_used: dict = field(default_factory=dict)
     lines: dict[str, str] = field(default_factory=dict)
-    panel: PanelDataset | None = None
-    rows: np.ndarray | None = None
-    template: str = ""
-    seconds: float = 0.0
 
     @contextlib.contextmanager
     def timed(self, stage: str):
@@ -601,16 +587,16 @@ class ModelOutput:
             self.message = f"{self.error_type}: {exc}"
 
 
-def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
-    out = ModelOutput(model=model)
+def _run_model(
+    out: ModelOutput, panel: PanelDataset, config: RunConfig, aux: dict, index_base: QuarterDate
+) -> None:
+    """Run every stage after ingest on ``panel``, recording into ``out``;
+    the plot rows divide by the levels at ``index_base``."""
     lines = out.lines
     defaults = config.defaults
     timed = out.timed
-    started = time.perf_counter()
+    plot_error = None
     try:
-        with timed("ingest"):
-            panel = out.panel = load_panel(config.data_dir, model.state, model.naics)
-
         with timed("lq"):
             lq = lq_records_for_panel(panel, aux)
             lines["lq.csv"] = lq_lines(panel, lq)
@@ -627,7 +613,7 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
             lines["lags.csv"] = lags_lines(panel, selection)
 
         with timed("johansen"):
-            k, r, case, jres = resolve_model(x, model, defaults, selection.chosen["byAic"])
+            k, r, case, jres = resolve_model(x, out.model, defaults, selection.chosen["byAic"])
             lines["johansen.csv"] = johansen_lines(panel, jres)
             out.spec_used = {"k": k, "r": r, "case": jres.case.short}
         with timed("fit"):
@@ -639,10 +625,13 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
             lines["normality.csv"] = normality_lines(panel, fit)
 
         with timed("forecast"):
-            path = forecast(fit, x[-k:], defaults.horizon)
-            out.template = _path_template(panel, defaults.horizon)
-            out.rows = np.concatenate((x, path))
-            lines["forecast.csv"] = _fill(out.template, out.rows)
+            template = _path_template(panel, defaults.horizon)
+            rows = np.concatenate((x, forecast(fit, x[-k:], defaults.horizon)))
+            lines["forecast.csv"] = _fill(template, rows)
+            try:
+                lines["plot.csv"] = emit_plot_data(panel, rows, template, index_base)
+            except IndexBaseMissing as exc:
+                plot_error = exc  # the model's other rows are still built
         with timed("irf"):
             lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))
 
@@ -652,8 +641,10 @@ def _run_model(model: ModelConfig, config: RunConfig, aux: dict) -> ModelOutput:
                 lines["backtest.csv"] = backtest_lines(panel, rmse, mape)
     except Exception as exc:
         out.fail(exc)
-    out.seconds = time.perf_counter() - started
-    return out
+    # Recorded after the later stages ran: a failure of theirs is the one
+    # named, and entering them cannot overwrite the stage "plot".
+    if plot_error is not None:
+        out.fail(plot_error, "plot")
 
 
 # A run's temp name, as ``run_pipeline`` builds it.
@@ -686,14 +677,16 @@ def _remove_dead_runs_temp_files(out_dir: str) -> None:
 def run_pipeline(config: RunConfig) -> RunManifest:
     """Execute every configured model and write the report bundle.
 
-    Models run in report order, (state, naics), and each one's rows are
-    appended to temp files in ``out_dir`` as soon as it ends, so the run
-    holds one model's text at a time. Once every report and the manifest
-    are written, each temp file is renamed onto its report, a report this
-    run does not write is removed, and the manifest is renamed last. If
-    anything escapes (an interrupt, a failed write), the temp files are
-    deleted and the previous bundle stays as it was; the temp files of a
-    run killed outright are deleted by the next run into ``out_dir``.
+    Every panel is read first, and plot.csv's base quarter is the latest
+    start among the panels read. Models then run in report order, (state,
+    naics), and each one's rows, plot.csv's included, are appended to temp
+    files in ``out_dir`` as soon as it ends, so the run holds one model's
+    text at a time. Once every report and the manifest are written, each
+    temp file is renamed onto its report, a report this run does not write
+    is removed, and the manifest is renamed last. If anything escapes (an
+    interrupt, a failed write), the temp files are deleted and the previous
+    bundle stays as it was; the temp files of a run killed outright are
+    deleted by the next run into ``out_dir``.
 
     ``timings.writeSeconds`` is the time spent writing and closing the
     reports' temp files; the manifest's own write and the renames come
@@ -735,22 +728,24 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 fh.write(text)
                 write_seconds += time.perf_counter() - write_started
 
-            outputs = []
-            for model in sorted(config.models, key=lambda m: (m.state, m.naics)):
-                o = _run_model(model, config, aux)
+            outputs = [
+                ModelOutput(m) for m in sorted(config.models, key=lambda m: (m.state, m.naics))
+            ]
+            panels = {}
+            for o in outputs:
+                try:
+                    with o.timed("ingest"):
+                        panels[o.model] = load_panel(config.data_dir, o.model.state, o.model.naics)
+                except Exception as exc:
+                    o.fail(exc)
+            # plot.csv's base: the latest start among the panels read.
+            index_base = max((p.start for p in panels.values()), default=None)
+            for o in outputs:
+                if o.model in panels:
+                    _run_model(o, panels.pop(o.model), config, aux, index_base)
                 for report, text in o.lines.items():
                     append(report, text)
                 o.lines.clear()
-                outputs.append(o)
-
-            # Relative plot series, indexed at the latest common start quarter.
-            forecasted = [o for o in outputs if o.rows is not None]
-            index_base = max((o.panel.start for o in forecasted), default=None)
-            for o in forecasted:
-                try:
-                    append("plot.csv", emit_plot_data(o.panel, o.rows, o.template, index_base))
-                except IndexBaseMissing as exc:
-                    o.fail(exc, "plot")
             closing = time.perf_counter()
         # Closing the temp files flushes their last rows.
         write_seconds += time.perf_counter() - closing
@@ -769,8 +764,9 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             files=sorted(handles),
             timings={
                 "totalSeconds": round(time.perf_counter() - started, 3),
-                "perModel": {
-                    f"{o.model.state}_{o.model.naics}": round(o.seconds, 3) for o in outputs
+                "perModel": {  # the sum of the model's stage times
+                    f"{o.model.state}_{o.model.naics}": round(sum(o.stages.values()), 3)
+                    for o in outputs
                 },
                 # Stages take tens to hundreds of µs, which 3 decimals would round to 0.
                 "perStage": {
@@ -788,6 +784,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 "numpy": np.__version__,
                 "scipy": SCIPY_VERSION,
             },
+            plot_base=None if index_base is None else index_base.label(),
         )
         with open(temp["manifest.json"], "w") as fh:
             json.dump(
@@ -797,6 +794,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                     "files": manifest.files,
                     "timings": manifest.timings,
                     "environment": manifest.environment,
+                    "plotBase": manifest.plot_base,
                 },
                 fh,
                 indent=2,

@@ -39,14 +39,6 @@ from .linalg import cholesky, ols
 from .panel import PanelDataset
 from .quarters import QuarterDate
 
-# The cases the estimator can fit; the trend cases are rank-test only.
-FIT_CASES = (
-    DeterministicCase.NONE,
-    DeterministicCase.RESTRICTED_CONSTANT,
-    DeterministicCase.UNRESTRICTED_CONSTANT,
-)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Identification of one fitted model: lag order, rank, case."""
@@ -120,10 +112,6 @@ def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = N
     SampleTooShort, SingularS00, NumericalFailure
         Propagated from the cointegration step.
     """
-    if spec.case not in FIT_CASES:
-        raise ValueError(
-            f"fitting supports cases {[c.value for c in FIT_CASES]}, got {spec.case.value}"
-        )
     x = np.asarray(x, dtype=float)
     t, n = x.shape
     if spec.r > n:

@@ -216,14 +216,6 @@ class TestConfiguredModel:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("AL,113,2,uconst,0,")
 
-    def test_johansen_accepts_trend_case(self, capsys):
-        assert run_cli(*stage_args("johansen", "AL", 113, "--case", "rtrend")) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 6
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert fields[3] == "rtrend" and fields[7] == "" and fields[9] == ""
-
 
 class TestBadStageFlags:
     @pytest.mark.parametrize(
@@ -231,7 +223,7 @@ class TestBadStageFlags:
         [
             ("johansen", ["--case", "bogus"], "ConfigInvalid: unknown deterministic case"),
             ("fit", ["--case", "bogus"], "ConfigInvalid: unknown deterministic case"),
-            ("fit", ["--case", "rtrend"], "is not estimable"),
+            ("fit", ["--case", "rtrend"], "ConfigInvalid: unknown deterministic case"),
             ("fit", ["--k", "0"], "k must be a positive integer"),
             ("fit", ["--r", "-1"], "r must be a nonnegative integer"),
             ("backtest", ["--holdout", "2016Q5"], "ConfigInvalid: bad --holdout"),
@@ -239,6 +231,7 @@ class TestBadStageFlags:
             ("adf", ["--deterministic", "bogus"], "--deterministic must be one of"),
             ("forecast", ["--horizon", "0"], "HorizonZero"),
             ("lags", ["--max-lag", "0"], "--max-lag must be a positive integer"),
+            ("johansen", ["--case", "utrend"], "ConfigInvalid: unknown deterministic case"),
         ],
     )
     def test_bad_flag_is_a_typed_error(self, command, flags, message, capsys):

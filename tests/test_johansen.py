@@ -98,15 +98,12 @@ class TestErrors:
             johansen_test(data, 1, "none")
 
 
-class TestTrendCasesReportOnly:
-    def test_no_decision_for_trend_cases(self):
-        rng = np.random.default_rng(10)
-        data = coint_pair(200, rng)
-        for case in ("rtrend", "utrend"):
-            res = johansen_test(data, 2, case)
-            assert res.selected_rank is None
-            assert res.critical_values_5pct is None
-            assert res.trace_stats.shape == (2,)
+class TestTrendCasesRejected:
+    def test_trend_cases_are_unknown(self):
+        data = coint_pair(200, np.random.default_rng(10))
+        for case in ("rtrend", "utrend", "restrictedTrend", "unrestrictedTrend"):
+            with pytest.raises(ValueError, match="unknown deterministic case"):
+                johansen_test(data, 2, case)
 
 
 class TestInvariances:

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import json
 import re
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -369,7 +371,9 @@ class TestRunPipeline:
         manifest = run_pipeline(config)
         with open(os.path.join(config.out_dir, "manifest.json")) as fh:
             on_disk = json.load(fh)
-        assert set(on_disk) == {"configHash", "environment", "files", "models", "timings"}
+        assert set(on_disk) == {
+            "configHash", "environment", "files", "models", "plotBase", "timings"
+        }
         # numpy's OpenBLAS runs LAPACK and is the one pool loaded; scipy's
         # wrappers and pool only where numpy's library is not found.
         if LAPACK == "scipy.linalg._flapack":
@@ -511,6 +515,61 @@ class TestRunPipeline:
             first_ar = next(line for line in fh if line.startswith("AR,"))
         assert first_ar == "AR,113,2010Q3,output,1,0\n"
 
+    def test_failure_after_ingest_leaves_other_plot_rows(self, tmp_path):
+        # AR 113 starts in 2003Q1, so it sets the plot base. With k = 20 its
+        # sample is too short and it fails in johansen; ME's plot rows stay.
+        data = _copy_data(tmp_path, {"AR_113": slice(8, None)})
+
+        def me_plot_rows(ar_model, out):
+            config = parse_config(
+                {
+                    "dataDir": str(data),
+                    "outDir": str(tmp_path / out),
+                    "models": [ar_model, {"state": "ME", "naics": 113}],
+                    "defaults": {"maxLag": 2, "horizon": 4},
+                }
+            )
+            manifest = run_pipeline(config)
+            with open(tmp_path / out / "plot.csv") as fh:
+                rows = [line for line in fh if line.startswith("ME,")]
+            return manifest, rows
+
+        ran, ran_rows = me_plot_rows({"state": "AR", "naics": 113}, "ran")
+        failed, failed_rows = me_plot_rows({"state": "AR", "naics": 113, "k": 20}, "failed")
+        assert not ran.failed
+        ar = next(m for m in failed.models if m["state"] == "AR")
+        assert (ar["status"], ar["stage"], ar["errorType"]) == ("error", "johansen", "SampleTooShort")
+        assert ran.plot_base == failed.plot_base == "2003Q1"
+        assert failed_rows == ran_rows
+        assert "ME,113,2001Q1,output,0.666485,0\n" in failed_rows
+
+    def test_manifest_names_the_plot_base(self, tmp_path):
+        with open(os.path.join(DATA_ROOT, "config.json")) as fh:
+            obj = json.load(fh)
+        obj["outDir"] = str(tmp_path / "bundled")
+        manifest = run_pipeline(parse_config(obj, base_dir=DATA_ROOT))
+        # MS 322, OR 321, WI 321 and WI 322 start last, in 2004Q1.
+        with open(tmp_path / "bundled" / "manifest.json") as fh:
+            assert json.load(fh)["plotBase"] == manifest.plot_base == "2004Q1"
+
+        # ME 113 cut to start in 2005Q2 sets the base; every series reads 1 there.
+        data = _copy_data(tmp_path, {"ME_113": slice(17, None)})
+        config = small_run_config(tmp_path)
+        config = dataclasses.replace(config, data_dir=str(data))
+        assert run_pipeline(config).plot_base == "2005Q2"
+        with open(os.path.join(config.out_dir, "plot.csv")) as fh:
+            at_base = [line.split(",") for line in fh if ",2005Q2," in line]
+        assert len(at_base) == 2 * len(VARIABLES)
+        assert all(row[4] == "1" for row in at_base)
+
+        # No panel read, no base.
+        for name in ("AL_113", "ME_113"):
+            os.remove(data / "panels" / f"{name}.csv")
+        manifest = run_pipeline(config)
+        assert manifest.plot_base is None and manifest.files == []
+        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
+            assert json.load(fh)["plotBase"] is None
+
     def test_rerun_removes_reports_it_does_not_write(self, tmp_path):
         with open(os.path.join(DATA_ROOT, "config.json")) as fh:
             obj = json.load(fh)
@@ -603,6 +662,18 @@ class TestOneFactorizationPerModel:
         assert calls == Counter(qr_r=2)
 
 
+def _copy_data(tmp_path, keep):
+    """A copy of the bundled data under ``tmp_path`` in which each panel
+    named in ``keep`` holds only the data rows its slice selects."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA_ROOT, data)
+    for name, rows_kept in keep.items():
+        path = data / "panels" / f"{name}.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(rows[rows_kept]))
+    return data
+
+
 def _bundle(out_dir) -> dict[str, bytes]:
     """Every file in ``out_dir``, by name."""
     bundle = {}
@@ -631,7 +702,7 @@ class TestStreamedBundle:
         assert peak < irf_size
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, OSError])
-    @pytest.mark.parametrize("where", ["second model", "plot pass"])
+    @pytest.mark.parametrize("where", ["second model", "plot rows"])
     def test_interrupted_run_leaves_the_previous_bundle(self, tmp_path, monkeypatch, where, exc):
         config = small_run_config(tmp_path)
         run_pipeline(config)
@@ -649,12 +720,21 @@ class TestStreamedBundle:
                 return run_model(*args)
 
             monkeypatch.setattr(pipeline, "_run_model", interrupted)
-        else:
+        elif exc is KeyboardInterrupt:
 
             def interrupted(*args):
                 raise exc()
 
             monkeypatch.setattr(pipeline, "emit_plot_data", interrupted)
+        else:
+            # An OSError from emit_plot_data is one model's failure; one from
+            # writing plot.csv's temp file ends the run.
+            def failing_open(path, *args, **kwargs):
+                if os.path.basename(path).startswith(".plot.csv."):
+                    raise exc(28, "No space left on device")
+                return open(path, *args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
         with pytest.raises(exc):
             run_pipeline(config)
         assert _bundle(config.out_dir) == before
