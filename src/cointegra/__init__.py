@@ -6,6 +6,9 @@ impulse responses, residual diagnostics, and a batch pipeline over all
 configured state-industry models.
 """
 
+# linalg first: it starts numpy's OpenBLAS with one thread, which it can
+# only do if it is the first to import numpy.
+from . import linalg
 from .diagnostics import lm_autocorrelation, normality_tests
 from .johansen import DeterministicCase, beta_normalize, johansen_test
 from .lagselect import select_lags

@@ -131,6 +131,12 @@ def _partial_out(z0, z1, z2):
     return z0 - z2 @ lstsq(z2, z0), z1 - z2 @ lstsq(z2, z1)
 
 
+def _require_sample(t: int, n: int, k: int) -> None:
+    """Raise SampleTooShort unless T - k >= 10 + n*k, naming T and k."""
+    if t - k < 10 + n * k:
+        raise SampleTooShort(f"{t} quarters available; k={k} needs at least {10 + (n + 1) * k}")
+
+
 def johansen_test(x: np.ndarray, k: int, case="restrictedConstant") -> JohansenResult:
     """Run the cointegration-rank test on a level system.
 
@@ -156,9 +162,7 @@ def johansen_test(x: np.ndarray, k: int, case="restrictedConstant") -> JohansenR
     t, n = x.shape
     if k < 1:
         raise ValueError("lag order k must be at least 1")
-    t_eff = t - k
-    if t_eff < 10 + n * k:
-        raise SampleTooShort(f"effective sample {t_eff} below minimum {10 + n * k}")
+    _require_sample(t, n, k)
 
     z0, z1, z2, t_eff = _design_blocks(x, k, case)
     r0, r1 = _partial_out(z0, z1, z2)

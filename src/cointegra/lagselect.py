@@ -58,6 +58,17 @@ class LagSelection:
     per_lag: list[LagStats]
     chosen: dict[str, int]
 
+    def by_criterion(self) -> dict[str, int]:
+        """The lag each of AIC, HQ, SC, FPE and LR picks; HQ and SC, like
+        AIC and FPE, the lag that minimizes the criterion."""
+        return {
+            "aic": self.chosen["byAic"],
+            "hq": min(self.per_lag, key=lambda s: s.hqic).lag,
+            "sc": min(self.per_lag, key=lambda s: s.sbic).lag,
+            "fpe": self.chosen["byFpe"],
+            "lr": self.chosen["byLr"],
+        }
+
 
 def _log_det(sigma: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(sigma)

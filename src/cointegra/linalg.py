@@ -37,14 +37,21 @@ stubbed import falls back to importing the public ``scipy.special``
 normally, which is slower and gives the same objects; it also serves a
 scipy without the private ``_special_ufuncs``.
 
-Importing this module sets the OpenBLAS pools it loaded (numpy's, and on
-the fallback scipy's) to one thread for the whole process, overriding
-``OPENBLAS_NUM_THREADS``; a program that imports cointegra inherits it. At
-a few dozen columns a second thread costs more in hand-off than it saves:
-``long-panel`` (``geqp3`` on 300×61 designs) runs about 13% faster, and
-with the other vCPU busy a triangular solve took 4.4 ms, not 15 µs (2
-vCPU). Where a library or setter is missing from
-``<site-packages>/numpy.libs`` or ``scipy.libs``, nothing is set.
+Importing this module leaves the OpenBLAS pools it loaded (numpy's, and on
+the fallback scipy's) at one thread for the whole process; a program that
+imports cointegra inherits it. At a few dozen columns a second thread
+costs more in hand-off than it saves: ``long-panel`` (``geqp3`` on 300×61
+designs) runs about 13% faster, and with the other vCPU busy a triangular
+solve took 4.4 ms, not 15 µs (2 vCPU). The package imports this module
+first, so where cointegra is imported before numpy, each pool starts with
+one thread: ``OPENBLAS_NUM_THREADS`` is 1 only while the library loads and
+is then restored as it was. A pool started with two threads and pinned
+afterwards keeps its spare thread, which cost a fresh process 68 ms of
+``import numpy`` (0.168 against 0.100 s, 2 vCPU). A program that imported
+numpy first still gets the pin: after the imports, each pool's setter sets
+it to one thread, overriding ``OPENBLAS_NUM_THREADS``. Where a library is
+not found in ``<site-packages>/numpy.libs`` or ``scipy.libs``, nothing is
+set; where its setter is missing, there is no pin.
 
 A run makes hundreds of LAPACK calls on matrices of a few dozen columns, and
 at that size the ``scipy.linalg`` wrappers (batching, input validation,
@@ -65,6 +72,7 @@ process, and ``chi2_sf`` gives the same values without it.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -74,17 +82,17 @@ import sys
 import types
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotPositiveDefinite, RankDeficient
 
 # Relative pivot threshold below which a design matrix is declared singular.
 RANK_TOL = 1e-10
 
 # find_spec locates a package without running its ``__init__``.
-_SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
+_NUMPY_DIR, _SCIPY_DIR = (
+    importlib.util.find_spec(name).submodule_search_locations[0] for name in ("numpy", "scipy")
+)
 # pool -> (package directory, whose sibling ``<dir>.libs`` holds its OpenBLAS; symbol suffix)
-_LIBRARIES = {"numpy": (np.__path__[0], "64_"), "scipy": (_SCIPY_DIR, "")}
+_LIBRARIES = {"numpy": (_NUMPY_DIR, "64_"), "scipy": (_SCIPY_DIR, "")}
 
 
 def _library(pool: str) -> str | None:
@@ -92,6 +100,32 @@ def _library(pool: str) -> str | None:
     directory, suffix = _LIBRARIES[pool]
     found = glob.glob(os.path.join(directory + ".libs", f"libscipy_openblas{suffix}-*"))
     return found[0] if found else None
+
+
+@contextlib.contextmanager
+def _loading_with_one_thread(pool: str, module: str):
+    """Hold ``OPENBLAS_NUM_THREADS=1`` while the block imports ``module``,
+    which loads ``pool``'s OpenBLAS, and then restore the variable as it was
+    (unset stays unset). The library reads it once, as it loads, and starts
+    its pool with that many threads. Nothing is set where ``module`` is
+    imported already, as its library has read the variable then, or where
+    the library is not found, as the pin skips that pool too."""
+    if module in sys.modules or _library(pool) is None:
+        yield
+        return
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+with _loading_with_one_thread("numpy", "numpy"):
+    import numpy as np
 
 
 def _load_extensions(flapack: bool) -> tuple[types.ModuleType | None, types.ModuleType, str]:
@@ -132,7 +166,10 @@ def _load_extensions(flapack: bool) -> tuple[types.ModuleType | None, types.Modu
 
 
 def _flapack(wanted: bool) -> types.ModuleType | None:
-    return importlib.import_module("scipy.linalg._flapack") if wanted else None
+    if not wanted:
+        return None
+    with _loading_with_one_thread("scipy", "scipy.linalg._flapack"):
+        return importlib.import_module("scipy.linalg._flapack")
 
 
 def _openblas(pool: str, verb: str, *args: int) -> int | None:

@@ -9,8 +9,9 @@ never abort the run. Each model's rows are appended to temp files in the
 output directory as soon as it ends, so a run holds one model's text at a
 time; the reports and then the manifest are renamed into place at the end,
 and an interrupted run leaves the previous bundle as it was. The manifest
-times each model's stages and names the stage and exception class of a
-failed model. Given the same configuration, data, and seed, the report CSVs
+times each model's stages, names the stage and exception class of a
+failed model, and gives the lag each criterion picks for an ok one
+(``lagChoice``). Given the same configuration, data, and seed, the report CSVs
 are byte-identical across runs; manifest timings are the only varying
 output.
 
@@ -556,7 +557,8 @@ class ModelOutput:
     """One model's results. ``lines`` maps each report to the model's text
     until ``run_pipeline`` appends it to the bundle and clears it.
     ``stages`` maps each stage entered, in order, to its seconds; ``stage``
-    is the stage last entered, and after a failure the stage that failed."""
+    is the stage last entered, and after a failure the stage that failed.
+    ``lag_choice`` maps each lag selection criterion to the lag it picks."""
 
     model: ModelConfig
     status: str = "ok"
@@ -565,6 +567,7 @@ class ModelOutput:
     stage: str = ""
     stages: dict[str, float] = field(default_factory=dict)
     spec_used: dict = field(default_factory=dict)
+    lag_choice: dict[str, int] = field(default_factory=dict)
     lines: dict[str, str] = field(default_factory=dict)
 
     @contextlib.contextmanager
@@ -611,6 +614,7 @@ def _run_model(
         with timed("lags"):
             selection = select_lags(x, max_lag=defaults.max_lag)
             lines["lags.csv"] = lags_lines(panel, selection)
+            out.lag_choice = selection.by_criterion()
 
         with timed("johansen"):
             k, r, case, jres = resolve_model(x, out.model, defaults, selection.chosen["byAic"])
@@ -754,7 +758,9 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         for o in sorted(outputs, key=lambda o: (o.model.naics, o.model.state)):
             entry = {"state": o.model.state, "naics": o.model.naics, "status": o.status}
             entry.update(o.spec_used)
-            if o.status != "ok":
+            if o.status == "ok":
+                entry["lagChoice"] = o.lag_choice
+            else:
                 entry.update(message=o.message, stage=o.stage, errorType=o.error_type)
             models.append(entry)
 

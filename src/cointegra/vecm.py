@@ -32,6 +32,7 @@ from .johansen import (
     DeterministicCase,
     JohansenResult,
     _design_blocks,
+    _require_sample,
     beta_normalize,
     johansen_test,
 )
@@ -116,10 +117,7 @@ def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = N
     t, n = x.shape
     if spec.r > n:
         raise RankMismatch(f"rank {spec.r} exceeds dimension {n}")
-    if t - spec.k < 10 + n * spec.k:
-        raise SampleTooShort(
-            f"effective sample {t - spec.k} below minimum {10 + n * spec.k}"
-        )
+    _require_sample(t, n, spec.k)
 
     z0, z1, z2, t_eff = _design_blocks(x, spec.k, spec.case)
     m = z1.shape[1]
@@ -298,8 +296,12 @@ def backtest(
             f"holdout start {holdout_start} outside usable range "
             f"{panel.start.advanced(1)}..{panel.end}"
         )
-    train = panel.window(panel.start, holdout_start.advanced(-1)).levels
-    fit = fit_vecm(train, spec)
+    last = holdout_start.advanced(-1)
+    train = panel.window(panel.start, last).levels
+    try:
+        fit = fit_vecm(train, spec)
+    except SampleTooShort as exc:
+        raise SampleTooShort(f"training window {panel.start}..{last}: {exc}") from exc
     path = forecast(fit, train[-spec.k :], len(panel) - offset)
     # One contiguous row per variable, so each mean sums in index order.
     actuals = np.ascontiguousarray(panel.levels[offset:].T)

@@ -241,6 +241,23 @@ class TestBadStageFlags:
         assert captured.err.startswith("error: ")
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            (
+                "backtest",
+                ["--holdout", "2001Q3"],
+                "training window 2001Q1..2001Q2: 2 quarters available; k=4 needs at least 34",
+            ),
+            ("fit", ["--k", "80"], "72 quarters available; k=80 needs at least 490"),
+        ],
+    )
+    def test_short_sample_names_the_quarters_and_k(self, command, flags, message, capsys):
+        assert run_cli(*stage_args(command, "AL", 113, *flags)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: SampleTooShort: {message}\n"
+
     @pytest.mark.parametrize("flags", [["--state", "XX"], ["--naics", "999"]])
     def test_unsupported_model(self, flags, capsys):
         args = ["summarize", "--config", CONFIG, "--state", "AL", "--naics", "113", *flags]

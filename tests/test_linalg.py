@@ -430,9 +430,42 @@ print("ols", hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
 
 
 class TestBlasPin:
-    """Importing linalg sets the OpenBLAS pools it loaded to one thread:
+    """Importing linalg leaves the OpenBLAS pools it loaded at one thread:
     numpy's alone, which also runs LAPACK, unless numpy's library is not
-    found and scipy's LAPACK wrappers load scipy's."""
+    found and scipy's LAPACK wrappers load scipy's.
+
+    Where cointegra imports numpy first, the pool starts with one thread:
+    ``OPENBLAS_NUM_THREADS`` is 1 only while the library loads and is then
+    restored, so no spare OpenBLAS thread is ever started. One would cost
+    each fresh process about 70 ms of import time (2 vCPU). A program that
+    imported numpy before cointegra keeps the threads it started, and the
+    pin after the import sets its pool to one."""
+
+    @pytest.mark.parametrize("environ", [None, "3"], ids=["unset", "3"])
+    def test_pool_starts_with_one_thread_and_the_environment_stays(self, environ, monkeypatch):
+        require_openblas()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        out = run_fresh(
+            "import os\n"
+            "import cointegra\n"
+            "from cointegra.linalg import blas_threads\n"
+            "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+            "print(blas_threads())\n"
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None)\n",
+            **({} if environ is None else {"OPENBLAS_NUM_THREADS": environ}),
+        )
+        assert out[:2] == [repr(environ), "{'numpy': 1}"]
+        if out[2] == "None":
+            pytest.skip("no /proc/self/task to count the threads in")
+        assert out[2] == "1"
+
+    def test_numpy_imported_first_is_still_pinned(self):
+        require_openblas()
+        out = run_fresh(
+            "import numpy\nimport cointegra\nfrom cointegra.linalg import blas_threads\nprint(blas_threads())",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert out == ["{'numpy': 1}"]
 
     def test_both_pools_read_one_thread_over_the_environment(self):
         require_openblas()

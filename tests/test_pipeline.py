@@ -570,6 +570,29 @@ class TestRunPipeline:
         with open(os.path.join(config.out_dir, "manifest.json")) as fh:
             assert json.load(fh)["plotBase"] is None
 
+    def test_manifest_gives_each_criterions_lag(self, tmp_path):
+        with open(os.path.join(DATA_ROOT, "config.json")) as fh:
+            obj = json.load(fh)
+        obj["outDir"] = str(tmp_path / "bundled")
+        manifest = run_pipeline(parse_config(obj, base_dir=DATA_ROOT))
+        with open(tmp_path / "bundled" / "manifest.json") as fh:
+            assert json.load(fh)["models"] == manifest.models
+        with open(tmp_path / "bundled" / "lags.csv") as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh][1:]
+        unset_k = {(m["state"], m["naics"]) for m in obj["models"] if "k" not in m}
+        assert len(manifest.models) == 16
+        for entry in manifest.models:
+            choice = entry["lagChoice"]
+            assert list(choice) == ["aic", "hq", "sc", "fpe", "lr"]
+            if (entry["state"], entry["naics"]) in unset_k:
+                assert choice["aic"] == entry["k"]
+            # The same lags as lags.csv: its flags, and its HQ and SC minima.
+            own = [r for r in rows if (r[0], int(r[1])) == (entry["state"], entry["naics"])]
+            for name in ("aic", "fpe", "lr"):
+                assert [int(r[2]) for r in own if name in r[10].split("+")] == [choice[name]]
+            for name, column in (("hq", 6), ("sc", 7)):
+                assert int(min(own, key=lambda r: float(r[column]))[2]) == choice[name]
+
     def test_rerun_removes_reports_it_does_not_write(self, tmp_path):
         with open(os.path.join(DATA_ROOT, "config.json")) as fh:
             obj = json.load(fh)

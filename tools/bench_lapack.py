@@ -1,5 +1,6 @@
-"""Per-call time of ``cointegra.linalg``'s LAPACK kernels and fresh-process
-peak RSS, for this checkout against a base checkout.
+"""Per-call time of ``cointegra.linalg``'s LAPACK kernels, and wall time,
+CPU time and peak RSS of fresh processes, for this checkout against a base
+checkout.
 
     python tools/bench_lapack.py --base <base checkout> [--repeat 400] [--pairs 8] [--out BENCH_lapack.json]
 
@@ -9,11 +10,13 @@ imported into one process (the base one as ``cointegra_base``) and timed
 with ``timeit``, alternating base and change repeat by repeat; each figure
 is the minimum over the repeats, in µs per call.
 
-Memory: peak RSS (``wait4`` ``ru_maxrss``) of fresh ``cointegra run`` and
-``cointegra lq`` processes on the bundled config, base and change
-alternated, the side that goes first switched each pair; median and
-quartiles in MB. These run first, while this process has not imported
-numpy: a child's ``ru_maxrss`` counts the memory it was forked with.
+Processes: fresh ``cointegra run`` and ``cointegra lq`` processes on the
+bundled config, base and change alternated, the side that goes first
+switched each pair. Each gives its wall seconds from spawn to exit, its
+user plus system CPU seconds and its peak RSS (``wait4`` ``ru_utime``,
+``ru_stime`` and ``ru_maxrss``); median and quartiles of each. These run
+first, while this process has not imported numpy: a child's ``ru_maxrss``
+counts the memory it was forked with.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import timeit
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,7 +78,16 @@ def kernel_times(base, change, repeat: int) -> dict:
     return out
 
 
-def peak_rss(checkouts: dict, pairs: int) -> dict:
+def summary(values: list[float], unit: str, digits: int) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {
+        f"median_{unit}": round(statistics.median(values), digits),
+        f"quartiles_{unit}": [round(q1, digits), round(q3, digits)],
+        f"samples_{unit}": [round(v, digits) for v in values],
+    }
+
+
+def processes(checkouts: dict, pairs: int) -> dict:
     samples = {kind: {side: [] for side in checkouts} for kind in ("run", "lq ME 322")}
     for pair in range(pairs):
         sides = list(checkouts) if pair % 2 == 0 else list(checkouts)[::-1]
@@ -88,23 +101,25 @@ def peak_rss(checkouts: dict, pairs: int) -> dict:
                         argv = ["run", "--config", config, "--out", out]
                     else:
                         argv = ["lq", "--config", config, "--state", "ME", "--naics", "322"]
+                    started = time.perf_counter()
                     child = subprocess.Popen(
                         [sys.executable, "-m", "cointegra.cli", *argv],
                         env=env, stdout=subprocess.DEVNULL,
                     )
                     _, status, usage = os.wait4(child.pid, 0)
+                    wall = time.perf_counter() - started
                 if status != 0:
                     raise SystemExit(f"{side} {kind} exited with status {status}")
-                samples[kind][side].append(usage.ru_maxrss / 1024.0)
+                samples[kind][side].append(
+                    (wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0)
+                )
     out = {}
     for kind, sides in samples.items():
         out[kind] = {}
         for side, values in sides.items():
-            q1, _, q3 = statistics.quantiles(values, n=4)
+            wall, cpu, rss = zip(*values)
             out[kind][side] = {
-                "median_mb": round(statistics.median(values), 2),
-                "quartiles_mb": [round(q1, 2), round(q3, 2)],
-                "samples_mb": [round(v, 2) for v in values],
+                **summary(wall, "wall_s", 3), **summary(cpu, "cpu_s", 3), **summary(rss, "mb", 2)
             }
     return out
 
@@ -116,7 +131,7 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=8)
     parser.add_argument("--out", default=os.path.join(HERE, "BENCH_lapack.json"))
     args = parser.parse_args()
-    rss = peak_rss({"base": os.path.abspath(args.base), "change": HERE}, args.pairs)
+    fresh = processes({"base": os.path.abspath(args.base), "change": HERE}, args.pairs)
     sys.path.insert(0, os.path.join(HERE, "src"))
     import numpy as np
 
@@ -127,8 +142,8 @@ def main() -> None:
         "method": {
             "kernels": f"timeit in one process, base and change alternated repeat by repeat; "
             f"minimum over {args.repeat} repeats, µs per call",
-            "peak_rss": f"wait4 ru_maxrss of fresh processes, {args.pairs} alternated pairs; "
-            "median and quartiles, MB",
+            "processes": f"fresh processes, {args.pairs} alternated pairs: wall seconds from "
+            "spawn to exit, wait4 ru_utime + ru_stime and ru_maxrss; median and quartiles, s and MB",
         },
         "machine": {
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
@@ -141,7 +156,7 @@ def main() -> None:
             },
         },
         "kernels_us_per_call": kernel_times(base, linalg, args.repeat),
-        "peak_rss": rss,
+        "processes": fresh,
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
