@@ -9,6 +9,10 @@ Two families:
 * Normality tests (Jarque-Bera split into skewness and kurtosis parts) on
   Cholesky-orthogonalized residuals, per equation and jointly.
 
+Both give plain arrays of statistics and p-values, in equation and lag
+order; ``pipeline``'s report builders name the rows and write the degrees
+of freedom.
+
 With m base regressors and n equations, the designs ``[base, Lʲe | e]``
 for j = 0..max_lag (``L⁰e`` a zero block) are stacked and factored by one
 batched unpivoted QR, in place of max_lag + 1 separate least-squares fits.
@@ -28,59 +32,16 @@ columns, so they are bitwise those of that loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, SampleTooShort, SingularCovariance
 from .linalg import RANK_TOL, chi2_sf, cholesky, qr_r, solve_triangular
-from .panel import VARIABLES
 from .vecm import VecmFit
 
-
-@dataclass
-class LmResult:
-    """LM autocorrelation test at one residual lag."""
-
-    lag: int
-    statistic: float
-    dof: int
-    pvalue: float
-
-
-@dataclass
-class TestStat:
-    """A single chi-square test statistic."""
-
-    stat: float
-    dof: int
-    pvalue: float
-
-
-@dataclass
-class EquationNormality:
-    """Normality breakdown for one orthogonalized residual column."""
-
-    equation: str
-    skew: float
-    kurtosis: float
-    skew_test: TestStat
-    kurtosis_test: TestStat
-    jb: TestStat
-
-
-@dataclass
-class NormalityReport:
-    """Per-equation tests plus the joint (ALL) row.
-
-    Joint statistics are the sums of the per-equation ones with degrees of
-    freedom n, n, and 2n.
-    """
-
-    per_equation: list[EquationNormality]
-    joint_skew: TestStat
-    joint_kurtosis: TestStat
-    joint_jb: TestStat
+# Degrees of freedom of one equation's skewness, kurtosis and Jarque-Bera
+# tests; the joint tests of n equations have n times as many.
+NORMALITY_DOF = (1, 1, 2)
 
 
 def _log_det(sigma: np.ndarray) -> float:
@@ -90,8 +51,9 @@ def _log_det(sigma: np.ndarray) -> float:
     return float(logdet)
 
 
-def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
-    """LM test for residual autocorrelation at each lag 1..max_lag.
+def lm_autocorrelation(fit: VecmFit, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """LM test for residual autocorrelation at each lag 1..max_lag: the
+    statistics and p-values, entry j - 1 for lag j.
 
     For lag j the residuals are regressed on the fit's regressors plus
     the residuals lagged j (missing leading rows set to zero); the statistic
@@ -110,7 +72,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     if max_lag == 0:
-        return []
+        return np.empty(0), np.empty(0)
     e = fit.residuals
     t_eff, n = e.shape
     base = fit.regressors
@@ -138,16 +100,21 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> list[LmResult]:
         raise SingularCovariance("residual covariance is singular")
     log_det_aux = 2.0 * np.log(diag).sum(axis=1) - n * math.log(t_eff)
 
-    out = []
-    dof = n * n
-    for j, log_det in enumerate(log_det_aux.tolist(), start=1):
-        stat = max(-(t_eff - n * j - 0.5) * (log_det - log_det_base), 0.0)
-        out.append(LmResult(lag=j, statistic=stat, dof=dof, pvalue=chi2_sf(stat, dof)))
-    return out
+    stats = [
+        max(-(t_eff - n * j - 0.5) * (log_det - log_det_base), 0.0)
+        for j, log_det in enumerate(log_det_aux.tolist(), start=1)
+    ]
+    return np.array(stats), np.array([chi2_sf(stat, n * n) for stat in stats])
 
 
-def normality_tests(fit: VecmFit) -> NormalityReport:
-    """Jarque-Bera, skewness, and kurtosis tests on orthogonalized residuals.
+def normality_tests(fit: VecmFit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Skewness, kurtosis and Jarque-Bera tests on orthogonalized residuals.
+
+    Returns the (n,) skewness and kurtosis per equation, and the (n + 1, 3)
+    statistics and p-values, columns skewness, kurtosis and Jarque-Bera:
+    row i for equation i, with ``NORMALITY_DOF`` degrees of freedom, and
+    the last row the joint test, whose statistics are the sums of the rows
+    above with n times as many.
 
     Residuals are transformed as U = E (P^-1)' with P = cholesky(sigma), so
     the columns are contemporaneously uncorrelated with unit variance;
@@ -176,39 +143,21 @@ def normality_tests(fit: VecmFit) -> NormalityReport:
     if np.max(np.abs(off)) > 1e-8:
         raise NumericalFailure("orthogonalized residuals are not uncorrelated")
 
-    names = VARIABLES if n == len(VARIABLES) else tuple(f"var{i+1}" for i in range(n))
-
     # One contiguous row per equation: each mean then sums pairwise, in the
     # order of a mean over that equation's column alone, so the moments are
     # bitwise those of a loop over the columns.
     rows = np.ascontiguousarray(u.T)
     centered = rows - rows.mean(axis=1, keepdims=True)
-    moments = zip(*(np.mean(centered**p, axis=1).tolist() for p in (2, 3, 4)))
+    m2, m3, m4 = (np.mean(centered**p, axis=1).tolist() for p in (2, 3, 4))
 
-    per = []
-    for name, (m2, m3, m4) in zip(names, moments):
-        skew = m3 / m2**1.5
-        kurt = m4 / m2**2
+    skews = [b / a**1.5 for a, b in zip(m2, m3)]
+    kurts = [c / a**2 for a, c in zip(m2, m4)]
+    stats = []
+    for skew, kurt in zip(skews, kurts):
         s_stat = t_eff * skew**2 / 6.0
         k_stat = t_eff * (kurt - 3.0) ** 2 / 24.0
-        jb = s_stat + k_stat
-        per.append(
-            EquationNormality(
-                equation=f"D_{name}",
-                skew=skew,
-                kurtosis=kurt,
-                skew_test=TestStat(s_stat, 1, chi2_sf(s_stat, 1)),
-                kurtosis_test=TestStat(k_stat, 1, chi2_sf(k_stat, 1)),
-                jb=TestStat(jb, 2, chi2_sf(jb, 2)),
-            )
-        )
-
-    s_sum = math.fsum(eq.skew_test.stat for eq in per)
-    k_sum = math.fsum(eq.kurtosis_test.stat for eq in per)
-    jb_sum = math.fsum(eq.jb.stat for eq in per)
-    return NormalityReport(
-        per_equation=per,
-        joint_skew=TestStat(s_sum, n, chi2_sf(s_sum, n)),
-        joint_kurtosis=TestStat(k_sum, n, chi2_sf(k_sum, n)),
-        joint_jb=TestStat(jb_sum, 2 * n, chi2_sf(jb_sum, 2 * n)),
-    )
+        stats.append((s_stat, k_stat, s_stat + k_stat))
+    stats.append(tuple(map(math.fsum, zip(*stats))))
+    dofs = [NORMALITY_DOF] * n + [tuple(n * dof for dof in NORMALITY_DOF)]
+    pvalues = [tuple(map(chi2_sf, row, dof)) for row, dof in zip(stats, dofs)]
+    return np.array(skews), np.array(kurts), np.array(stats), np.array(pvalues)

@@ -4,7 +4,8 @@ Builds the product-moment matrices S00, S01, S11 from the level/difference
 regressions, solves the generalized eigenproblem, and forms trace and
 max-eigenvalue statistics. Rank selection compares the trace statistic to
 embedded 5% critical values; the max-eigenvalue statistic is reported for
-audit only.
+audit only. S00 serves the singularity check and the eigenproblem; the
+result keeps S01 and S11, from which the fit computes alpha.
 """
 
 from __future__ import annotations
@@ -91,16 +92,19 @@ TRACE_CV5 = {
 class JohansenResult:
     """Eigenvalues, statistics, and the rank decision for one system.
 
-    critical_values_5pct holds the per-r list for 'trace'.
+    ``trace_cv5[r]`` is the 5% critical value of the trace test of rank r.
+    ``s01`` and ``s11`` are the product moments S01 and S11 that the fit's
+    adjustment coefficients are computed from.
     """
 
     eigenvalues: np.ndarray
     trace_stats: np.ndarray
     max_eig_stats: np.ndarray
-    critical_values_5pct: dict[str, np.ndarray]
+    trace_cv5: np.ndarray
     selected_rank: int
     beta: np.ndarray
-    s_matrices: dict[str, np.ndarray]
+    s01: np.ndarray
+    s11: np.ndarray
     case: DeterministicCase
     k: int
     t_eff: int
@@ -210,10 +214,11 @@ def johansen_test(x: np.ndarray, k: int, case="restrictedConstant") -> JohansenR
         eigenvalues=eigvals,
         trace_stats=trace,
         max_eig_stats=maxeig,
-        critical_values_5pct={"trace": trace_cv},
+        trace_cv5=trace_cv,
         selected_rank=selected,
         beta=beta,
-        s_matrices={"S00": s00, "S01": s01, "S11": s11},
+        s01=s01,
+        s11=s11,
         case=case,
         k=k,
         t_eff=t_eff,

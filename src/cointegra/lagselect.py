@@ -17,6 +17,9 @@ times the largest of them.
 Summed in another order than per-lag fits, ``log_det_sigma``, every
 criterion and every LR statistic match a separate ``linalg.ols`` fit per
 lag to a relative 1e-12, not bitwise; the chosen lags are the same.
+
+The result, a ``LagSelection``, holds each criterion as an array over the
+lags beside the chosen orders; ``pipeline.lags_lines`` writes its rows.
 """
 
 from __future__ import annotations
@@ -31,40 +34,37 @@ from .linalg import RANK_TOL, chi2_sf, qr_r
 
 
 @dataclass
-class LagStats:
-    """Criteria for one candidate lag on the common sample."""
-
-    lag: int
-    log_lik: float
-    log_det_sigma: float
-    aic: float
-    fpe: float
-    hqic: float
-    sbic: float
-    lr_statistic: float | None
-    lr_pvalue: float | None
-
-
-@dataclass
 class LagSelection:
-    """Per-lag criteria plus the chosen orders.
+    """Criteria of lags 0..max_lag on the common sample, and the chosen orders.
 
-    chosen maps 'byAic', 'byFpe', 'byLr' to a lag. byLr is the largest lag
-    whose likelihood-ratio test against the next-shorter model rejects at 5%,
+    ``log_lik``, ``log_det_sigma``, ``aic``, ``fpe``, ``hqic`` and ``sbic``
+    hold one value per lag 0..max_lag. ``lr_statistic[p - 1]`` and
+    ``lr_pvalue[p - 1]`` test lag p against lag p - 1, for p = 1..max_lag.
+
+    chosen maps 'byAic', 'byFpe', 'byLr' to a lag. byAic and byFpe are the
+    first lag that minimizes the criterion; byLr is the largest lag whose
+    likelihood-ratio test against the next-shorter model rejects at 5%,
     scanning from maxLag downward; 0 when none rejects.
     """
 
     max_lag: int
-    per_lag: list[LagStats]
+    log_lik: np.ndarray
+    log_det_sigma: np.ndarray
+    aic: np.ndarray
+    fpe: np.ndarray
+    hqic: np.ndarray
+    sbic: np.ndarray
+    lr_statistic: np.ndarray
+    lr_pvalue: np.ndarray
     chosen: dict[str, int]
 
     def by_criterion(self) -> dict[str, int]:
         """The lag each of AIC, HQ, SC, FPE and LR picks; HQ and SC, like
-        AIC and FPE, the lag that minimizes the criterion."""
+        AIC and FPE, the first lag that minimizes the criterion."""
         return {
             "aic": self.chosen["byAic"],
-            "hq": min(self.per_lag, key=lambda s: s.hqic).lag,
-            "sc": min(self.per_lag, key=lambda s: s.sbic).lag,
+            "hq": int(np.argmin(self.hqic)),
+            "sc": int(np.argmin(self.sbic)),
             "fpe": self.chosen["byFpe"],
             "lr": self.chosen["byLr"],
         }
@@ -90,7 +90,8 @@ def select_lags(y: np.ndarray, max_lag: int) -> LagSelection:
     ------
     SampleTooShort
         If the common effective sample T - max_lag falls below
-        5*n*max_lag/2 or leaves no residual degrees of freedom.
+        5*n*max_lag/2 or leaves no residual degrees of freedom; the message
+        names T and the smallest T that passes.
     RankDeficient
         If a candidate design is rank-deficient or a residual covariance
         is singular.
@@ -101,10 +102,10 @@ def select_lags(y: np.ndarray, max_lag: int) -> LagSelection:
     t, n = y.shape
     t_eff = t - max_lag
     s_max = n * max_lag + 1
-    if t_eff < 5 * n * max_lag / 2 or t_eff <= s_max:
-        raise SampleTooShort(
-            f"effective sample {t_eff} too small for n={n}, max_lag={max_lag}"
-        )
+    # The fewest rows T with T - max_lag >= 5·n·max_lag/2 and T - max_lag > s_max.
+    need = max_lag + max((5 * n * max_lag + 1) // 2, s_max + 1)
+    if t < need:
+        raise SampleTooShort(f"{t} quarters available; max_lag={max_lag} needs at least {need}")
 
     design = np.empty((t_eff, s_max + n), order="F")
     design[:, 0] = 1.0
@@ -116,41 +117,32 @@ def select_lags(y: np.ndarray, max_lag: int) -> LagSelection:
     diag = np.abs(np.diag(r)[:s_max])
     largest = np.maximum.accumulate(diag)
     smallest = np.minimum.accumulate(diag)
-    log_dets = []
-    per_lag = []
+    rows = []
     for p in range(max_lag + 1):
         s = n * p + 1
         if smallest[s - 1] < RANK_TOL * largest[s - 1]:
             raise RankDeficient(f"design matrix rank-deficient ({s} columns)")
         block = r[s : s_max + n, s_max:]
         log_det = _log_det(block.T @ block / t_eff)
-        log_dets.append(log_det)
 
         log_lik = -(t_eff / 2.0) * (n * math.log(2.0 * math.pi) + log_det + n)
         m = n * s
         aic = (-2.0 * log_lik + 2.0 * m) / t_eff
-        sbic = (-2.0 * log_lik + math.log(t_eff) * m) / t_eff
-        hqic = (-2.0 * log_lik + 2.0 * math.log(math.log(t_eff)) * m) / t_eff
         fpe = math.exp(log_det) * ((t_eff + s) / (t_eff - s)) ** n
-        if p == 0:
-            lr, lr_p = None, None
-        else:
-            lr = (t_eff - s) * (log_dets[p - 1] - log_det)
-            lr = max(lr, 0.0)
-            lr_p = chi2_sf(lr, n * n)
-        per_lag.append(
-            LagStats(p, log_lik, log_det, aic, fpe, hqic, sbic, lr, lr_p)
-        )
+        hqic = (-2.0 * log_lik + 2.0 * math.log(math.log(t_eff)) * m) / t_eff
+        sbic = (-2.0 * log_lik + math.log(t_eff) * m) / t_eff
+        rows.append((log_lik, log_det, aic, fpe, hqic, sbic))
+    log_lik, log_det, aic, fpe, hqic, sbic = np.array(rows).T
 
-    by_aic = min(per_lag, key=lambda r: r.aic).lag
-    by_fpe = min(per_lag, key=lambda r: r.fpe).lag
-    by_lr = 0
-    for p in range(max_lag, 0, -1):
-        if per_lag[p].lr_pvalue is not None and per_lag[p].lr_pvalue < 0.05:
-            by_lr = p
-            break
+    # Lag p against p - 1, with lag p's s = n·p + 1 regressors.
+    lr = [
+        max((t_eff - n * p - 1) * (log_det[p - 1] - log_det[p]), 0.0)
+        for p in range(1, max_lag + 1)
+    ]
+    lr_p = np.array([chi2_sf(stat, n * n) for stat in lr])
+    # The last lag whose test rejects, scanning down; 0 when none does.
+    by_lr = next((p for p in range(max_lag, 0, -1) if lr_p[p - 1] < 0.05), 0)
     return LagSelection(
-        max_lag=max_lag,
-        per_lag=per_lag,
-        chosen={"byAic": by_aic, "byFpe": by_fpe, "byLr": by_lr},
+        max_lag, log_lik, log_det, aic, fpe, hqic, sbic, np.array(lr), lr_p,
+        {"byAic": int(np.argmin(aic)), "byFpe": int(np.argmin(fpe)), "byLr": by_lr},
     )

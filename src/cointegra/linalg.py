@@ -2,9 +2,7 @@
 the LAPACK kernels under them, and the chi-square upper-tail p-value shared
 by the test statistics.
 
-All routines are pure functions. Residual covariances use the
-maximum-likelihood divisor T throughout; estimators that need a
-degrees-of-freedom correction apply it at the call site.
+All routines are pure functions.
 
 This is the only module of the package that imports scipy or ctypes. A
 process that runs cointegra loads one OpenBLAS, numpy's, and one scipy
@@ -80,7 +78,6 @@ import importlib.util
 import os
 import sys
 import types
-from dataclasses import dataclass
 
 from .errors import NotPositiveDefinite, RankDeficient
 
@@ -432,25 +429,10 @@ def lstsq(a, b) -> np.ndarray:
     return x[:n]
 
 
-@dataclass
-class OlsFit:
-    """Least-squares result for Y = X·B + E.
-
-    Attributes
-    ----------
-    coefficients : ndarray, shape (p, n)
-    residuals : ndarray, shape (T, n)
-    residual_covariance : ndarray, shape (n, n)
-        E'E / T (maximum-likelihood divisor).
-    """
-
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    residual_covariance: np.ndarray
-
-
-def ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Multivariate least squares via pivoted QR.
+def ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multivariate least squares via pivoted QR: the coefficients B, shape
+    (p, n), and the residuals E = Y - X·B, shape (T, n), for Y = X·B + E;
+    (p,) and (T,) for a 1-d ``y``.
 
     Parameters
     ----------
@@ -479,12 +461,9 @@ def ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     coef = np.empty((p, y.shape[1]))
     coef[piv] = solve_triangular(r, q.T @ y)
     resid = y - x @ coef
-    cov = resid.T @ resid / t
-    cov = (cov + cov.T) / 2.0
     if squeeze:
-        coef = coef[:, 0]
-        resid = resid[:, 0]
-    return OlsFit(coefficients=coef, residuals=resid, residual_covariance=cov)
+        return coef[:, 0], resid[:, 0]
+    return coef, resid
 
 
 def chi2_sf(x: float, dof: int) -> float:

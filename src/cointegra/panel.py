@@ -146,10 +146,6 @@ def parse_columns(
     return out, bad if bad.any() else None
 
 
-def _quarter_label(index: int) -> str:
-    return f"{index // 4}Q{index % 4 + 1}"
-
-
 def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = None) -> PanelDataset:
     """Read one (state, naics) panel from CSV.
 
@@ -208,16 +204,19 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
     if not rows:
         raise EmptyInput(f"no data rows in {csv_path}")
 
-    # Quarter indices 4*year + quarter - 1 order the rows as QuarterDates do.
-    index = [4 * y + q - 1 for y, q in zip(years, quarters)]
+    # Quarter indices order the rows as QuarterDates do.
+    index = list(map(QuarterDate.index_of, years, quarters))
     ordered = sorted(index)
     seen = set(ordered)
     if len(seen) < len(ordered):
         cur = next(cur for prev, cur in zip(ordered, ordered[1:]) if cur == prev)
-        raise DuplicateQuarter(f"quarter {_quarter_label(cur)} duplicated in {csv_path}")
+        raise DuplicateQuarter(
+            f"quarter {QuarterDate.from_index(cur).label()} duplicated in {csv_path}"
+        )
     first, last = ordered[0], ordered[-1]
     if last - first + 1 != len(ordered):
-        raise GapInQuarters([_quarter_label(i) for i in range(first, last + 1) if i not in seen])
+        labels = QuarterDate.from_index(first).labels(last - first + 1)
+        raise GapInQuarters([label for i, label in enumerate(labels, first) if i not in seen])
 
     if state is None or naics is None:
         parsed_state, parsed_naics = _parse_identity(csv_path)
@@ -225,7 +224,7 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
         naics = naics if naics is not None else parsed_naics
     if ordered != index:
         levels = levels[np.argsort(index)]
-    return PanelDataset(state, int(naics), QuarterDate(first // 4, first % 4 + 1), levels)
+    return PanelDataset(state, int(naics), QuarterDate.from_index(first), levels)
 
 
 def location_quotient(

@@ -49,7 +49,7 @@ except ImportError:
 import numpy as np
 
 from . import __version__
-from .diagnostics import lm_autocorrelation, normality_tests
+from .diagnostics import NORMALITY_DOF, lm_autocorrelation, normality_tests
 from .errors import (
     ConfigInvalid,
     DataDirMissing,
@@ -351,8 +351,7 @@ def lq_records_for_panel(panel: PanelDataset, aux: dict) -> np.ndarray:
         A screening value is zero or negative; the first such quarter is
         reported, unless a missing quarter comes before it.
     """
-    first = panel.start.year * 4 + panel.start.quarter - 1
-    keys = [(i // 4, i % 4 + 1) for i in range(first, first + len(panel))]
+    keys = panel.start.following(len(panel))
     files = (
         f"state_total_{panel.state}.csv",
         f"national_industry_{panel.naics}.csv",
@@ -386,12 +385,6 @@ def lq_records_for_panel(panel: PanelDataset, aux: dict) -> np.ndarray:
         return (employment / state_total) / (national_industry / national_total)
 
 
-def _quarter_labels(first: QuarterDate, count: int) -> list[str]:
-    """Labels of ``count`` consecutive quarters starting at ``first``."""
-    idx = first.year * 4 + first.quarter - 1
-    return [f"{i // 4}Q{i % 4 + 1}" for i in range(idx, idx + count)]
-
-
 def _per_key(lines: str, keys) -> str:
     """``lines`` repeated once per key, with ``{key}`` replaced by the key."""
     return "".join([lines.replace("{key}", str(key)) for key in keys])
@@ -409,11 +402,11 @@ def _path_template(panel: PanelDataset, horizon: int, history: bool = True) -> s
     1), one per (quarter, variable), as in forecast.csv and plot.csv."""
     head = f"{panel.state},{panel.naics},{{key}},"
     ahead = "".join(f"{head}{name},%.6g,1\n" for name in VARIABLES)
-    template = _per_key(ahead, _quarter_labels(panel.end.advanced(1), horizon))
+    template = _per_key(ahead, panel.end.advanced(1).labels(horizon))
     if not history:
         return template
     past = "".join(f"{head}{name},%.6g,0\n" for name in VARIABLES)
-    return _per_key(past, _quarter_labels(panel.start, len(panel))) + template
+    return _per_key(past, panel.start.labels(len(panel))) + template
 
 
 def emit_plot_data(
@@ -444,66 +437,67 @@ def summary_lines(panel: PanelDataset) -> str:
 
 def lq_lines(panel: PanelDataset, lq: np.ndarray) -> str:
     template = _per_key(
-        f"{panel.state},{panel.naics},{{key}},%.6g\n", _quarter_labels(panel.start, len(panel))
+        f"{panel.state},{panel.naics},{{key}},%.6g\n", panel.start.labels(len(panel))
     )
     return _fill(template, lq)
 
 
 def adf_lines(panel: PanelDataset, lag: int = ADF_LAG, deterministic: str = ADF_CASE) -> str:
     """One row per variable; an error names the first variable that fails."""
-    results = adf_tests(panel.levels, lag, deterministic, VARIABLES)
-    # Every test has the same effective sample, so the same critical values.
-    cvs = [fmt6(results[0].critical_values[level]) for level in (0.01, 0.05, 0.10)]
+    stats, cvs = adf_tests(panel.levels, lag, deterministic, VARIABLES)
+    cv = [fmt6(cvs[level]) for level in (0.01, 0.05, 0.10)]
     return "".join(
-        _line(panel, name, fmt6(res.statistic), *cvs, int(res.reject_at_5pct))
-        for name, res in zip(VARIABLES, results)
+        _line(panel, name, fmt6(stat), *cv, int(stat < cvs[0.05]))
+        for name, stat in zip(VARIABLES, stats.tolist())
     )
 
 
-def lags_lines(panel: PanelDataset, selection: LagSelection) -> str:
+def lags_lines(panel: PanelDataset, sel: LagSelection) -> str:
+    # Lag 0 has no likelihood-ratio test.
+    lr = [("", "")] + [(fmt6(x), fmt6(p)) for x, p in zip(sel.lr_statistic, sel.lr_pvalue)]
     lines = []
-    for s in selection.per_lag:
-        criteria = map(fmt6, (s.log_lik, s.aic, s.fpe, s.hqic, s.sbic))
-        lr = ["" if x is None else fmt6(x) for x in (s.lr_statistic, s.lr_pvalue)]
-        chosen = sorted(
-            key.removeprefix("by").lower() for key, lag in selection.chosen.items() if lag == s.lag
-        )
-        lines.append(_line(panel, s.lag, *criteria, *lr, "+".join(chosen)))
+    for lag in range(sel.max_lag + 1):
+        criteria = (sel.log_lik[lag], sel.aic[lag], sel.fpe[lag], sel.hqic[lag], sel.sbic[lag])
+        chosen = sorted(key.removeprefix("by").lower() for key, p in sel.chosen.items() if p == lag)
+        lines.append(_line(panel, lag, *map(fmt6, criteria), *lr[lag], "+".join(chosen)))
     return "".join(lines)
 
 
 def johansen_lines(panel: PanelDataset, jres: JohansenResult) -> str:
-    cvs = jres.critical_values_5pct["trace"]
     return "".join(
         _line(
             panel, jres.k, jres.case.short, r, fmt6(jres.eigenvalues[r]), fmt6(jres.trace_stats[r]),
-            fmt6(cvs[r]), fmt6(jres.max_eig_stats[r]), jres.selected_rank,
+            fmt6(jres.trace_cv5[r]), fmt6(jres.max_eig_stats[r]), jres.selected_rank,
         )
         for r in range(len(jres.eigenvalues))
     )
 
 
 def lm_lines(panel: PanelDataset, fit: VecmFit) -> str:
+    stats, pvalues = lm_autocorrelation(fit, LM_LAGS)
+    dof = fit.n * fit.n
     return "".join(
-        _line(panel, lm.lag, fmt6(lm.statistic), lm.dof, fmt6(lm.pvalue))
-        for lm in lm_autocorrelation(fit, LM_LAGS)
+        _line(panel, lag, fmt6(stat), dof, fmt6(p))
+        for lag, (stat, p) in enumerate(zip(stats, pvalues), start=1)
     )
-
-
-def _stat_dof_p(t) -> tuple:
-    return fmt6(t.stat), t.dof, fmt6(t.pvalue)
 
 
 def normality_lines(panel: PanelDataset, fit: VecmFit) -> str:
     """One row per equation, then the joint ``ALL`` row, which has no skew or kurt."""
-    rep = normality_tests(fit)
-    rows = [
-        (eq.equation, eq.jb, fmt6(eq.skew), eq.skew_test, fmt6(eq.kurtosis), eq.kurtosis_test)
-        for eq in rep.per_equation
-    ] + [("ALL", rep.joint_jb, "", rep.joint_skew, "", rep.joint_kurtosis)]
+    skews, kurts, stats, pvalues = normality_tests(fit)
+    n = len(skews)
+    names = [f"D_{name}" for name in VARIABLES] + ["ALL"]
+    skew = [*map(fmt6, skews), ""]
+    kurt = [*map(fmt6, kurts), ""]
+
+    def test(i: int, j: int) -> tuple:
+        # Row i's column j: 0 skewness, 1 kurtosis, 2 Jarque-Bera.
+        dof = NORMALITY_DOF[j] * (n if i == n else 1)
+        return fmt6(stats[i, j]), dof, fmt6(pvalues[i, j])
+
     return "".join(
-        _line(panel, name, *_stat_dof_p(jb), skew, *_stat_dof_p(sk), kurt, *_stat_dof_p(ku))
-        for name, jb, skew, sk, kurt, ku in rows
+        _line(panel, names[i], *test(i, 2), skew[i], *test(i, 0), kurt[i], *test(i, 1))
+        for i in range(n + 1)
     )
 
 

@@ -1,7 +1,10 @@
 """Quarterly calendar primitives.
 
 A :class:`QuarterDate` is an immutable (year, quarter) pair with lexicographic
-ordering. A panel (``panel.PanelDataset``) dates row i of its levels as
+ordering. Its index, 4·year + quarter − 1, numbers the quarters
+consecutively (``index_of`` and ``from_index``); ``following`` and
+``labels`` give the (year, quarter) pairs and the ``YYYYQn`` labels of
+consecutive quarters. No other module computes either. A panel (``panel.PanelDataset``) dates row i of its levels as
 ``start.advanced(i)``.
 """
 
@@ -31,14 +34,36 @@ class QuarterDate:
         if not 1 <= self.quarter <= 4:
             raise ValueError(f"quarter must be in 1..4, got {self.quarter}")
 
+    @staticmethod
+    def index_of(year: int, quarter: int) -> int:
+        """The quarter's index, 4·year + quarter − 1: consecutive quarters
+        have consecutive indices, in the order of the dates."""
+        return 4 * year + quarter - 1
+
+    @classmethod
+    def from_index(cls, index: int) -> "QuarterDate":
+        """The quarter whose ``index_of`` is ``index``."""
+        return cls(index // 4, index % 4 + 1)
+
+    @property
+    def index(self) -> int:
+        return self.index_of(self.year, self.quarter)
+
     def advanced(self, n: int) -> "QuarterDate":
         """Return this quarter advanced by ``n`` quarters (n may be negative)."""
-        idx = self.year * 4 + (self.quarter - 1) + n
-        return QuarterDate(idx // 4, idx % 4 + 1)
+        return self.from_index(self.index + n)
 
     def quarters_since(self, other: "QuarterDate") -> int:
         """Number of quarters from ``other`` to self; negative if self is earlier."""
-        return (self.year - other.year) * 4 + (self.quarter - other.quarter)
+        return self.index - other.index
+
+    def following(self, count: int) -> list[tuple[int, int]]:
+        """(year, quarter) of ``count`` consecutive quarters from this one."""
+        return [(i // 4, i % 4 + 1) for i in range(self.index, self.index + count)]
+
+    def labels(self, count: int) -> list[str]:
+        """Labels of ``count`` consecutive quarters from this one."""
+        return [f"{year}Q{quarter}" for year, quarter in self.following(count)]
 
     def label(self) -> str:
         return f"{self.year}Q{self.quarter}"

@@ -9,13 +9,15 @@ OLS t-ratio on rho. Critical values come from embedded response-surface
 coefficients evaluated at the effective sample size, so the test is
 left-tailed: reject when the statistic falls below the critical value.
 
-``adf_tests`` tests every column of a panel at once, and ``adf_test`` is
-that path for one series. The m designs ``[dy lags, deterministics, y_{t-1}
-| dy_t]`` are stacked as one (m, T_eff, q + 1) array, q the regressor
-count, and factored by one batched unpivoted QR. With y_{t-1} last among
-the regressors, its coefficient is ``R[q-1, q] / R[q-1, q-1]``, the
-residual sum of squares is ``R[q, q]²`` and its variance factor
-``(X'X)⁻¹`` entry is ``1 / R[q-1, q-1]²``, so
+``adf_tests`` tests every column of a panel at once and gives the statistics
+as an array beside one critical-value dict, since every column has the
+same effective sample; ``adf_test`` is that path for one series. The m
+designs ``[dy lags, deterministics, y_{t-1} | dy_t]`` are stacked as one
+(m, T_eff, q + 1) array, q the regressor count, and factored by one
+batched unpivoted QR. With y_{t-1} last among the regressors, its
+coefficient is ``R[q-1, q] / R[q-1, q-1]``, the residual sum of squares
+is ``R[q, q]²`` and its variance factor ``(X'X)⁻¹`` entry is
+``1 / R[q-1, q-1]²``, so
 
     t = R[q-1, q] * sign(R[q-1, q-1]) / (|R[q, q]| / sqrt(T_eff - q)).
 
@@ -32,8 +34,6 @@ explicit inverse, which squares cond(X), was the less accurate of the two.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,17 +63,6 @@ _CV_SURFACE = {
 }
 
 
-@dataclass
-class AdfResult:
-    """Outcome of one ADF test."""
-
-    statistic: float
-    lag_order: int
-    deterministic: str
-    critical_values: dict[float, float]
-    reject_at_5pct: bool
-
-
 def _critical_values(case: str, t_eff: int) -> dict[float, float]:
     out = {}
     for level, (b0, b1, b2, b3) in _CV_SURFACE[case].items():
@@ -83,8 +72,10 @@ def _critical_values(case: str, t_eff: int) -> dict[float, float]:
 
 def adf_tests(
     y: np.ndarray, lag_order: int, deterministic: str = "constant", names: tuple | None = None
-) -> list[AdfResult]:
-    """Test each column of ``y`` for a unit root.
+) -> tuple[np.ndarray, dict[float, float]]:
+    """Test each column of ``y`` for a unit root: the (m,) statistics and
+    the critical values at levels 0.01, 0.05 and 0.10. Column j rejects a
+    unit root at level a when its statistic is below the level's value.
 
     Parameters
     ----------
@@ -151,20 +142,13 @@ def adf_tests(
             raise RankDeficient(f"design matrix rank-deficient ({q} columns){where}")
 
     stats = r[:, q - 1, q] * np.sign(r[:, q - 1, q - 1]) * np.sqrt(t_eff - q) / np.abs(r[:, q, q])
-    cvs = _critical_values(deterministic, t_eff)
-    return [
-        AdfResult(
-            statistic=stat,
-            lag_order=lag_order,
-            deterministic=deterministic,
-            critical_values=dict(cvs),
-            reject_at_5pct=stat < cvs[0.05],
-        )
-        for stat in stats.tolist()
-    ]
+    return stats, _critical_values(deterministic, t_eff)
 
 
-def adf_test(y: np.ndarray, lag_order: int, deterministic: str = "constant") -> AdfResult:
-    """Test a single series for a unit root: ``adf_tests`` on one column,
-    raising what it raises."""
-    return adf_tests(np.asarray(y, dtype=float).reshape(-1, 1), lag_order, deterministic)[0]
+def adf_test(
+    y: np.ndarray, lag_order: int, deterministic: str = "constant"
+) -> tuple[float, dict[float, float]]:
+    """Test a single series for a unit root: the statistic and critical
+    values of ``adf_tests`` on one column, raising what it raises."""
+    stats, cvs = adf_tests(np.asarray(y, dtype=float).reshape(-1, 1), lag_order, deterministic)
+    return float(stats[0]), cvs

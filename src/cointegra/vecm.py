@@ -139,11 +139,9 @@ def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = N
     else:
         jres = johansen if johansen is not None else johansen_test(x, spec.k, spec.case)
         beta = beta_normalize(jres.beta, spec.r)
-        s01 = jres.s_matrices["S01"]
-        s11 = jres.s_matrices["S11"]
-        bsb = beta.T @ s11 @ beta
+        bsb = beta.T @ jres.s11 @ beta
         try:
-            alpha = s01 @ beta @ np.linalg.inv(bsb)
+            alpha = jres.s01 @ beta @ np.linalg.inv(bsb)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance(f"beta'S11 beta singular: {exc}") from exc
         blocks = [z1 @ beta]
@@ -153,9 +151,7 @@ def fit_vecm(x: np.ndarray, spec: ModelSpec, johansen: JohansenResult | None = N
     mu = np.zeros(n)
     if z2 is not None:
         blocks.append(z2)
-        fit = ols(z2, target)
-        phi = fit.coefficients
-        resid = fit.residuals
+        phi, resid = ols(z2, target)
         for i in range(spec.k - 1):
             gammas.append(phi[i * n : (i + 1) * n].T.copy())
         if spec.case is DeterministicCase.UNRESTRICTED_CONSTANT:

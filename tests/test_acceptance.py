@@ -23,6 +23,7 @@ from cointegra.diagnostics import lm_autocorrelation, normality_tests
 from fixtures import MODELS, PANEL_STATS, PRICE_STATS
 from cointegra.johansen import DeterministicCase, johansen_test
 from cointegra.lagselect import select_lags
+from cointegra.linalg import chi2_sf
 from cointegra.panel import VARIABLES, ingest_panel, summarize
 from cointegra.pipeline import load_config, run_pipeline
 from cointegra.quarters import QuarterDate
@@ -111,21 +112,25 @@ def test_criterion_2_joint_normality_consistency():
     bad = []
     fits = bundled_fits()
     for panel, fit in fits:
-        report = normality_tests(fit)
+        _skews, _kurts, stats, pvalues = normality_tests(fit)
+        # Columns skewness, kurtosis, Jarque-Bera; the last row is the joint one.
         sums = {
-            "skew": math.fsum(eq.skew_test.stat for eq in report.per_equation),
-            "kurt": math.fsum(eq.kurtosis_test.stat for eq in report.per_equation),
-            "jb": math.fsum(eq.jb.stat for eq in report.per_equation),
+            "skew": math.fsum(stats[:-1, 0]),
+            "kurt": math.fsum(stats[:-1, 1]),
+            "jb": math.fsum(stats[:-1, 2]),
         }
         gaps = (
-            abs(report.joint_skew.stat - sums["skew"]),
-            abs(report.joint_kurtosis.stat - sums["kurt"]),
-            abs(report.joint_jb.stat - sums["jb"]),
+            abs(stats[-1, 0] - sums["skew"]),
+            abs(stats[-1, 1] - sums["kurt"]),
+            abs(stats[-1, 2] - sums["jb"]),
         )
         worst = max(worst, *gaps)
-        dofs = (report.joint_jb.dof, report.joint_skew.dof, report.joint_kurtosis.dof)
-        if max(gaps) > 1e-9 or dofs != (10, 5, 5):
-            bad.append((panel.state, panel.naics, gaps, dofs))
+        # The joint p-values are those of 10, 5 and 5 degrees of freedom.
+        dofs_ok = list(pvalues[-1]) == [
+            chi2_sf(stats[-1, 0], 5), chi2_sf(stats[-1, 1], 5), chi2_sf(stats[-1, 2], 10)
+        ]
+        if max(gaps) > 1e-9 or not dofs_ok:
+            bad.append((panel.state, panel.naics, gaps, dofs_ok))
     ok = not bad
     _report(
         2,
@@ -256,13 +261,15 @@ def test_criterion_5_adf_size_and_power():
     for rep in range(reps):
         rng = np.random.default_rng(510_000 + rep)
         walk = np.cumsum(rng.standard_normal(t))
-        keep_walk += not adf_test(walk, 0, "constant").reject_at_5pct
+        stat, cv = adf_test(walk, 0, "constant")
+        keep_walk += not stat < cv[0.05]
 
     reject_noise = 0
     for rep in range(reps):
         rng = np.random.default_rng(520_000 + rep)
         noise = rng.standard_normal(t)
-        reject_noise += adf_test(noise, 0, "constant").reject_at_5pct
+        stat, cv = adf_test(noise, 0, "constant")
+        reject_noise += stat < cv[0.05]
 
     rate_keep = keep_walk / reps
     rate_reject = reject_noise / reps
@@ -302,8 +309,8 @@ def test_criterion_6_diagnostics_calibration():
     for rep in range(reps):
         rng = np.random.default_rng(610_000 + rep)
         fit = white_noise_fit(rng.standard_normal((200, 2)))
-        lm_hits += lm_autocorrelation(fit, 1)[0].pvalue < 0.05
-        jb_hits += normality_tests(fit).joint_jb.pvalue < 0.05
+        lm_hits += lm_autocorrelation(fit, 1)[1][0] < 0.05
+        jb_hits += normality_tests(fit)[3][-1, 2] < 0.05
     lm_rate = lm_hits / reps
     jb_rate = jb_hits / reps
     elapsed = time.perf_counter() - start

@@ -258,6 +258,21 @@ class TestBadStageFlags:
         assert captured.out == ""
         assert captured.err == f"error: SampleTooShort: {message}\n"
 
+    @pytest.mark.parametrize(
+        "state, naics, max_lag, message",
+        [
+            ("AL", 113, "100", "72 quarters available; max_lag=100 needs at least 1350"),
+            ("MS", 322, "5", "60 quarters available; max_lag=5 needs at least 68"),
+        ],
+    )
+    def test_short_sample_names_the_quarters_and_max_lag(
+        self, state, naics, max_lag, message, capsys
+    ):
+        assert run_cli(*stage_args("lags", state, naics, "--max-lag", max_lag)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: SampleTooShort: {message}\n"
+
     @pytest.mark.parametrize("flags", [["--state", "XX"], ["--naics", "999"]])
     def test_unsupported_model(self, flags, capsys):
         args = ["summarize", "--config", CONFIG, "--state", "AL", "--naics", "113", *flags]

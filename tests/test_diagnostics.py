@@ -9,6 +9,7 @@ from cointegra.diagnostics import lm_autocorrelation, normality_tests
 from cointegra.errors import NumericalFailure, SampleTooShort, SingularCovariance
 from cointegra.linalg import cholesky, lstsq, solve_triangular
 from cointegra.panel import VARIABLES, PanelDataset
+from cointegra.pipeline import REPORT_HEADERS, normality_lines
 from cointegra.quarters import QuarterDate
 from cointegra.vecm import ModelSpec, VecmFit, fit_vecm
 
@@ -46,7 +47,8 @@ def cointegrated_fit(seed=3, t=160):
 class TestLmAutocorrelation:
     def test_zero_lags_empty(self):
         fit = residual_fit(np.random.default_rng(0).standard_normal((40, 2)))
-        assert lm_autocorrelation(fit, 0) == []
+        stats, pvalues = lm_autocorrelation(fit, 0)
+        assert stats.shape == pvalues.shape == (0,)
 
     def test_negative_lags_rejected(self):
         fit = residual_fit(np.random.default_rng(0).standard_normal((40, 2)))
@@ -62,26 +64,26 @@ class TestLmAutocorrelation:
         rng = np.random.default_rng(1)
         e = rng.standard_normal((50, 1))
         fit = residual_fit(e)
-        results = lm_autocorrelation(fit, 3)
+        stats, pvalues = lm_autocorrelation(fit, 3)
         t = 50
         var_base = float(e[:, 0] @ e[:, 0]) / t
-        for j, res in zip(range(1, 4), results):
+        # One entry per lag 1..3; each has n² = 1 degree of freedom.
+        assert stats.shape == pvalues.shape == (3,)
+        for j, stat, pvalue in zip(range(1, 4), stats, pvalues):
             lagged = np.zeros(t)
             lagged[j:] = e[:-j, 0]
             b = float(lagged @ e[:, 0]) / float(lagged @ lagged)
             resid = e[:, 0] - b * lagged
             var_aux = float(resid @ resid) / t
             expected = (t - j - 0.5) * (math.log(var_base) - math.log(var_aux))
-            assert res.lag == j
-            assert res.dof == 1
-            assert res.statistic == pytest.approx(expected, abs=1e-10)
-            assert res.pvalue == pytest.approx(chi2.sf(expected, 1), abs=1e-12)
+            assert stat == pytest.approx(expected, abs=1e-10)
+            assert pvalue == pytest.approx(chi2.sf(expected, 1), abs=1e-12)
 
     def test_multivariate_hand_recomputation(self):
         rng = np.random.default_rng(2)
         e = rng.standard_normal((80, 2))
         fit = residual_fit(e)
-        res = lm_autocorrelation(fit, 2)[1]
+        stat = lm_autocorrelation(fit, 2)[0][1]
         t, n, j = 80, 2, 2
         lagged = np.zeros_like(e)
         lagged[j:] = e[:-j]
@@ -90,7 +92,7 @@ class TestLmAutocorrelation:
         ld_aux = float(np.linalg.slogdet(resid.T @ resid / t)[1])
         ld_base = float(np.linalg.slogdet(e.T @ e / t)[1])
         expected = -(t - n * j - 0.5) * (ld_aux - ld_base)
-        assert res.statistic == pytest.approx(expected, abs=1e-10)
+        assert stat == pytest.approx(expected, abs=1e-10)
 
     def test_autocorrelated_residuals_detected(self):
         rng = np.random.default_rng(4)
@@ -100,9 +102,9 @@ class TestLmAutocorrelation:
         for i in range(1, t):
             e[i] = 0.8 * e[i - 1] + shocks[i]
         fit = residual_fit(e)
-        res = lm_autocorrelation(fit, 2)
-        assert res[0].pvalue < 1e-6
-        assert res[0].statistic > res[1].statistic * 0.1
+        stats, pvalues = lm_autocorrelation(fit, 2)
+        assert pvalues[0] < 1e-6
+        assert stats[0] > stats[1] * 0.1
 
     def test_white_noise_rejection_rate(self):
         reject = 0
@@ -110,18 +112,19 @@ class TestLmAutocorrelation:
         for seed in range(trials):
             rng = np.random.default_rng(1000 + seed)
             fit = residual_fit(rng.standard_normal((200, 2)))
-            if lm_autocorrelation(fit, 1)[0].pvalue < 0.05:
+            if lm_autocorrelation(fit, 1)[1][0] < 0.05:
                 reject += 1
         assert 0.01 <= reject / trials <= 0.10
 
     def test_fitted_model_regressor_path(self):
         fit = cointegrated_fit()
-        results = lm_autocorrelation(fit, 4)
-        assert [r.lag for r in results] == [1, 2, 3, 4]
-        for r in results:
-            assert r.dof == 4
-            assert r.statistic >= 0.0
-            assert 0.0 <= r.pvalue <= 1.0
+        stats, pvalues = lm_autocorrelation(fit, 4)
+        # Lags 1..4, with n² = 4 degrees of freedom.
+        assert stats.shape == pvalues.shape == (4,)
+        assert pvalues == pytest.approx([chi2.sf(stat, 4) for stat in stats], abs=1e-12)
+        for stat, pvalue in zip(stats, pvalues):
+            assert stat >= 0.0
+            assert 0.0 <= pvalue <= 1.0
 
 
 class TestNormality:
@@ -149,71 +152,72 @@ class TestNormality:
             [[1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [-0.2, 0.3, 1.1]]
         )
         fit = residual_fit(e)
-        report = normality_tests(fit)
+        skews, kurts, _stats, _pvalues = normality_tests(fit)
         p = np.linalg.cholesky(fit.sigma)
         u = e @ np.linalg.inv(p).T
-        for j, eq in enumerate(report.per_equation):
-            assert eq.skew == pytest.approx(skew(u[:, j], bias=True), abs=1e-10)
-            assert eq.kurtosis == pytest.approx(
+        assert skews.shape == kurts.shape == (3,)
+        for j in range(3):
+            assert skews[j] == pytest.approx(skew(u[:, j], bias=True), abs=1e-10)
+            assert kurts[j] == pytest.approx(
                 kurtosis(u[:, j], fisher=False, bias=True), abs=1e-10
             )
 
     def test_statistic_formulas(self):
         rng = np.random.default_rng(8)
         e = rng.standard_normal((120, 2))
-        report = normality_tests(residual_fit(e))
+        skews, kurts, stats, pvalues = normality_tests(residual_fit(e))
         t = 120
-        for eq in report.per_equation:
-            assert eq.skew_test.stat == pytest.approx(t * eq.skew**2 / 6.0)
-            assert eq.kurtosis_test.stat == pytest.approx(t * (eq.kurtosis - 3.0) ** 2 / 24.0)
-            assert eq.jb.stat == pytest.approx(eq.skew_test.stat + eq.kurtosis_test.stat)
-            assert (eq.skew_test.dof, eq.kurtosis_test.dof, eq.jb.dof) == (1, 1, 2)
+        for sk, ku, (s_stat, k_stat, jb), p in zip(skews, kurts, stats, pvalues):
+            assert s_stat == pytest.approx(t * sk**2 / 6.0)
+            assert k_stat == pytest.approx(t * (ku - 3.0) ** 2 / 24.0)
+            assert jb == pytest.approx(s_stat + k_stat)
+            # Degrees of freedom 1, 1 and 2.
+            assert list(p) == [chi2.sf(s_stat, 1), chi2.sf(k_stat, 1), chi2.sf(jb, 2)]
 
     def test_joint_rows_are_sums(self):
         rng = np.random.default_rng(9)
         e = rng.standard_normal((200, 5))
-        report = normality_tests(residual_fit(e))
-        assert report.joint_skew.stat == pytest.approx(
-            math.fsum(eq.skew_test.stat for eq in report.per_equation), abs=1e-9
-        )
-        assert report.joint_kurtosis.stat == pytest.approx(
-            math.fsum(eq.kurtosis_test.stat for eq in report.per_equation), abs=1e-9
-        )
-        assert report.joint_jb.stat == pytest.approx(
-            math.fsum(eq.jb.stat for eq in report.per_equation), abs=1e-9
-        )
-        assert report.joint_skew.dof == 5
-        assert report.joint_kurtosis.dof == 5
-        assert report.joint_jb.dof == 10
+        _skews, _kurts, stats, pvalues = normality_tests(residual_fit(e))
+        assert stats.shape == pvalues.shape == (6, 3)
+        joint_skew, joint_kurtosis, joint_jb = stats[-1]
+        assert joint_skew == pytest.approx(math.fsum(stats[:-1, 0]), abs=1e-9)
+        assert joint_kurtosis == pytest.approx(math.fsum(stats[:-1, 1]), abs=1e-9)
+        assert joint_jb == pytest.approx(math.fsum(stats[:-1, 2]), abs=1e-9)
+        # Degrees of freedom 5, 5 and 10.
+        assert list(pvalues[-1]) == [
+            chi2.sf(joint_skew, 5), chi2.sf(joint_kurtosis, 5), chi2.sf(joint_jb, 10)
+        ]
 
     def test_equation_names(self):
+        # The tests give unnamed rows; the report builder names them.
         rng = np.random.default_rng(10)
-        five = normality_tests(residual_fit(rng.standard_normal((80, 5))))
-        assert [eq.equation for eq in five.per_equation] == [
+        panel = PanelDataset("AL", 113, QuarterDate(2001, 1), np.ones((80, 5)))
+        five = normality_lines(panel, residual_fit(rng.standard_normal((80, 5))))
+        assert [line.split(",")[2] for line in five.splitlines()] == [
             f"D_{name}" for name in VARIABLES
-        ]
+        ] + ["ALL"]
         two = normality_tests(residual_fit(rng.standard_normal((80, 2))))
-        assert [eq.equation for eq in two.per_equation] == ["D_var1", "D_var2"]
+        assert [a.shape for a in two] == [(2,), (2,), (3, 3), (3, 3)]
 
     def test_gaussian_residuals_accepted(self):
         rng = np.random.default_rng(11)
-        report = normality_tests(residual_fit(rng.standard_normal((500, 3))))
-        assert report.joint_jb.pvalue > 0.01
+        pvalues = normality_tests(residual_fit(rng.standard_normal((500, 3))))[3]
+        assert pvalues[-1, 2] > 0.01
 
     def test_skewed_residuals_rejected(self):
         rng = np.random.default_rng(12)
         e = rng.chisquare(3, size=(400, 2)) - 3.0
-        report = normality_tests(residual_fit(e))
-        assert report.joint_jb.pvalue < 1e-8
-        assert all(eq.skew > 0.5 for eq in report.per_equation)
+        skews, _kurts, _stats, pvalues = normality_tests(residual_fit(e))
+        assert pvalues[-1, 2] < 1e-8
+        assert all(sk > 0.5 for sk in skews)
 
     def test_jb_rejection_rate_gaussian(self):
         reject = 0
         trials = 200
         for seed in range(trials):
             rng = np.random.default_rng(4000 + seed)
-            report = normality_tests(residual_fit(rng.standard_normal((200, 2))))
-            if report.joint_jb.pvalue < 0.05:
+            pvalues = normality_tests(residual_fit(rng.standard_normal((200, 2))))[3]
+            if pvalues[-1, 2] < 0.05:
                 reject += 1
         assert 0.01 <= reject / trials <= 0.10
 
@@ -224,9 +228,10 @@ class TestNormality:
         levels = 100.0 * np.exp(base[:, None] + np.column_stack(noise))
         panel = PanelDataset("ME", 113, QuarterDate(2001, 1), levels)
         fit = fit_vecm(panel.levels, ModelSpec(k=2, r=1, case="rconst"))
-        report = normality_tests(fit)
-        assert report.per_equation[0].equation == "D_output"
-        assert report.joint_jb.dof == 10
+        rows = [line.split(",") for line in normality_lines(panel, fit).splitlines()]
+        header = REPORT_HEADERS["normality.csv"]
+        assert rows[0][header.index("equation")] == "D_output"
+        assert rows[-1][header.index("jb_df")] == "10"
 
 
 def lm_loop(fit, max_lag):
@@ -294,14 +299,14 @@ class TestOneFactorization:
     @pytest.mark.parametrize("name", sorted(PARITY_FITS))
     def test_lm_matches_per_lag_fits(self, name, max_lag):
         fit = PARITY_FITS[name]()
-        got = [(res.statistic, res.pvalue) for res in lm_autocorrelation(fit, max_lag)]
+        got = np.column_stack(lm_autocorrelation(fit, max_lag))
         np.testing.assert_allclose(got, lm_loop(fit, max_lag), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", sorted(PARITY_FITS))
     def test_normality_moments_equal_the_column_loop(self, name):
         fit = PARITY_FITS[name]()
-        got = [(eq.skew, eq.kurtosis) for eq in normality_tests(fit).per_equation]
-        assert got == moments_loop(fit)
+        skews, kurts, _stats, _pvalues = normality_tests(fit)
+        assert list(zip(skews.tolist(), kurts.tolist())) == moments_loop(fit)
 
     def test_collinear_residuals_are_singular(self):
         # Exactly collinear columns: the base residual covariance, and

@@ -4,8 +4,9 @@ of the bundled run, of the ``long-horizon`` bundle and of the
 digest of every CLI command of every bundled model.
 
 The digests are those stored in ``benchmarks/golden.json``, which these
-tests read and never write. A change that moves any formatted number, row
-order or header fails here.
+tests read and never write, plus ``FLAG_STDOUT`` below: stage commands run
+with non-default flags, which golden.json does not cover. A change that
+moves any formatted number, row order or header fails here.
 """
 
 import contextlib
@@ -81,6 +82,60 @@ def test_stage_stdout_digest(command, tmp_path):
     stdout = buf.getvalue().encode().replace(out.encode(), b"<out>")
     assert code == STAGE_STDOUT[command]["exit"]
     assert hashlib.sha256(stdout).hexdigest() == STAGE_STDOUT[command]["sha256"]
+
+
+# Each command's exit code and stdout sha256.
+FLAG_STDOUT = {
+    "adf AL 113 --lag 0 --deterministic none": (
+        0, "571402cce2d8b82187de0560413d13cf54e0e7e3041299ebe4cb69f6f8299822"
+    ),
+    "adf AL 113 --lag 2 --deterministic constantTrend": (
+        0, "3afc0c3da44dbce670ae0f4174131f8ea6ee362d4ec6aa9d47e2fa276dfa256d"
+    ),
+    "adf MS 322 --lag 0 --deterministic none": (
+        0, "89437862fa2127fbf0ee70784749b13df3975d2434789a95ed275bbc6045d535"
+    ),
+    "adf MS 322 --lag 2 --deterministic constantTrend": (
+        0, "ba68d40a9bb29ba472c0872c7799deddbc0e3246df6129ebaf876d3b9a4fcde8"
+    ),
+    "diagnose AL 113 --k 1 --r 0": (
+        0, "6e6e3b0ead555adfa3d9089ddbe25b0600520cb033800326e6fd50d8a95c9995"
+    ),
+    "diagnose AL 113 --k 3 --r 2 --case uconst": (
+        0, "37b4b15eafce345a45359a4c8d8a4311be4fde2456e6714463cb15045796f5de"
+    ),
+    "diagnose MS 322 --k 1 --r 0": (
+        0, "270d2cafb0b27bccddcdd67aeccef7cce273496945ed853771577d066601f2e3"
+    ),
+    "diagnose MS 322 --k 3 --r 2 --case uconst": (
+        0, "3e16229aa776ef3b6f070b630d5dc352926df4cd06e1433b7aada81e2c2d91cf"
+    ),
+    "johansen AL 113 --k 3 --case none": (
+        0, "5ca7dd77a65d341022419192d0eb020fd728c9cc9ecd77b5fe26084c949546f7"
+    ),
+    "johansen MS 322 --k 3 --case none": (
+        0, "bfe66f5746ec9532a4ebff6ec51604e16690b0b78bd2a83c723f81920c7fa797"
+    ),
+    "lags AL 113 --max-lag 1": (
+        0, "e8827f0e40120620f793b5cb8b8bd59952ced957af10dd7956a646454fa32e40"
+    ),
+    "lags AL 113 --max-lag 5": (
+        0, "e0bb18ee2c0f0c27efc6a2b4211f386e17cbf0dc4bd013b0bdea1aecfa6e79f9"
+    ),
+    "lags MS 322 --max-lag 1": (
+        0, "837556aa28cf9e62a4e6aef244b00e77d717b51c83016b5414949d4313a26d6a"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_STDOUT))
+def test_flag_stdout_digest(command):
+    name, state, naics, *flags = command.split()
+    argv = [name, "--config", CONFIG, "--state", state, "--naics", naics, *flags]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert (code, hashlib.sha256(buf.getvalue().encode()).hexdigest()) == FLAG_STDOUT[command]
 
 
 def bundle_digests(config, out):

@@ -55,7 +55,7 @@ class TestStatisticsStructure:
         assert np.all(np.diff(trace) < 0)
 
     def test_selected_rank_rule(self):
-        cv = self.res.critical_values_5pct["trace"]
+        cv = self.res.trace_cv5
         expected = len(self.res.trace_stats)
         for r, stat in enumerate(self.res.trace_stats):
             if stat < cv[r]:
@@ -65,10 +65,10 @@ class TestStatisticsStructure:
 
     def test_critical_value_lookup(self):
         # n=2: r=0 uses the dimension-2 entry, r=1 the dimension-1 entry.
-        cv = self.res.critical_values_5pct
+        cv = self.res.trace_cv5
         case = DeterministicCase.RESTRICTED_CONSTANT
-        assert cv["trace"][0] == TRACE_CV5[case][1]
-        assert cv["trace"][1] == TRACE_CV5[case][0]
+        assert cv[0] == TRACE_CV5[case][1]
+        assert cv[1] == TRACE_CV5[case][0]
 
     def test_effective_sample(self):
         assert self.res.t_eff == 400 - 2

@@ -6,7 +6,7 @@ import pytest
 
 from cointegra import lagselect, linalg
 from cointegra.errors import RankDeficient, SampleTooShort
-from cointegra.lagselect import LagSelection, LagStats, select_lags
+from cointegra.lagselect import select_lags
 from cointegra.panel import VARIABLES, PanelDataset
 from cointegra.quarters import QuarterDate
 
@@ -31,6 +31,15 @@ class TestPreconditions:
         with pytest.raises(SampleTooShort):
             select_lags(panel.levels, 1)
 
+    @pytest.mark.parametrize("n, max_lag", [(5, 5), (5, 1), (2, 12), (1, 0)])
+    def test_message_names_the_smallest_sample_that_passes(self, n, max_lag):
+        need = max_lag + max(math.ceil(5 * n * max_lag / 2), n * max_lag + 2)
+        y = levels_like(n, need, np.random.default_rng(n + max_lag))
+        select_lags(y, max_lag)
+        message = f"^{need - 1} quarters available; max_lag={max_lag} needs at least {need}$"
+        with pytest.raises(SampleTooShort, match=message):
+            select_lags(y[1:], max_lag)
+
     def test_negative_max_lag_rejected(self):
         with pytest.raises(ValueError):
             select_lags(np.random.default_rng(0).standard_normal((50, 2)), -1)
@@ -43,68 +52,74 @@ class TestCriteriaAlgebra:
         self.sel = select_lags(self.data, 4)
 
     def test_common_sample_covers_all_lags(self):
-        assert [r.lag for r in self.sel.per_lag] == [0, 1, 2, 3, 4]
+        sel = self.sel
+        assert sel.max_lag == 4
+        for criterion in (sel.log_lik, sel.log_det_sigma, sel.aic, sel.fpe, sel.hqic, sel.sbic):
+            assert criterion.shape == (5,)
+        # Lags 1..4, each tested against the next-shorter one.
+        assert sel.lr_statistic.shape == sel.lr_pvalue.shape == (4,)
 
     def test_log_det_non_increasing(self):
-        lds = [r.log_det_sigma for r in self.sel.per_lag]
+        lds = self.sel.log_det_sigma
         assert all(b <= a + 1e-10 for a, b in zip(lds, lds[1:]))
 
     def test_log_lik_non_decreasing(self):
-        lls = [r.log_lik for r in self.sel.per_lag]
+        lls = self.sel.log_lik
         assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
 
     def test_aic_recomputation(self):
         # AIC reduces to n*ln(2pi) + log|Sigma| + n + 2m/T on the common sample.
         n = 2
         t_eff = 300 - 4
-        for r in self.sel.per_lag:
-            m = n * (n * r.lag + 1)
-            expected = n * math.log(2 * math.pi) + r.log_det_sigma + n + 2 * m / t_eff
-            assert r.aic == pytest.approx(expected, rel=1e-12)
+        for lag in range(5):
+            m = n * (n * lag + 1)
+            expected = n * math.log(2 * math.pi) + self.sel.log_det_sigma[lag] + n + 2 * m / t_eff
+            assert self.sel.aic[lag] == pytest.approx(expected, rel=1e-12)
 
     def test_sbic_hqic_penalties(self):
         n = 2
         t_eff = 296
-        for r in self.sel.per_lag:
-            m = n * (n * r.lag + 1)
-            assert r.sbic - r.aic == pytest.approx(
+        sel = self.sel
+        for lag in range(5):
+            m = n * (n * lag + 1)
+            assert sel.sbic[lag] - sel.aic[lag] == pytest.approx(
                 (math.log(t_eff) - 2.0) * m / t_eff, rel=1e-10
             )
-            assert r.hqic - r.aic == pytest.approx(
+            assert sel.hqic[lag] - sel.aic[lag] == pytest.approx(
                 2.0 * (math.log(math.log(t_eff)) - 1.0) * m / t_eff, rel=1e-10
             )
 
     def test_fpe_recomputation(self):
         n = 2
         t_eff = 296
-        for r in self.sel.per_lag:
-            s = n * r.lag + 1
-            expected = math.exp(r.log_det_sigma) * ((t_eff + s) / (t_eff - s)) ** n
-            assert r.fpe == pytest.approx(expected, rel=1e-12)
+        for lag in range(5):
+            s = n * lag + 1
+            expected = math.exp(self.sel.log_det_sigma[lag]) * ((t_eff + s) / (t_eff - s)) ** n
+            assert self.sel.fpe[lag] == pytest.approx(expected, rel=1e-12)
 
     def test_lr_statistics(self):
         n = 2
         t_eff = 296
-        assert self.sel.per_lag[0].lr_statistic is None
+        lds = self.sel.log_det_sigma
+        # Lag 0 has no test: entry p - 1 is lag p's.
+        assert len(self.sel.lr_statistic) == len(lds) - 1
         for p in range(1, 5):
             s = n * p + 1
-            expected = (t_eff - s) * (
-                self.sel.per_lag[p - 1].log_det_sigma - self.sel.per_lag[p].log_det_sigma
-            )
-            assert self.sel.per_lag[p].lr_statistic == pytest.approx(max(expected, 0.0))
-            assert self.sel.per_lag[p].lr_statistic >= 0.0
-            assert 0.0 <= self.sel.per_lag[p].lr_pvalue <= 1.0
+            expected = (t_eff - s) * (lds[p - 1] - lds[p])
+            assert self.sel.lr_statistic[p - 1] == pytest.approx(max(expected, 0.0))
+            assert self.sel.lr_statistic[p - 1] >= 0.0
+            assert 0.0 <= self.sel.lr_pvalue[p - 1] <= 1.0
 
     def test_chosen_match_argmin(self):
-        by_aic = min(self.sel.per_lag, key=lambda r: r.aic).lag
-        by_fpe = min(self.sel.per_lag, key=lambda r: r.fpe).lag
+        by_aic = min(range(5), key=lambda lag: self.sel.aic[lag])
+        by_fpe = min(range(5), key=lambda lag: self.sel.fpe[lag])
         assert self.sel.chosen["byAic"] == by_aic
         assert self.sel.chosen["byFpe"] == by_fpe
 
     def test_by_lr_scans_from_top(self):
         expected = 0
         for p in range(4, 0, -1):
-            if self.sel.per_lag[p].lr_pvalue < 0.05:
+            if self.sel.lr_pvalue[p - 1] < 0.05:
                 expected = p
                 break
         assert self.sel.chosen["byLr"] == expected
@@ -119,8 +134,8 @@ class TestScaleInvariance:
         scaled_data[:, 1] *= 1000.0
         scaled = select_lags(scaled_data, 4)
         assert scaled.chosen == base.chosen
-        base_diffs = np.diff([r.aic for r in base.per_lag])
-        scaled_diffs = np.diff([r.aic for r in scaled.per_lag])
+        base_diffs = np.diff(base.aic)
+        scaled_diffs = np.diff(scaled.aic)
         assert scaled_diffs == pytest.approx(base_diffs, abs=1e-8)
 
 
@@ -150,51 +165,49 @@ class TestOrderRecovery:
 
 def per_lag_reference(y, max_lag):
     """Lag selection with one ``linalg.ols`` fit per candidate lag: the loop
-    that the single factorization in ``select_lags`` replaced."""
+    that the single factorization in ``select_lags`` replaced. Returns each
+    criterion's list over lags 0..max_lag, the LR statistics and p-values
+    of lags 1..max_lag, and the chosen lags."""
     y = np.asarray(y, dtype=float)
     t, n = y.shape
     t_eff = t - max_lag
     lhs = y[max_lag:]
-    log_dets = []
-    per_lag = []
+    out = {name: [] for name in ("log_lik", "log_det_sigma", "aic", "fpe", "hqic", "sbic")}
+    out["lr_statistic"], out["lr_pvalue"] = [], []
+    log_dets = out["log_det_sigma"]
     for p in range(max_lag + 1):
         cols = [np.ones((t_eff, 1))]
         for i in range(1, p + 1):
             cols.append(y[max_lag - i : t - i])
         x = np.hstack(cols)
-        sigma = linalg.ols(x, lhs).residual_covariance
-        log_det = lagselect._log_det(sigma)
+        resid = linalg.ols(x, lhs)[1]
+        sigma = resid.T @ resid / t_eff
+        log_det = lagselect._log_det((sigma + sigma.T) / 2.0)
         log_dets.append(log_det)
 
         log_lik = -(t_eff / 2.0) * (n * math.log(2.0 * math.pi) + log_det + n)
         m = n * (n * p + 1)
         s = n * p + 1
-        aic = (-2.0 * log_lik + 2.0 * m) / t_eff
-        sbic = (-2.0 * log_lik + math.log(t_eff) * m) / t_eff
-        hqic = (-2.0 * log_lik + 2.0 * math.log(math.log(t_eff)) * m) / t_eff
-        fpe = math.exp(log_det) * ((t_eff + s) / (t_eff - s)) ** n
-        if p == 0:
-            lr, lr_p = None, None
-        else:
+        out["log_lik"].append(log_lik)
+        out["aic"].append((-2.0 * log_lik + 2.0 * m) / t_eff)
+        out["sbic"].append((-2.0 * log_lik + math.log(t_eff) * m) / t_eff)
+        out["hqic"].append((-2.0 * log_lik + 2.0 * math.log(math.log(t_eff)) * m) / t_eff)
+        out["fpe"].append(math.exp(log_det) * ((t_eff + s) / (t_eff - s)) ** n)
+        if p > 0:
             lr = (t_eff - s) * (log_dets[p - 1] - log_det)
             lr = max(lr, 0.0)
-            lr_p = linalg.chi2_sf(lr, n * n)
-        per_lag.append(
-            LagStats(p, log_lik, log_det, aic, fpe, hqic, sbic, lr, lr_p)
-        )
+            out["lr_statistic"].append(lr)
+            out["lr_pvalue"].append(linalg.chi2_sf(lr, n * n))
 
-    by_aic = min(per_lag, key=lambda r: r.aic).lag
-    by_fpe = min(per_lag, key=lambda r: r.fpe).lag
+    by_aic = min(range(max_lag + 1), key=lambda p: out["aic"][p])
+    by_fpe = min(range(max_lag + 1), key=lambda p: out["fpe"][p])
     by_lr = 0
     for p in range(max_lag, 0, -1):
-        if per_lag[p].lr_pvalue is not None and per_lag[p].lr_pvalue < 0.05:
+        if out["lr_pvalue"][p - 1] < 0.05:
             by_lr = p
             break
-    return LagSelection(
-        max_lag=max_lag,
-        per_lag=per_lag,
-        chosen={"byAic": by_aic, "byFpe": by_fpe, "byLr": by_lr},
-    )
+    out["chosen"] = {"byAic": by_aic, "byFpe": by_fpe, "byLr": by_lr}
+    return out
 
 
 def levels_like(n, t, rng):
@@ -224,24 +237,21 @@ class TestOneFactorization:
             y = levels_like(n, 312, rng)
         got = select_lags(y, max_lag)
         want = per_lag_reference(y, max_lag)
-        assert got.chosen == want.chosen
-        assert [r.lag for r in got.per_lag] == [r.lag for r in want.per_lag]
+        assert got.chosen == want["chosen"]
+        assert [len(getattr(got, name)) for name in self.CRITERIA] == [
+            len(want[name]) for name in self.CRITERIA
+        ]
         for name in self.CRITERIA:
             np.testing.assert_allclose(
-                [getattr(r, name) for r in got.per_lag],
-                [getattr(r, name) for r in want.per_lag],
-                rtol=1e-12, atol=0, err_msg=name,
+                getattr(got, name), want[name], rtol=1e-12, atol=0, err_msg=name,
             )
-        assert got.per_lag[0].lr_statistic is None and got.per_lag[0].lr_pvalue is None
+        # Lag 0 has no test, so there are max_lag of each.
+        assert len(got.lr_statistic) == len(got.lr_pvalue) == max_lag
         np.testing.assert_allclose(
-            [r.lr_statistic for r in got.per_lag[1:]],
-            [r.lr_statistic for r in want.per_lag[1:]],
-            rtol=1e-12, atol=0,
+            got.lr_statistic, want["lr_statistic"], rtol=1e-12, atol=0,
         )
         np.testing.assert_allclose(
-            [r.lr_pvalue for r in got.per_lag[1:]],
-            [r.lr_pvalue for r in want.per_lag[1:]],
-            rtol=1e-10, atol=0,
+            got.lr_pvalue, want["lr_pvalue"], rtol=1e-10, atol=0,
         )
 
     @pytest.mark.parametrize("max_lag", [0, 1, 4, 12])

@@ -43,25 +43,26 @@ class TestOls:
     def test_constant_regressor_recovers_mean(self):
         x = np.ones((4, 1))
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        fit = ols(x, y)
-        assert fit.coefficients == pytest.approx([2.5])
+        coef, _resid = ols(x, y)
+        assert coef == pytest.approx([2.5])
 
     def test_identity_design_is_exact(self):
-        fit = ols(np.vstack([np.eye(3), np.eye(3)]), np.vstack([np.eye(3), np.eye(3)]))
-        assert np.allclose(fit.coefficients, np.eye(3))
-        assert np.allclose(fit.residuals, 0.0)
+        coef, resid = ols(np.vstack([np.eye(3), np.eye(3)]), np.vstack([np.eye(3), np.eye(3)]))
+        assert np.allclose(coef, np.eye(3))
+        assert np.allclose(resid, 0.0)
 
     def test_line_fit_matches_normal_equations(self):
         # Hand-solved: X'X = [[3,3],[3,5]], X'y = [9,13] -> b = (1, 2).
         x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         y = np.array([1.0, 3.0, 5.0])
-        fit = ols(x, y)
-        assert fit.coefficients == pytest.approx([1.0, 2.0], abs=1e-12)
+        coef, _resid = ols(x, y)
+        assert coef == pytest.approx([1.0, 2.0], abs=1e-12)
 
     def test_covariance_uses_t_divisor(self):
-        fit = ols(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]))
-        # residuals (-1.5, -.5, .5, 1.5), sum of squares 5, divided by T=4
-        assert fit.residual_covariance[0, 0] == pytest.approx(1.25)
+        _coef, resid = ols(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]))
+        # residuals (-1.5, -.5, .5, 1.5), sum of squares 5; callers divide by T=4
+        assert resid == pytest.approx([-1.5, -0.5, 0.5, 1.5])
+        assert resid @ resid / 4 == pytest.approx(1.25)
 
     def test_duplicate_column_raises(self):
         x = np.ones((5, 2))
@@ -80,9 +81,9 @@ class TestOls:
             n = int(rng.integers(1, 4))
             x = rng.standard_normal((t, p))
             y = rng.standard_normal((t, n))
-            fit = ols(x, y)
+            coef, resid = ols(x, y)
             scale = max(1.0, float(np.abs(y).max()))
-            assert np.abs(x @ fit.coefficients + fit.residuals - y).max() < 1e-10 * scale
+            assert np.abs(x @ coef + resid - y).max() < 1e-10 * scale
 
 
 class TestCholesky:
@@ -286,7 +287,7 @@ class TestKernelParity:
             q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
             coef = np.empty((p, 5))
             coef[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
-            assert np.array_equal(ols(x, y).coefficients, coef)
+            assert np.array_equal(ols(x, y)[0], coef)
 
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -423,8 +424,7 @@ OLS_DIGEST = """
 import hashlib
 import numpy as np
 rng = np.random.default_rng(5)
-fit = ols(rng.standard_normal((300, 61)), rng.standard_normal((300, 5)))
-parts = (fit.coefficients, fit.residuals, fit.residual_covariance)
+parts = ols(rng.standard_normal((300, 61)), rng.standard_normal((300, 5)))
 print("ols", hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
 """
 

@@ -31,3 +31,17 @@ class TestQuarterDate:
         with pytest.raises(ValueError):
             QuarterDate(2001, 5)
 
+
+    def test_index_orders_and_round_trips(self):
+        dates = [QuarterDate(2000, 4), QuarterDate(2001, 1), QuarterDate(2001, 2)]
+        indices = [d.index for d in dates]
+        assert indices == [QuarterDate.index_of(d.year, d.quarter) for d in dates]
+        assert indices == list(range(indices[0], indices[0] + 3))
+        assert [QuarterDate.from_index(i) for i in indices] == dates
+
+    def test_consecutive_quarters_cross_the_year(self):
+        start = QuarterDate(2001, 3)
+        assert start.following(3) == [(2001, 3), (2001, 4), (2002, 1)]
+        assert start.labels(3) == ["2001Q3", "2001Q4", "2002Q1"]
+        assert start.labels(3) == [start.advanced(i).label() for i in range(3)]
+        assert start.labels(0) == []

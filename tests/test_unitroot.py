@@ -4,7 +4,7 @@ import pytest
 from cointegra.errors import ConstantSeries, RankDeficient, SampleTooShort
 from cointegra.linalg import ols
 from cointegra.panel import VARIABLES
-from cointegra.unitroot import adf_test, adf_tests
+from cointegra.unitroot import _critical_values, adf_test, adf_tests
 
 
 def df_tstat_oracle(values, deterministic):
@@ -42,18 +42,19 @@ class TestAdfBasics:
         for case in ("none", "constant", "constantTrend"):
             for _ in range(5):
                 y = np.cumsum(rng.standard_normal(80))
-                res = adf_test(y, 0, case)
-                assert res.statistic == pytest.approx(df_tstat_oracle(y, case), abs=1e-10)
+                stat, _cv = adf_test(y, 0, case)
+                assert stat == pytest.approx(df_tstat_oracle(y, case), abs=1e-10)
 
     def test_result_fields_consistent(self):
         rng = np.random.default_rng(3)
         y = np.cumsum(rng.standard_normal(120))
-        res = adf_test(y, 2, "constant")
-        assert res.lag_order == 2
-        assert res.deterministic == "constant"
-        cv = res.critical_values
+        stat, cv = adf_test(y, 2, "constant")
+        assert isinstance(stat, float)
+        # The values of the constant case at the effective sample of lag 2.
+        assert cv == _critical_values("constant", 120 - 1 - 2)
         assert cv[0.01] < cv[0.05] < cv[0.10] < 0
-        assert res.reject_at_5pct == (res.statistic < cv[0.05])
+        stats, cvs = adf_tests(y[:, None], 2, "constant")
+        assert (stats.tolist(), cvs) == ([stat], cv)
 
 
 class TestCriticalValues:
@@ -61,16 +62,16 @@ class TestCriticalValues:
         # -2.86154 - 2.8903/100 - 4.234/100^2 - 40.04/100^3 computed by hand
         rng = np.random.default_rng(8)
         y = np.cumsum(rng.standard_normal(102))
-        res = adf_test(y, 0, "constant")  # effective sample 101 rows minus one
+        _stat, cv = adf_test(y, 0, "constant")  # effective sample 101 rows minus one
         t_eff = 101
         expected = -2.86154 - 2.8903 / t_eff - 4.234 / t_eff**2 - 40.04 / t_eff**3
-        assert res.critical_values[0.05] == pytest.approx(expected, abs=1e-12)
+        assert cv[0.05] == pytest.approx(expected, abs=1e-12)
 
     def test_no_deterministics_asymptote(self):
         rng = np.random.default_rng(8)
         y = np.cumsum(rng.standard_normal(5000))
-        res = adf_test(y, 0, "none")
-        assert res.critical_values[0.05] == pytest.approx(-1.941, abs=5e-4)
+        _stat, cv = adf_test(y, 0, "none")
+        assert cv[0.05] == pytest.approx(-1.941, abs=5e-4)
 
 
 class TestInvariances:
@@ -78,24 +79,29 @@ class TestInvariances:
         rng = np.random.default_rng(29)
         for _ in range(10):
             y = np.cumsum(rng.standard_normal(90))
-            base = adf_test(y, 2, "constant").statistic
-            shifted = adf_test(y + 1000.0, 2, "constant").statistic
+            base = adf_test(y, 2, "constant")[0]
+            shifted = adf_test(y + 1000.0, 2, "constant")[0]
             assert shifted == pytest.approx(base, abs=1e-7)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         for case in ("none", "constant", "constantTrend"):
             y = np.cumsum(rng.standard_normal(90))
-            base = adf_test(y, 1, case).statistic
-            scaled = adf_test(y * 250.0, 1, case).statistic
+            base = adf_test(y, 1, case)[0]
+            scaled = adf_test(y * 250.0, 1, case)[0]
             assert scaled == pytest.approx(base, abs=1e-8)
+
+
+def rejects_at_5pct(y, lag_order, deterministic):
+    stat, cv = adf_test(y, lag_order, deterministic)
+    return stat < cv[0.05]
 
 
 class TestSizeAndPower:
     def test_random_walk_rarely_rejected(self):
         rng = np.random.default_rng(101)
         rejections = sum(
-            adf_test(np.cumsum(rng.standard_normal(200)), 1, "constant").reject_at_5pct
+            rejects_at_5pct(np.cumsum(rng.standard_normal(200)), 1, "constant")
             for _ in range(150)
         )
         assert rejections / 150 <= 0.12
@@ -103,7 +109,7 @@ class TestSizeAndPower:
     def test_white_noise_usually_rejected(self):
         rng = np.random.default_rng(103)
         rejections = sum(
-            adf_test(rng.standard_normal(200), 1, "constant").reject_at_5pct
+            rejects_at_5pct(rng.standard_normal(200), 1, "constant")
             for _ in range(150)
         )
         assert rejections / 150 >= 0.93
@@ -126,10 +132,10 @@ def adf_loop(y, lag_order, deterministic):
         if deterministic == "constantTrend":
             cols.append(np.arange(1.0, t_eff + 1.0))
         x = np.column_stack(cols)
-        fit = ols(x, lhs)
-        s2 = float(fit.residuals @ fit.residuals) / (t_eff - x.shape[1])
+        coef, resid = ols(x, lhs)
+        s2 = float(resid @ resid) / (t_eff - x.shape[1])
         se_rho = np.sqrt(s2 * np.linalg.inv(x.T @ x)[0, 0])
-        stats.append(float(fit.coefficients[0] / se_rho))
+        stats.append(float(coef[0] / se_rho))
     return np.array(stats)
 
 
@@ -150,12 +156,12 @@ class TestOneFactorization:
         # compared with an absolute floor.
         for seed in range(4):
             y = walks(56 + 4 * seed, m, seed)
-            got = [res.statistic for res in adf_tests(y, lag, deterministic)]
+            got = adf_tests(y, lag, deterministic)[0]
             np.testing.assert_allclose(
                 got, adf_loop(y, lag, deterministic), rtol=1e-12, atol=1e-12
             )
             if m == 1:
-                assert adf_test(y[:, 0], lag, deterministic).statistic == got[0]
+                assert adf_test(y[:, 0], lag, deterministic)[0] == got[0]
 
     @pytest.mark.parametrize("deterministic", ["constant", "constantTrend"])
     def test_accurate_when_the_level_is_far_from_zero(self, deterministic):
@@ -166,7 +172,7 @@ class TestOneFactorization:
         # centered design well conditioned, so it gives the reference.
         y = 1000.0 + 1e-3 * walks(64, 5, 5)
         for lag in range(5):
-            got = [res.statistic for res in adf_tests(y, lag, deterministic)]
+            got = adf_tests(y, lag, deterministic)[0]
             want = adf_loop(y - y.mean(axis=0), lag, deterministic)
             np.testing.assert_allclose(got, want, rtol=1e-8)
 

@@ -156,8 +156,8 @@ class TestFit:
 
         jres = johansen_test(x, 2, "rconst")
         braw = jres.beta[:, :1]
-        s01 = jres.s_matrices["S01"]
-        s11 = jres.s_matrices["S11"]
+        s01 = jres.s01
+        s11 = jres.s11
         araw = s01 @ braw @ np.linalg.inv(braw.T @ s11 @ braw)
         assert araw @ braw.T == pytest.approx(fit.pi_full, abs=1e-8)
 
