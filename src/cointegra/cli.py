@@ -27,7 +27,7 @@ from .pipeline import (
     run_pipeline, summary_lines,
 )
 from .unitroot import DETERMINISTIC_CASES
-from .vecm import ModelSpec, backtest, fit_vecm, forecast
+from .vecm import backtest, fit_vecm, forecast
 
 
 def _model_args(parser: argparse.ArgumentParser, with_spec: bool = False) -> None:
@@ -58,10 +58,9 @@ def _stage(config: RunConfig, args):
 
 
 def _spec(config: RunConfig, args):
-    """The panel, spec and rank test of a model-fitting stage command."""
+    """The panel, resolved spec and rank test of a stage command's model."""
     panel, model = _stage(config, args)
-    k, r, case, jres = resolve_model(panel.levels, model, config.defaults)
-    return panel, ModelSpec(k=k, r=r, case=case), jres
+    return (panel, *resolve_model(panel.levels, model, config.defaults))
 
 
 def _cmd_ingest(config, args) -> int:
@@ -112,8 +111,7 @@ def _cmd_lags(config, args) -> int:
 
 
 def _cmd_johansen(config, args) -> int:
-    panel, model = _stage(config, args)
-    jres = resolve_model(panel.levels, model, config.defaults)[3]
+    panel, _, jres = _spec(config, args)
     sys.stdout.write(_report("johansen.csv", johansen_lines(panel, jres)))
     return 0
 
@@ -121,7 +119,7 @@ def _cmd_johansen(config, args) -> int:
 def _fit_lines(fit) -> str:
     """Long-format parameter listing: component, row label, column, value."""
     n = fit.n
-    labels = list(VARIABLES[:n]) if n <= len(VARIABLES) else [f"var{i+1}" for i in range(n)]
+    labels = list(VARIABLES)
     if fit.beta.shape[0] == n + 1:
         labels.append("const")
     lines = []
@@ -206,45 +204,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name: str, help_text: str, with_spec: bool = False) -> argparse.ArgumentParser:
+    # Each subcommand's parser names its handler, which ``main`` calls.
+    def stage(name: str, handler, help_text: str, with_spec: bool = False):
         p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(handler=handler)
         _model_args(p, with_spec=with_spec)
         return p
 
-    stage("ingest", "validate one panel file")
-    stage("summarize", "per-variable summary statistics")
-    stage("lq", "location-quotient screening")
-    p = stage("adf", "unit-root tests for each variable")
+    stage("ingest", _cmd_ingest, "validate one panel file")
+    stage("summarize", _cmd_summarize, "per-variable summary statistics")
+    stage("lq", _cmd_lq, "location-quotient screening")
+    p = stage("adf", _cmd_adf, "unit-root tests for each variable")
     p.add_argument("--lag", type=int, default=ADF_LAG)
     p.add_argument("--deterministic", default=ADF_CASE)
-    p = stage("lags", "lag-order selection criteria")
+    p = stage("lags", _cmd_lags, "lag-order selection criteria")
     p.add_argument("--max-lag", type=int, default=None)
-    p = stage("johansen", "cointegration rank test")
+    p = stage("johansen", _cmd_johansen, "cointegration rank test")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--case", default=None)
-    stage("fit", "estimate the error-correction model", with_spec=True)
-    stage("diagnose", "residual diagnostics", with_spec=True)
-    p = stage("forecast", "point forecasts in levels", with_spec=True)
+    stage("fit", _cmd_fit, "estimate the error-correction model", with_spec=True)
+    stage("diagnose", _cmd_diagnose, "residual diagnostics", with_spec=True)
+    p = stage("forecast", _cmd_forecast, "point forecasts in levels", with_spec=True)
     p.add_argument("--horizon", type=int, default=None)
-    p = stage("backtest", "holdout forecast evaluation", with_spec=True)
+    p = stage("backtest", _cmd_backtest, "holdout forecast evaluation", with_spec=True)
     p.add_argument("--holdout", default=None, help="first holdout quarter, e.g. 2016Q1")
-    sub.add_parser("run", help="full pipeline over all configured models", parents=[common])
+    run = sub.add_parser("run", help="full pipeline over all configured models", parents=[common])
+    run.set_defaults(handler=_cmd_run)
     return parser
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "summarize": _cmd_summarize,
-    "lq": _cmd_lq,
-    "adf": _cmd_adf,
-    "lags": _cmd_lags,
-    "johansen": _cmd_johansen,
-    "fit": _cmd_fit,
-    "diagnose": _cmd_diagnose,
-    "forecast": _cmd_forecast,
-    "backtest": _cmd_backtest,
-    "run": _cmd_run,
-}
 
 
 def main(argv=None) -> int:
@@ -257,7 +243,7 @@ def main(argv=None) -> int:
             out_dir=None if args.out is None else os.path.abspath(args.out),
             seed=args.seed,
         )
-        return _COMMANDS[args.command](config, args)
+        return args.handler(config, args)
     except CointegraError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,10 @@ criterion and every LR statistic match a separate ``linalg.ols`` fit per
 lag to a relative 1e-12, not bitwise; the chosen lags are the same.
 
 The result, a ``LagSelection``, holds each criterion as an array over the
-lags beside the chosen orders; ``pipeline.lags_lines`` writes its rows.
+lags beside the lag each criterion picks (``chosen``, keyed ``aic``, ``hq``,
+``sc``, ``fpe`` and ``lr``); ``pipeline.lags_lines`` writes its rows and
+flags the AIC, FPE and LR picks, and the run manifest's ``lagChoice`` is
+``chosen`` itself.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ class LagSelection:
     hold one value per lag 0..max_lag. ``lr_statistic[p - 1]`` and
     ``lr_pvalue[p - 1]`` test lag p against lag p - 1, for p = 1..max_lag.
 
-    chosen maps 'byAic', 'byFpe', 'byLr' to a lag. byAic and byFpe are the
-    first lag that minimizes the criterion; byLr is the largest lag whose
-    likelihood-ratio test against the next-shorter model rejects at 5%,
-    scanning from maxLag downward; 0 when none rejects.
+    ``chosen`` maps each of 'aic', 'hq', 'sc', 'fpe' and 'lr' to the lag it
+    picks. The first four pick the first lag that minimizes AIC, HQ (``hqic``),
+    SC (``sbic``) or FPE; 'lr' is the largest lag whose likelihood-ratio test
+    against the next-shorter model rejects at 5%, scanning from max_lag
+    downward, and 0 when none rejects.
     """
 
     max_lag: int
@@ -57,17 +61,6 @@ class LagSelection:
     lr_statistic: np.ndarray
     lr_pvalue: np.ndarray
     chosen: dict[str, int]
-
-    def by_criterion(self) -> dict[str, int]:
-        """The lag each of AIC, HQ, SC, FPE and LR picks; HQ and SC, like
-        AIC and FPE, the first lag that minimizes the criterion."""
-        return {
-            "aic": self.chosen["byAic"],
-            "hq": int(np.argmin(self.hqic)),
-            "sc": int(np.argmin(self.sbic)),
-            "fpe": self.chosen["byFpe"],
-            "lr": self.chosen["byLr"],
-        }
 
 
 def _log_det(sigma: np.ndarray) -> float:
@@ -140,9 +133,8 @@ def select_lags(y: np.ndarray, max_lag: int) -> LagSelection:
         for p in range(1, max_lag + 1)
     ]
     lr_p = np.array([chi2_sf(stat, n * n) for stat in lr])
+    minimized = {"aic": aic, "hq": hqic, "sc": sbic, "fpe": fpe}
+    chosen = {name: int(np.argmin(values)) for name, values in minimized.items()}
     # The last lag whose test rejects, scanning down; 0 when none does.
-    by_lr = next((p for p in range(max_lag, 0, -1) if lr_p[p - 1] < 0.05), 0)
-    return LagSelection(
-        max_lag, log_lik, log_det, aic, fpe, hqic, sbic, np.array(lr), lr_p,
-        {"byAic": int(np.argmin(aic)), "byFpe": int(np.argmin(fpe)), "byLr": by_lr},
-    )
+    chosen["lr"] = next((p for p in range(max_lag, 0, -1) if lr_p[p - 1] < 0.05), 0)
+    return LagSelection(max_lag, log_lik, log_det, aic, fpe, hqic, sbic, np.array(lr), lr_p, chosen)

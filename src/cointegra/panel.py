@@ -92,7 +92,8 @@ def read_table(path: str) -> tuple[list[str], list[list[str]]]:
     """The header and the data rows of a CSV file. The first line is the
     header, even when blank; later blank lines are skipped and not counted
     as rows. A leading byte-order mark is dropped, as Excel's "CSV UTF-8"
-    writes one; a file that is not UTF-8 raises MalformedFile."""
+    writes one. A file that is not UTF-8, or that the csv module cannot
+    split (a quoted field longer than its field limit), raises MalformedFile."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -100,6 +101,8 @@ def read_table(path: str) -> tuple[list[str], list[list[str]]]:
             return header, [row for row in reader if row]
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise MalformedFile(f"{path} is not a readable CSV file: {exc}") from exc
 
 
 def _cast_each(cells, cast) -> tuple[list, list[bool]]:
@@ -124,8 +127,8 @@ def parse_columns(
     A name repeated in the header reads its last column. Returns the
     columns (an int list, or a float array) and either None or a bool array
     (rows x columns) marking each malformed cell: one that is missing (a
-    short row), does not parse, or is a nan or an infinity. A malformed
-    cell's value is unspecified.
+    short row), does not parse, or is a nan or an infinity, or a
+    ``quarter`` cell outside 1..4. A malformed cell's value is unspecified.
     """
     index = {name: i for i, name in enumerate(header)}
     picks = [index[name] for name in columns]
@@ -142,6 +145,8 @@ def parse_columns(
         if cast is float:
             values = np.array(values, dtype=float)
             bad[:, j] |= ~np.isfinite(values)
+        if columns[j] == "quarter":
+            bad[:, j] |= np.array([not 1 <= q <= 4 for q in values], dtype=bool)
         out.append(values)
     return out, bad if bad.any() else None
 
@@ -189,13 +194,11 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
         header, rows, names, (int, int) + (float,) * len(VARIABLES)
     )
     levels = np.column_stack(series)
-    odd_quarter = [not 1 <= q <= 4 for q in quarters]
-    if bad is not None or any(odd_quarter) or not (levels > 0.0).all():
+    if bad is not None or not (levels > 0.0).all():
         # 1 marks a malformed cell, 2 a non-positive one.
         codes = np.zeros((len(rows), len(names)), dtype=np.int8)
         if bad is not None:
             codes[bad] = 1
-        codes[:, 1] |= odd_quarter
         codes[:, 2:][(codes[:, 2:] == 0) & (levels <= 0.0)] = 2
         row, col = divmod(int(np.flatnonzero(codes)[0]), len(names))
         if codes[row, col] == 2:

@@ -34,6 +34,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -53,6 +54,7 @@ from .diagnostics import NORMALITY_DOF, lm_autocorrelation, normality_tests
 from .errors import (
     ConfigInvalid,
     DataDirMissing,
+    DuplicateQuarter,
     IndexBaseMissing,
     MalformedValue,
     MissingColumn,
@@ -305,8 +307,11 @@ REPORT_HEADERS = {
 
 
 def _read_value_series(path: str) -> dict[tuple[int, int], float]:
-    """A year,quarter,value file as {(year, quarter): value}; a quarter that
-    repeats keeps its last value."""
+    """A year,quarter,value file as {(year, quarter): value}, with the
+    errors of ``ingest_panel``: MalformedFile, MissingColumn if a column is
+    absent, MalformedValue naming ``path`` and the first bad cell in reading
+    order (a quarter outside 1..4 is one), and DuplicateQuarter naming the
+    earliest quarter that repeats."""
     header, rows = read_table(path)
     if {"year", "quarter", "value"} - set(header):
         raise MissingColumn(f"{path}: expected columns year,quarter,value")
@@ -315,32 +320,34 @@ def _read_value_series(path: str) -> dict[tuple[int, int], float]:
     if bad is not None:
         row, col = divmod(int(np.flatnonzero(bad)[0]), len(columns))
         raise MalformedValue(row, columns[col], path)
-    return dict(zip(zip(years, quarters), values.tolist()))
+    series = dict(zip(zip(years, quarters), values.tolist()))
+    if len(series) < len(rows):
+        repeated = min(key for key, count in Counter(zip(years, quarters)).items() if count > 1)
+        raise DuplicateQuarter(f"quarter {QuarterDate(*repeated).label()} duplicated in {path}")
+    return series
 
 
-def load_aux_series(data_dir: str, states, naics_codes) -> dict:
-    """Employment series for LQ screening, keyed by kind."""
-    aux_dir = os.path.join(data_dir, "aux")
-    out = {
-        "national_total": _read_value_series(os.path.join(aux_dir, "national_total.csv")),
-        "state_total": {},
-        "national_industry": {},
-    }
-    for state in sorted(set(states)):
-        out["state_total"][state] = _read_value_series(
-            os.path.join(aux_dir, f"state_total_{state}.csv")
-        )
-    for naics in sorted(set(naics_codes)):
-        out["national_industry"][naics] = _read_value_series(
-            os.path.join(aux_dir, f"national_industry_{naics}.csv")
-        )
-    return out
+def load_aux_series(data_dir: str, states, naics_codes) -> dict[str, dict]:
+    """The LQ screening series of ``states`` and ``naics_codes``, keyed by
+    the file name under ``data_dir/aux`` that each is read from:
+    ``national_total.csv``, then ``state_total_{state}.csv`` and then
+    ``national_industry_{naics}.csv``, each in sorted order, which is the
+    order the files are read in. Each series is a ``_read_value_series``
+    dict, and a file's error is raised as that function raises it."""
+    names = [
+        "national_total.csv",
+        *(f"state_total_{state}.csv" for state in sorted(set(states))),
+        *(f"national_industry_{naics}.csv" for naics in sorted(set(naics_codes))),
+    ]
+    return {name: _read_value_series(os.path.join(data_dir, "aux", name)) for name in names}
 
 
-def lq_records_for_panel(panel: PanelDataset, aux: dict) -> np.ndarray:
+def lq_records_for_panel(panel: PanelDataset, aux: dict[str, dict]) -> np.ndarray:
     """Location quotient of each panel quarter, in quarter order: panel
     employment over the state total, divided by national industry
     employment over the national total (``location_quotient`` as arrays).
+    ``aux`` maps screening file names to series, as ``load_aux_series``
+    returns them.
 
     Raises
     ------
@@ -358,12 +365,7 @@ def lq_records_for_panel(panel: PanelDataset, aux: dict) -> np.ndarray:
         "national_total.csv",
     )
     state_total, national_industry, national_total = columns = [
-        np.fromiter(map(series.get, keys, repeat(np.nan)), float, len(keys))
-        for series in (
-            aux["state_total"][panel.state],
-            aux["national_industry"][panel.naics],
-            aux["national_total"],
-        )
+        np.fromiter(map(aux[name].get, keys, repeat(np.nan)), float, len(keys)) for name in files
     ]
     employment = panel.levels[:, VARIABLES.index("employment")]
     missing = np.isnan(state_total) | np.isnan(national_industry) | np.isnan(national_total)
@@ -453,13 +455,14 @@ def adf_lines(panel: PanelDataset, lag: int = ADF_LAG, deterministic: str = ADF_
 
 
 def lags_lines(panel: PanelDataset, sel: LagSelection) -> str:
+    """One row per lag; ``chosen_flags`` names the AIC, FPE and LR picks of that lag."""
     # Lag 0 has no likelihood-ratio test.
     lr = [("", "")] + [(fmt6(x), fmt6(p)) for x, p in zip(sel.lr_statistic, sel.lr_pvalue)]
     lines = []
     for lag in range(sel.max_lag + 1):
         criteria = (sel.log_lik[lag], sel.aic[lag], sel.fpe[lag], sel.hqic[lag], sel.sbic[lag])
-        chosen = sorted(key.removeprefix("by").lower() for key, p in sel.chosen.items() if p == lag)
-        lines.append(_line(panel, lag, *map(fmt6, criteria), *lr[lag], "+".join(chosen)))
+        chosen = "+".join(name for name in ("aic", "fpe", "lr") if sel.chosen[name] == lag)
+        lines.append(_line(panel, lag, *map(fmt6, criteria), *lr[lag], chosen))
     return "".join(lines)
 
 
@@ -530,20 +533,19 @@ def load_panel(data_dir: str, state: str, naics: int) -> PanelDataset:
 
 def resolve_model(
     x: np.ndarray, model: ModelConfig, defaults: RunDefaults, aic_lag: int | None = None
-) -> tuple[int, int, str, JohansenResult]:
-    """k, r and case of one model with levels ``x``, and the rank test at
-    that k and case. Each is the model's own setting if it has one; else k
-    is the AIC lag choice (``aic_lag``, or a new lag selection), r the rank
-    the test selects and the case the default one."""
-    case = model.case or defaults.johansen_case
+) -> tuple[ModelSpec, JohansenResult]:
+    """The spec (k, r and case) of one model with levels ``x``, and the rank
+    test at that k and case. Each is the model's own setting if it has one;
+    else k is the AIC lag choice (``aic_lag``, or a new lag selection), r
+    the rank the test selects and the case the default one."""
     k = model.k
     if k is None:
         if aic_lag is None:
-            aic_lag = select_lags(x, max_lag=defaults.max_lag).chosen["byAic"]
+            aic_lag = select_lags(x, max_lag=defaults.max_lag).chosen["aic"]
         k = max(1, aic_lag)
-    jres = johansen_test(x, k, case)
+    jres = johansen_test(x, k, model.case or defaults.johansen_case)
     r = jres.selected_rank if model.r is None else model.r
-    return k, r, case, jres
+    return ModelSpec(k=k, r=r, case=jres.case), jres
 
 
 @dataclass
@@ -552,6 +554,7 @@ class ModelOutput:
     until ``run_pipeline`` appends it to the bundle and clears it.
     ``stages`` maps each stage entered, in order, to its seconds; ``stage``
     is the stage last entered, and after a failure the stage that failed.
+    ``spec`` is the model's resolved spec, once its rank test has run, and
     ``lag_choice`` maps each lag selection criterion to the lag it picks."""
 
     model: ModelConfig
@@ -560,7 +563,7 @@ class ModelOutput:
     error_type: str = ""
     stage: str = ""
     stages: dict[str, float] = field(default_factory=dict)
-    spec_used: dict = field(default_factory=dict)
+    spec: ModelSpec | None = None
     lag_choice: dict[str, int] = field(default_factory=dict)
     lines: dict[str, str] = field(default_factory=dict)
 
@@ -608,14 +611,13 @@ def _run_model(
         with timed("lags"):
             selection = select_lags(x, max_lag=defaults.max_lag)
             lines["lags.csv"] = lags_lines(panel, selection)
-            out.lag_choice = selection.by_criterion()
+            out.lag_choice = selection.chosen
 
         with timed("johansen"):
-            k, r, case, jres = resolve_model(x, out.model, defaults, selection.chosen["byAic"])
+            spec, jres = resolve_model(x, out.model, defaults, selection.chosen["aic"])
             lines["johansen.csv"] = johansen_lines(panel, jres)
-            out.spec_used = {"k": k, "r": r, "case": jres.case.short}
+            out.spec = spec
         with timed("fit"):
-            spec = ModelSpec(k=k, r=r, case=case)
             fit = fit_vecm(x, spec, jres)
         with timed("lm"):
             lines["lm.csv"] = lm_lines(panel, fit)
@@ -624,7 +626,7 @@ def _run_model(
 
         with timed("forecast"):
             template = _path_template(panel, defaults.horizon)
-            rows = np.concatenate((x, forecast(fit, x[-k:], defaults.horizon)))
+            rows = np.concatenate((x, forecast(fit, x[-spec.k :], defaults.horizon)))
             lines["forecast.csv"] = _fill(template, rows)
             try:
                 lines["plot.csv"] = emit_plot_data(panel, rows, template, index_base)
@@ -751,7 +753,8 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         models = []
         for o in sorted(outputs, key=lambda o: (o.model.naics, o.model.state)):
             entry = {"state": o.model.state, "naics": o.model.naics, "status": o.status}
-            entry.update(o.spec_used)
+            if o.spec is not None:
+                entry.update(k=o.spec.k, r=o.spec.r, case=o.spec.case.short)
             if o.status == "ok":
                 entry["lagChoice"] = o.lag_choice
             else:

@@ -58,7 +58,7 @@ def bundled_fits():
         for naics, state in MODELS:
             panel = load_panel(state, naics)
             x = panel.levels
-            k = max(1, select_lags(x, max_lag=4).chosen["byAic"])
+            k = max(1, select_lags(x, max_lag=4).chosen["aic"])
             rank = johansen_test(x, k, "restrictedConstant").selected_rank
             fit = fit_vecm(x, ModelSpec(k=k, r=rank, case="restrictedConstant"))
             _FITS.append((panel, fit))

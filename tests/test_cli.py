@@ -550,6 +550,36 @@ class TestMalformedCells:
         path = tmp_path / "sixstate" / "aux" / "national_total.csv"
         assert err == f"error: MalformedValue: malformed value at row 7, column 'value' in {path}\n"
 
+    def test_repeated_aux_quarter(self, tmp_path, capsys):
+        root = _append_bytes(tmp_path, "aux/national_total.csv", b"2001,1,123.0\n")
+        args = ["lq", "--config", str(root / "config.json"), "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        out, err = capsys.readouterr()
+        path = root / "aux" / "national_total.csv"
+        assert (out, err) == ("", f"error: DuplicateQuarter: quarter 2001Q1 duplicated in {path}\n")
+
+    def test_aux_quarter_out_of_range(self, tmp_path, capsys):
+        root = _append_bytes(tmp_path, "aux/national_total.csv", b"2001,7,1.0\n")
+        args = ["lq", "--config", str(root / "config.json"), "--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        out, err = capsys.readouterr()
+        path = root / "aux" / "national_total.csv"
+        assert (out, err) == (
+            "", f"error: MalformedValue: malformed value at row 72, column 'quarter' in {path}\n"
+        )
+
+    def test_quoted_field_over_the_csv_field_limit(self, tmp_path, capsys):
+        # An unclosed quote makes the rest of the file one field, which the csv
+        # module refuses past 128 KiB.
+        root = _append_bytes(tmp_path, "aux/national_total.csv", b'"2001' + b"0" * 140_000)
+        config = str(root / "config.json")
+        assert run_cli("lq", "--config", config, "--state", "AL", "--naics", "113") == 2
+        path = root / "aux" / "national_total.csv"
+        assert capsys.readouterr().err == (
+            f"error: MalformedFile: {path} is not a readable CSV file: "
+            "field larger than field limit (131072)\n"
+        )
+
     def test_run_names_the_screening_file(self, tmp_path, capsys):
         # run reads up to ten aux files; the message says which one is bad.
         config = _corrupt_copy(

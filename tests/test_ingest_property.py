@@ -91,9 +91,16 @@ def reference_value_series(path):
             raise MissingColumn(f"{path}: expected columns year,quarter,value")
         values = {}
         for i, row in enumerate(reader):
-            key = (_cell(row, "year", i, int, path), _cell(row, "quarter", i, int, path))
-            values[key] = _cell(row, "value", i, float, path)
-        return values
+            year = _cell(row, "year", i, int, path)
+            try:
+                when = QuarterDate(year, _cell(row, "quarter", i, int, path))
+            except ValueError:
+                raise MalformedValue(i, "quarter", path) from None
+            values.setdefault(when, []).append(_cell(row, "value", i, float, path))
+    for when in sorted(values):
+        if len(values[when]) > 1:
+            raise DuplicateQuarter(f"quarter {when} duplicated in {path}")
+    return {(when.year, when.quarter): value for when, (value,) in values.items()}
 
 
 def reference_lq(panel, state_total, national_industry, national_total):
@@ -212,8 +219,8 @@ def test_mutated_aux_series_reads_as_the_reference_does(mutation, data_copy):
     if isinstance(expected, tuple):
         assert aux == expected
         return
-    assert aux["state_total"]["AL"] == expected
+    assert aux["state_total_AL.csv"] == expected
     panel = ingest_panel(PANEL)
     lq = outcome(lq_records_for_panel, panel, aux)
-    series = (expected, aux["national_industry"][113], aux["national_total"])
+    series = (expected, aux["national_industry_113.csv"], aux["national_total.csv"])
     assert (lq if isinstance(lq, tuple) else lq.tolist()) == outcome(reference_lq, panel, *series)

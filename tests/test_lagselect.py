@@ -111,10 +111,10 @@ class TestCriteriaAlgebra:
             assert 0.0 <= self.sel.lr_pvalue[p - 1] <= 1.0
 
     def test_chosen_match_argmin(self):
-        by_aic = min(range(5), key=lambda lag: self.sel.aic[lag])
-        by_fpe = min(range(5), key=lambda lag: self.sel.fpe[lag])
-        assert self.sel.chosen["byAic"] == by_aic
-        assert self.sel.chosen["byFpe"] == by_fpe
+        sel = self.sel
+        assert list(sel.chosen) == ["aic", "hq", "sc", "fpe", "lr"]
+        for name, values in (("aic", sel.aic), ("hq", sel.hqic), ("sc", sel.sbic), ("fpe", sel.fpe)):
+            assert sel.chosen[name] == min(range(5), key=lambda lag: values[lag])
 
     def test_by_lr_scans_from_top(self):
         expected = 0
@@ -122,7 +122,7 @@ class TestCriteriaAlgebra:
             if self.sel.lr_pvalue[p - 1] < 0.05:
                 expected = p
                 break
-        assert self.sel.chosen["byLr"] == expected
+        assert self.sel.chosen["lr"] == expected
 
 
 class TestScaleInvariance:
@@ -145,7 +145,7 @@ class TestOrderRecovery:
         # overfits white noise only rarely.
         rng = np.random.default_rng(202)
         hits = sum(
-            select_lags(rng.standard_normal((400, 5)), 4).chosen["byAic"] == 0
+            select_lags(rng.standard_normal((400, 5)), 4).chosen["aic"] == 0
             for _ in range(200)
         )
         assert hits / 200 >= 0.90
@@ -157,7 +157,7 @@ class TestOrderRecovery:
             np.array([[-0.35, 0.0], [0.1, 0.25]]),
         ]
         hits = sum(
-            select_lags(simulate_var(coefs, 400, rng), 4).chosen["byAic"] == 2
+            select_lags(simulate_var(coefs, 400, rng), 4).chosen["aic"] == 2
             for _ in range(200)
         )
         assert hits / 200 >= 0.80
@@ -199,14 +199,16 @@ def per_lag_reference(y, max_lag):
             out["lr_statistic"].append(lr)
             out["lr_pvalue"].append(linalg.chi2_sf(lr, n * n))
 
-    by_aic = min(range(max_lag + 1), key=lambda p: out["aic"][p])
-    by_fpe = min(range(max_lag + 1), key=lambda p: out["fpe"][p])
+    out["chosen"] = {
+        name: min(range(max_lag + 1), key=lambda p: out[criterion][p])
+        for name, criterion in (("aic", "aic"), ("hq", "hqic"), ("sc", "sbic"), ("fpe", "fpe"))
+    }
     by_lr = 0
     for p in range(max_lag, 0, -1):
         if out["lr_pvalue"][p - 1] < 0.05:
             by_lr = p
             break
-    out["chosen"] = {"byAic": by_aic, "byFpe": by_fpe, "byLr": by_lr}
+    out["chosen"]["lr"] = by_lr
     return out
 
 

@@ -16,6 +16,7 @@ from cointegra import diagnostics, linalg, pipeline, unitroot
 from cointegra.errors import (
     ConfigInvalid,
     DataDirMissing,
+    DuplicateQuarter,
     IndexBaseMissing,
     MalformedValue,
     MissingColumn,
@@ -39,7 +40,7 @@ from cointegra.pipeline import (
     run_pipeline,
 )
 from cointegra.quarters import QuarterDate
-from cointegra.vecm import ModelSpec, fit_vecm
+from cointegra.vecm import fit_vecm
 
 DATA_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "data", "sixstate")
@@ -252,14 +253,20 @@ class TestPlotData:
 
 class TestAuxLoading:
     def test_loads_all_kinds(self):
-        aux = load_aux_series(DATA_ROOT, ["AL", "ME"], [113, 322])
-        assert (2001, 1) in aux["national_total"]
-        assert set(aux["state_total"]) == {"AL", "ME"}
-        assert set(aux["national_industry"]) == {113, 322}
+        aux = load_aux_series(DATA_ROOT, ["ME", "AL", "ME"], [322, 113])
+        # Keyed by file name, in the order the files are read.
+        assert list(aux) == [
+            "national_total.csv",
+            "state_total_AL.csv",
+            "state_total_ME.csv",
+            "national_industry_113.csv",
+            "national_industry_322.csv",
+        ]
+        assert (2001, 1) in aux["national_total.csv"]
 
     def test_lq_records_missing_quarter(self):
         aux = load_aux_series(DATA_ROOT, ["AL"], [113])
-        del aux["national_total"][(2013, 2)]
+        del aux["national_total.csv"][(2013, 2)]
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
         with pytest.raises(MissingColumn):
             lq_records_for_panel(panel, aux)
@@ -270,9 +277,9 @@ class TestAuxLoading:
         expected = [
             location_quotient(
                 float(panel.levels[i, VARIABLES.index("employment")]),
-                aux["state_total"]["ME"][(q.year, q.quarter)],
-                aux["national_industry"][322][(q.year, q.quarter)],
-                aux["national_total"][(q.year, q.quarter)],
+                aux["state_total_ME.csv"][(q.year, q.quarter)],
+                aux["national_industry_322.csv"][(q.year, q.quarter)],
+                aux["national_total.csv"][(q.year, q.quarter)],
             )
             for i, q in enumerate(map(panel.start.advanced, range(len(panel))))
         ]
@@ -281,28 +288,22 @@ class TestAuxLoading:
     def test_first_bad_quarter_decides_the_error(self):
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
         aux = load_aux_series(DATA_ROOT, ["AL"], [113])
-        aux["state_total"]["AL"][(2003, 1)] = -5.0
-        del aux["national_total"][(2013, 2)]
+        aux["state_total_AL.csv"][(2003, 1)] = -5.0
+        del aux["national_total.csv"][(2013, 2)]
         with pytest.raises(NonPositiveInput, match=r"-5\.0"):
             lq_records_for_panel(panel, aux)
-        aux["state_total"]["AL"][(2003, 1)] = 5.0
-        aux["national_industry"][113][(2014, 1)] = 0.0
+        aux["state_total_AL.csv"][(2003, 1)] = 5.0
+        aux["national_industry_113.csv"][(2014, 1)] = 0.0
         with pytest.raises(MissingColumn, match=r"missing 2013Q2 in national_total\.csv$"):
             lq_records_for_panel(panel, aux)
 
     @pytest.mark.parametrize(
-        "kind, key, name",
-        [
-            ("state_total", "AL", "state_total_AL.csv"),
-            ("national_industry", 113, "national_industry_113.csv"),
-            ("national_total", None, "national_total.csv"),
-        ],
+        "name", ["state_total_AL.csv", "national_industry_113.csv", "national_total.csv"]
     )
-    def test_missing_quarter_names_the_file(self, kind, key, name):
+    def test_missing_quarter_names_the_file(self, name):
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
         aux = load_aux_series(DATA_ROOT, ["AL"], [113])
-        series = aux[kind] if key is None else aux[kind][key]
-        del series[(2010, 3)]
+        del aux[name][(2010, 3)]
         message = f"^screening series missing 2010Q3 in {re.escape(name)}$"
         with pytest.raises(MissingColumn, match=message):
             lq_records_for_panel(panel, aux)
@@ -312,19 +313,25 @@ class TestAuxLoading:
         aux_dir.mkdir()
         for name in ("national_total", "state_total_AL", "national_industry_113"):
             (aux_dir / f"{name}.csv").write_text("year,quarter,value\n2001,1,5\n")
-        (aux_dir / "national_total.csv").write_text(
-            "year,quarter,value,extra\n\n2001,1,5,x\n2001,7,6\n\n2001,1,8\n2001,2\n"
-        )
+        path = aux_dir / "national_total.csv"
+
+        def load(rows):
+            # Blank lines are skipped and not counted as rows.
+            path.write_text("year,quarter,value,extra\n\n" + "\n\n".join(rows) + "\n")
+            return load_aux_series(str(tmp_path), ["AL"], [113])["national_total.csv"]
+
+        # Quarter 7 in row 1 is a malformed cell, named before the short row 3.
         with pytest.raises(MalformedValue) as err:
-            load_aux_series(str(tmp_path), ["AL"], [113])
-        assert (err.value.row, err.value.column) == (3, "value")
-        text = (aux_dir / "national_total.csv").read_text()
-        (aux_dir / "national_total.csv").write_text(text.replace("2001,2\n", ""))
-        # A repeated quarter keeps its last value; an odd quarter is kept but never matched.
-        assert load_aux_series(str(tmp_path), ["AL"], [113])["national_total"] == {
-            (2001, 1): 8.0,
-            (2001, 7): 6.0,
-        }
+            load(["2001,1,5,x", "2001,7,6", "2001,1,8", "2001,2"])
+        assert (err.value.row, err.value.column) == (1, "quarter")
+        with pytest.raises(MalformedValue) as err:
+            load(["2001,1,5,x", "2001,1,8", "2001,2"])
+        assert (err.value.row, err.value.column) == (2, "value")
+        # A repeated quarter is an error, as it is in a panel; the earliest is named.
+        message = f"^quarter 2001Q1 duplicated in {re.escape(str(path))}$"
+        with pytest.raises(DuplicateQuarter, match=message):
+            load(["2001,2,4", "2001,2,6", "2001,1,5,x", "2001,1,8"])
+        assert load(["2001,1,5,x", "2001,2,8"]) == {(2001, 1): 5.0, (2001, 2): 8.0}
 
 
 class TestRunPipeline:
@@ -661,8 +668,7 @@ class TestOneFactorizationPerModel:
         config = load_config(os.path.join(DATA_ROOT, "config.json"))
         model = config.models[0]
         panel = load_panel(config.data_dir, model.state, model.naics)
-        k, r, case, jres = resolve_model(panel.levels, model, config.defaults)
-        fit = fit_vecm(panel.levels, ModelSpec(k=k, r=r, case=case), jres)
+        fit = fit_vecm(panel.levels, *resolve_model(panel.levels, model, config.defaults))
 
         calls = Counter()
 
