@@ -65,6 +65,10 @@ class MalformedFile(CointegraError):
     """An input file is not UTF-8 text; the message names the file."""
 
 
+class InputFileMissing(CointegraError):
+    """An input file does not exist; the message names the file."""
+
+
 class NonPositiveInput(CointegraError):
     """Location-quotient inputs must be strictly positive."""
 

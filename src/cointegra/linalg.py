@@ -5,35 +5,33 @@ by the test statistics.
 All routines are pure functions.
 
 This is the only module of the package that imports scipy or ctypes. A
-process that runs cointegra loads one OpenBLAS, numpy's, and one scipy
-module, the compiled extension ``scipy.special._special_ufuncs`` for
-``gammaincc``, which imports no other scipy module: no scipy Python code,
-no scipy LAPACK wrapper, no scipy OpenBLAS or libgfortran. (With
-``pipeline``'s built-in SHA-256, no OpenSSL either.) ``_numpy_lapack``
-binds ``dgeqp3``, ``dorgqr``, ``dtrtrs`` and ``dgelsy`` with ctypes in the
-OpenBLAS numpy has loaded for ``@``
+process that runs cointegra on numpy's bundled OpenBLAS loads that one
+OpenBLAS and no scipy module: no scipy Python code or extension, no scipy
+LAPACK wrapper, no scipy OpenBLAS or libgfortran. (With ``pipeline``'s
+built-in SHA-256, no OpenSSL either.) ``_numpy_lapack`` binds ``dgeqp3``,
+``dorgqr``, ``dtrtrs`` and ``dgelsy`` with ctypes in the OpenBLAS numpy
+has loaded for ``@``
 (``<site-packages>/numpy.libs/libscipy_openblas64_-*``, 64-bit integers),
 each taking the arguments and giving the results of its
 ``scipy.linalg._flapack`` namesake; so the outputs depend on that library
 alone. Where the library or a routine is missing (a numpy on another BLAS),
-the bindings are ``_flapack``'s, loaded with scipy's OpenBLAS. Fresh-process
-peak RSS of ``cointegra run`` fell from 42.0 to 34.4 MB when scipy's
-OpenBLAS and OpenSSL stopped loading (2 vCPU, numpy 2.4, scipy 1.17).
+the bindings are ``_flapack``'s, loaded with scipy's OpenBLAS; that fallback
+is the one place scipy is still loaded, and only then is ``SCIPY_VERSION``
+set. Fresh-process peak RSS of ``cointegra run`` fell from 42.0 to 34.4 MB
+when scipy's OpenBLAS and OpenSSL stopped loading, and by about 1.2 MB more
+when ``chi2_sf`` stopped calling scipy's ``gammaincc`` (2 vCPU, numpy 2.4,
+scipy 1.17).
 
-``import scipy.special`` would also run scipy's and the package's
-``__init__`` files, which nothing here calls. So ``_load_extensions`` finds
-scipy's directory with ``importlib.util.find_spec``, binds each of
-``scipy``, ``scipy.special`` (and, on the fallback, ``scipy.linalg``) that
-is not imported yet to a bare stub with the real package directory as its
-``__path__``, imports the extensions and ``scipy.version`` under the stubs,
-and removes the stubs and ``scipy.version`` again. The extensions stay in
-``sys.modules``, so a later ``import scipy.special`` runs the real package
-and reuses them: ``scipy.special.gammaincc`` is the very object bound
-here. (The real packages then lack the preloaded submodules as attributes,
-but ``from scipy.special import _special_ufuncs`` still works.) A failed
-stubbed import falls back to importing the public ``scipy.special``
-normally, which is slower and gives the same objects; it also serves a
-scipy without the private ``_special_ufuncs``.
+``import scipy.linalg`` would also run scipy's and the package's
+``__init__`` files, which nothing here calls. So on the fallback
+``_load_flapack`` finds scipy's directory with ``importlib.util.find_spec``,
+binds each of ``scipy`` and ``scipy.linalg`` that is not imported yet to a
+bare stub with the real package directory as its ``__path__``, imports
+``_flapack`` and ``scipy.version`` under the stubs, and removes the stubs
+and ``scipy.version`` again. The extension stays in ``sys.modules``, so a
+later ``import scipy.linalg`` runs the real package and reuses it. A failed
+stubbed import falls back to importing ``scipy.linalg._flapack`` normally,
+which is slower and gives the same routines.
 
 Importing this module leaves the OpenBLAS pools it loaded (numpy's, and on
 the fallback scipy's) at one thread for the whole process; a program that
@@ -64,8 +62,10 @@ infinity with ``ValueError`` and check LAPACK's ``info`` after every call.
 whole stack of them (the ADF and LM regressions of one model) in one call,
 looping over the stack in C; it rejects a NaN or an infinity the same way.
 
-Importing ``scipy.stats`` would roughly double the start-up time of every CLI
-process, and ``chi2_sf`` gives the same values without it.
+The chi-square p-values of the LM, Jarque-Bera and LR tests are
+upper tails at integer dof (1, 2, 5, 10 and 25). ``chi2_sf`` sums them in
+closed form with ``math`` alone; importing ``scipy.stats`` would roughly
+double the start-up time of every CLI process.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ import ctypes
 import functools
 import glob
 import importlib.util
+import math
 import os
 import sys
 import types
@@ -125,28 +126,25 @@ with _loading_with_one_thread("numpy", "numpy"):
     import numpy as np
 
 
-def _load_extensions(flapack: bool) -> tuple[types.ModuleType | None, types.ModuleType, str]:
-    """``scipy.linalg._flapack`` if ``flapack`` (else None), the module that
-    provides ``gammaincc`` and scipy's version, imported without running any
-    scipy ``__init__``.
+def _load_flapack() -> tuple[types.ModuleType, str]:
+    """``scipy.linalg._flapack`` and scipy's version, imported without
+    running any scipy ``__init__``.
 
-    ``scipy``, ``scipy.special`` and, for ``_flapack``, ``scipy.linalg``, each
-    where not imported yet, are bare stubs with the real package directory as
-    ``__path__`` during the imports; the stubs and ``scipy.version`` are
-    removed again after them. If the stubbed imports fail, ``_flapack`` and
-    the public ``scipy.special`` are imported normally.
+    ``scipy`` and ``scipy.linalg``, each where not imported yet, are bare
+    stubs with the real package directory as ``__path__`` during the
+    imports; the stubs and ``scipy.version`` are removed again after them.
+    If the stubbed imports fail, ``_flapack`` is imported normally.
     """
     stubs = {}
-    for name in ("scipy", "scipy.special", "scipy.linalg")[: 3 if flapack else 2]:
+    for name in ("scipy", "scipy.linalg"):
         if name not in sys.modules:
             stub = types.ModuleType(name)
             stub.__path__ = [os.path.join(_SCIPY_DIR, *name.split(".")[1:])]
             sys.modules[name] = stubs[name] = stub
     try:
-        from scipy.special import _special_ufuncs
         from scipy.version import version
 
-        return _flapack(flapack), _special_ufuncs, version
+        return importlib.import_module("scipy.linalg._flapack"), version
     except ImportError:
         pass
     finally:
@@ -157,16 +155,9 @@ def _load_extensions(flapack: bool) -> tuple[types.ModuleType | None, types.Modu
         for name, stub in stubs.items():
             if sys.modules.get(name) is stub:
                 del sys.modules[name]
-    import scipy.special
+    import scipy
 
-    return _flapack(flapack), scipy.special, scipy.__version__
-
-
-def _flapack(wanted: bool) -> types.ModuleType | None:
-    if not wanted:
-        return None
-    with _loading_with_one_thread("scipy", "scipy.linalg._flapack"):
-        return importlib.import_module("scipy.linalg._flapack")
+    return importlib.import_module("scipy.linalg._flapack"), scipy.__version__
 
 
 def _openblas(pool: str, verb: str, *args: int) -> int | None:
@@ -327,9 +318,12 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
 
 
 _NUMPY_LAPACK = _numpy_lapack()
-_FLAPACK, _UFUNCS, SCIPY_VERSION = _load_extensions(flapack=_NUMPY_LAPACK is None)
+# scipy's version where the fallback below loaded scipy, else None.
+SCIPY_VERSION = None
 if _NUMPY_LAPACK is None:
     # Where numpy's library or a routine is missing, scipy's own wrappers.
+    with _loading_with_one_thread("scipy", "scipy.linalg._flapack"):
+        _FLAPACK, SCIPY_VERSION = _load_flapack()
     LAPACK = "scipy.linalg._flapack"
     _POOLS = ("numpy", "scipy")
     _GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
@@ -467,17 +461,33 @@ def ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper-tail probability P(X > x) for X ~ chi-square(dof).
+    """Upper-tail probability P(X > x) for X ~ chi-square(dof), for an
+    integer ``dof`` >= 1.
 
-    ``gammaincc(dof / 2, x / 2)``, the regularized upper incomplete gamma
-    function, which is what ``scipy.special.chdtrc(dof, x)`` evaluates; so
-    bitwise equal to ``chdtrc`` and to ``scipy.stats.chi2.sf(x, dof)``,
-    which calls it. As there, a negative statistic gives 1.0 (``chdtrc``
-    alone gives NaN) and NaN stays NaN.
+    With h = x/2, a finite sum (Abramowitz & Stegun 26.4.4 and 26.4.5): for
+    even ``dof``, Σ_{j < dof/2} e^(-h)·h^j/j!; for odd ``dof``, erfc(√h) +
+    Σ_{j=1}^{(dof-1)/2} e^(-h)·h^(j-½)/Γ(j+½). Each term is formed as the
+    exponential of its logarithm, so none overflows where h^j would, and
+    the positive terms are summed with ``math.fsum``. Over dof 1-200 it is
+    within 1.3e-13 relative of mpmath's value wherever that is at least
+    1e-300, and prints as ``scipy.special.chdtrc`` does to six digits. A
+    negative statistic gives 1.0, an infinite one 0.0, and NaN stays NaN.
     """
     if x < 0.0:
         return 1.0
-    return float(_UFUNCS.gammaincc(dof / 2.0, x / 2.0))
+    if x == math.inf:
+        return 0.0
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    log_h = math.log(h)
+    half = dof % 2 / 2.0  # the powers of h are j + half for j < dof // 2
+    terms = [
+        math.exp((j + half) * log_h - h - math.lgamma(j + half + 1.0)) for j in range(dof // 2)
+    ]
+    if half:
+        terms.append(math.erfc(math.sqrt(h)))
+    return math.fsum(terms)
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

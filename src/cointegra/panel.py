@@ -21,6 +21,7 @@ from .errors import (
     DuplicateQuarter,
     EmptyInput,
     GapInQuarters,
+    InputFileMissing,
     MalformedFile,
     MalformedValue,
     MissingColumn,
@@ -93,12 +94,15 @@ def read_table(path: str) -> tuple[list[str], list[list[str]]]:
     header, even when blank; later blank lines are skipped and not counted
     as rows. A leading byte-order mark is dropped, as Excel's "CSV UTF-8"
     writes one. A file that is not UTF-8, or that the csv module cannot
-    split (a quoted field longer than its field limit), raises MalformedFile."""
+    split (a quoted field longer than its field limit), raises MalformedFile;
+    a file that does not exist raises InputFileMissing."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             return header, [row for row in reader if row]
+    except FileNotFoundError as exc:
+        raise InputFileMissing(f"no such file: {path}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:

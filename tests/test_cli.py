@@ -592,6 +592,31 @@ class TestMalformedCells:
         )
 
 
+class TestMissingInput:
+    """A panel or screening file that does not exist ends as
+    InputFileMissing naming the file, with exit 2."""
+
+    def test_stage_command_names_the_missing_panel(self, capsys):
+        # The bundle has no WI 113 panel.
+        assert run_cli(*stage_args("diagnose", "WI", 113)) == 2
+        path = os.path.join(DATA_ROOT, "panels", "WI_113.csv")
+        assert capsys.readouterr() == ("", f"error: InputFileMissing: no such file: {path}\n")
+
+    @pytest.mark.parametrize("command", ["lq", "run"])
+    def test_missing_screening_file(self, tmp_path, capsys, command):
+        root = tmp_path / "sixstate"
+        shutil.copytree(DATA_ROOT, root)
+        path = root / "aux" / "state_total_WI.csv"
+        os.remove(path)
+        config = str(root / "config.json")
+        if command == "lq":
+            args = ["lq", "--config", config, "--state", "WI", "--naics", "321"]
+        else:
+            args = ["run", "--config", config, "--out", str(tmp_path / "out")]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr() == ("", f"error: InputFileMissing: no such file: {path}\n")
+
+
 def _append_bytes(tmp_path, relpath, data):
     """Copy the bundled dataset into tmp_path and append ``data`` to ``relpath``."""
     root = tmp_path / "sixstate"

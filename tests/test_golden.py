@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from cointegra import cli
 from cointegra.pipeline import _fill, fmt6, load_config, run_pipeline
@@ -191,6 +192,8 @@ def test_fallback_lapack_writes_the_same_bundle(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[0] == "scipy.linalg._flapack"
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["environment"]["scipy"] == scipy.__version__
     digests = {}
     for report in sorted(SIXSTATE_SHA256):
         with open(out / report, "rb") as fh:

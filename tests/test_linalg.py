@@ -293,16 +293,16 @@ class TestKernelParity:
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
-def run_fresh(script: str, **environ: str) -> list[str]:
-    """Stdout lines of ``script`` run in a fresh interpreter on this
-    checkout's ``src``, with ``environ`` added to the environment: this test
-    process has scipy loaded already."""
+def run_fresh(script: str, argv: tuple[str, ...] = (), **environ: str) -> list[str]:
+    """Stdout lines of ``script`` run with ``argv`` in a fresh interpreter
+    on this checkout's ``src``, with ``environ`` added to the environment:
+    this test process has scipy loaded already."""
     env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     child = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
     return child.stdout.splitlines()
@@ -324,27 +324,36 @@ theirs = (
     scipy.linalg.solve_triangular(t, b[:21]),
 )
 print("lapack", [x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(ours, theirs)])
-print("gammaincc", linalg._UFUNCS.gammaincc is scipy.special.gammaincc)
 q, r = scipy.linalg.qr(np.eye(3))
 print("qr", bool(np.allclose(q @ r, np.eye(3))))
 print("stubs", [n for n in ("scipy", "scipy.linalg", "scipy.special") if sys.modules[n].__spec__ is None])
 """
-IDENTITY_OK = ["lapack [True, True, True, True, True]", "gammaincc True", "qr True", "stubs []"]
+IDENTITY_OK = ["lapack [True, True, True, True, True]", "qr True", "stubs []"]
+
+# Makes this child's OpenBLAS lookup see only the empty directory
+# ``sys.argv[1]``, as with a numpy built on another BLAS: linalg then binds
+# scipy.linalg._flapack.
+NO_LIBRARY = """
+import glob, os, sys
+real_glob = glob.glob
+glob.glob = lambda p: real_glob(os.path.join(sys.argv[1], os.path.basename(p)))
+"""
 
 
 class TestExtensionLoading:
-    """linalg loads scipy's special-function extension under temporary
-    package stubs; whatever scipy imports later must be the same object,
-    and scipy.linalg must agree with linalg's kernels bit for bit."""
+    """On numpy's OpenBLAS linalg imports no scipy module; on the fallback
+    it loads ``scipy.linalg._flapack`` under temporary package stubs.
+    Whatever scipy imports later must work, and scipy.linalg must agree
+    with linalg's kernels bit for bit."""
 
     def test_scipy_packages_imported_after_reuse_the_extensions(self):
         out = run_fresh(
             "import sys\n"
             "from cointegra import linalg\n"
-            "print('skipped init', 'scipy.linalg' not in sys.modules, 'scipy.special' not in sys.modules)\n"
+            "print('no scipy', [n for n in sys.modules if n.partition('.')[0] == 'scipy'])\n"
             + IDENTITY_CHECKS
         )
-        assert out == ["skipped init True True"] + IDENTITY_OK
+        assert out == ["no scipy []"] + IDENTITY_OK
 
     def test_scipy_packages_imported_before_are_left_in_place(self):
         out = run_fresh(
@@ -358,57 +367,29 @@ class TestExtensionLoading:
         )
         assert out == ["kept True"] + IDENTITY_OK
 
-    def test_failed_stubbed_import_falls_back_to_the_normal_import(self):
+    def test_failed_stubbed_import_falls_back_to_the_normal_import(self, tmp_path):
         out = run_fresh(
-            "import sys\n"
-            "refused = []\n"
+            NO_LIBRARY
+            + "refused = []\n"
             "class RefuseUnderStub:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
-            "        package = sys.modules.get('scipy.special')\n"
-            "        if name == 'scipy.special._special_ufuncs' and package is not None and package.__spec__ is None:\n"
+            "        package = sys.modules.get('scipy.linalg')\n"
+            "        if name == 'scipy.linalg._flapack' and package is not None and package.__spec__ is None:\n"
             "            refused.append(name)\n"
             "            raise ImportError('refused under the stub')\n"
             "sys.meta_path.insert(0, RefuseUnderStub())\n"
-            "from cointegra.linalg import chi2_sf\n"
-            "print('refused', refused)\n"
-            "print('stubs', [n for n in ('scipy.linalg', 'scipy.special')\n"
-            "                if n in sys.modules and sys.modules[n].__spec__ is None])\n"
-            "from scipy.stats import chi2\n"
-            "print('bitwise', chi2_sf(3.0, 2) == float(chi2.sf(3.0, 2)))\n"
-        )
-        assert out == ["refused ['scipy.special._special_ufuncs']", "stubs []", "bitwise True"]
-
-    def test_without_special_ufuncs_linalg_uses_the_public_gammaincc(self):
-        # As a scipy without the private _special_ufuncs would: linalg's own
-        # import of it fails under the stub and under the real package alike.
-        # (scipy 1.17's _ufuncs imports it too, and stays allowed to.)
-        out = run_fresh(
-            "import sys\n"
-            "refused = []\n"
-            "class RefuseToLinalg:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        frame = sys._getframe(1)\n"
-            "        while frame.f_code.co_filename.startswith('<frozen importlib'):\n"
-            "            frame = frame.f_back\n"
-            "        if name == 'scipy.special._special_ufuncs' and frame.f_globals['__name__'] == 'cointegra.linalg':\n"
-            "            refused.append(sys.modules['scipy.special'].__spec__ is None)\n"
-            "            raise ImportError('refused to linalg')\n"
-            "sys.meta_path.insert(0, RefuseToLinalg())\n"
             "from cointegra import linalg\n"
-            "print('refused under stub', refused)\n"
-            "print('ufuncs', linalg._UFUNCS.__name__)\n"
-            "import numpy as np\n"
-            "from scipy.stats import chi2\n"
-            "dof = np.arange(1, 51)[:, None]\n"
-            "x = np.concatenate([[0.0, 1e-300], np.linspace(1e-3, 200.0, 101), [np.inf]])\n"
-            "ours = np.frompyfunc(linalg.chi2_sf, 2, 1)(x, dof).astype(float)\n"
-            "print('bitwise', ours.tobytes() == chi2.sf(x, dof).tobytes())\n"
-            + IDENTITY_CHECKS
+            "print('refused', refused)\n"
+            "print(linalg.LAPACK, linalg._FLAPACK is sys.modules['scipy.linalg']._flapack)\n"
+            "import scipy\n"
+            "print('version', linalg.SCIPY_VERSION == scipy.__version__)\n"
+            + IDENTITY_CHECKS,
+            argv=(str(tmp_path),),
         )
         assert out == [
-            "refused under stub [True]",
-            "ufuncs scipy.special",
-            "bitwise True",
+            "refused ['scipy.linalg._flapack']",
+            "scipy.linalg._flapack True",
+            "version True",
         ] + IDENTITY_OK
 
 
@@ -483,10 +464,8 @@ class TestBlasPin:
         )
         # This child's library lookup sees only an empty directory.
         fallback = run_fresh(
-            "import glob, os\n"
-            "real_glob = glob.glob\n"
-            f"glob.glob = lambda p: real_glob(os.path.join({str(tmp_path)!r}, os.path.basename(p)))\n"
-            "from cointegra import linalg\n"
+            NO_LIBRARY
+            + "from cointegra import linalg\n"
             "from cointegra.linalg import blas_threads, ols\n"
             "from scipy.linalg import _flapack\n"
             "names = ('dgeqp3', 'dorgqr', 'dtrtrs', 'dgelsy', 'dgelsy_lwork')\n"
@@ -495,6 +474,7 @@ class TestBlasPin:
             "print(blas_threads())\n"
             "glob.glob = real_glob\n"
             "print('pools', blas_threads())\n" + OLS_DIGEST,
+            argv=(str(tmp_path),),
             OPENBLAS_NUM_THREADS="2",
         )
         assert pinned[0] == "{'numpy': 1}"

@@ -381,20 +381,23 @@ class TestRunPipeline:
         assert set(on_disk) == {
             "configHash", "environment", "files", "models", "plotBase", "timings"
         }
-        # numpy's OpenBLAS runs LAPACK and is the one pool loaded; scipy's
-        # wrappers and pool only where numpy's library is not found.
+        # numpy's OpenBLAS runs LAPACK and is the one pool loaded, and no
+        # scipy module is; scipy's wrappers, pool and version only where
+        # numpy's library is not found.
         if LAPACK == "scipy.linalg._flapack":
             blas = blas_threads()
             assert set(blas) == {"numpy", "scipy"}
+            version = scipy.__version__
         else:
             assert re.fullmatch(r"libscipy_openblas64_-\w+\.so: OpenBLAS \S+ .*USE64BITINT.*", LAPACK)
             blas = {"numpy": 1}
+            version = None
         assert on_disk["environment"] == manifest.environment == {
             "blasThreads": blas,
             "cointegra": cointegra.__version__,
             "lapack": LAPACK,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": version,
         }
 
     def test_manifest_times_every_stage(self, tmp_path):
@@ -453,10 +456,11 @@ class TestRunPipeline:
         by_state = {m["state"]: m for m in manifest.models}
         assert by_state["AL"]["status"] == "ok"
         assert by_state["ME"]["status"] == "error"
-        assert "message" in by_state["ME"]
-        assert (by_state["ME"]["stage"], by_state["ME"]["errorType"]) == (
+        path = data / "panels" / "ME_113.csv"
+        assert (by_state["ME"]["stage"], by_state["ME"]["errorType"], by_state["ME"]["message"]) == (
             "ingest",
-            "FileNotFoundError",
+            "InputFileMissing",
+            f"InputFileMissing: no such file: {path}",
         )
         assert list(manifest.timings["perStage"]["ME_113"]) == ["ingest"]
         with open(tmp_path / "out" / "summary.csv") as fh:

@@ -20,6 +20,7 @@ counts the memory it was forked with.
 """
 
 import argparse
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -149,7 +150,7 @@ def main() -> None:
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": linalg.SCIPY_VERSION,
+            "scipy": importlib.metadata.version("scipy"),
             "lapack": {
                 "base": getattr(base, "LAPACK", "scipy.linalg._flapack"),
                 "change": linalg.LAPACK,
