@@ -26,7 +26,6 @@ from .linalg import (
     cholesky,
     generalized_sym_eig,
     lstsq,
-    pivoted_qr,
     qr_r,
     solve_triangular,
 )
@@ -243,12 +242,20 @@ def beta_normalize(beta: np.ndarray, r: int) -> np.ndarray:
     b = beta[:, :r]
     block = b[:r, :]
     if _near_singular(block):
-        # Column-pivoted QR on b' ranks rows by leverage.
-        _q, rr, piv = pivoted_qr(b.T)
-        d = np.abs(np.diag(rr))
-        if d.size < r or d[0] == 0.0 or d[min(r, d.size) - 1] < RANK_TOL * d[0]:
-            raise LeadingBlockSingular("beta columns have rank below r")
-        block = b[piv[:r], :]
+        # Rows by leverage, as a column-pivoted QR of b' orders them
+        # (Businger & Golub 1965): each step takes the row farthest from
+        # the span of the rows already taken.
+        rows, rest = [], b.copy()
+        largest = np.linalg.norm(b, axis=1).max()
+        for _ in range(r):
+            norms = np.linalg.norm(rest, axis=1)
+            row = int(np.argmax(norms))
+            if norms[row] == 0.0 or norms[row] < RANK_TOL * largest:
+                raise LeadingBlockSingular("beta columns have rank below r")
+            rows.append(row)
+            unit = rest[row] / norms[row]
+            rest -= np.outer(rest @ unit, unit)
+        block = b[rows, :]
         if _near_singular(block):
             raise LeadingBlockSingular("no invertible r x r block found")
     return b @ np.linalg.inv(block)

@@ -15,8 +15,9 @@ rank-deficient when ``min |Rⱼⱼ|`` over ``j < s`` falls below ``RANK_TOL``
 times the largest of them.
 
 Summed in another order than per-lag fits, ``log_det_sigma``, every
-criterion and every LR statistic match a separate ``linalg.ols`` fit per
-lag to a relative 1e-12, not bitwise; the chosen lags are the same.
+criterion and every LR statistic match a separate pivoted-QR least-squares
+fit per lag (the reference in ``tests/test_lagselect.py``) to a relative
+1e-12, not bitwise; the chosen lags are the same.
 
 The result, a ``LagSelection``, holds each criterion as an array over the
 lags beside the lag each criterion picks (``chosen``, keyed ``aic``, ``hq``,

@@ -8,9 +8,8 @@ This is the only module of the package that imports scipy or ctypes. A
 process that runs cointegra on numpy's bundled OpenBLAS loads that one
 OpenBLAS and no scipy module: no scipy Python code or extension, no scipy
 LAPACK wrapper, no scipy OpenBLAS or libgfortran. (With ``pipeline``'s
-built-in SHA-256, no OpenSSL either.) ``_numpy_lapack`` binds ``dgeqp3``,
-``dorgqr``, ``dtrtrs`` and ``dgelsy`` with ctypes in the OpenBLAS numpy
-has loaded for ``@``
+built-in SHA-256, no OpenSSL either.) ``_numpy_lapack`` binds ``dtrtrs``
+and ``dgelsy`` with ctypes in the OpenBLAS numpy has loaded for ``@``
 (``<site-packages>/numpy.libs/libscipy_openblas64_-*``, 64-bit integers),
 each taking the arguments and giving the results of its
 ``scipy.linalg._flapack`` namesake; so the outputs depend on that library
@@ -35,8 +34,8 @@ which is slower and gives the same routines.
 
 Importing this module leaves the OpenBLAS pools it loaded (numpy's, and on
 the fallback scipy's) at one thread for the whole process; a program that
-imports cointegra inherits it. At a few dozen columns a second thread
-costs more in hand-off than it saves: ``long-panel`` (``geqp3`` on 300×61
+imports cointegra inherits it. At a few dozen columns a second thread costs
+more in hand-off than it saves: ``long-panel`` (least squares on 300×61
 designs) runs about 13% faster, and with the other vCPU busy a triangular
 solve took 4.4 ms, not 15 µs (2 vCPU). The package imports this module
 first, so where cointegra is imported before numpy, each pool starts with
@@ -51,13 +50,16 @@ set; where its setter is missing, there is no pin.
 
 A run makes hundreds of LAPACK calls on matrices of a few dozen columns, and
 at that size the ``scipy.linalg`` wrappers (batching, input validation,
-dispatch) cost about as much as the arithmetic. So ``pivoted_qr``,
-``solve_triangular`` and ``lstsq`` call the double-precision routines
-directly, in the sequence ``scipy.linalg`` uses: the same workspace queries,
-the same arguments and the same memory layouts. Each result is bitwise equal
-to that of ``scipy.linalg.qr``, ``solve_triangular`` or
-``lstsq(lapack_driver="gelsy")``. Like those, they reject a NaN or an
-infinity with ``ValueError`` and check LAPACK's ``info`` after every call.
+dispatch) cost about as much as the arithmetic. So ``solve_triangular``
+and the least-squares kernel call the double-precision routines directly,
+in the sequence ``scipy.linalg`` uses: the same workspace query, the same
+arguments and the same memory layouts. Each result is bitwise equal to that
+of ``scipy.linalg.solve_triangular`` or ``lstsq(lapack_driver="gelsy")``.
+Like those, they reject a NaN or an infinity with ``ValueError`` and check
+LAPACK's ``info`` after every call. ``lstsq`` and ``ols`` share the one
+``dgelsy`` call: gelsy factors its copy of the design by column-pivoted QR
+(``dgeqp3``, the greedy column order of Businger & Golub 1965), and ``ols``
+reads its rank test off the diagonal of that R.
 ``qr_r`` is ``numpy.linalg.qr(mode="r")``, which factors one matrix or a
 whole stack of them (the ADF and LM regressions of one model) in one call,
 looping over the stack in C; it rejects a NaN or an infinity the same way.
@@ -185,8 +187,6 @@ _P = ctypes.c_void_p
 # Pointers, the character arguments as one-byte strings, and gfortran's
 # hidden lengths of those.
 _SIGNATURES = {
-    "dgeqp3": [_P] * 9,
-    "dorgqr": [_P] * 9,
     "dtrtrs": [ctypes.c_char_p] * 3 + [_P] * 7 + [ctypes.c_size_t] * 3,
     "dgelsy": [_P] * 13,
 }
@@ -202,16 +202,16 @@ def _data(a: np.ndarray) -> int:
 
 
 def _numpy_lapack() -> tuple[str, tuple] | None:
-    """The library's file name and build string, and ``dgeqp3``, ``dorgqr``,
-    ``dtrtrs``, ``dgelsy`` and gelsy's workspace query on the OpenBLAS numpy
-    has loaded, each called and answering as its ``scipy.linalg._flapack``
-    namesake; None where the library or a symbol is missing, or where an
-    ndarray's data pointer is not where ``_data`` reads it.
+    """The library's file name and build string, and ``dtrtrs``, ``dgelsy``
+    and gelsy's workspace query on the OpenBLAS numpy has loaded, each
+    called and answering as its ``scipy.linalg._flapack`` namesake; None
+    where the library or a symbol is missing, or where an ndarray's data
+    pointer is not where ``_data`` reads it.
 
     Like f2py, each copies the arrays LAPACK overwrites into fresh
     Fortran-ordered ones and reads the others in place, made
-    Fortran-contiguous. A workspace query's answer depends only on its
-    integer arguments, so each is asked once per shape.
+    Fortran-contiguous. The workspace query's answer depends only on its
+    integer arguments, so it is asked once per shape.
     """
     path = _library("numpy")
     if path is None:
@@ -225,58 +225,7 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
     for name, routine in routines.items():
         routine.argtypes, routine.restype = _SIGNATURES[name], None
     config.argtypes, config.restype = [], ctypes.c_char_p
-    geqp3_, orgqr_, trtrs_, gelsy_ = routines.values()
-
-    @functools.lru_cache(maxsize=256)
-    def query(name: str, m: int, n: int, k: int) -> tuple[tuple[float], int]:
-        """``((work[0],), info)`` of the workspace query of ``name`` at M, N
-        and orgqr's K or gelsy's NRHS."""
-        ints = _INTS()
-        ints[:5] = m, n, k, -1, max(m, n)  # LWORK, gelsy's LDB; INFO, WORK, RANK follow
-        i = ctypes.addressof(ints)
-        m_, n_, k_, lwork, ldb, info, work, rank = (i + 8 * j for j in range(8))
-        # A query reads no array and no RCOND: those point at ``ints``; LDA = M.
-        if name == "dgeqp3":  # M N A LDA JPVT TAU WORK LWORK INFO
-            geqp3_(m_, n_, i, m_, i, i, work, lwork, info)
-        elif name == "dorgqr":  # M N K A LDA TAU WORK LWORK INFO
-            orgqr_(m_, n_, k_, i, m_, i, work, lwork, info)
-        else:  # M N NRHS A LDA B LDB JPVT RCOND RANK WORK LWORK INFO
-            gelsy_(m_, n_, k_, i, m_, i, ldb, i, i, rank, work, lwork, info)
-        return (ctypes.c_double.from_address(work).value,), ints[5]
-
-    def geqp3(a, lwork=-1):
-        m, n = a.shape
-        if lwork == -1:
-            return query("dgeqp3", m, n, 0)
-        ints = _INTS()
-        ints[:3] = m, n, lwork  # INFO at 3
-        i = ctypes.addressof(ints)
-        k = m if m < n else n
-        qr = np.array(a, dtype=np.float64, order="F")
-        jpvt = np.zeros(n, dtype=np.int64)  # every column free
-        work = np.empty(k + lwork)  # tau, then work
-        w = _data(work)
-        # M N A LDA(=M) JPVT TAU WORK LWORK INFO
-        geqp3_(i, i + 8, _data(qr), i, _data(jpvt), w, w + 8 * k, i + 16, i + 24)
-        return qr, jpvt.astype(np.int32), work[:k], work, ints[3]
-
-    def orgqr(a, tau, lwork=-1, overwrite_a=0):
-        m, n = a.shape
-        k = tau.shape[0]
-        if lwork == -1:
-            return query("dorgqr", m, n, k)
-        ints = _INTS()
-        ints[:4] = m, n, k, lwork  # INFO at 4
-        i = ctypes.addressof(ints)
-        if overwrite_a and a.flags.writeable:
-            a = np.asfortranarray(a, dtype=np.float64)  # in place where it can be
-        else:
-            a = np.array(a, dtype=np.float64, order="F")
-        tau = np.ascontiguousarray(tau, dtype=np.float64)
-        work = np.empty(lwork)
-        # M N K A LDA(=M) TAU WORK LWORK INFO
-        orgqr_(i, i + 8, i + 16, _data(a), i, _data(tau), _data(work), i + 24, i + 32)
-        return a, work, ints[4]
+    trtrs_, gelsy_ = routines.values()
 
     def trtrs(a, b, lower=0, trans=0):
         a = np.asfortranarray(a, dtype=np.float64)
@@ -291,9 +240,16 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
         trtrs_(uplo, op, b"N", i, i + 8, _data(a), i + 16, _data(x), i + 24, i + 32, 1, 1, 1)
         return x, ints[4]
 
+    @functools.lru_cache(maxsize=256)
     def gelsy_lwork(m, n, nrhs, cond):
-        work, info = query("dgelsy", m, n, nrhs)
-        return work[0], info
+        ints = _INTS()
+        ints[:5] = m, n, nrhs, -1, max(m, n)  # LWORK, LDB; INFO, WORK, RANK follow
+        i = ctypes.addressof(ints)
+        m_, n_, nrhs_, lwork, ldb, info, work, rank = (i + 8 * j for j in range(8))
+        # A query reads no array and no RCOND: those point at ``ints``; LDA = M.
+        # M N NRHS A LDA B LDB JPVT RCOND RANK WORK LWORK INFO
+        gelsy_(m_, n_, nrhs_, i, m_, i, ldb, i, i, rank, work, lwork, info)
+        return ctypes.c_double.from_address(work).value, ints[5]
 
     def gelsy(a, b, jptv, cond, lwork, overwrite_a=0, overwrite_b=0):
         m, n = a.shape
@@ -314,7 +270,7 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
         return v, x, jpvt.astype(np.int32), ints[6], ints[5]
 
     build = " ".join(config().decode().split())
-    return f"{os.path.basename(path)}: {build}", (geqp3, orgqr, trtrs, gelsy, gelsy_lwork)
+    return f"{os.path.basename(path)}: {build}", (trtrs, gelsy, gelsy_lwork)
 
 
 _NUMPY_LAPACK = _numpy_lapack()
@@ -326,16 +282,10 @@ if _NUMPY_LAPACK is None:
         _FLAPACK, SCIPY_VERSION = _load_flapack()
     LAPACK = "scipy.linalg._flapack"
     _POOLS = ("numpy", "scipy")
-    _GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK = (
-        _FLAPACK.dgeqp3,
-        _FLAPACK.dorgqr,
-        _FLAPACK.dtrtrs,
-        _FLAPACK.dgelsy,
-        _FLAPACK.dgelsy_lwork,
-    )
+    _TRTRS, _GELSY, _GELSY_LWORK = _FLAPACK.dtrtrs, _FLAPACK.dgelsy, _FLAPACK.dgelsy_lwork
 else:
     _POOLS = ("numpy",)
-    LAPACK, (_GEQP3, _ORGQR, _TRTRS, _GELSY, _GELSY_LWORK) = _NUMPY_LAPACK
+    LAPACK, (_TRTRS, _GELSY, _GELSY_LWORK) = _NUMPY_LAPACK
 for _pool in _POOLS:
     _openblas(_pool, "set", 1)
 # gelsy's rank cutoff, scipy's default for lstsq.
@@ -347,29 +297,6 @@ def _finite(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     return a
-
-
-def _call(routine, name: str, *args, **kwargs):
-    """Run a LAPACK routine at the workspace size its own query returns and
-    drop the trailing work and info outputs."""
-    query = routine(*args, lwork=-1, **kwargs)
-    out = routine(*args, lwork=int(query[-2][0]), **kwargs)
-    if out[-1] < 0:
-        raise ValueError(f"illegal value in argument {-out[-1]} of {name}")
-    return out[:-2]
-
-
-def pivoted_qr(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economic column-pivoted QR, ``a[:, piv] = q @ r``; the result of
-    ``scipy.linalg.qr(a, mode="economic", pivoting=True)``."""
-    a = _finite(a)
-    m, n = a.shape
-    qr, piv, tau = _call(_GEQP3, "geqp3", a)
-    piv -= 1
-    r = np.triu(qr) if m < n else np.triu(qr[:n, :])
-    # R is a copy, so orgqr may overwrite the factor in place.
-    (q,) = _call(_ORGQR, "orgqr", qr[:, :m] if m < n else qr, tau, overwrite_a=1)
-    return q, r, piv
 
 
 def qr_r(a) -> np.ndarray:
@@ -404,10 +331,11 @@ def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
     return x
 
 
-def lstsq(a, b) -> np.ndarray:
-    """Least-squares solution of ``a @ x = b`` by complete orthogonal
-    factorization; ``scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]``.
-    ``a`` needs at least as many rows as columns."""
+def _gelsy(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """gelsy's least-squares solution of ``a @ x = b``, and its copy of
+    ``a``, which holds the R of the column-pivoted QR it factors ``a`` with.
+    Where gelsy finds a rank below N, ``dtzrzf`` rewrites only the rows
+    above that rank, so the trailing diagonal is still the QR's."""
     a = _finite(a)
     b = _finite(b)
     m, n = a.shape
@@ -417,16 +345,23 @@ def lstsq(a, b) -> np.ndarray:
     if info != 0:
         raise ValueError(f"gelsy workspace query failed: {info}")
     jpvt = np.zeros((n, 1), dtype=np.int32)
-    _v, x, _jpvt, _rank, info = _GELSY(a, b, jpvt, _EPS, int(work.real), False, False)
+    v, x, _jpvt, _rank, info = _GELSY(a, b, jpvt, _EPS, int(work.real), False, False)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gelsy")
-    return x[:n]
+    return x[:n], v
+
+
+def lstsq(a, b) -> np.ndarray:
+    """Least-squares solution of ``a @ x = b`` by complete orthogonal
+    factorization; ``scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]``.
+    ``a`` needs at least as many rows as columns."""
+    return _gelsy(a, b)[0]
 
 
 def ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multivariate least squares via pivoted QR: the coefficients B, shape
-    (p, n), and the residuals E = Y - X·B, shape (T, n), for Y = X·B + E;
-    (p,) and (T,) for a 1-d ``y``.
+    """Multivariate least squares: the coefficients B, shape (p, n), and the
+    residuals E = Y - X·B, shape (T, n), for Y = X·B + E; (p,) and (T,) for
+    a 1-d ``y``. B is ``lstsq``'s.
 
     Parameters
     ----------
@@ -436,8 +371,8 @@ def ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     RankDeficient
-        If any pivot of the QR factorization falls below RANK_TOL times the
-        largest pivot.
+        If any pivot of the column-pivoted QR of X falls below RANK_TOL
+        times the largest pivot.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -447,13 +382,10 @@ def ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t, p = x.shape
     if t <= p:
         raise RankDeficient(f"need more rows than regressors, got {t}x{p}")
-    q, r, piv = pivoted_qr(x)
-    diag = np.abs(np.diag(r))
+    coef, factored = _gelsy(x, y)
+    diag = np.abs(np.diag(factored))
     if diag[0] == 0.0 or diag[-1] < RANK_TOL * diag[0]:
         raise RankDeficient(f"design matrix rank-deficient ({p} columns)")
-    # X·P = Q·R, so B[piv] = R⁻¹·Q'·Y: solve from the factorization above.
-    coef = np.empty((p, y.shape[1]))
-    coef[piv] = solve_triangular(r, q.T @ y)
     resid = y - x @ coef
     if squeeze:
         return coef[:, 0], resid[:, 0]

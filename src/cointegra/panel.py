@@ -94,7 +94,8 @@ def read_table(path: str) -> tuple[list[str], list[list[str]]]:
     header, even when blank; later blank lines are skipped and not counted
     as rows. A leading byte-order mark is dropped, as Excel's "CSV UTF-8"
     writes one. A file that is not UTF-8, or that the csv module cannot
-    split (a quoted field longer than its field limit), raises MalformedFile;
+    split (a quoted field longer than its field limit), raises MalformedFile,
+    as does a path that cannot be opened (a directory, no read permission);
     a file that does not exist raises InputFileMissing."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -103,6 +104,8 @@ def read_table(path: str) -> tuple[list[str], list[list[str]]]:
             return header, [row for row in reader if row]
     except FileNotFoundError as exc:
         raise InputFileMissing(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise MalformedFile(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:

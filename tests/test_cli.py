@@ -617,6 +617,50 @@ class TestMissingInput:
         assert capsys.readouterr() == ("", f"error: InputFileMissing: no such file: {path}\n")
 
 
+class TestUnreadableInput:
+    """An input path that exists but cannot be opened, here a directory in
+    the file's place, ends as MalformedFile naming the file, with exit 2.
+    (Running as root, a file without read permission still opens, so that
+    case is not exercised.)"""
+
+    @staticmethod
+    def directory_in_place_of(tmp_path, relpath):
+        root = tmp_path / "sixstate"
+        shutil.copytree(DATA_ROOT, root)
+        path = root / relpath
+        os.remove(path)
+        os.mkdir(path)
+        return root, path
+
+    def test_panel(self, tmp_path, capsys):
+        root, path = self.directory_in_place_of(tmp_path, "panels/AL_113.csv")
+        config = str(root / "config.json")
+        assert run_cli("ingest", "--config", config, "--state", "AL", "--naics", "113") == 2
+        assert capsys.readouterr() == (
+            "", f"error: MalformedFile: cannot read {path}: Is a directory\n"
+        )
+
+    def test_screening_file(self, tmp_path, capsys):
+        root, path = self.directory_in_place_of(tmp_path, "aux/state_total_WI.csv")
+        config = str(root / "config.json")
+        assert run_cli("lq", "--config", config, "--state", "WI", "--naics", "321") == 2
+        assert capsys.readouterr() == (
+            "", f"error: MalformedFile: cannot read {path}: Is a directory\n"
+        )
+
+    def test_panel_fails_only_its_model_in_run(self, tmp_path, capsys):
+        root, path = self.directory_in_place_of(tmp_path, "panels/AL_113.csv")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(root / "config.json"), "--out", str(out)) == 1
+        with open(out / "manifest.json") as fh:
+            models = json.load(fh)["models"]
+        failed = [m for m in models if m["status"] != "ok"]
+        assert [(m["state"], m["naics"], m["stage"], m["errorType"], m["message"]) for m in failed] == [
+            ("AL", 113, "ingest", "MalformedFile", f"MalformedFile: cannot read {path}: Is a directory")
+        ]
+        assert "AL 113: error (MalformedFile: " in capsys.readouterr().out
+
+
 def _append_bytes(tmp_path, relpath, data):
     """Copy the bundled dataset into tmp_path and append ``data`` to ``relpath``."""
     root = tmp_path / "sixstate"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cointegra.errors import (
     LeadingBlockSingular,
@@ -12,6 +13,35 @@ from cointegra.johansen import (
     beta_normalize,
     johansen_test,
 )
+
+
+def singular_leading_block(rng, draw):
+    """A beta of 2-7 rows and its r, with the leading r x r block of its
+    first r columns made singular in one of five ways, by ``draw``; the
+    fifth also leaves those columns with rank below r."""
+    m = int(rng.integers(2, 8))
+    r = int(rng.integers(1, m + 1))
+    beta = rng.standard_normal((m, int(rng.integers(r, m + 1))))
+    b = beta[:, :r]  # a view: the edits below write into beta
+    kind = draw % 5
+    if kind == 0:  # a zero row
+        b[int(rng.integers(r))] = 0.0
+    elif kind == 1 and r > 1:  # a repeated row
+        first, second = rng.choice(r, 2, replace=False)
+        b[second] = b[first]
+    elif kind in (1, 2):  # a row combining the other leading rows
+        weights = rng.standard_normal(r)
+        row = int(rng.integers(r))
+        weights[row] = 0.0
+        b[row] = weights @ b[:r]
+    elif kind == 3:  # a zero column in the block
+        b[:r, int(rng.integers(r))] = 0.0
+    else:  # a column combining the others, over every row
+        weights = rng.standard_normal(r)
+        column = int(rng.integers(r))
+        weights[column] = 0.0
+        b[:, column] = b @ weights
+    return beta, r
 
 
 def coint_pair(t, rng, noise=1.0):
@@ -153,6 +183,27 @@ class TestBetaNormalize:
     def test_rank_deficient_raises(self):
         with pytest.raises(LeadingBlockSingular):
             beta_normalize(np.zeros((3, 2)), 1)
+
+    def test_repivot_takes_the_rows_a_pivoted_qr_picks(self):
+        # With the leading block singular, the rows come in the order a
+        # column-pivoted QR of b' takes them, so the result is bitwise
+        # b times the inverse of that block; below rank r it raises.
+        rng = np.random.default_rng(2024)
+        outcomes = {"normalized": 0, "raised": 0}
+        for draw in range(3000):
+            beta, r = singular_leading_block(rng, draw)
+            b = beta[:, :r]
+            assert np.linalg.matrix_rank(b[:r]) < r
+            if np.linalg.matrix_rank(b) < r:
+                with pytest.raises(LeadingBlockSingular, match="rank below r"):
+                    beta_normalize(beta, r)
+                outcomes["raised"] += 1
+                continue
+            piv = scipy.linalg.qr(b.T, pivoting=True)[2]
+            assert np.array_equal(beta_normalize(beta, r), b @ np.linalg.inv(b[piv[:r]]))
+            outcomes["normalized"] += 1
+        # 1754 and 1246 draws.
+        assert min(outcomes.values()) > 1000
 
     def test_span_preserved(self):
         rng = np.random.default_rng(50)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cointegra.errors import ConstantSeries, RankDeficient, SampleTooShort
-from cointegra.linalg import ols
 from cointegra.panel import VARIABLES
 from cointegra.unitroot import _critical_values, adf_test, adf_tests
+from reference import ols
 
 
 def df_tstat_oracle(values, deterministic):

@@ -3,7 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from cointegra.errors import HoldoutOutOfRange, HorizonZero, RankMismatch, SampleTooShort
+from cointegra.errors import (
+    HoldoutOutOfRange,
+    HorizonZero,
+    RankDeficient,
+    RankMismatch,
+    SampleTooShort,
+)
 from cointegra.johansen import DeterministicCase
 from cointegra.panel import VARIABLES, PanelDataset, ingest_panel
 from cointegra.quarters import QuarterDate
@@ -74,6 +80,20 @@ def simulate_panel(seed=0, length=80):
     return PanelDataset("AL", 113, QuarterDate(2001, 1), levels)
 
 
+def trending_price_panel():
+    """A simulated panel whose price is 0.5 + 0.01·t: its difference is
+    constant, so at k = 3 with an unrestricted constant the short-run design
+    (two lags of five differences and the constant) has rank below 11."""
+    panel = simulate_panel(seed=3, length=72)
+    levels = panel.levels.copy()
+    levels[:, VARIABLES.index("price")] = 0.5 + 0.01 * np.arange(72.0)
+    return PanelDataset(panel.state, panel.naics, panel.start, levels)
+
+
+TRENDING_PRICE_SPEC = ModelSpec(k=3, r=0, case="uconst")
+RANK_DEFICIENT_11 = r"^design matrix rank-deficient \(11 columns\)$"
+
+
 class TestModelSpec:
     def test_case_parsed(self):
         spec = ModelSpec(k=2, r=1, case="rconst")
@@ -115,6 +135,10 @@ class TestFit:
         data = np.cumsum(rng.standard_normal((60, 2)), axis=0)
         with pytest.raises(ValueError):
             fit_vecm(data, ModelSpec(k=1, r=1, case="rtrend"))
+
+    def test_collinear_short_run_design_raises(self):
+        with pytest.raises(RankDeficient, match=RANK_DEFICIENT_11):
+            fit_vecm(trending_price_panel().levels, TRENDING_PRICE_SPEC)
 
     def test_known_adjustment_coefficients_recovered(self):
         # DGP: dx = alpha * (beta' x_{t-1}) + e with alpha (-0.5, 0), beta (1, -1).
@@ -407,6 +431,10 @@ class TestBacktest:
         panel = PanelDataset("AL", 113, QuarterDate(2001, 1), 100.0 + steps * t[:, None])
         rmse, _ = backtest(panel, ModelSpec(k=1, r=0, case="uconst"), QuarterDate(2014, 1))
         assert np.all(rmse < 1e-9)
+
+    def test_collinear_short_run_design_raises(self):
+        with pytest.raises(RankDeficient, match=RANK_DEFICIENT_11):
+            backtest(trending_price_panel(), TRENDING_PRICE_SPEC, QuarterDate(2015, 1))
 
     def test_holdout_after_end_rejected(self):
         panel = self.constant_panel()

@@ -4,11 +4,13 @@ checkout.
 
     python tools/bench_lapack.py --base <base checkout> [--repeat 400] [--pairs 8] [--out BENCH_lapack.json]
 
-Kernels: ``pivoted_qr``, ``lstsq``, ``solve_triangular`` and ``ols`` at the
-design shapes of ``tests/test_linalg.py``. Both checkouts' ``linalg`` are
-imported into one process (the base one as ``cointegra_base``) and timed
-with ``timeit``, alternating base and change repeat by repeat; each figure
-is the minimum over the repeats, in µs per call.
+Kernels: ``lstsq``, ``solve_triangular`` and ``ols`` at the design shapes
+of ``tests/test_linalg.py``, each where both checkouts have it; the others
+are named on stderr and under ``kernels_skipped``. Both checkouts'
+``linalg`` are imported into one process (the base one as
+``cointegra_base``) and timed with ``timeit``, alternating base and change
+repeat by repeat; each figure is the minimum over the repeats, in µs per
+call.
 
 Processes: fresh ``cointegra run`` and ``cointegra lq`` processes on the
 bundled config, base and change alternated, the side that goes first
@@ -34,7 +36,7 @@ import timeit
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = [(60, 11), (64, 21), (300, 61)]
-KERNELS = ("pivoted_qr", "lstsq", "solve_triangular", "ols")
+KERNELS = ("lstsq", "solve_triangular", "ols")
 
 
 def load_base(checkout: str):
@@ -48,7 +50,7 @@ def load_base(checkout: str):
     return importlib.import_module("cointegra_base.linalg")
 
 
-def kernel_times(base, change, repeat: int) -> dict:
+def kernel_times(base, change, kernels: list[str], repeat: int) -> dict:
     import numpy as np
 
     out = {}
@@ -57,8 +59,8 @@ def kernel_times(base, change, repeat: int) -> dict:
         x, y = rng.standard_normal((m, n)), rng.standard_normal((m, 5))
         r = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
         b = rng.standard_normal((n, 5))
-        args = {"pivoted_qr": (x,), "lstsq": (x, y), "solve_triangular": (r, b), "ols": (x, y)}
-        for name in KERNELS:
+        args = {"lstsq": (x, y), "solve_triangular": (r, b), "ols": (x, y)}
+        for name in kernels:
             timers = [
                 timeit.Timer(lambda f=getattr(module, name), a=args[name]: f(*a))
                 for module in (base, change)
@@ -139,6 +141,10 @@ def main() -> None:
     from cointegra import linalg
 
     base = load_base(os.path.abspath(args.base))
+    kernels = [name for name in KERNELS if hasattr(base, name) and hasattr(linalg, name)]
+    skipped = [name for name in KERNELS if name not in kernels]
+    if skipped:
+        print(f"skipped, missing from a checkout: {', '.join(skipped)}", file=sys.stderr)
     result = {
         "method": {
             "kernels": f"timeit in one process, base and change alternated repeat by repeat; "
@@ -156,7 +162,8 @@ def main() -> None:
                 "change": linalg.LAPACK,
             },
         },
-        "kernels_us_per_call": kernel_times(base, linalg, args.repeat),
+        "kernels_us_per_call": kernel_times(base, linalg, kernels, args.repeat),
+        "kernels_skipped": skipped,
         "processes": fresh,
     }
     with open(args.out, "w") as fh:
