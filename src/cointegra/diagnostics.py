@@ -20,8 +20,8 @@ For j ≥ 1, ``T·Σⱼ = R₂₂ᵀR₂₂`` with the triangular ``R₂₂ = R[
 so ``log|Σⱼ| = 2·Σ log|diag R₂₂| − n·log T``. For j = 0 the zero columns
 reduce no rows, so rows m..m+n−1 still hold part of the base residual and
 ``T·Σ_base = BᵀB`` with the full block ``B = R[0][m:, m+n:]``. An auxiliary
-covariance is singular when ``min |diag R₂₂|`` falls below ``RANK_TOL``
-times the largest. The statistics match per-lag fits to a relative 1e-12,
+covariance is singular when ``linalg.rank_deficient`` finds ``R₂₂``
+singular. The statistics match per-lag fits to a relative 1e-12,
 not bitwise (worst 3e-14 on the bundled models).
 
 The normality moments of all equations come from array operations on one
@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, SampleTooShort, SingularCovariance
-from .linalg import RANK_TOL, chi2_sf, cholesky, qr_r, solve_triangular
+from .linalg import chi2_sf, cholesky, qr_r, rank_deficient, solve_triangular
 from .vecm import VecmFit
 
 # Degrees of freedom of one equation's skewness, kurtosis and Jarque-Bera
@@ -96,7 +96,7 @@ def lm_autocorrelation(fit: VecmFit, max_lag: int) -> tuple[np.ndarray, np.ndarr
     log_det_base = _log_det(block.T @ block / t_eff)
     # With fewer than m + 2n rows an auxiliary residual has rank below n.
     diag = np.abs(np.diagonal(r[1:, m + n :, m + n :], axis1=1, axis2=2))
-    if diag.shape[1] < n or (diag.min(axis=1) < RANK_TOL * diag.max(axis=1)).any():
+    if diag.shape[1] < n or rank_deficient(diag).any():
         raise SingularCovariance("residual covariance is singular")
     log_det_aux = 2.0 * np.log(diag).sum(axis=1) - n * math.log(t_eff)
 

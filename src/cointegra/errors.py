@@ -123,3 +123,8 @@ class DataDirMissing(CointegraError):
 
 class IndexBaseMissing(CointegraError):
     """The base quarter for index rescaling is not in the observed sample."""
+
+
+class OutputUnwritable(CointegraError, OSError):
+    """The report bundle cannot be written; the message names the path.
+    Also an OSError, so a caller that catches OSError still catches it."""

@@ -27,6 +27,7 @@ from .linalg import (
     generalized_sym_eig,
     lstsq,
     qr_r,
+    rank_deficient,
     solve_triangular,
 )
 
@@ -181,8 +182,7 @@ def johansen_test(x: np.ndarray, k: int, case="restrictedConstant") -> JohansenR
         l_corr = cholesky(s00 / np.outer(d, d))
     except Exception as exc:
         raise SingularS00(str(exc)) from exc
-    pivots = np.diag(l_corr) ** 2
-    if np.min(pivots) < RANK_TOL * np.max(pivots):
+    if rank_deficient(np.diag(l_corr) ** 2):
         raise SingularS00("S00 numerically singular")
     l00 = d[:, None] * l_corr
     # A = S10 S00^-1 S01 formed as C'C with C = L^-1 S01 for symmetry.
@@ -241,7 +241,7 @@ def beta_normalize(beta: np.ndarray, r: int) -> np.ndarray:
         raise ValueError("need a 2-d beta with at least r columns")
     b = beta[:, :r]
     block = b[:r, :]
-    if _near_singular(block):
+    if rank_deficient(np.diag(qr_r(block))):
         # Rows by leverage, as a column-pivoted QR of b' orders them
         # (Businger & Golub 1965): each step takes the row farthest from
         # the span of the rows already taken.
@@ -256,13 +256,6 @@ def beta_normalize(beta: np.ndarray, r: int) -> np.ndarray:
             unit = rest[row] / norms[row]
             rest -= np.outer(rest @ unit, unit)
         block = b[rows, :]
-        if _near_singular(block):
+        if rank_deficient(np.diag(qr_r(block))):
             raise LeadingBlockSingular("no invertible r x r block found")
     return b @ np.linalg.inv(block)
-
-
-def _near_singular(block: np.ndarray) -> bool:
-    d = np.abs(np.diag(qr_r(block) if block.size else block))
-    if d.size == 0:
-        return True
-    return d.min() < RANK_TOL * max(d.max(), 1e-300)

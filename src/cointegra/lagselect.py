@@ -11,8 +11,8 @@ The candidate designs are nested: ``[1, y₋₁ … y₋ₚ]`` is a column prefi
 are ``Q[:, s:]·R[s:, S:]``, so ``T·Σₚ = R[s:, S:]ᵀ·R[s:, S:]``. One
 factorization replaces maxLag + 1 separate least-squares fits, which
 dominated the selection at maxLag 12 on long samples. Lag p's design is
-rank-deficient when ``min |Rⱼⱼ|`` over ``j < s`` falls below ``RANK_TOL``
-times the largest of them.
+rank-deficient when ``linalg.rank_deficient`` finds ``Rⱼⱼ`` over ``j < s``
+singular.
 
 Summed in another order than per-lag fits, ``log_det_sigma``, every
 criterion and every LR statistic match a separate pivoted-QR least-squares
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, SampleTooShort
-from .linalg import RANK_TOL, chi2_sf, qr_r
+from .linalg import chi2_sf, qr_r, rank_deficient
 
 
 @dataclass
@@ -107,14 +107,11 @@ def select_lags(y: np.ndarray, max_lag: int) -> LagSelection:
         design[:, 1 + n * (i - 1) : 1 + n * i] = y[max_lag - i : t - i]
     design[:, s_max:] = y[max_lag:]
     r = qr_r(design)
-    # The constant column makes |R₀₀| = √T_eff > 0, so ``largest`` is never 0.
-    diag = np.abs(np.diag(r)[:s_max])
-    largest = np.maximum.accumulate(diag)
-    smallest = np.minimum.accumulate(diag)
+    diag = np.diag(r)
     rows = []
     for p in range(max_lag + 1):
         s = n * p + 1
-        if smallest[s - 1] < RANK_TOL * largest[s - 1]:
+        if rank_deficient(diag[:s]):
             raise RankDeficient(f"design matrix rank-deficient ({s} columns)")
         block = r[s : s_max + n, s_max:]
         log_det = _log_det(block.T @ block / t_eff)

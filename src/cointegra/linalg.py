@@ -1,73 +1,52 @@
 """Dense matrix kernel: multivariate OLS, Cholesky, generalized symmetric eigen,
-the LAPACK kernels under them, and the chi-square upper-tail p-value shared
-by the test statistics.
+the LAPACK kernels under them, the rank rule every regression shares, and
+the chi-square upper-tail p-value shared by the test statistics.
 
 All routines are pure functions.
 
-This is the only module of the package that imports scipy or ctypes. A
-process that runs cointegra on numpy's bundled OpenBLAS loads that one
-OpenBLAS and no scipy module: no scipy Python code or extension, no scipy
-LAPACK wrapper, no scipy OpenBLAS or libgfortran. (With ``pipeline``'s
-built-in SHA-256, no OpenSSL either.) ``_numpy_lapack`` binds ``dtrtrs``
-and ``dgelsy`` with ctypes in the OpenBLAS numpy has loaded for ``@``
-(``<site-packages>/numpy.libs/libscipy_openblas64_-*``, 64-bit integers),
-each taking the arguments and giving the results of its
-``scipy.linalg._flapack`` namesake; so the outputs depend on that library
-alone. Where the library or a routine is missing (a numpy on another BLAS),
-the bindings are ``_flapack``'s, loaded with scipy's OpenBLAS; that fallback
-is the one place scipy is still loaded, and only then is ``SCIPY_VERSION``
-set. Fresh-process peak RSS of ``cointegra run`` fell from 42.0 to 34.4 MB
-when scipy's OpenBLAS and OpenSSL stopped loading, and by about 1.2 MB more
-when ``chi2_sf`` stopped calling scipy's ``gammaincc`` (2 vCPU, numpy 2.4,
-scipy 1.17).
+numpy is the one runtime dependency: no module of the package imports
+scipy, and this is the only one that imports ctypes. ``_TRTRS`` and
+``_GELSY`` come from one of two providers, named by ``LAPACK``, which meet
+one contract: ``trtrs(a, b, lower, trans) -> (x, info)`` and ``gelsy(a, b)
+-> (x, R)``, R a copy of ``a`` holding the triangle of its QR.
 
-``import scipy.linalg`` would also run scipy's and the package's
-``__init__`` files, which nothing here calls. So on the fallback
-``_load_flapack`` finds scipy's directory with ``importlib.util.find_spec``,
-binds each of ``scipy`` and ``scipy.linalg`` that is not imported yet to a
-bare stub with the real package directory as its ``__path__``, imports
-``_flapack`` and ``scipy.version`` under the stubs, and removes the stubs
-and ``scipy.version`` again. The extension stays in ``sys.modules``, so a
-later ``import scipy.linalg`` runs the real package and reuses it. A failed
-stubbed import falls back to importing ``scipy.linalg._flapack`` normally,
-which is slower and gives the same routines.
+- ``_numpy_lapack`` binds ``dtrtrs`` and ``dgelsy`` with ctypes in the
+  OpenBLAS numpy has loaded for ``@``
+  (``<site-packages>/numpy.libs/libscipy_openblas64_-*``, 64-bit integers).
+  At a few dozen columns the ``scipy.linalg`` wrappers cost about as much
+  as the arithmetic, so the bindings call the routines directly, with the
+  workspace query, arguments and memory layouts ``scipy.linalg`` uses: each
+  result is bitwise ``scipy.linalg.solve_triangular``'s or
+  ``lstsq(lapack_driver="gelsy")``'s. gelsy factors its copy of the design
+  by column-pivoted QR (``dgeqp3``, the greedy column order of Businger &
+  Golub 1965).
+- Where that library or a routine is missing (a conda or distro numpy on
+  another BLAS, an older wheel), ``numpy.linalg`` stands in: least squares
+  is ``qr`` followed by ``solve`` with R, or the minimum-norm ``lstsq`` at
+  ``rcond=eps`` where R is rank-deficient, and a triangular system is a
+  zero check on the diagonal and ``solve`` on the triangle. The 12 report
+  CSVs are the same bytes on both providers; ``cointegra fit`` stdout may
+  differ in the rounding noise of β's normalized identity block.
 
-Importing this module leaves the OpenBLAS pools it loaded (numpy's, and on
-the fallback scipy's) at one thread for the whole process; a program that
-imports cointegra inherits it. At a few dozen columns a second thread costs
-more in hand-off than it saves: ``long-panel`` (least squares on 300×61
-designs) runs about 13% faster, and with the other vCPU busy a triangular
-solve took 4.4 ms, not 15 µs (2 vCPU). The package imports this module
-first, so where cointegra is imported before numpy, each pool starts with
-one thread: ``OPENBLAS_NUM_THREADS`` is 1 only while the library loads and
-is then restored as it was. A pool started with two threads and pinned
-afterwards keeps its spare thread, which cost a fresh process 68 ms of
-``import numpy`` (0.168 against 0.100 s, 2 vCPU). A program that imported
-numpy first still gets the pin: after the imports, each pool's setter sets
-it to one thread, overriding ``OPENBLAS_NUM_THREADS``. Where a library is
-not found in ``<site-packages>/numpy.libs`` or ``scipy.libs``, nothing is
-set; where its setter is missing, there is no pin.
+``lstsq`` and ``ols`` share the one ``gelsy`` call, and ``ols`` applies
+``rank_deficient`` to the diagonal of its R; the lag-selection, ADF, LM and
+Johansen checks apply the same rule to their own triangles. ``qr_r`` is
+``numpy.linalg.qr(mode="r")`` on one matrix or a stack. Every kernel
+rejects a NaN or an infinity with ``ValueError``.
 
-A run makes hundreds of LAPACK calls on matrices of a few dozen columns, and
-at that size the ``scipy.linalg`` wrappers (batching, input validation,
-dispatch) cost about as much as the arithmetic. So ``solve_triangular``
-and the least-squares kernel call the double-precision routines directly,
-in the sequence ``scipy.linalg`` uses: the same workspace query, the same
-arguments and the same memory layouts. Each result is bitwise equal to that
-of ``scipy.linalg.solve_triangular`` or ``lstsq(lapack_driver="gelsy")``.
-Like those, they reject a NaN or an infinity with ``ValueError`` and check
-LAPACK's ``info`` after every call. ``lstsq`` and ``ols`` share the one
-``dgelsy`` call: gelsy factors its copy of the design by column-pivoted QR
-(``dgeqp3``, the greedy column order of Businger & Golub 1965), and ``ols``
-reads its rank test off the diagonal of that R.
-``qr_r`` is ``numpy.linalg.qr(mode="r")``, which factors one matrix or a
-whole stack of them (the ADF and LM regressions of one model) in one call,
-looping over the stack in C; it rejects a NaN or an infinity the same way.
+Importing this module leaves numpy's OpenBLAS pool at one thread for the
+whole process: at a few dozen columns a second thread costs more in
+hand-off than it saves (``long-panel`` runs about 13% faster). Where
+cointegra is imported before numpy, ``OPENBLAS_NUM_THREADS`` is 1 while
+the library loads and is then restored, so the pool never starts a spare
+thread, which cost a fresh process 68 ms (2 vCPU). Where numpy came first,
+the pool's setter pins it after the import. Where the library or its
+setter is not found, nothing is set.
 
-The chi-square p-values of the LM, Jarque-Bera and LR tests are
-upper tails at integer dof (1, 2, 5, 10 and 25). ``chi2_sf`` sums them in
-closed form with ``math`` alone; importing ``scipy.stats`` would roughly
-double the start-up time of every CLI process.
+The chi-square p-values of the LM, Jarque-Bera and LR tests are upper
+tails at integer dof (1, 2, 5, 10 and 25). ``chi2_sf`` sums them in closed
+form with ``math`` alone; importing ``scipy.stats`` would roughly double
+the start-up time of every CLI process.
 """
 
 from __future__ import annotations
@@ -80,37 +59,32 @@ import importlib.util
 import math
 import os
 import sys
-import types
 
 from .errors import NotPositiveDefinite, RankDeficient
 
 # Relative pivot threshold below which a design matrix is declared singular.
 RANK_TOL = 1e-10
 
-# find_spec locates a package without running its ``__init__``.
-_NUMPY_DIR, _SCIPY_DIR = (
-    importlib.util.find_spec(name).submodule_search_locations[0] for name in ("numpy", "scipy")
-)
-# pool -> (package directory, whose sibling ``<dir>.libs`` holds its OpenBLAS; symbol suffix)
-_LIBRARIES = {"numpy": (_NUMPY_DIR, "64_"), "scipy": (_SCIPY_DIR, "")}
+# find_spec locates the package without running its ``__init__``.
+_NUMPY_DIR = importlib.util.find_spec("numpy").submodule_search_locations[0]
 
 
-def _library(pool: str) -> str | None:
-    """Path of the OpenBLAS shipped with ``pool``'s package; None if not found."""
-    directory, suffix = _LIBRARIES[pool]
-    found = glob.glob(os.path.join(directory + ".libs", f"libscipy_openblas{suffix}-*"))
+def _library() -> str | None:
+    """Path of the OpenBLAS numpy ships, in its sibling ``numpy.libs``; None
+    if not found."""
+    found = glob.glob(os.path.join(_NUMPY_DIR + ".libs", "libscipy_openblas64_-*"))
     return found[0] if found else None
 
 
 @contextlib.contextmanager
-def _loading_with_one_thread(pool: str, module: str):
-    """Hold ``OPENBLAS_NUM_THREADS=1`` while the block imports ``module``,
-    which loads ``pool``'s OpenBLAS, and then restore the variable as it was
-    (unset stays unset). The library reads it once, as it loads, and starts
-    its pool with that many threads. Nothing is set where ``module`` is
-    imported already, as its library has read the variable then, or where
-    the library is not found, as the pin skips that pool too."""
-    if module in sys.modules or _library(pool) is None:
+def _loading_with_one_thread():
+    """Hold ``OPENBLAS_NUM_THREADS=1`` while the block imports numpy, which
+    loads its OpenBLAS, and then restore the variable as it was (unset stays
+    unset). The library reads it once, as it loads, and starts its pool with
+    that many threads. Nothing is set where numpy is imported already, as
+    its library has read the variable then, or where the library is not
+    found, as the pin skips it too."""
+    if "numpy" in sys.modules or _library() is None:
         yield
         return
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
@@ -124,49 +98,15 @@ def _loading_with_one_thread(pool: str, module: str):
             os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
-with _loading_with_one_thread("numpy", "numpy"):
+with _loading_with_one_thread():
     import numpy as np
 
 
-def _load_flapack() -> tuple[types.ModuleType, str]:
-    """``scipy.linalg._flapack`` and scipy's version, imported without
-    running any scipy ``__init__``.
-
-    ``scipy`` and ``scipy.linalg``, each where not imported yet, are bare
-    stubs with the real package directory as ``__path__`` during the
-    imports; the stubs and ``scipy.version`` are removed again after them.
-    If the stubbed imports fail, ``_flapack`` is imported normally.
-    """
-    stubs = {}
-    for name in ("scipy", "scipy.linalg"):
-        if name not in sys.modules:
-            stub = types.ModuleType(name)
-            stub.__path__ = [os.path.join(_SCIPY_DIR, *name.split(".")[1:])]
-            sys.modules[name] = stubs[name] = stub
-    try:
-        from scipy.version import version
-
-        return importlib.import_module("scipy.linalg._flapack"), version
-    except ImportError:
-        pass
-    finally:
-        if "scipy" in stubs:
-            # A real ``import scipy`` would find it loaded and never bind
-            # it as the attribute ``scipy.version``.
-            sys.modules.pop("scipy.version", None)
-        for name, stub in stubs.items():
-            if sys.modules.get(name) is stub:
-                del sys.modules[name]
-    import scipy
-
-    return importlib.import_module("scipy.linalg._flapack"), scipy.__version__
-
-
-def _openblas(pool: str, verb: str, *args: int) -> int | None:
-    """Call ``scipy_openblas_<verb>_num_threads`` (``int get()``, ``void set(int)``)
-    of the OpenBLAS loaded for ``pool``; None where library or symbol is missing."""
-    path = _library(pool)
-    symbol = f"scipy_openblas_{verb}_num_threads{_LIBRARIES[pool][1]}"
+def _openblas(verb: str, *args: int) -> int | None:
+    """Call ``scipy_openblas_<verb>_num_threads64_`` (``int get()``, ``void
+    set(int)``) of numpy's OpenBLAS; None where library or symbol is missing."""
+    path = _library()
+    symbol = f"scipy_openblas_{verb}_num_threads64_"
     func = getattr(ctypes.CDLL(path), symbol, None) if path else None
     if func is None:
         return None
@@ -175,11 +115,13 @@ def _openblas(pool: str, verb: str, *args: int) -> int | None:
 
 
 def blas_threads() -> dict[str, int | None]:
-    """Threads of each OpenBLAS pool this process loaded; None for a pool
-    whose library or setter was not found."""
-    return {pool: _openblas(pool, "get") for pool in _POOLS}
+    """Threads of numpy's OpenBLAS pool; None where its library or setter
+    was not found."""
+    return {"numpy": _openblas("get")}
 
 
+# gelsy's rank cutoff, scipy's default for lstsq.
+_EPS = np.finfo(np.float64).eps
 # One call's integer arguments (M, N, LDA, LWORK, INFO, ...) sit in one
 # int64 array, passed by address like every other argument.
 _INTS = ctypes.c_int64 * 8
@@ -202,18 +144,17 @@ def _data(a: np.ndarray) -> int:
 
 
 def _numpy_lapack() -> tuple[str, tuple] | None:
-    """The library's file name and build string, and ``dtrtrs``, ``dgelsy``
-    and gelsy's workspace query on the OpenBLAS numpy has loaded, each
-    called and answering as its ``scipy.linalg._flapack`` namesake; None
+    """The library's file name and build string, and ``trtrs`` and ``gelsy``
+    calling ``dtrtrs`` and ``dgelsy`` on the OpenBLAS numpy has loaded; None
     where the library or a symbol is missing, or where an ndarray's data
     pointer is not where ``_data`` reads it.
 
-    Like f2py, each copies the arrays LAPACK overwrites into fresh
-    Fortran-ordered ones and reads the others in place, made
-    Fortran-contiguous. The workspace query's answer depends only on its
-    integer arguments, so it is asked once per shape.
+    Each copies the arrays LAPACK overwrites into fresh Fortran-ordered
+    ones and reads the others in place, made Fortran-contiguous. gelsy's
+    workspace query depends only on its integer arguments, so it is asked
+    once per shape.
     """
-    path = _library("numpy")
+    path = _library()
     if path is None:
         return None
     lib = ctypes.CDLL(path)  # numpy loaded it already: no second copy
@@ -227,7 +168,7 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
     config.argtypes, config.restype = [], ctypes.c_char_p
     trtrs_, gelsy_ = routines.values()
 
-    def trtrs(a, b, lower=0, trans=0):
+    def trtrs(a, b, lower, trans):
         a = np.asfortranarray(a, dtype=np.float64)
         x = np.array(b, dtype=np.float64, order="F")
         lda, n = a.shape
@@ -241,7 +182,7 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
         return x, ints[4]
 
     @functools.lru_cache(maxsize=256)
-    def gelsy_lwork(m, n, nrhs, cond):
+    def workspace(m, n, nrhs):
         ints = _INTS()
         ints[:5] = m, n, nrhs, -1, max(m, n)  # LWORK, LDB; INFO, WORK, RANK follow
         i = ctypes.addressof(ints)
@@ -249,47 +190,54 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
         # A query reads no array and no RCOND: those point at ``ints``; LDA = M.
         # M N NRHS A LDA B LDB JPVT RCOND RANK WORK LWORK INFO
         gelsy_(m_, n_, nrhs_, i, m_, i, ldb, i, i, rank, work, lwork, info)
-        return ctypes.c_double.from_address(work).value, ints[5]
+        if ints[5] != 0:
+            raise ValueError(f"gelsy workspace query failed: {ints[5]}")
+        return int(ctypes.c_double.from_address(work).value)
 
-    def gelsy(a, b, jptv, cond, lwork, overwrite_a=0, overwrite_b=0):
+    def gelsy(a, b):
         m, n = a.shape
         v = np.array(a, dtype=np.float64, order="F")
         x = np.array(b, dtype=np.float64, order="F")
-        jpvt = np.array(jptv, dtype=np.int64)
-        if jpvt.size != n:
-            raise ValueError(f"jptv needs {n} entries, got {jpvt.size}")
-        work = np.empty(1 + lwork)  # RCOND, then work
-        work[0] = cond
-        w = _data(work)
         shape = x.shape
+        nrhs = shape[1] if len(shape) == 2 else 1
+        lwork = workspace(m, n, nrhs)
+        jpvt = np.zeros(n, dtype=np.int64)  # every column free to pivot
+        work = np.empty(1 + lwork)  # RCOND, then work
+        work[0] = _EPS
+        w = _data(work)
         ints = _INTS()
-        ints[:5] = m, n, shape[1] if len(shape) == 2 else 1, shape[0], lwork  # INFO at 5, RANK at 6
+        ints[:5] = m, n, nrhs, shape[0], lwork  # INFO at 5, RANK at 6
         i = ctypes.addressof(ints)
         # M N NRHS A LDA(=M) B LDB JPVT RCOND RANK WORK LWORK INFO
         gelsy_(i, i + 8, i + 16, _data(v), i, _data(x), i + 24, _data(jpvt), w, i + 48, w + 8, i + 32, i + 40)
-        return v, x, jpvt.astype(np.int32), ints[6], ints[5]
+        if ints[5] < 0:
+            raise ValueError(f"illegal value in argument {-ints[5]} of gelsy")
+        return x[:n], v
 
     build = " ".join(config().decode().split())
-    return f"{os.path.basename(path)}: {build}", (trtrs, gelsy, gelsy_lwork)
+    return f"{os.path.basename(path)}: {build}", (trtrs, gelsy)
 
 
-_NUMPY_LAPACK = _numpy_lapack()
-# scipy's version where the fallback below loaded scipy, else None.
-SCIPY_VERSION = None
-if _NUMPY_LAPACK is None:
-    # Where numpy's library or a routine is missing, scipy's own wrappers.
-    with _loading_with_one_thread("scipy", "scipy.linalg._flapack"):
-        _FLAPACK, SCIPY_VERSION = _load_flapack()
-    LAPACK = "scipy.linalg._flapack"
-    _POOLS = ("numpy", "scipy")
-    _TRTRS, _GELSY, _GELSY_LWORK = _FLAPACK.dtrtrs, _FLAPACK.dgelsy, _FLAPACK.dgelsy_lwork
-else:
-    _POOLS = ("numpy",)
-    LAPACK, (_TRTRS, _GELSY, _GELSY_LWORK) = _NUMPY_LAPACK
-for _pool in _POOLS:
-    _openblas(_pool, "set", 1)
-# gelsy's rank cutoff, scipy's default for lstsq.
-_EPS = np.finfo(np.float64).eps
+def _numpy_trtrs(a, b, lower, trans):
+    """``numpy.linalg``'s triangular solve; ``info`` is 1 + the index of the
+    first zero on the diagonal, as dtrtrs's is, and 0 otherwise."""
+    tri = np.tril(a) if lower else np.triu(a)
+    zeros = np.flatnonzero(np.diagonal(tri) == 0.0)
+    if zeros.size:
+        return None, int(zeros[0]) + 1
+    return np.linalg.solve(tri.T if trans else tri, b), 0
+
+
+def _numpy_gelsy(a, b):
+    """``numpy.linalg``'s least squares, and R of the unpivoted QR of ``a``."""
+    q, r = np.linalg.qr(a)
+    if rank_deficient(np.diagonal(r)):
+        return np.linalg.lstsq(a, b, rcond=_EPS)[0], r
+    return np.linalg.solve(r, q.T @ b), r
+
+
+LAPACK, (_TRTRS, _GELSY) = _numpy_lapack() or ("numpy.linalg", (_numpy_trtrs, _numpy_gelsy))
+_openblas("set", 1)
 
 
 def _finite(a) -> np.ndarray:
@@ -297,6 +245,16 @@ def _finite(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     return a
+
+
+def rank_deficient(diag) -> np.ndarray:
+    """Whether a triangular factor with diagonal ``diag`` is numerically
+    singular: ``min |diag| <= RANK_TOL · max |diag|``, along the last axis,
+    so one bool per matrix of a stack. At most, not below: an all-zero
+    diagonal counts. On the R of a column-pivoted QR, whose diagonal falls
+    in magnitude, it compares the last pivot with the first."""
+    d = np.abs(diag)
+    return d.min(axis=-1) <= RANK_TOL * d.max(axis=-1)
 
 
 def qr_r(a) -> np.ndarray:
@@ -309,7 +267,8 @@ def qr_r(a) -> np.ndarray:
 
 
 def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
-    """Solve ``a @ x = b`` for triangular ``a``; the result of
+    """Solve ``a @ x = b`` for triangular ``a``, reading only its ``lower``
+    or upper triangle; on numpy's OpenBLAS, the result of
     ``scipy.linalg.solve_triangular(a, b, lower=lower)``.
 
     Raises
@@ -321,9 +280,9 @@ def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
     b = _finite(b)
     # trtrs reads Fortran order, so a C-ordered ``a`` is solved as a.T.
     if a.flags.f_contiguous:
-        x, info = _TRTRS(a, b, lower=lower, trans=0)
+        x, info = _TRTRS(a, b, lower, False)
     else:
-        x, info = _TRTRS(a.T, b, lower=not lower, trans=1)
+        x, info = _TRTRS(a.T, b, not lower, True)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -332,29 +291,25 @@ def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
 
 
 def _gelsy(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """gelsy's least-squares solution of ``a @ x = b``, and its copy of
-    ``a``, which holds the R of the column-pivoted QR it factors ``a`` with.
-    Where gelsy finds a rank below N, ``dtzrzf`` rewrites only the rows
-    above that rank, so the trailing diagonal is still the QR's."""
+    """The least-squares solution of ``a @ x = b``, and a copy of ``a``
+    holding the R its QR factors ``a`` with: gelsy's, whose R is
+    column-pivoted, or ``numpy.linalg``'s. Where gelsy finds a rank below
+    N, ``dtzrzf`` rewrites only the rows above that rank, so the trailing
+    diagonal is still the QR's."""
     a = _finite(a)
     b = _finite(b)
     m, n = a.shape
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {m}x{n}")
-    work, info = _GELSY_LWORK(m, n, b.shape[1] if b.ndim == 2 else 1, _EPS)
-    if info != 0:
-        raise ValueError(f"gelsy workspace query failed: {info}")
-    jpvt = np.zeros((n, 1), dtype=np.int32)
-    v, x, _jpvt, _rank, info = _GELSY(a, b, jpvt, _EPS, int(work.real), False, False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gelsy")
-    return x[:n], v
+    return _GELSY(a, b)
 
 
 def lstsq(a, b) -> np.ndarray:
-    """Least-squares solution of ``a @ x = b`` by complete orthogonal
-    factorization; ``scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]``.
-    ``a`` needs at least as many rows as columns."""
+    """Least-squares solution of ``a @ x = b``; on numpy's OpenBLAS, by
+    complete orthogonal factorization,
+    ``scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]``, and elsewhere
+    by QR, the minimum-norm answer where R is rank-deficient. ``a`` needs
+    at least as many rows as columns."""
     return _gelsy(a, b)[0]
 
 
@@ -371,8 +326,8 @@ def ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     RankDeficient
-        If any pivot of the column-pivoted QR of X falls below RANK_TOL
-        times the largest pivot.
+        If ``rank_deficient`` finds the R that ``lstsq`` factors X with
+        singular.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -383,8 +338,7 @@ def ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if t <= p:
         raise RankDeficient(f"need more rows than regressors, got {t}x{p}")
     coef, factored = _gelsy(x, y)
-    diag = np.abs(np.diag(factored))
-    if diag[0] == 0.0 or diag[-1] < RANK_TOL * diag[0]:
+    if rank_deficient(np.diag(factored)):
         raise RankDeficient(f"design matrix rank-deficient ({p} columns)")
     resid = y - x @ coef
     if squeeze:

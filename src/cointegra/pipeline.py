@@ -58,10 +58,11 @@ from .errors import (
     IndexBaseMissing,
     MalformedValue,
     MissingColumn,
+    OutputUnwritable,
 )
 from .johansen import DeterministicCase, JohansenResult, johansen_test
 from .lagselect import LagSelection, select_lags
-from .linalg import LAPACK, SCIPY_VERSION, blas_threads
+from .linalg import LAPACK, blas_threads
 from .panel import (
     VARIABLES,
     PanelDataset,
@@ -686,7 +687,9 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     is removed, and the manifest is renamed last. If anything escapes (an
     interrupt, a failed write), the temp files are deleted and the previous
     bundle stays as it was; the temp files of a run killed outright are
-    deleted by the next run into ``out_dir``.
+    deleted by the next run into ``out_dir``. An ``OSError`` from creating
+    ``out_dir``, writing a temp file or renaming one ends the run as
+    ``OutputUnwritable``, naming the path.
 
     ``timings.writeSeconds`` is the time spent writing and closing the
     reports' temp files; the manifest's own write and the renames come
@@ -703,8 +706,6 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         (m.naics for m in config.models),
     )
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    _remove_dead_runs_temp_files(config.out_dir)
     # A leading dot and the pid keep a temp name off every report and off
     # a user's own files.
     temp = {
@@ -714,6 +715,8 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     handles = {}  # report -> its temp file, opened when its first text arrives
     write_seconds = 0.0
     try:
+        os.makedirs(config.out_dir, exist_ok=True)
+        _remove_dead_runs_temp_files(config.out_dir)
         with contextlib.ExitStack() as stack:
 
             def append(report: str, text: str) -> None:
@@ -785,7 +788,6 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 "cointegra": __version__,
                 "lapack": LAPACK,
                 "numpy": np.__version__,
-                "scipy": SCIPY_VERSION,
             },
             plot_base=None if index_base is None else index_base.label(),
         )
@@ -815,9 +817,14 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(target)
         os.replace(temp["manifest.json"], os.path.join(config.out_dir, "manifest.json"))
-    except BaseException:
+    except BaseException as exc:
+        # Also where out_dir could not be made: then no temp file exists.
         for path in temp.values():
-            with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(OSError):
                 os.remove(path)
+        if isinstance(exc, OSError):
+            # A rename names its target; a failed write names no file.
+            path = exc.filename2 or exc.filename or config.out_dir
+            raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
     return manifest

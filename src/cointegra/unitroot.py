@@ -23,8 +23,8 @@ is ``R[q, q]²`` and its variance factor ``(X'X)⁻¹`` entry is
 
 This replaces a pivoted-QR least-squares fit and an explicit ``(X'X)⁻¹``
 per series, which made the ADF screen about an eighth of a pipeline run.
-A design is rank-deficient when ``min |Rⱼⱼ|`` over ``j < q`` is at most
-``RANK_TOL`` times the largest.
+A design is rank-deficient when ``linalg.rank_deficient`` finds ``Rⱼⱼ``
+over ``j < q`` singular.
 
 The statistics match a per-series fit to a relative 1e-12 (absolute 1e-12
 near zero), not bitwise; on the bundled panels, whose levels sit about 20
@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstantSeries, RankDeficient, SampleTooShort
-from .linalg import RANK_TOL, qr_r
+from .linalg import qr_r, rank_deficient
 
 DETERMINISTIC_CASES = ("none", "constant", "constantTrend")
 
@@ -127,9 +127,7 @@ def adf_tests(
     stack[:, :, q] = dy[:, lag_order:]
     r = qr_r(stack)
 
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :q])
-    # At most, not below: an all-zero design has largest 0.
-    singular = diag.min(axis=1) <= RANK_TOL * diag.max(axis=1)
+    singular = rank_deficient(np.diagonal(r, axis1=1, axis2=2)[:, :q])
     constant = np.ptp(values, axis=0) == 0.0
     # Checked column by column, so the first column that fails decides the error.
     for j in range(m):

@@ -661,6 +661,61 @@ class TestUnreadableInput:
         assert "AL 113: error (MalformedFile: " in capsys.readouterr().out
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written ends as OutputUnwritable
+    naming the path, with exit 2, and the previous bundle stays as it was
+    with no temp file left."""
+
+    @staticmethod
+    def bundle(out):
+        """Each regular file's bytes, and None for a directory, by name."""
+        return {
+            p.name: None if p.is_dir() else p.read_bytes() for p in sorted(out.iterdir())
+        }
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert run_cli("run", "--config", CONFIG, "--out", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: OutputUnwritable: cannot write {out}: Not a directory\n"
+        )
+
+    def test_failed_rename_leaves_the_previous_bundle(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIG, "--out", str(out)) == 0
+        # summary.csv is renamed into place first.
+        os.remove(out / "summary.csv")
+        os.mkdir(out / "summary.csv")
+        before = self.bundle(out)
+        capsys.readouterr()
+        assert run_cli("run", "--config", CONFIG, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: OutputUnwritable: cannot write {out / 'summary.csv'}: Is a directory\n"
+        )
+        assert self.bundle(out) == before
+
+    def test_failed_temp_file_write_names_the_output_directory(self, tmp_path, capsys, monkeypatch):
+        from cointegra import pipeline
+
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIG, "--out", str(out)) == 0
+        before = self.bundle(out)
+
+        def full_disk(path, *args, **kwargs):
+            if os.path.basename(path).startswith(".irf.csv."):
+                raise OSError(28, "No space left on device")  # as a failed write: no file named
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", full_disk, raising=False)
+        capsys.readouterr()
+        assert run_cli("run", "--config", CONFIG, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: OutputUnwritable: cannot write {out}: No space left on device\n"
+        )
+        assert self.bundle(out) == before
+
+
 def _append_bytes(tmp_path, relpath, data):
     """Copy the bundled dataset into tmp_path and append ``data`` to ``relpath``."""
     root = tmp_path / "sixstate"

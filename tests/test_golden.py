@@ -21,9 +21,8 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 
-from cointegra import cli
+from cointegra import cli, linalg
 from cointegra.pipeline import _fill, fmt6, load_config, run_pipeline
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -167,21 +166,36 @@ def test_long_panel_bundle_digest(tmp_path):
     assert bundle_digests(config, tmp_path / "out") == GOLDEN["long-panel"]["files"]
 
 
-def test_fallback_lapack_writes_the_same_bundle(tmp_path):
-    # A child whose library lookup sees only an empty directory binds
-    # scipy.linalg._flapack, as with a numpy built on another BLAS: both
-    # LAPACK providers must write the same bytes.
-    out = tmp_path / "out"
-    script = (
-        "import glob, os, sys\n"
-        "real_glob = glob.glob\n"
-        "glob.glob = lambda p: real_glob(os.path.join(sys.argv[3], os.path.basename(p)))\n"
+# Makes the child's OpenBLAS lookup see only the empty directory
+# ``sys.argv[3]``, as with a numpy built on another BLAS.
+EMPTY_LOOKUP = """
+import glob, os, sys
+real_glob = glob.glob
+glob.glob = lambda p: real_glob(os.path.join(sys.argv[3], os.path.basename(p)))
+"""
+
+# Refuses every scipy* import in the child, as where scipy is not installed.
+NO_SCIPY = """
+import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is refused")
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def run_in_child(prelude: str, tmp_path) -> tuple[str, dict[str, str]]:
+    """``linalg.LAPACK`` and the report digests of ``cointegra run`` on the
+    bundled config, in a fresh interpreter that runs ``prelude`` first."""
+    out, empty = tmp_path / "out", tmp_path / "empty"
+    empty.mkdir()
+    script = prelude + (
+        "import sys\n"
         "from cointegra import cli, linalg\n"
         "print(linalg.LAPACK)\n"
         "sys.exit(cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
     )
-    empty = tmp_path / "empty"
-    empty.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -191,12 +205,30 @@ def test_fallback_lapack_writes_the_same_bundle(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[0] == "scipy.linalg._flapack"
+    assert sorted(n for n in os.listdir(out) if n.endswith(".csv")) == sorted(SIXSTATE_SHA256)
     with open(out / "manifest.json", encoding="utf-8") as fh:
-        assert json.load(fh)["environment"]["scipy"] == scipy.__version__
+        environment = json.load(fh)["environment"]
+    lapack = child.stdout.splitlines()[0]
+    assert environment["lapack"] == lapack and "scipy" not in environment
     digests = {}
     for report in sorted(SIXSTATE_SHA256):
         with open(out / report, "rb") as fh:
             digests[report] = hashlib.sha256(fh.read()).hexdigest()
-    assert digests == SIXSTATE_SHA256
-    assert sorted(n for n in os.listdir(out) if n.endswith(".csv")) == sorted(SIXSTATE_SHA256)
+    return lapack, digests
+
+
+def test_fallback_lapack_writes_the_same_bundle(tmp_path):
+    # Where numpy's OpenBLAS is not found, numpy.linalg solves: both
+    # providers must write the same report bytes.
+    assert run_in_child(EMPTY_LOOKUP, tmp_path) == ("numpy.linalg", SIXSTATE_SHA256)
+
+
+@pytest.mark.parametrize("lookup", ["as is", "emptied"])
+def test_run_needs_no_scipy(tmp_path, lookup):
+    # scipy is no runtime dependency: with every scipy import refused, a run
+    # writes the golden bundle on either LAPACK provider.
+    if lookup == "as is":
+        prelude, lapack = NO_SCIPY, linalg.LAPACK
+    else:
+        prelude, lapack = NO_SCIPY + EMPTY_LOOKUP, "numpy.linalg"
+    assert run_in_child(prelude, tmp_path) == (lapack, SIXSTATE_SHA256)

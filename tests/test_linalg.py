@@ -11,12 +11,14 @@ import scipy.linalg
 from cointegra import linalg
 from cointegra.errors import NotPositiveDefinite, RankDeficient
 from cointegra.linalg import (
+    RANK_TOL,
     blas_threads,
     cholesky,
     generalized_sym_eig,
     lstsq,
     ols,
     qr_r,
+    rank_deficient,
     solve_triangular,
 )
 
@@ -295,6 +297,68 @@ class TestKernelParity:
             assert np.array_equal(ols(x, y)[0], coef)
 
 
+class TestNumpyLinalgProvider:
+    """The numpy.linalg routines that solve where numpy's OpenBLAS is not
+    found: the same answers as scipy.linalg to rounding, the same errors."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_linalg(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_TRTRS", linalg._numpy_trtrs)
+        monkeypatch.setattr(linalg, "_GELSY", linalg._numpy_gelsy)
+
+    @pytest.mark.parametrize("how", LAYOUTS)
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_solve_triangular_reads_only_the_triangle(self, lower, how):
+        rng = np.random.default_rng(3)
+        full = rng.standard_normal((21, 21)) + 4.0 * np.eye(21)
+        b = rng.standard_normal((21, 5))
+        x = solve_triangular(layout(full, how), b, lower=lower)
+        expected = scipy.linalg.solve_triangular(full, b, lower=lower)
+        np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("how", ["C", "F"])
+    def test_singular_triangle_raises(self, lower, how):
+        a = np.triu(np.ones((4, 4))) if not lower else np.tril(np.ones((4, 4)))
+        a[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 2$"):
+            solve_triangular(layout(a, how), np.ones(4), lower=lower)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_lstsq(self, shape):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal(shape), rng.standard_normal((shape[0], 5))
+        expected = scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]
+        np.testing.assert_allclose(lstsq(a, b), expected, rtol=1e-10, atol=1e-13)
+        assert lstsq(a, b[:, 0]).shape == (shape[1],)
+
+    def test_lstsq_rank_deficient_design_is_minimum_norm(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((40, 6))
+        a[:, 5] = a[:, 2]
+        b = rng.standard_normal((40, 3))
+        x = lstsq(a, b)
+        expected = scipy.linalg.lstsq(a, b, lapack_driver="gelsy")[0]
+        np.testing.assert_allclose(x, expected, rtol=1e-10)
+        np.testing.assert_allclose(x[2], x[5], rtol=1e-10)
+
+    def test_ols_rank_deficient_design_raises(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 6))
+        x[:, 5] = x[:, 2]
+        with pytest.raises(RankDeficient, match=r"^design matrix rank-deficient \(6 columns\)$"):
+            ols(x, rng.standard_normal((40, 3)))
+
+
+def test_rank_deficient_is_at_most_the_tolerance_along_the_last_axis():
+    edge = np.nextafter(RANK_TOL, 1.0)
+    assert rank_deficient(np.array([1.0, -0.5, -RANK_TOL]))
+    assert not rank_deficient(np.array([-1.0, 0.5, edge]))
+    assert rank_deficient(np.zeros(3))
+    stack = np.array([[2.0, 2.0 * RANK_TOL], [2.0, 2.0 * edge], [0.0, 0.0]])
+    assert rank_deficient(stack).tolist() == [True, False, True]
+
+
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
@@ -333,8 +397,8 @@ print("stubs", [n for n in ("scipy", "scipy.linalg", "scipy.special") if sys.mod
 IDENTITY_OK = ["lapack [True, True, True]", "qr True", "stubs []"]
 
 # Makes this child's OpenBLAS lookup see only the empty directory
-# ``sys.argv[1]``, as with a numpy built on another BLAS: linalg then binds
-# scipy.linalg._flapack.
+# ``sys.argv[1]``, as with a numpy built on another BLAS: linalg then solves
+# with numpy.linalg.
 NO_LIBRARY = """
 import glob, os, sys
 real_glob = glob.glob
@@ -343,10 +407,9 @@ glob.glob = lambda p: real_glob(os.path.join(sys.argv[1], os.path.basename(p)))
 
 
 class TestExtensionLoading:
-    """On numpy's OpenBLAS linalg imports no scipy module; on the fallback
-    it loads ``scipy.linalg._flapack`` under temporary package stubs.
-    Whatever scipy imports later must work, and scipy.linalg must agree
-    with linalg's kernels bit for bit."""
+    """linalg imports no scipy module. Whatever scipy imports later must
+    work, and on numpy's OpenBLAS scipy.linalg must agree with linalg's
+    kernels bit for bit."""
 
     def test_scipy_packages_imported_after_reuse_the_extensions(self):
         out = run_fresh(
@@ -369,31 +432,6 @@ class TestExtensionLoading:
         )
         assert out == ["kept True"] + IDENTITY_OK
 
-    def test_failed_stubbed_import_falls_back_to_the_normal_import(self, tmp_path):
-        out = run_fresh(
-            NO_LIBRARY
-            + "refused = []\n"
-            "class RefuseUnderStub:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        package = sys.modules.get('scipy.linalg')\n"
-            "        if name == 'scipy.linalg._flapack' and package is not None and package.__spec__ is None:\n"
-            "            refused.append(name)\n"
-            "            raise ImportError('refused under the stub')\n"
-            "sys.meta_path.insert(0, RefuseUnderStub())\n"
-            "from cointegra import linalg\n"
-            "print('refused', refused)\n"
-            "print(linalg.LAPACK, linalg._FLAPACK is sys.modules['scipy.linalg']._flapack)\n"
-            "import scipy\n"
-            "print('version', linalg.SCIPY_VERSION == scipy.__version__)\n"
-            + IDENTITY_CHECKS,
-            argv=(str(tmp_path),),
-        )
-        assert out == [
-            "refused ['scipy.linalg._flapack']",
-            "scipy.linalg._flapack True",
-            "version True",
-        ] + IDENTITY_OK
-
 
 def require_openblas() -> None:
     missing = [pool for pool, threads in blas_threads().items() if threads is None]
@@ -401,21 +439,10 @@ def require_openblas() -> None:
         pytest.skip(f"no scipy-openblas library found for the {' and '.join(missing)} pool")
 
 
-# A long-panel lag-selection shape, large enough for OpenBLAS to split work
-# between threads when it may.
-OLS_DIGEST = """
-import hashlib
-import numpy as np
-rng = np.random.default_rng(5)
-parts = ols(rng.standard_normal((300, 61)), rng.standard_normal((300, 5)))
-print("ols", hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
-"""
-
-
 class TestBlasPin:
-    """Importing linalg leaves the OpenBLAS pools it loaded at one thread:
-    numpy's alone, which also runs LAPACK, unless numpy's library is not
-    found and scipy's LAPACK wrappers load scipy's.
+    """Importing linalg leaves numpy's OpenBLAS pool, which also runs
+    LAPACK, at one thread; where numpy's library is not found, numpy.linalg
+    solves and the pool is left alone.
 
     Where cointegra imports numpy first, the pool starts with one thread:
     ``OPENBLAS_NUM_THREADS`` is 1 only while the library loads and is then
@@ -460,32 +487,23 @@ class TestBlasPin:
 
     def test_no_library_found_leaves_the_pools_and_the_results_alone(self, tmp_path):
         require_openblas()
-        pinned = run_fresh(
-            "from cointegra.linalg import blas_threads, ols\nprint(blas_threads())" + OLS_DIGEST,
-            OPENBLAS_NUM_THREADS="2",
-        )
         # This child's library lookup sees only an empty directory.
         fallback = run_fresh(
             NO_LIBRARY
             + "from cointegra import linalg\n"
-            "from cointegra.linalg import blas_threads, ols\n"
-            "from scipy.linalg import _flapack\n"
-            "names = ('dtrtrs', 'dgelsy', 'dgelsy_lwork')\n"
-            "bound = (linalg._TRTRS, linalg._GELSY, linalg._GELSY_LWORK)\n"
-            "print(linalg.LAPACK, all(getattr(_flapack, n) is f for n, f in zip(names, bound)))\n"
-            "print(blas_threads())\n"
+            "bound = (linalg._TRTRS, linalg._GELSY)\n"
+            "print(linalg.LAPACK, bound == (linalg._numpy_trtrs, linalg._numpy_gelsy))\n"
+            "print(linalg.blas_threads())\n"
             "glob.glob = real_glob\n"
-            "print('pools', blas_threads())\n" + OLS_DIGEST,
+            "print('pools', linalg.blas_threads())\n",
             argv=(str(tmp_path),),
             OPENBLAS_NUM_THREADS="2",
         )
-        assert pinned[0] == "{'numpy': 1}"
-        assert fallback[0] == "scipy.linalg._flapack True"
-        assert fallback[1] == "{'numpy': None, 'scipy': None}"
+        assert fallback[0] == "numpy.linalg True"
+        assert fallback[1] == "{'numpy': None}"
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         if cpus >= 2:
-            assert fallback[2] == "pools {'numpy': 2, 'scipy': 2}"
-        assert fallback[3] == pinned[1]
+            assert fallback[2] == "pools {'numpy': 2}"
 
 
 def test_only_linalg_imports_scipy_or_ctypes():

@@ -369,8 +369,6 @@ class TestRunPipeline:
         assert (me["k"], me["r"], me["case"]) == (1, 0, "none")
 
     def test_manifest_environment(self, tmp_path):
-        import scipy
-
         import cointegra
         from cointegra.linalg import LAPACK, blas_threads
 
@@ -381,23 +379,19 @@ class TestRunPipeline:
         assert set(on_disk) == {
             "configHash", "environment", "files", "models", "plotBase", "timings"
         }
-        # numpy's OpenBLAS runs LAPACK and is the one pool loaded, and no
-        # scipy module is; scipy's wrappers, pool and version only where
-        # numpy's library is not found.
-        if LAPACK == "scipy.linalg._flapack":
+        # numpy's OpenBLAS runs LAPACK, pinned to one thread; numpy.linalg
+        # only where numpy's library is not found.
+        if LAPACK == "numpy.linalg":
             blas = blas_threads()
-            assert set(blas) == {"numpy", "scipy"}
-            version = scipy.__version__
+            assert set(blas) == {"numpy"}
         else:
             assert re.fullmatch(r"libscipy_openblas64_-\w+\.so: OpenBLAS \S+ .*USE64BITINT.*", LAPACK)
             blas = {"numpy": 1}
-            version = None
         assert on_disk["environment"] == manifest.environment == {
             "blasThreads": blas,
             "cointegra": cointegra.__version__,
             "lapack": LAPACK,
             "numpy": np.__version__,
-            "scipy": version,
         }
 
     def test_manifest_times_every_stage(self, tmp_path):
