@@ -128,3 +128,9 @@ class IndexBaseMissing(CointegraError):
 class OutputUnwritable(CointegraError, OSError):
     """The report bundle cannot be written; the message names the path.
     Also an OSError, so a caller that catches OSError still catches it."""
+
+
+class WorkerFailed(CointegraError):
+    """A worker process of a run could not be started, or ended before
+    sending a model's results; the message names the model and how the
+    worker ended."""

@@ -3,16 +3,24 @@
 Loads a JSON run configuration, executes the stage chain (ingest, location
 quotients, unit-root tests, lag selection, cointegration rank, VECM fit,
 residual diagnostics, forecast, backtest, impulse responses) for every
-configured model, and writes one report bundle. Models run one after
-another in report order, (state, naics); failures are recorded per model and
-never abort the run. Each model's rows are appended to temp files in the
-output directory as soon as it ends, so a run holds one model's text at a
-time; the reports and then the manifest are renamed into place at the end,
-and an interrupted run leaves the previous bundle as it was. The manifest
-times each model's stages, names the stage and exception class of a
-failed model, and gives the lag each criterion picks for an ok one
-(``lagChoice``). Given the same configuration, data, and seed, the report CSVs
-are byte-identical across runs; manifest timings are the only varying
+configured model, and writes one report bundle. Failures are recorded per
+model and never abort the run. The models do not depend on each other, so
+they run in W processes: W is the number of CPUs the process may run on
+(``os.sched_getaffinity``), at most the number of models, and 1 where
+``os.fork`` is missing or the caller runs more than one thread. In report
+order, (state, naics), model i runs in worker i mod W; worker 0 is the
+calling process, and each forked worker sends each model's results back
+over a pipe as the model ends. The caller appends its own and the received
+rows to temp files in the output directory strictly in report order, so it
+holds one model's text at a time, its own or a received one; the reports
+and then the manifest are renamed into place at the end, and an interrupted
+run leaves the previous bundle as it was. A worker that dies before sending
+a model's results ends the run as ``WorkerFailed``. ``taskset -c 0`` gives a
+serial run. The manifest times each model's stages and each worker's CPU
+and peak memory, names the stage and exception class of a failed model,
+and gives the lag each criterion picks for an ok one (``lagChoice``). Given
+the same configuration, data, and seed, the report CSVs are byte-identical
+across runs and worker counts; manifest timings are the only varying
 output.
 
 Each report has one builder (``summary_lines`` … ``backtest_lines``) that
@@ -31,8 +39,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pickle
 import re
+import signal
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,6 +58,11 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+try:
+    import resource
+except ImportError:  # Windows: the manifest then gives no peak memory for the caller
+    resource = None
+
 import numpy as np
 
 from . import __version__
@@ -59,6 +75,7 @@ from .errors import (
     MalformedValue,
     MissingColumn,
     OutputUnwritable,
+    WorkerFailed,
 )
 from .johansen import DeterministicCase, JohansenResult, johansen_test
 from .lagselect import LagSelection, select_lags
@@ -556,7 +573,9 @@ class ModelOutput:
     ``stages`` maps each stage entered, in order, to its seconds; ``stage``
     is the stage last entered, and after a failure the stage that failed.
     ``spec`` is the model's resolved spec, once its rank test has run, and
-    ``lag_choice`` maps each lag selection criterion to the lag it picks."""
+    ``lag_choice`` maps each lag selection criterion to the lag it picks.
+    A forked worker sends every field but ``model`` (``_RECORD``) back to
+    the calling process as one pickle record when the model ends."""
 
     model: ModelConfig
     status: str = "ok"
@@ -648,6 +667,96 @@ def _run_model(
         out.fail(plot_error, "plot")
 
 
+def _worker_count(models: int) -> int:
+    """How many processes run a bundle of ``models`` models: one per CPU
+    this process may run on, at most one per model. One where ``os.fork``
+    or ``os.sched_getaffinity`` does not exist, and where the caller runs
+    more than one thread, since forking a threaded process can deadlock."""
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), models)
+
+
+# The ModelOutput fields a worker sends back for each model.
+_RECORD = ("status", "message", "error_type", "stage", "stages", "spec", "lag_choice", "lines")
+
+
+def _serve(outputs: list[ModelOutput], panels: dict, config, aux, index_base, fd: int) -> None:
+    """A forked worker's work: run each of ``outputs``' models in turn and
+    send its ``_RECORD`` fields as one pickle record on the pipe ``fd`` as
+    it ends. A BaseException that escapes a model is sent as the last
+    record instead."""
+    with os.fdopen(fd, "wb") as pipe:
+        for o in outputs:
+            try:
+                if o.model in panels:
+                    _run_model(o, panels[o.model], config, aux, index_base)
+            except BaseException as exc:
+                pickle.dump(exc, pipe)
+                return
+            pickle.dump({name: getattr(o, name) for name in _RECORD}, pipe)
+            pipe.flush()
+            o.lines.clear()
+
+
+def _start_worker(children: dict, outputs: list[ModelOutput], *work) -> None:
+    """Fork a worker that runs ``_serve(outputs, *work)`` and register it
+    in ``children``, its pid mapped to the read end of its pipe. The worker
+    always leaves through ``os._exit``: it never unwinds into the caller's
+    frames, nor flushes the caller's inherited stdio buffers. SIGINT is
+    blocked from before the fork until the worker is registered, so an
+    interrupt can neither leave a worker unregistered nor reach one before
+    its ``finally``."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(read_end)
+                _serve(outputs, *work, write_end)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        children[pid] = os.fdopen(read_end, "rb")
+    except OSError as exc:
+        raise WorkerFailed(f"cannot start a worker process: {exc.strerror or exc}") from exc
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _receive(o: ModelOutput, pid: int, children: dict) -> None:
+    """Fill ``o`` from the next record of worker ``pid``, raising the
+    exception that escaped the model if the record is one. A worker that
+    ended before sending the record is reaped, and the run ends as
+    ``WorkerFailed``."""
+    try:
+        record = pickle.load(children[pid])
+    except (EOFError, pickle.UnpicklingError) as exc:
+        children.pop(pid).close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerFailed(
+            f"the worker running {o.model.state}/{o.model.naics} ended ({how}) "
+            "before sending its results"
+        ) from exc
+    if isinstance(record, BaseException):
+        raise record
+    vars(o).update(record)
+
+
 # A run's temp name, as ``run_pipeline`` builds it.
 _TEMP_NAME = re.compile(r"\.(?P<name>.+)\.(?P<pid>[0-9]+)\.tmp")
 
@@ -679,23 +788,33 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     """Execute every configured model and write the report bundle.
 
     Every panel is read first, and plot.csv's base quarter is the latest
-    start among the panels read. Models then run in report order, (state,
-    naics), and each one's rows, plot.csv's included, are appended to temp
-    files in ``out_dir`` as soon as it ends, so the run holds one model's
-    text at a time. Once every report and the manifest are written, each
-    temp file is renamed onto its report, a report this run does not write
-    is removed, and the manifest is renamed last. If anything escapes (an
-    interrupt, a failed write), the temp files are deleted and the previous
-    bundle stays as it was; the temp files of a run killed outright are
-    deleted by the next run into ``out_dir``. An ``OSError`` from creating
-    ``out_dir``, writing a temp file or renaming one ends the run as
-    ``OutputUnwritable``, naming the path.
+    start among the panels read. The models, in report order (state,
+    naics), are then dealt to ``_worker_count`` processes: model i runs in
+    worker i mod W, where worker 0 is this process and the others are
+    forked, each sending every model's results back over a pipe as it
+    ends. Each model's rows, plot.csv's included, are appended to temp
+    files in ``out_dir`` strictly in report order, so this process holds
+    one model's text at a time, its own or a received one; a worker never
+    opens a report file. Once every report and the manifest are written,
+    each temp file is renamed onto its report, a report this run does not
+    write is removed, and the manifest is renamed last. If anything
+    escapes (an interrupt, a failed write, an exception a worker sends
+    back), every worker still running is killed and reaped, the temp files
+    are deleted and the previous bundle stays as it was; the temp files of
+    a run killed outright are deleted by the next run into ``out_dir``. An
+    ``OSError`` from creating ``out_dir``, writing a temp file or renaming
+    one ends the run as ``OutputUnwritable``, naming the path; a worker
+    that cannot be started or dies before sending a model's results ends
+    it as ``WorkerFailed``. Every worker is reaped before the run returns.
 
     ``timings.writeSeconds`` is the time spent writing and closing the
     reports' temp files; the manifest's own write and the renames come
-    after it is taken.
+    after it is taken. ``timings.workers`` lists each process, this one
+    first, with its models, the CPU seconds it spent on the run and its
+    peak RSS.
     """
     started = time.perf_counter()
+    cpu_started = time.process_time()
     if not os.path.isdir(config.data_dir):
         raise DataDirMissing(config.data_dir)
     if not config.models:
@@ -713,6 +832,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         for name in (*REPORT_HEADERS, "manifest.json")
     }
     handles = {}  # report -> its temp file, opened when its first text arrives
+    children = {}  # pid -> the read end of its pipe, until the worker is reaped
     write_seconds = 0.0
     try:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -743,15 +863,35 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                     o.fail(exc)
             # plot.csv's base: the latest start among the panels read.
             index_base = max((p.start for p in panels.values()), default=None)
-            for o in outputs:
-                if o.model in panels:
-                    _run_model(o, panels.pop(o.model), config, aux, index_base)
+            count = _worker_count(len(outputs))
+            for w in range(1, count):
+                _start_worker(children, outputs[w::count], panels, config, aux, index_base)
+            workers = list(children)  # the pid of worker 1, 2, ...
+            for i, o in enumerate(outputs):
+                panel = panels.pop(o.model, None)
+                if i % count:
+                    _receive(o, workers[i % count - 1], children)
+                elif panel is not None:
+                    _run_model(o, panel, config, aux, index_base)
                 for report, text in o.lines.items():
                     append(report, text)
                 o.lines.clear()
             closing = time.perf_counter()
         # Closing the temp files flushes their last rows.
         write_seconds += time.perf_counter() - closing
+
+        # (CPU seconds, peak RSS in kB, as Linux gives ru_maxrss) of each
+        # process, this one first.
+        usage = [
+            (
+                time.process_time() - cpu_started,
+                None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            )
+        ]
+        for pid in workers:
+            _, _, rusage = os.wait4(pid, 0)
+            children.pop(pid).close()
+            usage.append((rusage.ru_utime + rusage.ru_stime, rusage.ru_maxrss))
 
         models = []
         for o in sorted(outputs, key=lambda o: (o.model.naics, o.model.state)):
@@ -782,6 +922,14 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                     for o in outputs
                 },
                 "writeSeconds": round(write_seconds, 6),
+                "workers": [
+                    {
+                        "models": [f"{o.model.state}_{o.model.naics}" for o in outputs[w::count]],
+                        "cpuSeconds": round(cpu, 3),
+                        "peakRssMb": None if rss is None else round(rss / 1024, 2),
+                    }
+                    for w, (cpu, rss) in enumerate(usage)
+                ],
             },
             environment={
                 "blasThreads": blas_threads(),
@@ -818,6 +966,10 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                     os.remove(target)
         os.replace(temp["manifest.json"], os.path.join(config.out_dir, "manifest.json"))
     except BaseException as exc:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         # Also where out_dir could not be made: then no temp file exists.
         for path in temp.values():
             with contextlib.suppress(OSError):

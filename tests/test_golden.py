@@ -148,14 +148,19 @@ def bundle_digests(config, out):
     return digests
 
 
-def test_long_horizon_bundle_digest(tmp_path):
-    # The bundled configuration with a 200-quarter horizon.
+def long_horizon_config(tmp_path):
+    """The bundled configuration with a 200-quarter horizon."""
     with open(CONFIG) as fh:
         obj = json.load(fh)
     obj["dataDir"] = os.path.dirname(CONFIG)
     obj["defaults"]["horizon"] = 200
     config = tmp_path / "long-horizon.json"
     config.write_text(json.dumps(obj))
+    return config
+
+
+def test_long_horizon_bundle_digest(tmp_path):
+    config = long_horizon_config(tmp_path)
     assert bundle_digests(config, tmp_path / "out") == GOLDEN["long-horizon"]["files"]
 
 
@@ -164,6 +169,48 @@ def test_long_panel_bundle_digest(tmp_path):
     generate = runpy.run_path(os.path.join(ROOT, "benchmarks", "longpanel.py"))["generate"]
     config = generate(str(tmp_path / "data"), GOLDEN["long-panel"]["seed"])
     assert bundle_digests(config, tmp_path / "out") == GOLDEN["long-panel"]["files"]
+
+
+# Three models whose latest start, 2004Q1, is the whole bundle's plot base.
+THREE_MODELS = [("AL", 113), ("ME", 321), ("WI", 322)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+@pytest.mark.parametrize("which", ["bundled", "long-horizon", "three models"])
+def test_bundle_is_the_same_on_any_number_of_cpus(tmp_path, monkeypatch, which):
+    # The models are dealt to one process per usable CPU; the bytes must
+    # not depend on how many there are.
+    if which == "bundled":
+        config, expected = CONFIG, SIXSTATE_SHA256
+    elif which == "long-horizon":
+        config, expected = long_horizon_config(tmp_path), GOLDEN["long-horizon"]["files"]
+    else:
+        with open(CONFIG) as fh:
+            obj = json.load(fh)
+        obj["dataDir"] = os.path.dirname(CONFIG)
+        obj["models"] = [{"state": state, "naics": naics} for state, naics in THREE_MODELS]
+        config = tmp_path / "three.json"
+        config.write_text(json.dumps(obj))
+        expected = None
+    checks = runpy.run_path(os.path.join(ROOT, "benchmarks", "checks.py"))
+    bundles, models = [], []
+    for cpus in (1, 2, 3):
+        usable = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        out = tmp_path / f"out{cpus}"
+        manifest = run_pipeline(load_config(str(config), out_dir=str(out)))
+        assert len(manifest.timings["workers"]) == cpus
+        bundles.append(checks["read_bundle"](str(out)))
+        models.append(manifest.models)
+    assert bundles[0] == bundles[1] == bundles[2]
+    assert models[0] == models[1] == models[2]
+    if expected is not None:
+        assert checks["file_digests"](bundles[0]) == expected
+    else:
+        golden = GOLDEN["sixstate"]["models"]
+        assert checks["model_digests"](bundles[0]) == {
+            f"{state}_{naics}": golden[f"{state}_{naics}"] for state, naics in THREE_MODELS
+        }
 
 
 # Makes the child's OpenBLAS lookup see only the empty directory

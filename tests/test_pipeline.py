@@ -1,11 +1,14 @@
+import contextlib
 import copy
 import dataclasses
 import json
 import re
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -21,6 +24,8 @@ from cointegra.errors import (
     MalformedValue,
     MissingColumn,
     NonPositiveInput,
+    NumericalFailure,
+    WorkerFailed,
 )
 from fixtures import default_config
 from cointegra.panel import VARIABLES, PanelDataset, ingest_panel, location_quotient
@@ -710,6 +715,17 @@ def _bundle(out_dir) -> dict[str, bytes]:
     return bundle
 
 
+@contextlib.contextmanager
+def _leaves_no_process_or_fd():
+    """Check that the block leaves no child process and no open fd behind."""
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+
+
 class TestStreamedBundle:
     def test_run_holds_one_model_of_text_not_the_bundle(self, tmp_path):
         with open(os.path.join(DATA_ROOT, "config.json")) as fh:
@@ -729,22 +745,25 @@ class TestStreamedBundle:
         assert peak < irf_size
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, OSError])
-    @pytest.mark.parametrize("where", ["second model", "plot rows"])
+    @pytest.mark.parametrize("where", ["first model", "second model", "plot rows"])
     def test_interrupted_run_leaves_the_previous_bundle(self, tmp_path, monkeypatch, where, exc):
+        # On two CPUs the first model, AL 113, runs in the calling process
+        # and the second, ME 113, in a forked worker, which sends the
+        # exception back to be raised here.
+        _cpus(monkeypatch, 2)
         config = small_run_config(tmp_path)
         run_pipeline(config)
         before = _bundle(config.out_dir)
         assert len(before) == 13
 
-        if where == "second model":
-            calls = []
+        if where.endswith("model"):
+            state = "AL" if where == "first model" else "ME"
             run_model = pipeline._run_model
 
-            def interrupted(*args):
-                calls.append(args)
-                if len(calls) == 2:
+            def interrupted(out, *args):
+                if out.model.state == state:
                     raise exc()
-                return run_model(*args)
+                return run_model(out, *args)
 
             monkeypatch.setattr(pipeline, "_run_model", interrupted)
         elif exc is KeyboardInterrupt:
@@ -762,8 +781,9 @@ class TestStreamedBundle:
                 return open(path, *args, **kwargs)
 
             monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
-        with pytest.raises(exc):
-            run_pipeline(config)
+        with _leaves_no_process_or_fd():
+            with pytest.raises(exc):
+                run_pipeline(config)
         assert _bundle(config.out_dir) == before
 
     @pytest.mark.skipif(os.name != "posix", reason="the liveness test is POSIX only")
@@ -790,3 +810,122 @@ class TestStreamedBundle:
         assert {n: b for n, b in after.items() if n.endswith(".csv")} == {
             n: b for n, b in before.items() if n.endswith(".csv")
         }
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make the run see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+class TestWorkers:
+    """Model i in report order runs in worker i mod W, W being the usable
+    CPUs capped at the models; worker 0 is the calling process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_manifest_lists_each_worker(self, tmp_path, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        config = small_run_config(tmp_path)
+        manifest = run_pipeline(config)
+        workers = manifest.timings["workers"]
+        expected = [["AL_113", "ME_113"]] if cpus == 1 else [["AL_113"], ["ME_113"]]
+        assert [w["models"] for w in workers] == expected
+        assert all(set(w) == {"models", "cpuSeconds", "peakRssMb"} for w in workers)
+        assert all(w["cpuSeconds"] >= 0.0 and w["peakRssMb"] > 0.0 for w in workers)
+        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
+            assert json.load(fh)["timings"]["workers"] == workers
+
+    @pytest.mark.parametrize("why", ["no fork", "no affinity", "a second thread"])
+    def test_one_worker(self, tmp_path, monkeypatch, why):
+        _cpus(monkeypatch, 2)
+        if why == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif why == "no affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if why == "a second thread":
+            thread.start()
+        try:
+            manifest = run_pipeline(small_run_config(tmp_path))
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(10)
+        assert not thread.is_alive()
+        assert [w["models"] for w in manifest.timings["workers"]] == [["AL_113", "ME_113"]]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failure_in_a_worker_is_recorded_as_in_the_caller(self, tmp_path, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        real_irf = pipeline.irf
+
+        def failing_irf(fit, horizon):
+            if fit.spec.r == 0:  # ME 113's fit; AL 113's has r = 1
+                raise NumericalFailure("irf diverged")
+            return real_irf(fit, horizon)
+
+        monkeypatch.setattr(pipeline, "irf", failing_irf)
+        config = small_run_config(tmp_path)
+        manifest = run_pipeline(config)
+        assert [m for m in manifest.models if m["status"] != "ok"] == [
+            {
+                "state": "ME", "naics": 113, "status": "error", "k": 1, "r": 0, "case": "none",
+                "message": "NumericalFailure: irf diverged", "stage": "irf",
+                "errorType": "NumericalFailure",
+            }
+        ]
+        assert list(manifest.timings["perStage"]["ME_113"])[-1] == "irf"
+        with open(os.path.join(config.out_dir, "irf.csv")) as fh:
+            assert {line[:6] for line in fh.read().splitlines()[1:]} == {"AL,113"}
+
+    def test_killed_worker_ends_the_run_as_worker_failed(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        config = small_run_config(tmp_path)
+        run_pipeline(config)
+        before = _bundle(config.out_dir)
+        caller = os.getpid()
+        run_model = pipeline._run_model
+
+        def killed(out, *args):
+            if out.model.state == "ME" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_model(out, *args)
+
+        monkeypatch.setattr(pipeline, "_run_model", killed)
+        with _leaves_no_process_or_fd():
+            with pytest.raises(WorkerFailed) as info:
+                run_pipeline(config)
+        assert str(info.value) == (
+            "the worker running ME/113 ended (killed by signal 9) before sending its results"
+        )
+        assert _bundle(config.out_dir) == before
+
+    def test_threaded_caller_runs_every_model_itself(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        config = small_run_config(tmp_path)
+        run_pipeline(config)
+        before = _bundle(config.out_dir)
+        ran = []
+        run_model = pipeline._run_model
+
+        def interrupted(out, *args):
+            ran.append((out.model.state, os.getpid()))
+            if out.model.state == "ME":
+                raise KeyboardInterrupt
+            return run_model(out, *args)
+
+        monkeypatch.setattr(pipeline, "_run_model", interrupted)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with _leaves_no_process_or_fd():
+                with pytest.raises(KeyboardInterrupt):
+                    run_pipeline(config)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert ran == [("AL", os.getpid()), ("ME", os.getpid())]
+        assert _bundle(config.out_dir) == before
