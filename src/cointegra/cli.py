@@ -8,13 +8,14 @@ functions. The model is the config's entry for (state, naics), if any, so
 its own k, r and case apply unless --k, --r or --case override them. A bad
 flag ends as ``error: …`` with exit status 2. ``run`` executes the full
 pipeline for every configured model and writes the report bundle to the
-output directory.
+output directory, the config's outDir unless ``run --out`` overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import CointegraError, ConfigInvalid
@@ -195,7 +196,6 @@ def _cmd_run(config, args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.json", help="run configuration path")
-    common.add_argument("--out", default=None, help="override output directory")
     common.add_argument("--seed", type=int, default=None, help="override configured seed")
 
     parser = argparse.ArgumentParser(
@@ -229,18 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = stage("backtest", _cmd_backtest, "holdout forecast evaluation", with_spec=True)
     p.add_argument("--holdout", default=None, help="first holdout quarter, e.g. 2016Q1")
     run = sub.add_parser("run", help="full pipeline over all configured models", parents=[common])
+    run.add_argument("--out", default=None, help="override output directory")
     run.set_defaults(handler=_cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
-    import os
-
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)  # only run has --out
     try:
         config = load_config(
             args.config,
-            out_dir=None if args.out is None else os.path.abspath(args.out),
+            out_dir=None if out is None else os.path.abspath(out),
             seed=args.seed,
         )
         return args.handler(config, args)

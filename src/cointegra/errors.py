@@ -62,7 +62,8 @@ class MalformedValue(CointegraError):
 
 
 class MalformedFile(CointegraError):
-    """An input file is not UTF-8 text; the message names the file."""
+    """An input file cannot be opened, is not UTF-8 text, or is a CSV the
+    csv module cannot split; the message names the file."""
 
 
 class InputFileMissing(CointegraError):

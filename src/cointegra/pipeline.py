@@ -14,14 +14,16 @@ over a pipe as the model ends. The caller appends its own and the received
 rows to temp files in the output directory strictly in report order, so it
 holds one model's text at a time, its own or a received one; the reports
 and then the manifest are renamed into place at the end, and an interrupted
-run leaves the previous bundle as it was. A worker that dies before sending
-a model's results ends the run as ``WorkerFailed``. ``taskset -c 0`` gives a
-serial run. The manifest times each model's stages and each worker's CPU
-and peak memory, names the stage and exception class of a failed model,
-and gives the lag each criterion picks for an ok one (``lagChoice``). Given
-the same configuration, data, and seed, the report CSVs are byte-identical
-across runs and worker counts; manifest timings are the only varying
-output.
+run leaves the previous bundle as it was. A run holds an exclusive
+``flock`` on the output directory meanwhile (none without ``fcntl``), so a
+second run into it waits and a bundle never mixes two runs. A worker that
+dies before sending a model's results ends the run as ``WorkerFailed``.
+``taskset -c 0`` gives a serial run. The manifest times each model's
+stages and each worker's CPU and peak memory, names the stage and exception
+class of a failed model, and gives the lag each criterion picks for an ok
+one (``lagChoice``). Given the same configuration, data, and seed, the
+report CSVs are byte-identical across runs and worker counts; manifest
+timings are the only varying output.
 
 Each report has one builder (``summary_lines`` … ``backtest_lines``) that
 returns one model's rows as text; ``run`` writes them into the bundle and
@@ -40,7 +42,6 @@ import contextlib
 import json
 import os
 import pickle
-import re
 import signal
 import sys
 import threading
@@ -57,6 +58,11 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10-3.11
     except ImportError:
         from hashlib import sha256
+
+try:
+    import fcntl
+except ImportError:  # Windows: a run then takes no lock on its output directory
+    fcntl = None
 
 try:
     import resource
@@ -757,31 +763,11 @@ def _receive(o: ModelOutput, pid: int, children: dict) -> None:
     vars(o).update(record)
 
 
-# A run's temp name, as ``run_pipeline`` builds it.
-_TEMP_NAME = re.compile(r"\.(?P<name>.+)\.(?P<pid>[0-9]+)\.tmp")
-
-
-def _remove_dead_runs_temp_files(out_dir: str) -> None:
-    """Delete the temp files in ``out_dir`` of runs whose process no longer
-    exists: a run killed by a signal it cannot catch (SIGKILL, the OOM
-    killer) never reaches its own cleanup. A name is removed only if it is
-    a report's or the manifest's, with a pid that is not this process and
-    that ``os.kill(pid, 0)`` finds gone. Only on POSIX: elsewhere
-    ``os.kill`` terminates the process it names."""
-    if os.name != "posix":
-        return
-    ours = (*REPORT_HEADERS, "manifest.json")
-    for entry in os.listdir(out_dir):
-        match = _TEMP_NAME.fullmatch(entry)
-        if match is None or match["name"] not in ours or int(match["pid"]) == os.getpid():
-            continue
-        try:
-            os.kill(int(match["pid"]), 0)
-        except ProcessLookupError:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, entry))
-        except (PermissionError, OverflowError):
-            pass  # another user's live process, or a number no pid can be
+def _remove_temp_files(temp: dict[str, str]) -> None:
+    """Delete this run's temp files, those that exist."""
+    for path in temp.values():
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 def run_pipeline(config: RunConfig) -> RunManifest:
@@ -793,19 +779,23 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     worker i mod W, where worker 0 is this process and the others are
     forked, each sending every model's results back over a pipe as it
     ends. Each model's rows, plot.csv's included, are appended to temp
-    files in ``out_dir`` strictly in report order, so this process holds
-    one model's text at a time, its own or a received one; a worker never
-    opens a report file. Once every report and the manifest are written,
-    each temp file is renamed onto its report, a report this run does not
-    write is removed, and the manifest is renamed last. If anything
+    files in ``out_dir`` (``.<report>.tmp``) strictly in report order, so
+    this process holds one model's text at a time, its own or a received
+    one; a worker never opens a report file. Once every report and the
+    manifest are written, each temp file is renamed onto its report, a
+    report this run does not write is removed, and the manifest is renamed
+    last. Meanwhile the run holds an exclusive ``flock`` on ``out_dir``,
+    taken after creating it, and a second run into it waits; without
+    ``fcntl`` (Windows) no lock is taken. Holding it, the run first deletes
+    any of its temp names that a run killed outright left. If anything
     escapes (an interrupt, a failed write, an exception a worker sends
     back), every worker still running is killed and reaped, the temp files
-    are deleted and the previous bundle stays as it was; the temp files of
-    a run killed outright are deleted by the next run into ``out_dir``. An
-    ``OSError`` from creating ``out_dir``, writing a temp file or renaming
-    one ends the run as ``OutputUnwritable``, naming the path; a worker
-    that cannot be started or dies before sending a model's results ends
-    it as ``WorkerFailed``. Every worker is reaped before the run returns.
+    are deleted if the lock was taken, and the previous bundle stays as it
+    was. An ``OSError`` from creating or locking ``out_dir``, writing a
+    temp file or renaming one ends the run as ``OutputUnwritable``, naming
+    the path; a worker that cannot be started or dies before sending a
+    model's results ends it as ``WorkerFailed``. Every worker is reaped
+    before the run returns.
 
     ``timings.writeSeconds`` is the time spent writing and closing the
     reports' temp files; the manifest's own write and the renames come
@@ -825,18 +815,23 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         (m.naics for m in config.models),
     )
 
-    # A leading dot and the pid keep a temp name off every report and off
-    # a user's own files.
+    # A leading dot keeps a temp name off every report and a user's files.
     temp = {
-        name: os.path.join(config.out_dir, f".{name}.{os.getpid()}.tmp")
+        name: os.path.join(config.out_dir, f".{name}.tmp")
         for name in (*REPORT_HEADERS, "manifest.json")
     }
     handles = {}  # report -> its temp file, opened when its first text arrives
     children = {}  # pid -> the read end of its pipe, until the worker is reaped
     write_seconds = 0.0
+    lock = None  # an fd on out_dir, which flock holds until it is closed
+    locked = False
     try:
         os.makedirs(config.out_dir, exist_ok=True)
-        _remove_dead_runs_temp_files(config.out_dir)
+        if fcntl is not None:
+            lock = os.open(config.out_dir, os.O_RDONLY)
+            fcntl.flock(lock, fcntl.LOCK_EX)  # waits while another run holds it
+        locked = True
+        _remove_temp_files(temp)  # those of a run killed outright
         with contextlib.ExitStack() as stack:
 
             def append(report: str, text: str) -> None:
@@ -970,13 +965,15 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        # Also where out_dir could not be made: then no temp file exists.
-        for path in temp.values():
-            with contextlib.suppress(OSError):
-                os.remove(path)
+        # Until this run holds the lock, the temp files are another run's.
+        if locked:
+            _remove_temp_files(temp)
         if isinstance(exc, OSError):
             # A rename names its target; a failed write names no file.
             path = exc.filename2 or exc.filename or config.out_dir
             raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+    finally:
+        if lock is not None:
+            os.close(lock)
     return manifest

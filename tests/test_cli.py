@@ -279,6 +279,22 @@ class TestBadStageFlags:
         assert run_cli(*args) == 2
         assert capsys.readouterr().err.startswith("error: ConfigInvalid: unsupported ")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "ingest", "summarize", "lq", "adf", "lags", "johansen", "fit", "diagnose",
+            "forecast", "backtest",
+        ],
+    )
+    def test_out_is_a_run_flag_only(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*stage_args(command, "AL", 113, "--out", "x"))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cointegra ")
+        assert captured.err.endswith("error: unrecognized arguments: --out x\n")
+
     def test_missing_holdout_is_a_typed_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         models = [{"state": "AL", "naics": 113}]

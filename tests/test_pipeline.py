@@ -6,10 +6,10 @@ import re
 import os
 import shutil
 import signal
-import subprocess
-import sys
 import threading
+import time
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -62,7 +62,7 @@ def minimal_config(**overrides):
     return obj
 
 
-def small_run_config(tmp_path, models=None):
+def small_run_config(tmp_path, models=None, horizon=4):
     obj = {
         "dataDir": DATA_ROOT,
         "outDir": str(tmp_path / "out"),
@@ -71,7 +71,7 @@ def small_run_config(tmp_path, models=None):
             {"state": "AL", "naics": 113, "k": 1, "r": 1},
             {"state": "ME", "naics": 113, "k": 1, "r": 0, "case": "none"},
         ],
-        "defaults": {"maxLag": 2, "horizon": 4, "holdoutStart": "2017Q1"},
+        "defaults": {"maxLag": 2, "horizon": horizon, "holdoutStart": "2017Q1"},
         "seed": 11,
     }
     return parse_config(obj)
@@ -786,19 +786,17 @@ class TestStreamedBundle:
                 run_pipeline(config)
         assert _bundle(config.out_dir) == before
 
-    @pytest.mark.skipif(os.name != "posix", reason="the liveness test is POSIX only")
     def test_temp_files_of_dead_runs_are_removed(self, tmp_path):
+        # A run killed outright leaves its temp files. The next run into the
+        # directory removes its own temp names, and no other file.
         config = small_run_config(tmp_path)
         run_pipeline(config)
         before = _bundle(config.out_dir)
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: no process has this pid now
-        dead, live = child.pid, os.getppid()
         left = {
-            f".irf.csv.{dead}.tmp": False,
-            f".manifest.json.{dead}.tmp": False,
-            f".irf.csv.{live}.tmp": True,
+            ".irf.csv.tmp": False,
+            ".manifest.json.tmp": False,
             ".lq.csv.backup.tmp": True,
+            ".irf.csv.12345.tmp": True,  # an earlier version's name, with a pid
         }
         for name in left:
             (tmp_path / "out" / name).write_text("stale\n")
@@ -810,6 +808,149 @@ class TestStreamedBundle:
         assert {n: b for n, b in after.items() if n.endswith(".csv")} == {
             n: b for n, b in before.items() if n.endswith(".csv")
         }
+
+    def test_temp_file_of_a_report_the_run_does_not_write_is_removed(self, tmp_path):
+        config = small_run_config(tmp_path)
+        config = dataclasses.replace(
+            config, defaults=dataclasses.replace(config.defaults, holdout_start=None)
+        )
+        os.makedirs(config.out_dir)
+        (tmp_path / "out" / ".backtest.csv.tmp").write_text("stale\n")
+        run_pipeline(config)
+        assert sorted(_bundle(config.out_dir)) == sorted(
+            [*(name for name in pipeline.REPORT_HEADERS if name != "backtest.csv"), "manifest.json"]
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the runs are forked")
+    def test_runs_into_one_directory_never_mix_a_bundle(self, tmp_path, monkeypatch):
+        # Run A pauses after renaming forecast.csv, its 9th report, into
+        # place; run B, at another horizon, starts meanwhile. B waits for A's
+        # lock and then writes its whole bundle over A's.
+        _cpus(monkeypatch, 2)
+        config_a = small_run_config(tmp_path, horizon=4)
+        config_b = small_run_config(tmp_path, horizon=5)
+        expected = {}
+        for name, config in (("a", config_a), ("b", config_b)):
+            out = str(tmp_path / name)
+            run_pipeline(dataclasses.replace(config, out_dir=out))
+            expected[name] = _bundle(out)
+        assert expected["a"]["irf.csv"] != expected["b"]["irf.csv"]
+
+        with _leaves_no_process_or_fd():
+            with _run_paused_after(config_a, "forecast.csv"):
+                run_b = _fork(lambda: run_pipeline(config_b))
+                # Without the lock, B ends during A's pause.
+                code = _exit_code(run_b, seconds=1.0)
+            assert (_exit_code(run_b) if code is None else code) == 0
+        bundle = _bundle(config_b.out_dir)
+        assert sorted(bundle) == sorted(expected["b"])
+        for name, data in bundle.items():
+            if name == "manifest.json":
+                manifest = json.loads(data)
+                assert manifest["configHash"] == config_b.config_hash
+                assert manifest["models"] == json.loads(expected["b"][name])["models"]
+            else:
+                assert data == expected["b"][name], name
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the holding run is forked")
+    def test_run_interrupted_while_it_waits_leaves_the_holders_files(self, tmp_path, monkeypatch):
+        import fcntl
+
+        _cpus(monkeypatch, 2)
+        config = small_run_config(tmp_path)
+        run_pipeline(config)
+        before = _bundle(config.out_dir)
+
+        def flock(fd, operation):
+            # The interrupt arrives while this run waits for the lock.
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            fcntl.flock(fd, operation)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        with _leaves_no_process_or_fd():
+            with _run_paused_after(config, "forecast.csv"):
+                holding = _bundle(config.out_dir)
+                assert ".irf.csv.tmp" in holding and ".manifest.json.tmp" in holding
+                monkeypatch.setattr(
+                    pipeline, "fcntl", types.SimpleNamespace(LOCK_EX=fcntl.LOCK_EX, flock=flock)
+                )
+                handler = signal.signal(signal.SIGALRM, interrupt)
+                try:
+                    with pytest.raises(KeyboardInterrupt):
+                        run_pipeline(config)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    signal.signal(signal.SIGALRM, handler)
+                assert _bundle(config.out_dir) == holding
+        after = _bundle(config.out_dir)
+        assert sorted(after) == sorted(before)
+        assert {n: b for n, b in after.items() if n.endswith(".csv")} == {
+            n: b for n, b in before.items() if n.endswith(".csv")
+        }
+
+
+def _fork(run) -> int:
+    """The pid of a forked process that calls ``run()`` and exits with 0,
+    or with 1 if it raises."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            run()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _exit_code(pid: int, seconds: float | None = None) -> int | None:
+    """The exit code of the forked process ``pid`` once it ends, or None if
+    it still runs after ``seconds``."""
+    deadline = None if seconds is None else time.monotonic() + seconds
+    while True:
+        ended, status = os.waitpid(pid, 0 if deadline is None else os.WNOHANG)
+        if ended:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            return None
+        time.sleep(0.01)
+
+
+@contextlib.contextmanager
+def _run_paused_after(config, report: str):
+    """Run ``config`` in a forked process that pauses, holding its output
+    directory's lock, right after renaming ``report`` into place. The block
+    runs during the pause; on leaving it the run goes on and is reaped."""
+    paused_r, paused_w = os.pipe()
+    go_r, go_w = os.pipe()
+
+    def paused_run():
+        replace = os.replace
+
+        def paused_replace(src, dst):
+            replace(src, dst)
+            if os.path.basename(dst) == report:
+                os.write(paused_w, b"p")
+                os.read(go_r, 1)
+
+        os.replace = paused_replace  # in the forked process only
+        run_pipeline(config)
+
+    pid = _fork(paused_run)
+    os.close(paused_w)
+    os.close(go_r)
+    try:
+        assert os.read(paused_r, 1) == b"p"
+        yield
+    finally:
+        # A byte, not the end of the pipe: a process forked in the block
+        # holds go_w open too.
+        os.write(go_w, b"g")
+        os.close(go_w)
+        os.close(paused_r)
+        assert _exit_code(pid) == 0
 
 
 def _cpus(monkeypatch, count: int) -> None:
