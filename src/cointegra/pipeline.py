@@ -9,31 +9,31 @@ they run in W processes: W is the number of CPUs the process may run on
 (``os.sched_getaffinity``), at most the number of models, and 1 where
 ``os.fork`` is missing or the caller runs more than one thread. In report
 order, (state, naics), model i runs in worker i mod W; worker 0 is the
-calling process, and each forked worker sends each model's results back
-over a pipe as the model ends. The caller appends its own and the received
-rows to temp files in the output directory strictly in report order, so it
-holds one model's text at a time, its own or a received one; the reports
-and then the manifest are renamed into place at the end, and an interrupted
-run leaves the previous bundle as it was. A run holds an exclusive
-``flock`` on the output directory meanwhile (none without ``fcntl``), so a
-second run into it waits and a bundle never mixes two runs. A worker that
-dies before sending a model's results ends the run as ``WorkerFailed``.
-``taskset -c 0`` gives a serial run. The manifest times each model's
-stages and each worker's CPU and peak memory, names the stage and exception
-class of a failed model, and gives the lag each criterion picks for an ok
-one (``lagChoice``). Given the same configuration, data, and seed, the
-report CSVs are byte-identical across runs and worker counts; manifest
-timings are the only varying output.
+calling process. Each process reads its own models' panels, and each forked
+worker sends each model's results back over a pipe as the model ends. The
+caller appends its own and the received rows to temp files in the output
+directory strictly in report order, so it holds one model's text at a time,
+its own or a received one; the reports and then the manifest are renamed
+into place at the end, and an interrupted run leaves the previous bundle as
+it was. A run holds an exclusive ``flock`` on the output directory
+meanwhile (none without ``fcntl``), so a second run into it waits and a
+bundle never mixes two runs. A worker that dies before sending a model's
+results ends the run as ``WorkerFailed``. ``taskset -c 0`` gives a serial
+run. The manifest times each model's stages and each worker's CPU and peak
+memory, names the stage and exception class of a failed model, and gives
+the lag each criterion picks for an ok one (``lagChoice``). Given the same
+configuration, data, and seed, the report CSVs are byte-identical across
+runs and worker counts; manifest timings are the only varying output.
 
 Each report has one builder (``summary_lines`` … ``backtest_lines``) that
 returns one model's rows as text; ``run`` writes them into the bundle and
-the stage commands print them. Every panel is read before the first model
-runs, since plot.csv's base quarter is the latest start among the panels
-read; a model whose panel lacks that quarter fails alone. The large reports
-(lq, forecast, irf, plot) are filled from a ``%.6g`` template in a single
-formatting call. No field ever needs CSV quoting: states and naics are
-validated, and every other field is a quarter label, a variable name or a
-formatted number.
+the stage commands print them. plot.csv's base quarter is the latest start
+among the panels read in every process, which the caller gathers from the
+workers and sends back before their first model; a model whose panel lacks
+that quarter fails alone. The large reports (lq, forecast, irf, plot) are
+filled from a ``%.6g`` template in a single formatting call. No field ever
+needs CSV quoting: states and naics are validated, and every other field is
+a quarter label, a variable name or a formatted number.
 """
 
 from __future__ import annotations
@@ -691,35 +691,62 @@ def _worker_count(models: int) -> int:
 _RECORD = ("status", "message", "error_type", "stage", "stages", "spec", "lag_choice", "lines")
 
 
-def _serve(outputs: list[ModelOutput], panels: dict, config, aux, index_base, fd: int) -> None:
-    """A forked worker's work: run each of ``outputs``' models in turn and
-    send its ``_RECORD`` fields as one pickle record on the pipe ``fd`` as
-    it ends. A BaseException that escapes a model is sent as the last
-    record instead."""
+def _read_panels(outputs: list[ModelOutput], data_dir: str) -> dict:
+    """The panels of ``outputs``' models that can be read, by model; a
+    model whose panel cannot be read fails in stage "ingest"."""
+    panels = {}
+    for o in outputs:
+        try:
+            with o.timed("ingest"):
+                panels[o.model] = load_panel(data_dir, o.model.state, o.model.naics)
+        except Exception as exc:
+            o.fail(exc)
+    return panels
+
+
+def _serve(outputs: list[ModelOutput], config, aux, exchange: int, fd: int) -> None:
+    """A forked worker's work: read the panels of ``outputs``' models, send
+    their starts as the first pickle record on the pipe ``fd``, and read
+    plot.csv's base from ``exchange``, leaving if it ends unsent. Then run
+    each model, sending its ``_RECORD`` fields as one record as it ends. A
+    BaseException that escapes is sent as the last record instead."""
     with os.fdopen(fd, "wb") as pipe:
-        for o in outputs:
-            try:
-                if o.model in panels:
-                    _run_model(o, panels[o.model], config, aux, index_base)
-            except BaseException as exc:
-                pickle.dump(exc, pipe)
-                return
-            pickle.dump({name: getattr(o, name) for name in _RECORD}, pipe)
+        try:
+            panels = _read_panels(outputs, config.data_dir)
+            pickle.dump([p.start for p in panels.values()], pipe)
             pipe.flush()
-            o.lines.clear()
+            message = os.read(exchange, 8)
+            if not message:
+                return
+            # A worker that read no panel gets -1, and never uses it.
+            index_base = QuarterDate.from_index(int.from_bytes(message, "little", signed=True))
+            for o in outputs:
+                if o.model in panels:
+                    _run_model(o, panels.pop(o.model), config, aux, index_base)
+                pickle.dump({name: getattr(o, name) for name in _RECORD}, pipe)
+                pipe.flush()
+                o.lines.clear()
+        except BaseException as exc:
+            pickle.dump(exc, pipe)
 
 
-def _start_worker(children: dict, outputs: list[ModelOutput], *work) -> None:
-    """Fork a worker that runs ``_serve(outputs, *work)`` and register it
-    in ``children``, its pid mapped to the read end of its pipe. The worker
-    always leaves through ``os._exit``: it never unwinds into the caller's
-    frames, nor flushes the caller's inherited stdio buffers. SIGINT is
-    blocked from before the fork until the worker is registered, so an
-    interrupt can neither leave a worker unregistered nor reach one before
-    its ``finally``."""
+def _start_worker(children: dict, exchange: tuple[int, int], *work) -> None:
+    """Fork a worker that runs ``_serve(*work, exchange[0], fd)``, ``fd``
+    being the write end of its own pipe, sized to 1 MiB where Linux allows
+    so that the worker can run ahead of the caller's reading, and register
+    it in ``children``, its pid mapped to the read end. The worker closes
+    its copy of the exchange's write end, so that the exchange ends when
+    the caller does. The worker always leaves through ``os._exit``:
+    it never unwinds into the caller's frames, nor flushes the caller's
+    inherited stdio buffers. SIGINT is blocked from before the fork until
+    the worker is registered, so an interrupt can neither leave a worker
+    unregistered nor reach one before its ``finally``."""
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         read_end, write_end = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            with contextlib.suppress(OSError):  # above the system's cap or quota
+                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)
         try:
             pid = os.fork()
         except OSError:
@@ -731,7 +758,8 @@ def _start_worker(children: dict, outputs: list[ModelOutput], *work) -> None:
             try:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(read_end)
-                _serve(outputs, *work, write_end)
+                os.close(exchange[1])
+                _serve(*work, exchange[0], write_end)
                 status = 0
             finally:
                 os._exit(status)
@@ -743,11 +771,11 @@ def _start_worker(children: dict, outputs: list[ModelOutput], *work) -> None:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _receive(o: ModelOutput, pid: int, children: dict) -> None:
-    """Fill ``o`` from the next record of worker ``pid``, raising the
-    exception that escaped the model if the record is one. A worker that
-    ended before sending the record is reaped, and the run ends as
-    ``WorkerFailed``."""
+def _receive(o: ModelOutput, pid: int, children: dict):
+    """The next record of worker ``pid``, which runs ``o``'s model next,
+    raising the exception that escaped the worker if the record is one. A
+    worker that ended before sending the record is reaped, and the run
+    ends as ``WorkerFailed``."""
     try:
         record = pickle.load(children[pid])
     except (EOFError, pickle.UnpicklingError) as exc:
@@ -760,7 +788,7 @@ def _receive(o: ModelOutput, pid: int, children: dict) -> None:
         ) from exc
     if isinstance(record, BaseException):
         raise record
-    vars(o).update(record)
+    return record
 
 
 def _remove_temp_files(temp: dict[str, str]) -> None:
@@ -773,12 +801,13 @@ def _remove_temp_files(temp: dict[str, str]) -> None:
 def run_pipeline(config: RunConfig) -> RunManifest:
     """Execute every configured model and write the report bundle.
 
-    Every panel is read first, and plot.csv's base quarter is the latest
-    start among the panels read. The models, in report order (state,
-    naics), are then dealt to ``_worker_count`` processes: model i runs in
-    worker i mod W, where worker 0 is this process and the others are
-    forked, each sending every model's results back over a pipe as it
-    ends. Each model's rows, plot.csv's included, are appended to temp
+    The models, in report order (state, naics), are dealt to
+    ``_worker_count`` processes: model i runs in worker i mod W, where
+    worker 0 is this process and the others are forked before any panel
+    is read. Each process reads its own models' panels. plot.csv's base
+    quarter is the latest start among them: each worker sends its starts,
+    and this process sends the base back, before their first model. Each
+    model's rows, plot.csv's included, are appended to temp
     files in ``out_dir`` (``.<report>.tmp``) strictly in report order, so
     this process holds one model's text at a time, its own or a received
     one; a worker never opens a report file. Once every report and the
@@ -849,25 +878,28 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             outputs = [
                 ModelOutput(m) for m in sorted(config.models, key=lambda m: (m.state, m.naics))
             ]
-            panels = {}
-            for o in outputs:
-                try:
-                    with o.timed("ingest"):
-                        panels[o.model] = load_panel(config.data_dir, o.model.state, o.model.naics)
-                except Exception as exc:
-                    o.fail(exc)
-            # plot.csv's base: the latest start among the panels read.
-            index_base = max((p.start for p in panels.values()), default=None)
             count = _worker_count(len(outputs))
+            exchange = os.pipe() if count > 1 else ()
+            for fd in exchange:
+                stack.callback(os.close, fd)
             for w in range(1, count):
-                _start_worker(children, outputs[w::count], panels, config, aux, index_base)
+                _start_worker(children, exchange, outputs[w::count], config, aux)
             workers = list(children)  # the pid of worker 1, 2, ...
+            panels = _read_panels(outputs[::count], config.data_dir)
+            # plot.csv's base: the latest start among the panels read here
+            # and in the workers, to each of which it is sent as 8 bytes.
+            starts = [p.start for p in panels.values()]
+            for w, pid in enumerate(workers, 1):
+                starts += _receive(outputs[w], pid, children)
+            index_base = max(starts, default=None)
+            if workers:
+                index = -1 if index_base is None else index_base.index
+                os.write(exchange[1], index.to_bytes(8, "little", signed=True) * len(workers))
             for i, o in enumerate(outputs):
-                panel = panels.pop(o.model, None)
                 if i % count:
-                    _receive(o, workers[i % count - 1], children)
-                elif panel is not None:
-                    _run_model(o, panel, config, aux, index_base)
+                    vars(o).update(_receive(o, workers[i % count - 1], children))
+                elif o.model in panels:
+                    _run_model(o, panels.pop(o.model), config, aux, index_base)
                 for report, text in o.lines.items():
                     append(report, text)
                 o.lines.clear()

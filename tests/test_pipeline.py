@@ -433,38 +433,43 @@ class TestRunPipeline:
                 second = fh.read()
             assert first == second, name
 
-    def test_failure_recorded_and_run_continues(self, tmp_path):
-        import shutil
-
-        data = tmp_path / "data"
-        shutil.copytree(DATA_ROOT, data)
-        os.remove(data / "panels" / "ME_113.csv")
-        config = parse_config(
-            {
-                "dataDir": str(data),
-                "outDir": str(tmp_path / "out"),
-                "models": [
-                    {"state": "AL", "naics": 113, "k": 1, "r": 1},
-                    {"state": "ME", "naics": 113, "k": 1, "r": 1},
-                ],
-                "defaults": {"maxLag": 2},
-            }
-        )
-        manifest = run_pipeline(config)
-        assert manifest.failed
-        by_state = {m["state"]: m for m in manifest.models}
-        assert by_state["AL"]["status"] == "ok"
-        assert by_state["ME"]["status"] == "error"
-        path = data / "panels" / "ME_113.csv"
-        assert (by_state["ME"]["stage"], by_state["ME"]["errorType"], by_state["ME"]["message"]) == (
-            "ingest",
-            "InputFileMissing",
-            f"InputFileMissing: no such file: {path}",
-        )
-        assert list(manifest.timings["perStage"]["ME_113"]) == ["ingest"]
-        with open(tmp_path / "out" / "summary.csv") as fh:
-            body = fh.read()
-        assert "AL" in body and "ME" not in body
+    # The plot-base and ingest-failure tests run on 1, 2 and 3 CPUs: each
+    # process reads its own models' panels, and the panel that sets the
+    # plot base or fails falls in a forked worker's share at least once.
+    def test_failure_recorded_and_run_continues(self, tmp_path, monkeypatch):
+        # ME runs in worker 1 on 2 and 3 CPUs.
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            tmp = tmp_path / str(cpus)
+            data = _copy_data(tmp, {})
+            os.remove(data / "panels" / "ME_113.csv")
+            config = parse_config(
+                {
+                    "dataDir": str(data),
+                    "outDir": str(tmp / "out"),
+                    "models": [
+                        {"state": "AL", "naics": 113, "k": 1, "r": 1},
+                        {"state": "ME", "naics": 113, "k": 1, "r": 1},
+                    ],
+                    "defaults": {"maxLag": 2},
+                }
+            )
+            manifest = run_pipeline(config)
+            assert manifest.failed
+            by_state = {m["state"]: m for m in manifest.models}
+            assert by_state["AL"]["status"] == "ok"
+            assert by_state["ME"]["status"] == "error"
+            path = data / "panels" / "ME_113.csv"
+            me = by_state["ME"]
+            assert (me["stage"], me["errorType"], me["message"]) == (
+                "ingest",
+                "InputFileMissing",
+                f"InputFileMissing: no such file: {path}",
+            )
+            assert list(manifest.timings["perStage"]["ME_113"]) == ["ingest"]
+            with open(tmp / "out" / "summary.csv") as fh:
+                body = fh.read()
+            assert "AL" in body and "ME" not in body
 
     def test_plot_rows_normalized_at_shared_base(self, tmp_path):
         config = small_run_config(tmp_path)
@@ -474,111 +479,124 @@ class TestRunPipeline:
         base_rows = [r for r in rows if ",2001Q1," in r and r.startswith("AL")]
         assert base_rows and all(r.split(",")[4] == "1" for r in base_rows)
 
-    def test_model_without_plot_base_fails_alone(self, tmp_path):
-        # AL 113 ends (2009Q2) before AR 113 starts (2010Q3), the latest
-        # start and so the plot base: only AL 113 fails, after its other
-        # reports are built.
-        import shutil
-
-        data = tmp_path / "data"
-        shutil.copytree(DATA_ROOT, data)
-        for name, keep in (("AL_113", slice(None, 34)), ("AR_113", slice(-34, None))):
-            path = data / "panels" / f"{name}.csv"
-            header, *rows = path.read_text().splitlines(keepends=True)
-            path.write_text(header + "".join(rows[keep]))
-        config = parse_config(
-            {
-                "dataDir": str(data),
-                "outDir": str(tmp_path / "out"),
-                "models": [
-                    {"state": "AL", "naics": 113},
-                    {"state": "AR", "naics": 113},
-                    {"state": "ME", "naics": 113},
-                ],
-                "defaults": {"maxLag": 1, "horizon": 8},
-            }
-        )
-        manifest = run_pipeline(config)
-        assert manifest.failed
-        by_state = {m["state"]: m for m in manifest.models}
-        assert by_state["AL"] == {
-            "state": "AL",
-            "naics": 113,
-            "status": "error",
-            "message": "IndexBaseMissing: AL/113 lacks 2010Q3",
-            "stage": "plot",
-            "errorType": "IndexBaseMissing",
-            "k": 1,
-            "r": 4,
-            "case": "rconst",
-        }
-        assert by_state["AR"]["status"] == by_state["ME"]["status"] == "ok"
-
-        def models_in(report):
-            with open(tmp_path / "out" / report) as fh:
-                return Counter(line.split(",")[0] for line in fh.read().splitlines()[1:])
-
-        assert models_in("forecast.csv") == {"AL": 5 * (34 + 8), "AR": 5 * (34 + 8), "ME": 5 * 80}
-        assert models_in("irf.csv").keys() == {"AL", "AR", "ME"}
-        assert models_in("plot.csv") == {"AR": 5 * (34 + 8), "ME": 5 * 80}
-        with open(tmp_path / "out" / "plot.csv") as fh:
-            first_ar = next(line for line in fh if line.startswith("AR,"))
-        assert first_ar == "AR,113,2010Q3,output,1,0\n"
-
-    def test_failure_after_ingest_leaves_other_plot_rows(self, tmp_path):
-        # AR 113 starts in 2003Q1, so it sets the plot base. With k = 20 its
-        # sample is too short and it fails in johansen; ME's plot rows stay.
-        data = _copy_data(tmp_path, {"AR_113": slice(8, None)})
-
-        def me_plot_rows(ar_model, out):
+    def test_model_without_plot_base_fails_alone(self, tmp_path, monkeypatch):
+        # ME 113 ends (2009Q2) before AR 113 starts (2010Q3), the latest
+        # start and so the plot base: only ME 113 fails, after its other
+        # reports are built. AR runs in worker 1 on 2 and 3 CPUs, ME in
+        # worker 2 on 3.
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            tmp = tmp_path / str(cpus)
+            data = _copy_data(tmp, {"ME_113": slice(None, 34), "AR_113": slice(-34, None)})
             config = parse_config(
                 {
                     "dataDir": str(data),
-                    "outDir": str(tmp_path / out),
-                    "models": [ar_model, {"state": "ME", "naics": 113}],
+                    "outDir": str(tmp / "out"),
+                    "models": [
+                        {"state": "AL", "naics": 113},
+                        {"state": "AR", "naics": 113},
+                        {"state": "ME", "naics": 113},
+                    ],
+                    "defaults": {"maxLag": 1, "horizon": 8},
+                }
+            )
+            manifest = run_pipeline(config)
+            assert manifest.failed and manifest.plot_base == "2010Q3"
+            by_state = {m["state"]: m for m in manifest.models}
+            assert by_state["ME"] == {
+                "state": "ME",
+                "naics": 113,
+                "status": "error",
+                "message": "IndexBaseMissing: ME/113 lacks 2010Q3",
+                "stage": "plot",
+                "errorType": "IndexBaseMissing",
+                "k": 1,
+                "r": 5,
+                "case": "rconst",
+            }
+            assert by_state["AL"]["status"] == by_state["AR"]["status"] == "ok"
+
+            def models_in(report):
+                with open(tmp / "out" / report) as fh:
+                    return Counter(line.split(",")[0] for line in fh.read().splitlines()[1:])
+
+            assert models_in("forecast.csv") == {
+                "AL": 5 * 80, "AR": 5 * (34 + 8), "ME": 5 * (34 + 8)
+            }
+            assert models_in("irf.csv").keys() == {"AL", "AR", "ME"}
+            assert models_in("plot.csv") == {"AL": 5 * 80, "AR": 5 * (34 + 8)}
+            with open(tmp / "out" / "plot.csv") as fh:
+                first_ar = next(line for line in fh if line.startswith("AR,"))
+            assert first_ar == "AR,113,2010Q3,output,1,0\n"
+
+    def test_failure_after_ingest_leaves_other_plot_rows(self, tmp_path, monkeypatch):
+        # AR 113 starts in 2003Q1, so it sets the plot base. With k = 20 its
+        # sample is too short and it fails in johansen; AL's and ME's plot
+        # rows stay. AR runs in worker 1 on 2 and 3 CPUs.
+        def plot_rows(data, ar_model, out):
+            config = parse_config(
+                {
+                    "dataDir": str(data),
+                    "outDir": str(out),
+                    "models": [
+                        {"state": "AL", "naics": 113}, ar_model, {"state": "ME", "naics": 113}
+                    ],
                     "defaults": {"maxLag": 2, "horizon": 4},
                 }
             )
             manifest = run_pipeline(config)
-            with open(tmp_path / out / "plot.csv") as fh:
-                rows = [line for line in fh if line.startswith("ME,")]
+            with open(out / "plot.csv") as fh:
+                rows = [line for line in fh if not line.startswith("AR,")]
             return manifest, rows
 
-        ran, ran_rows = me_plot_rows({"state": "AR", "naics": 113}, "ran")
-        failed, failed_rows = me_plot_rows({"state": "AR", "naics": 113, "k": 20}, "failed")
-        assert not ran.failed
-        ar = next(m for m in failed.models if m["state"] == "AR")
-        assert (ar["status"], ar["stage"], ar["errorType"]) == ("error", "johansen", "SampleTooShort")
-        assert ran.plot_base == failed.plot_base == "2003Q1"
-        assert failed_rows == ran_rows
-        assert "ME,113,2001Q1,output,0.666485,0\n" in failed_rows
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            tmp = tmp_path / str(cpus)
+            data = _copy_data(tmp, {"AR_113": slice(8, None)})
+            ran, ran_rows = plot_rows(data, {"state": "AR", "naics": 113}, tmp / "ran")
+            failed, failed_rows = plot_rows(
+                data, {"state": "AR", "naics": 113, "k": 20}, tmp / "failed"
+            )
+            assert not ran.failed
+            ar = next(m for m in failed.models if m["state"] == "AR")
+            assert (ar["status"], ar["stage"], ar["errorType"]) == (
+                "error", "johansen", "SampleTooShort"
+            )
+            assert ran.plot_base == failed.plot_base == "2003Q1"
+            assert failed_rows == ran_rows
+            assert "ME,113,2001Q1,output,0.666485,0\n" in failed_rows
+            assert {line[:3] for line in failed_rows[1:]} == {"AL,", "ME,"}
 
-    def test_manifest_names_the_plot_base(self, tmp_path):
+    def test_manifest_names_the_plot_base(self, tmp_path, monkeypatch):
         with open(os.path.join(DATA_ROOT, "config.json")) as fh:
             obj = json.load(fh)
-        obj["outDir"] = str(tmp_path / "bundled")
-        manifest = run_pipeline(parse_config(obj, base_dir=DATA_ROOT))
-        # MS 322, OR 321, WI 321 and WI 322 start last, in 2004Q1.
-        with open(tmp_path / "bundled" / "manifest.json") as fh:
-            assert json.load(fh)["plotBase"] == manifest.plot_base == "2004Q1"
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            tmp = tmp_path / str(cpus)
+            obj["outDir"] = str(tmp / "bundled")
+            manifest = run_pipeline(parse_config(obj, base_dir=DATA_ROOT))
+            # MS 322, OR 321, WI 321 and WI 322 start last, in 2004Q1.
+            with open(tmp / "bundled" / "manifest.json") as fh:
+                assert json.load(fh)["plotBase"] == manifest.plot_base == "2004Q1"
 
-        # ME 113 cut to start in 2005Q2 sets the base; every series reads 1 there.
-        data = _copy_data(tmp_path, {"ME_113": slice(17, None)})
-        config = small_run_config(tmp_path)
-        config = dataclasses.replace(config, data_dir=str(data))
-        assert run_pipeline(config).plot_base == "2005Q2"
-        with open(os.path.join(config.out_dir, "plot.csv")) as fh:
-            at_base = [line.split(",") for line in fh if ",2005Q2," in line]
-        assert len(at_base) == 2 * len(VARIABLES)
-        assert all(row[4] == "1" for row in at_base)
+            # ME 113 cut to start in 2005Q2 sets the base; every series reads
+            # 1 there. ME runs in worker 1 on 2 and 3 CPUs.
+            data = _copy_data(tmp, {"ME_113": slice(17, None)})
+            config = small_run_config(tmp)
+            config = dataclasses.replace(config, data_dir=str(data))
+            assert run_pipeline(config).plot_base == "2005Q2"
+            with open(os.path.join(config.out_dir, "plot.csv")) as fh:
+                at_base = [line.split(",") for line in fh if ",2005Q2," in line]
+            assert len(at_base) == 2 * len(VARIABLES)
+            assert all(row[4] == "1" for row in at_base)
 
-        # No panel read, no base.
-        for name in ("AL_113", "ME_113"):
-            os.remove(data / "panels" / f"{name}.csv")
-        manifest = run_pipeline(config)
-        assert manifest.plot_base is None and manifest.files == []
-        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
-            assert json.load(fh)["plotBase"] is None
+            # No panel read, no base.
+            for name in ("AL_113", "ME_113"):
+                os.remove(data / "panels" / f"{name}.csv")
+            manifest = run_pipeline(config)
+            assert manifest.plot_base is None and manifest.files == []
+            with open(os.path.join(config.out_dir, "manifest.json")) as fh:
+                assert json.load(fh)["plotBase"] is None
 
     def test_manifest_gives_each_criterions_lag(self, tmp_path):
         with open(os.path.join(DATA_ROOT, "config.json")) as fh:
@@ -1070,3 +1088,113 @@ class TestWorkers:
         assert not thread.is_alive()
         assert ran == [("AL", os.getpid()), ("ME", os.getpid())]
         assert _bundle(config.out_dir) == before
+
+    @pytest.mark.parametrize("how", ["killed", "interrupted"])
+    def test_failure_in_a_workers_ingest_ends_the_run(self, tmp_path, monkeypatch, how):
+        # ME 113's panel is read in the forked worker, which is killed or
+        # interrupted while it reads.
+        _cpus(monkeypatch, 2)
+        config = small_run_config(tmp_path)
+        run_pipeline(config)
+        before = _bundle(config.out_dir)
+        caller = os.getpid()
+        load_panel = pipeline.load_panel
+
+        def failing(data_dir, state, naics):
+            if state == "ME" and os.getpid() != caller:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise KeyboardInterrupt
+            return load_panel(data_dir, state, naics)
+
+        monkeypatch.setattr(pipeline, "load_panel", failing)
+        with _leaves_no_process_or_fd():
+            with pytest.raises(WorkerFailed if how == "killed" else KeyboardInterrupt) as info:
+                run_pipeline(config)
+        if how == "killed":
+            assert str(info.value) == (
+                "the worker running ME/113 ended (killed by signal 9) before sending its results"
+            )
+        assert _bundle(config.out_dir) == before
+
+    @pytest.mark.skipif(
+        not hasattr(pipeline.fcntl, "F_SETPIPE_SZ"), reason="pipes keep the system's size"
+    )
+    def test_workers_run_ahead_of_the_caller(self, tmp_path, monkeypatch):
+        # At horizon 200 ME 113's rows overflow a 64 KiB pipe. The caller
+        # holds its own first model, AL 113, until the worker has sent them
+        # all and ended.
+        _cpus(monkeypatch, 2)
+        config = small_run_config(tmp_path, horizon=200)
+        run_pipeline(config)
+        expected = _bundle(config.out_dir)
+        me_rows = sum(
+            len(line)
+            for name, data in expected.items()
+            for line in data.splitlines(keepends=True)
+            if line.startswith(b"ME,")
+        )
+        assert me_rows > 2 * 65536
+        done = tmp_path / "worker done"
+        caller = os.getpid()
+        serve, run_model = pipeline._serve, pipeline._run_model
+
+        def serve_then_mark(*args):
+            serve(*args)
+            done.touch()
+
+        def held(out, *args):
+            if os.getpid() == caller and out.model.state == "AL":
+                deadline = time.monotonic() + 10.0
+                while not done.exists():
+                    assert time.monotonic() < deadline, "the worker waits for the caller"
+                    time.sleep(0.01)
+            return run_model(out, *args)
+
+        monkeypatch.setattr(pipeline, "_serve", serve_then_mark)
+        monkeypatch.setattr(pipeline, "_run_model", held)
+        with _leaves_no_process_or_fd():
+            run_pipeline(config)
+        bundle = _bundle(config.out_dir)
+        assert sorted(bundle) == sorted(expected)
+        for name, data in bundle.items():
+            if name != "manifest.json":
+                assert data == expected[name], name
+
+    def test_no_worker_outlives_a_killed_caller(self, tmp_path, monkeypatch):
+        # The caller is killed outright once its worker has sent the starts
+        # of its panels and waits for plot.csv's base. The worker leaves,
+        # and with it its hold on the output directory's lock, so the next
+        # run into the directory does not wait.
+        _cpus(monkeypatch, 2)
+        config = small_run_config(tmp_path)
+        noted = tmp_path / "worker pid"
+        receive, load_panel = pipeline._receive, pipeline.load_panel
+
+        def noting(data_dir, state, naics):
+            if state == "ME":  # in the worker
+                noted.write_text(str(os.getpid()))
+            return load_panel(data_dir, state, naics)
+
+        def killed(*args):
+            receive(*args)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with _leaves_no_process_or_fd():
+            with monkeypatch.context() as patched:
+                patched.setattr(pipeline, "load_panel", noting)
+                patched.setattr(pipeline, "_receive", killed)
+                assert _exit_code(_fork(lambda: run_pipeline(config))) == -signal.SIGKILL
+            worker = int(noted.read_text())
+            next_run = _fork(lambda: run_pipeline(config))
+            code = _exit_code(next_run, seconds=10.0)
+            if code is None:  # it waits for the lock the worker holds
+                for pid in (worker, next_run):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+                _exit_code(next_run)
+            assert code == 0
+        # Ended: reaped, or a zombie left for init to reap.
+        if os.path.isdir("/proc/self"):
+            with contextlib.suppress(FileNotFoundError), open(f"/proc/{worker}/stat") as fh:
+                assert fh.read().rsplit(")", 1)[1].split()[0] == "Z"
