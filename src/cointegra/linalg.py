@@ -14,12 +14,12 @@ one contract: ``trtrs(a, b, lower, trans) -> (x, info)`` and ``gelsy(a, b)
   OpenBLAS numpy has loaded for ``@``
   (``<site-packages>/numpy.libs/libscipy_openblas64_-*``, 64-bit integers).
   At a few dozen columns the ``scipy.linalg`` wrappers cost about as much
-  as the arithmetic, so the bindings call the routines directly, with the
-  workspace query, arguments and memory layouts ``scipy.linalg`` uses: each
-  result is bitwise ``scipy.linalg.solve_triangular``'s or
-  ``lstsq(lapack_driver="gelsy")``'s. gelsy factors its copy of the design
-  by column-pivoted QR (``dgeqp3``, the greedy column order of Businger &
-  Golub 1965).
+  as the arithmetic, so the bindings call the routines directly, passing
+  ``ndarray.ctypes.data``, with the workspace query, arguments and memory
+  layouts ``scipy.linalg`` uses: each result is bitwise
+  ``scipy.linalg.solve_triangular``'s or ``lstsq(lapack_driver="gelsy")``'s.
+  gelsy factors its copy of the design by column-pivoted QR (``dgeqp3``, the
+  greedy column order of Businger & Golub 1965).
 - Where that library or a routine is missing (a conda or distro numpy on
   another BLAS, an older wheel), ``numpy.linalg`` stands in: least squares
   is ``qr`` followed by ``solve`` with R, or the minimum-norm ``lstsq`` at
@@ -132,22 +132,12 @@ _SIGNATURES = {
     "dtrtrs": [ctypes.c_char_p] * 3 + [_P] * 7 + [ctypes.c_size_t] * 3,
     "dgelsy": [_P] * 13,
 }
-# An ndarray's data pointer is the first field after the object header.
-_DATA_OFFSET = object.__basicsize__
-_pointer_at = _P.from_address
-
-
-def _data(a: np.ndarray) -> int:
-    """Address of ``a``'s first element; 0.2 µs, where ``a.ctypes.data``
-    takes 1.6 (2 vCPU)."""
-    return _pointer_at(id(a) + _DATA_OFFSET).value
 
 
 def _numpy_lapack() -> tuple[str, tuple] | None:
     """The library's file name and build string, and ``trtrs`` and ``gelsy``
     calling ``dtrtrs`` and ``dgelsy`` on the OpenBLAS numpy has loaded; None
-    where the library or a symbol is missing, or where an ndarray's data
-    pointer is not where ``_data`` reads it.
+    where the library or a symbol is missing.
 
     Each copies the arrays LAPACK overwrites into fresh Fortran-ordered
     ones and reads the others in place, made Fortran-contiguous. gelsy's
@@ -160,8 +150,7 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
     lib = ctypes.CDLL(path)  # numpy loaded it already: no second copy
     routines = {name: getattr(lib, f"scipy_{name}_64_", None) for name in _SIGNATURES}
     config = getattr(lib, "scipy_openblas_get_config64_", None)
-    probe = np.empty(1)
-    if config is None or None in routines.values() or _data(probe) != probe.ctypes.data:
+    if config is None or None in routines.values():
         return None
     for name, routine in routines.items():
         routine.argtypes, routine.restype = _SIGNATURES[name], None
@@ -178,7 +167,7 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
         i = ctypes.addressof(ints)
         uplo, op = b"L" if lower else b"U", b"T" if trans else b"N"
         # UPLO TRANS DIAG N NRHS A LDA B LDB INFO, then the three lengths
-        trtrs_(uplo, op, b"N", i, i + 8, _data(a), i + 16, _data(x), i + 24, i + 32, 1, 1, 1)
+        trtrs_(uplo, op, b"N", i, i + 8, a.ctypes.data, i + 16, x.ctypes.data, i + 24, i + 32, 1, 1, 1)
         return x, ints[4]
 
     @functools.lru_cache(maxsize=256)
@@ -204,12 +193,13 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
         jpvt = np.zeros(n, dtype=np.int64)  # every column free to pivot
         work = np.empty(1 + lwork)  # RCOND, then work
         work[0] = _EPS
-        w = _data(work)
+        w = work.ctypes.data
         ints = _INTS()
         ints[:5] = m, n, nrhs, shape[0], lwork  # INFO at 5, RANK at 6
         i = ctypes.addressof(ints)
         # M N NRHS A LDA(=M) B LDB JPVT RCOND RANK WORK LWORK INFO
-        gelsy_(i, i + 8, i + 16, _data(v), i, _data(x), i + 24, _data(jpvt), w, i + 48, w + 8, i + 32, i + 40)
+        gelsy_(i, i + 8, i + 16, v.ctypes.data, i, x.ctypes.data, i + 24, jpvt.ctypes.data,
+               w, i + 48, w + 8, i + 32, i + 40)
         if ints[5] < 0:
             raise ValueError(f"illegal value in argument {-ints[5]} of gelsy")
         return x[:n], v

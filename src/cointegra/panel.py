@@ -36,6 +36,10 @@ VARIABLES = ("output", "employment", "wages", "num_firms", "price")
 # Columns a panel CSV's header must name, in any order; more are ignored.
 CSV_COLUMNS = ("year", "quarter", "employment", "wages", "num_firms", "output", "price")
 
+# The inclusive range of a cell in each of these columns; one outside it is
+# malformed. A four-digit year keeps every quarter a ``YYYYQn`` label.
+_RANGES = {"year": (0, 9999), "quarter": (1, 4)}
+
 
 @dataclass
 class PanelDataset:
@@ -134,8 +138,9 @@ def parse_columns(
     A name repeated in the header reads its last column. Returns the
     columns (an int list, or a float array) and either None or a bool array
     (rows x columns) marking each malformed cell: one that is missing (a
-    short row), does not parse, or is a nan or an infinity, or a
-    ``quarter`` cell outside 1..4. A malformed cell's value is unspecified.
+    short row), does not parse, or is a nan or an infinity, or a ``year``
+    cell outside 0..9999 or a ``quarter`` cell outside 1..4. A malformed
+    cell's value is unspecified.
     """
     index = {name: i for i, name in enumerate(header)}
     picks = [index[name] for name in columns]
@@ -152,8 +157,9 @@ def parse_columns(
         if cast is float:
             values = np.array(values, dtype=float)
             bad[:, j] |= ~np.isfinite(values)
-        if columns[j] == "quarter":
-            bad[:, j] |= np.array([not 1 <= q <= 4 for q in values], dtype=bool)
+        if columns[j] in _RANGES:
+            low, high = _RANGES[columns[j]]
+            bad[:, j] |= np.array([not low <= v <= high for v in values], dtype=bool)
         out.append(values)
     return out, bad if bad.any() else None
 
@@ -176,8 +182,8 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
     MissingColumn
         A required column is absent from the header.
     MalformedValue
-        A cell is missing, is not a number, or is a nan or an infinity, or
-        a quarter is outside 1..4.
+        A cell is missing, is not a number, or is a nan or an infinity, a
+        year is outside 0..9999, or a quarter is outside 1..4.
     NonPositiveValue
         A data cell is zero or negative.
     EmptyInput

@@ -114,18 +114,18 @@ LM_LAGS = 4
 class ModelConfig:
     state: str
     naics: int
-    k: int | None = None
-    r: int | None = None
-    case: str | None = None
+    k: int | None
+    r: int | None
+    case: str | None
 
 
 @dataclass(frozen=True)
 class RunDefaults:
-    max_lag: int = 4
-    horizon: int = 20
-    holdout_start: QuarterDate | None = None
-    johansen_case: str = "restrictedConstant"
-    lq_threshold: float = 1.0
+    max_lag: int
+    horizon: int
+    holdout_start: QuarterDate | None
+    johansen_case: str
+    lq_threshold: float
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,8 @@ def _read_value_series(path: str) -> dict[tuple[int, int], float]:
     """A year,quarter,value file as {(year, quarter): value}, with the
     errors of ``ingest_panel``: MalformedFile, MissingColumn if a column is
     absent, MalformedValue naming ``path`` and the first bad cell in reading
-    order (a quarter outside 1..4 is one), and DuplicateQuarter naming the
-    earliest quarter that repeats."""
+    order (a year outside 0..9999 or a quarter outside 1..4 is one), and
+    DuplicateQuarter naming the earliest quarter that repeats."""
     header, rows = read_table(path)
     if {"year", "quarter", "value"} - set(header):
         raise MissingColumn(f"{path}: expected columns year,quarter,value")
@@ -580,8 +580,8 @@ class ModelOutput:
     is the stage last entered, and after a failure the stage that failed.
     ``spec`` is the model's resolved spec, once its rank test has run, and
     ``lag_choice`` maps each lag selection criterion to the lag it picks.
-    A forked worker sends every field but ``model`` (``_RECORD``) back to
-    the calling process as one pickle record when the model ends."""
+    A forked worker sends it back to the calling process as one pickle
+    record when the model ends."""
 
     model: ModelConfig
     status: str = "ok"
@@ -687,10 +687,6 @@ def _worker_count(models: int) -> int:
     return min(len(os.sched_getaffinity(0)), models)
 
 
-# The ModelOutput fields a worker sends back for each model.
-_RECORD = ("status", "message", "error_type", "stage", "stages", "spec", "lag_choice", "lines")
-
-
 def _read_panels(outputs: list[ModelOutput], data_dir: str) -> dict:
     """The panels of ``outputs``' models that can be read, by model; a
     model whose panel cannot be read fails in stage "ingest"."""
@@ -708,7 +704,7 @@ def _serve(outputs: list[ModelOutput], config, aux, exchange: int, fd: int) -> N
     """A forked worker's work: read the panels of ``outputs``' models, send
     their starts as the first pickle record on the pipe ``fd``, and read
     plot.csv's base from ``exchange``, leaving if it ends unsent. Then run
-    each model, sending its ``_RECORD`` fields as one record as it ends. A
+    each model, sending its ``ModelOutput`` as one record as it ends. A
     BaseException that escapes is sent as the last record instead."""
     with os.fdopen(fd, "wb") as pipe:
         try:
@@ -723,7 +719,7 @@ def _serve(outputs: list[ModelOutput], config, aux, exchange: int, fd: int) -> N
             for o in outputs:
                 if o.model in panels:
                     _run_model(o, panels.pop(o.model), config, aux, index_base)
-                pickle.dump({name: getattr(o, name) for name in _RECORD}, pipe)
+                pickle.dump(o, pipe)
                 pipe.flush()
                 o.lines.clear()
         except BaseException as exc:
@@ -897,7 +893,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 os.write(exchange[1], index.to_bytes(8, "little", signed=True) * len(workers))
             for i, o in enumerate(outputs):
                 if i % count:
-                    vars(o).update(_receive(o, workers[i % count - 1], children))
+                    o = outputs[i] = _receive(o, workers[i % count - 1], children)
                 elif o.model in panels:
                     _run_model(o, panels.pop(o.model), config, aux, index_base)
                 for report, text in o.lines.items():

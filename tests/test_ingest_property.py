@@ -57,6 +57,8 @@ def reference_ingest(path):
         rows = []
         for i, raw in enumerate(reader):
             year = _cell(raw, "year", i, int)
+            if not 0 <= year <= 9999:
+                raise MalformedValue(i, "year")
             try:
                 when = QuarterDate(year, _cell(raw, "quarter", i, int))
             except ValueError:
@@ -92,6 +94,8 @@ def reference_value_series(path):
         values = {}
         for i, row in enumerate(reader):
             year = _cell(row, "year", i, int, path)
+            if not 0 <= year <= 9999:
+                raise MalformedValue(i, "year", path)
             try:
                 when = QuarterDate(year, _cell(row, "quarter", i, int, path))
             except ValueError:

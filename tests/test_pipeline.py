@@ -471,6 +471,35 @@ class TestRunPipeline:
                 body = fh.read()
             assert "AL" in body and "ME" not in body
 
+    def test_year_out_of_range_fails_its_model_alone(self, tmp_path, monkeypatch):
+        # ME 113's years moved up by 10^19: its ingest fails, and the plot
+        # base, whose index travels to the workers as 8 bytes, stays the
+        # other panels'. ME runs in the caller on 1 and 2 CPUs, in worker 2
+        # on 3.
+        with open(os.path.join(DATA_ROOT, "config.json")) as fh:
+            obj = json.load(fh)
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            tmp = tmp_path / str(cpus)
+            data = _copy_data(tmp, {})
+            path = data / "panels" / "ME_113.csv"
+            header, *rows = path.read_text().splitlines(keepends=True)
+            year, rest = zip(*(row.split(",", 1) for row in rows))
+            path.write_text(header + "".join(
+                f"{int(y) + 10**19},{r}" for y, r in zip(year, rest)
+            ))
+            obj.update(dataDir=str(data), outDir=str(tmp / "out"))
+            manifest = run_pipeline(parse_config(obj))
+            assert manifest.plot_base == "2004Q1"
+            failed = [m for m in manifest.models if m["status"] != "ok"]
+            assert [(m["state"], m["naics"], m["stage"], m["errorType"]) for m in failed] == [
+                ("ME", 113, "ingest", "MalformedValue")
+            ]
+            assert failed[0]["message"] == (
+                "MalformedValue: malformed value at row 0, column 'year'"
+            )
+            assert len(manifest.models) == 16
+
     def test_plot_rows_normalized_at_shared_base(self, tmp_path):
         config = small_run_config(tmp_path)
         run_pipeline(config)

@@ -4,6 +4,9 @@ checkout.
 
     python tools/bench_lapack.py --base <base checkout> [--repeat 400] [--pairs 8] [--out BENCH_lapack.json]
 
+``--pairs`` is at least 2. The default ``--out`` is the committed
+``BENCH_lapack.json``, which a run overwrites.
+
 Kernels: ``lstsq``, ``solve_triangular`` and ``ols`` at the design shapes
 of ``tests/test_linalg.py``, each where both checkouts have it; the others
 are named on stderr and under ``kernels_skipped``. Both checkouts'
@@ -134,6 +137,8 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=8)
     parser.add_argument("--out", default=os.path.join(HERE, "BENCH_lapack.json"))
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, as each figure comes with its quartiles")
     fresh = processes({"base": os.path.abspath(args.base), "change": HERE}, args.pairs)
     sys.path.insert(0, os.path.join(HERE, "src"))
     import numpy as np
