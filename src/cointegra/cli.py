@@ -8,7 +8,8 @@ functions. The model is the config's entry for (state, naics), if any, so
 its own k, r and case apply unless --k, --r or --case override them. A bad
 flag ends as ``error: …`` with exit status 2. ``run`` executes the full
 pipeline for every configured model and writes the report bundle to the
-output directory, the config's outDir unless ``run --out`` overrides it.
+output directory, the config's outDir unless ``run --out`` overrides it;
+``run --seed`` overrides the config's seed.
 """
 
 from __future__ import annotations
@@ -189,14 +190,13 @@ def _cmd_run(config, args) -> int:
         else:
             line += f" ({entry['message']})"
         print(line)
-    print(f"wrote {len(manifest.files)} reports to {config.out_dir}")
+    print(f"wrote {len(manifest['files'])} reports to {config.out_dir}")
     return 1 if manifest.failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.json", help="run configuration path")
-    common.add_argument("--seed", type=int, default=None, help="override configured seed")
 
     parser = argparse.ArgumentParser(
         prog="cointegra",
@@ -230,18 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", default=None, help="first holdout quarter, e.g. 2016Q1")
     run = sub.add_parser("run", help="full pipeline over all configured models", parents=[common])
     run.add_argument("--out", default=None, help="override output directory")
+    run.add_argument("--seed", type=int, default=None, help="override configured seed")
     run.set_defaults(handler=_cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = getattr(args, "out", None)  # only run has --out
+    out = getattr(args, "out", None)  # only run has --out and --seed
     try:
         config = load_config(
             args.config,
             out_dir=None if out is None else os.path.abspath(out),
-            seed=args.seed,
+            seed=getattr(args, "seed", None),
         )
         return args.handler(config, args)
     except CointegraError as exc:

@@ -37,7 +37,7 @@ VARIABLES = ("output", "employment", "wages", "num_firms", "price")
 CSV_COLUMNS = ("year", "quarter", "employment", "wages", "num_firms", "output", "price")
 
 # The inclusive range of a cell in each of these columns; one outside it is
-# malformed. A four-digit year keeps every quarter a ``YYYYQn`` label.
+# malformed. Zero-padded to four digits, each year gives a ``YYYYQn`` label.
 _RANGES = {"year": (0, 9999), "quarter": (1, 4)}
 
 

@@ -138,14 +138,12 @@ class RunConfig:
     config_hash: str
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    models: list[dict]
-    files: list[str]
-    timings: dict
-    environment: dict
-    plot_base: str | None  # label of plot.csv's base quarter; None if no panel was read
+class RunManifest(dict):
+    """The object a run writes as manifest.json, keyed as in the file."""
+
+    @property
+    def models(self) -> list[dict]:
+        return self["models"]
 
     @property
     def failed(self) -> bool:
@@ -219,6 +217,8 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
     for key in ("dataDir", "outDir"):
         if not isinstance(obj[key], str):
             raise ConfigInvalid(f"{key} must be a string")
+        if "\0" in obj[key]:  # no file system takes it in a path
+            raise ConfigInvalid(f"{key} must not contain a NUL character")
     if not isinstance(obj["models"], list) or not obj["models"]:
         raise ConfigInvalid("models must be a nonempty list")
 
@@ -795,7 +795,8 @@ def _remove_temp_files(temp: dict[str, str]) -> None:
 
 
 def run_pipeline(config: RunConfig) -> RunManifest:
-    """Execute every configured model and write the report bundle.
+    """Execute every configured model, write the report bundle, and return
+    the manifest object written as manifest.json.
 
     The models, in report order (state, naics), are dealt to
     ``_worker_count`` processes: model i runs in worker i mod W, where
@@ -928,7 +929,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             models.append(entry)
 
         manifest = RunManifest(
-            config_hash=config.config_hash,
+            configHash=config.config_hash,
             models=models,
             files=sorted(handles),
             timings={
@@ -960,22 +961,11 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 "lapack": LAPACK,
                 "numpy": np.__version__,
             },
-            plot_base=None if index_base is None else index_base.label(),
+            # plot.csv's base quarter; None if no panel was read
+            plotBase=None if index_base is None else index_base.label(),
         )
         with open(temp["manifest.json"], "w") as fh:
-            json.dump(
-                {
-                    "configHash": manifest.config_hash,
-                    "models": manifest.models,
-                    "files": manifest.files,
-                    "timings": manifest.timings,
-                    "environment": manifest.environment,
-                    "plotBase": manifest.plot_base,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
         # A report this run does not write is removed, so the bundle never

@@ -63,10 +63,10 @@ class QuarterDate:
 
     def labels(self, count: int) -> list[str]:
         """Labels of ``count`` consecutive quarters from this one."""
-        return [f"{year}Q{quarter}" for year, quarter in self.following(count)]
+        return ["%04dQ%d" % date for date in self.following(count)]  # faster than f"{year:04d}"
 
     def label(self) -> str:
-        return f"{self.year}Q{self.quarter}"
+        return "%04dQ%d" % (self.year, self.quarter)
 
     @classmethod
     def parse(cls, text: str) -> "QuarterDate":

@@ -358,7 +358,7 @@ def test_criterion_7_pipeline_determinism(tmp_path):
             diffs.append(name)
     identical = identical and not diffs
     # run records match apart from wall-clock timings
-    records_ok = first.models == second.models and first.files == second.files
+    records_ok = first.models == second.models and first["files"] == second["files"]
 
     elapsed = time.perf_counter() - start
     ok = shape_ok and identical and records_ok and elapsed < 120.0

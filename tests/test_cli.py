@@ -295,6 +295,22 @@ class TestBadStageFlags:
         assert captured.err.startswith("usage: cointegra ")
         assert captured.err.endswith("error: unrecognized arguments: --out x\n")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "ingest", "summarize", "lq", "adf", "lags", "johansen", "fit", "diagnose",
+            "forecast", "backtest",
+        ],
+    )
+    def test_seed_is_a_run_flag_only(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*stage_args(command, "AL", 113, "--seed", "5"))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cointegra ")
+        assert captured.err.endswith("error: unrecognized arguments: --seed 5\n")
+
     def test_missing_holdout_is_a_typed_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         models = [{"state": "AL", "naics": 113}]
@@ -341,6 +357,18 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "AL 113: ok" in out
         assert "WI 113: error" in out
+
+
+    def test_seed_changes_the_config_hash(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        models = [{"state": "AL", "naics": 113, "k": 1, "r": 1}]
+        config.write_text(json.dumps({"dataDir": DATA_ROOT, "outDir": "out", "models": models}))
+        hashes = []
+        for seed in ([], ["--seed", "5"]):
+            assert run_cli("run", "--config", str(config), *seed) == 0
+            hashes.append(json.loads((tmp_path / "out" / "manifest.json").read_text())["configHash"])
+        assert hashes[0] != hashes[1]
+        assert capsys.readouterr().err == ""
 
 
 def _degenerate_copy(tmp_path, kind):
@@ -483,6 +511,30 @@ class TestConfigTypes:
         args = ["backtest", "--config", str(config), "--state", "AL", "--naics", "113"]
         assert run_cli(*args) == 2
         assert capsys.readouterr().err == f"error: ConfigInvalid: {message}\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize("key, value", [("dataDir", "\0"), ("outDir", "o\0")])
+    def test_nul_in_a_path_is_a_typed_error(self, command, key, value, tmp_path, capsys):
+        obj = {"dataDir": DATA_ROOT, "outDir": "out", "models": [{"state": "AL", "naics": 113}]}
+        obj[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        args = [command, "--config", str(config)]
+        if command == "ingest":
+            args += ["--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ConfigInvalid: {key} must not contain a NUL character\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_nul_in_run_out_is_a_typed_error(self, tmp_path, capsys):
+        assert run_cli("run", "--config", CONFIG, "--out", str(tmp_path / "o\0")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigInvalid: outDir must not contain a NUL character\n"
+        assert os.listdir(tmp_path) == []
+
 
 def _corrupt_copy(tmp_path, relpath, row, edit):
     """Copy the bundled dataset into tmp_path and rewrite data row ``row``

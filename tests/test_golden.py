@@ -43,7 +43,7 @@ def bundle(tmp_path_factory):
 
 def test_bundle_lists_every_report(bundle):
     _out, manifest = bundle
-    assert manifest.files == sorted(SIXSTATE_SHA256)
+    assert manifest["files"] == sorted(SIXSTATE_SHA256)
 
 
 @pytest.mark.parametrize("report", sorted(SIXSTATE_SHA256))
@@ -142,7 +142,7 @@ def bundle_digests(config, out):
     manifest = run_pipeline(load_config(config, out_dir=str(out)))
     assert not manifest.failed
     digests = {}
-    for report in manifest.files:
+    for report in manifest["files"]:
         with open(out / report, "rb") as fh:
             digests[report] = hashlib.sha256(fh.read()).hexdigest()
     return digests
@@ -199,7 +199,7 @@ def test_bundle_is_the_same_on_any_number_of_cpus(tmp_path, monkeypatch, which):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
         out = tmp_path / f"out{cpus}"
         manifest = run_pipeline(load_config(str(config), out_dir=str(out)))
-        assert len(manifest.timings["workers"]) == cpus
+        assert len(manifest["timings"]["workers"]) == cpus
         bundles.append(checks["read_bundle"](str(out)))
         models.append(manifest.models)
     assert bundles[0] == bundles[1] == bundles[2]

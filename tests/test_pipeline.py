@@ -359,7 +359,7 @@ class TestRunPipeline:
         assert all(m["status"] == "ok" for m in manifest.models)
         out = config.out_dir
         on_disk = sorted(f for f in os.listdir(out) if f != "manifest.json")
-        assert on_disk == manifest.files
+        assert on_disk == manifest["files"]
         with open(os.path.join(out, "backtest.csv")) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "state,naics,variable,rmse,mape"
@@ -392,7 +392,7 @@ class TestRunPipeline:
         else:
             assert re.fullmatch(r"libscipy_openblas64_-\w+\.so: OpenBLAS \S+ .*USE64BITINT.*", LAPACK)
             blas = {"numpy": 1}
-        assert on_disk["environment"] == manifest.environment == {
+        assert on_disk["environment"] == manifest["environment"] == {
             "blasThreads": blas,
             "cointegra": cointegra.__version__,
             "lapack": LAPACK,
@@ -406,16 +406,25 @@ class TestRunPipeline:
             "ingest", "lq", "summary", "adf", "lags", "johansen",
             "fit", "lm", "normality", "forecast", "irf", "backtest",
         ]
-        per_stage = manifest.timings["perStage"]
+        per_stage = manifest["timings"]["perStage"]
         assert {model: list(times) for model, times in per_stage.items()} == {
             "AL_113": stages,
             "ME_113": stages,
         }
         seconds = [s for times in per_stage.values() for s in times.values()]
         assert all(s >= 0.0 and s == round(s, 6) for s in seconds)
-        assert 0.0 <= manifest.timings["writeSeconds"] < manifest.timings["totalSeconds"] + 1e-3
+        assert 0.0 <= manifest["timings"]["writeSeconds"] < manifest["timings"]["totalSeconds"] + 1e-3
         with open(os.path.join(config.out_dir, "manifest.json")) as fh:
-            assert json.load(fh)["timings"] == manifest.timings
+            assert json.load(fh)["timings"] == manifest["timings"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_returns_the_manifest_it_wrote(self, tmp_path, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        config = small_run_config(tmp_path)
+        manifest = run_pipeline(config)
+        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
+            assert json.load(fh) == manifest
+        assert len(manifest["timings"]["workers"]) == cpus
 
     def test_determinism_byte_identical(self, tmp_path):
         config_a = small_run_config(tmp_path / "a")
@@ -466,7 +475,7 @@ class TestRunPipeline:
                 "InputFileMissing",
                 f"InputFileMissing: no such file: {path}",
             )
-            assert list(manifest.timings["perStage"]["ME_113"]) == ["ingest"]
+            assert list(manifest["timings"]["perStage"]["ME_113"]) == ["ingest"]
             with open(tmp / "out" / "summary.csv") as fh:
                 body = fh.read()
             assert "AL" in body and "ME" not in body
@@ -490,7 +499,7 @@ class TestRunPipeline:
             ))
             obj.update(dataDir=str(data), outDir=str(tmp / "out"))
             manifest = run_pipeline(parse_config(obj))
-            assert manifest.plot_base == "2004Q1"
+            assert manifest["plotBase"] == "2004Q1"
             failed = [m for m in manifest.models if m["status"] != "ok"]
             assert [(m["state"], m["naics"], m["stage"], m["errorType"]) for m in failed] == [
                 ("ME", 113, "ingest", "MalformedValue")
@@ -530,7 +539,7 @@ class TestRunPipeline:
                 }
             )
             manifest = run_pipeline(config)
-            assert manifest.failed and manifest.plot_base == "2010Q3"
+            assert manifest.failed and manifest["plotBase"] == "2010Q3"
             by_state = {m["state"]: m for m in manifest.models}
             assert by_state["ME"] == {
                 "state": "ME",
@@ -591,7 +600,7 @@ class TestRunPipeline:
             assert (ar["status"], ar["stage"], ar["errorType"]) == (
                 "error", "johansen", "SampleTooShort"
             )
-            assert ran.plot_base == failed.plot_base == "2003Q1"
+            assert ran["plotBase"] == failed["plotBase"] == "2003Q1"
             assert failed_rows == ran_rows
             assert "ME,113,2001Q1,output,0.666485,0\n" in failed_rows
             assert {line[:3] for line in failed_rows[1:]} == {"AL,", "ME,"}
@@ -606,14 +615,14 @@ class TestRunPipeline:
             manifest = run_pipeline(parse_config(obj, base_dir=DATA_ROOT))
             # MS 322, OR 321, WI 321 and WI 322 start last, in 2004Q1.
             with open(tmp / "bundled" / "manifest.json") as fh:
-                assert json.load(fh)["plotBase"] == manifest.plot_base == "2004Q1"
+                assert json.load(fh)["plotBase"] == manifest["plotBase"] == "2004Q1"
 
             # ME 113 cut to start in 2005Q2 sets the base; every series reads
             # 1 there. ME runs in worker 1 on 2 and 3 CPUs.
             data = _copy_data(tmp, {"ME_113": slice(17, None)})
             config = small_run_config(tmp)
             config = dataclasses.replace(config, data_dir=str(data))
-            assert run_pipeline(config).plot_base == "2005Q2"
+            assert run_pipeline(config)["plotBase"] == "2005Q2"
             with open(os.path.join(config.out_dir, "plot.csv")) as fh:
                 at_base = [line.split(",") for line in fh if ",2005Q2," in line]
             assert len(at_base) == 2 * len(VARIABLES)
@@ -623,7 +632,7 @@ class TestRunPipeline:
             for name in ("AL_113", "ME_113"):
                 os.remove(data / "panels" / f"{name}.csv")
             manifest = run_pipeline(config)
-            assert manifest.plot_base is None and manifest.files == []
+            assert manifest["plotBase"] is None and manifest["files"] == []
             with open(os.path.join(config.out_dir, "manifest.json")) as fh:
                 assert json.load(fh)["plotBase"] is None
 
@@ -1015,7 +1024,7 @@ class TestWorkers:
         _cpus(monkeypatch, cpus)
         config = small_run_config(tmp_path)
         manifest = run_pipeline(config)
-        workers = manifest.timings["workers"]
+        workers = manifest["timings"]["workers"]
         expected = [["AL_113", "ME_113"]] if cpus == 1 else [["AL_113"], ["ME_113"]]
         assert [w["models"] for w in workers] == expected
         assert all(set(w) == {"models", "cpuSeconds", "peakRssMb"} for w in workers)
@@ -1041,7 +1050,7 @@ class TestWorkers:
             if thread.is_alive():
                 thread.join(10)
         assert not thread.is_alive()
-        assert [w["models"] for w in manifest.timings["workers"]] == [["AL_113", "ME_113"]]
+        assert [w["models"] for w in manifest["timings"]["workers"]] == [["AL_113", "ME_113"]]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failure_in_a_worker_is_recorded_as_in_the_caller(self, tmp_path, monkeypatch, cpus):
@@ -1063,7 +1072,7 @@ class TestWorkers:
                 "errorType": "NumericalFailure",
             }
         ]
-        assert list(manifest.timings["perStage"]["ME_113"])[-1] == "irf"
+        assert list(manifest["timings"]["perStage"]["ME_113"])[-1] == "irf"
         with open(os.path.join(config.out_dir, "irf.csv")) as fh:
             assert {line[:6] for line in fh.read().splitlines()[1:]} == {"AL,113"}
 

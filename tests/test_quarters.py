@@ -22,6 +22,13 @@ class TestQuarterDate:
         assert q == QuarterDate(2018, 4)
         assert q.label() == "2018Q4"
 
+    @pytest.mark.parametrize("year", [0, 7, 999, 1000, 9999])
+    def test_label_is_four_digit_and_parses_back(self, year):
+        q = QuarterDate(year, 3)
+        assert q.label() == f"{year:04d}Q3"
+        assert QuarterDate.parse(q.label()) == q
+        assert [QuarterDate.parse(label) for label in q.labels(2)] == [q, q.advanced(1)]
+
     def test_parse_rejects_bad_labels(self):
         for bad in ("2018Q5", "2018", "Q1", "2018q0"):
             with pytest.raises(ValueError):

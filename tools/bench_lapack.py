@@ -84,6 +84,14 @@ def kernel_times(base, change, kernels: list[str], repeat: int) -> dict:
     return out
 
 
+def installed(package: str) -> str | None:
+    """The installed version of ``package``, or None where it is not installed."""
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def summary(values: list[float], unit: str, digits: int) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {
@@ -161,7 +169,7 @@ def main() -> None:
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
+            "scipy": installed("scipy"),  # a test extra only, so null without it
             "lapack": {
                 "base": getattr(base, "LAPACK", "scipy.linalg._flapack"),
                 "change": linalg.LAPACK,
