@@ -23,9 +23,9 @@ from .errors import CointegraError, ConfigInvalid
 from .lagselect import select_lags
 from .panel import VARIABLES, lq_flag
 from .pipeline import (
-    ADF_CASE, ADF_LAG, REPORT_HEADERS, RunConfig, adf_lines, backtest_lines, fmt6, forecast_lines,
-    johansen_lines, lags_lines, lm_lines, load_aux_series, load_config, load_panel, lq_lines,
-    lq_records_for_panel, model_config, normality_lines, parse_quarter, resolve_model,
+    ADF_CASE, ADF_LAG, MAX_HORIZON, REPORT_HEADERS, RunConfig, adf_lines, backtest_lines, fmt6,
+    forecast_lines, johansen_lines, lags_lines, lm_lines, load_aux_series, load_config, load_panel,
+    lq_lines, lq_records_for_panel, model_config, normality_lines, parse_quarter, resolve_model,
     run_pipeline, summary_lines,
 )
 from .unitroot import DETERMINISTIC_CASES
@@ -162,6 +162,8 @@ def _cmd_diagnose(config, args) -> int:
 
 def _cmd_forecast(config, args) -> int:
     horizon = config.defaults.horizon if args.horizon is None else args.horizon
+    if horizon > MAX_HORIZON:
+        raise ConfigInvalid(f"--horizon must be at most {MAX_HORIZON}")
     panel, spec, jres = _spec(config, args)
     x = panel.levels
     path = forecast(fit_vecm(x, spec, jres), x[-spec.k :], horizon)

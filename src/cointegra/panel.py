@@ -6,6 +6,15 @@ quarter ``start.advanced(i)``, and the columns follow :data:`VARIABLES`
 (output, employment, wages, num_firms, price), the system ordering of every
 estimator downstream. The matrix is read-only, so every stage can share it
 and a window of it is a view.
+
+Input CSVs are read by ``read_columns``. A file that holds no ``"``, no
+NUL and no carriage return other than in CR LF line ends, whose every
+non-blank line has the header's field count, and whose every needed cell
+casts and passes its checks, is read in one pass: decoded once, split into
+cells with one ``str.split``, and cast a column at a time. Every other
+file takes ``read_table`` and ``parse_columns``, the only path that handles
+quoted fields, lone CR line ends, ragged rows and bad cells, and that
+raises their errors.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -164,6 +174,69 @@ def parse_columns(
     return out, bad if bad.any() else None
 
 
+def _one_pass(path: str, columns, casts) -> tuple[list[str], int, list] | None:
+    """``read_columns``'s header, row count and columns for a file that
+    needs none of ``read_table``'s handling and holds no bad cell, else
+    None. None, too, where the file cannot be opened or decoded, so that
+    ``read_table`` raises the error as it always has."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if "\r" in text:  # CR LF ends a line as LF does; a lone CR is left to csv
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    first, *lines = text.split("\n")
+    rows = [line for line in lines if line]  # the csv module skips blank lines
+    header = first.split(",")
+    width = len(header)
+    index = {name: i for i, name in enumerate(header)}
+    # A field as long as csv's limit makes read_table fail; no line is that long.
+    if (
+        not first
+        or not rows
+        or any(name not in index for name in columns)
+        or set(map(str.count, rows, repeat(","))) != {width - 1}
+        or max(map(len, rows)) >= csv.field_size_limit()
+    ):
+        return None
+    cells = ",".join(rows).split(",")
+    out = []
+    for name, cast in zip(columns, casts):
+        try:
+            values = list(map(cast, cells[index[name] :: width]))
+        except ValueError:
+            return None
+        if cast is float:
+            values = np.array(values, dtype=float)
+            if not np.isfinite(values).all():
+                return None
+        if name in _RANGES:
+            low, high = _RANGES[name]
+            if min(values) < low or max(values) > high:
+                return None
+        out.append(values)
+    return header, len(rows), out
+
+
+def read_columns(path: str, columns, casts) -> tuple[list[str], int, list, np.ndarray | None]:
+    """The header of the CSV file at ``path``, its number of data rows, and
+    ``parse_columns`` of its rows for ``columns`` and ``casts``: as
+    ``read_table`` and ``parse_columns`` give them, and with their errors.
+    If the header lacks one of ``columns``, nothing is cast: the row count
+    is 0 and the columns are empty. The one-pass reader (see the module
+    docstring) gives the same result where it applies."""
+    table = _one_pass(path, columns, casts)
+    if table is not None:
+        return (*table, None)
+    header, rows = read_table(path)
+    if not set(columns) <= set(header):
+        return header, 0, [], None
+    return (header, len(rows), *parse_columns(header, rows, columns, casts))
+
+
 def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = None) -> PanelDataset:
     """Read one (state, naics) panel from CSV.
 
@@ -198,18 +271,18 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
     from the top (data rows count from 0, blank lines not counted), and in
     a row the year, the quarter, then the variables in ``VARIABLES`` order.
     """
-    header, rows = read_table(csv_path)
+    names = ("year", "quarter") + VARIABLES
+    header, count, columns, bad = read_columns(
+        csv_path, names, (int, int) + (float,) * len(VARIABLES)
+    )
     for name in CSV_COLUMNS:
         if name not in header:
             raise MissingColumn(f"column {name!r} not found in {csv_path}")
-    names = ("year", "quarter") + VARIABLES
-    (years, quarters, *series), bad = parse_columns(
-        header, rows, names, (int, int) + (float,) * len(VARIABLES)
-    )
+    years, quarters, *series = columns
     levels = np.column_stack(series)
     if bad is not None or not (levels > 0.0).all():
         # 1 marks a malformed cell, 2 a non-positive one.
-        codes = np.zeros((len(rows), len(names)), dtype=np.int8)
+        codes = np.zeros((count, len(names)), dtype=np.int8)
         if bad is not None:
             codes[bad] = 1
         codes[:, 2:][(codes[:, 2:] == 0) & (levels <= 0.0)] = 2
@@ -217,7 +290,7 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
         if codes[row, col] == 2:
             raise NonPositiveValue(row, names[col])
         raise MalformedValue(row, names[col])
-    if not rows:
+    if not count:
         raise EmptyInput(f"no data rows in {csv_path}")
 
     # Quarter indices order the rows as QuarterDates do.

@@ -31,7 +31,11 @@ the stage commands print them. plot.csv's base quarter is the latest start
 among the panels read in every process, which the caller gathers from the
 workers and sends back before their first model; a model whose panel lacks
 that quarter fails alone. The large reports (lq, forecast, irf, plot) are
-filled from a ``%.6g`` template in a single formatting call. No field ever
+filled from a ``%.6g`` template in a single formatting call. Their
+templates leave out the ``state,naics,`` prefix, so a run builds each one
+once per (first quarter, count, horizon) in each process, in a store that
+``run_pipeline`` creates, and each model's filled text gets its prefix with
+one ``str.replace``; a stage command builds its own. No field ever
 needs CSV quoting: states and naics are validated, and every other field is
 a quarter label, a variable name or a formatted number.
 """
@@ -92,8 +96,7 @@ from .panel import (
     ingest_panel,
     location_quotient,
     lq_flag,
-    parse_columns,
-    read_table,
+    read_columns,
     summarize,
 )
 from .quarters import QuarterDate
@@ -108,6 +111,9 @@ SUPPORTED_NAICS = (113, 321, 322)
 ADF_LAG = 4
 ADF_CASE = "constant"
 LM_LAGS = 4
+# The longest forecast horizon, in quarters: one model's irf.csv rows are
+# then about 10 MB of text, where an unbounded one ran out of memory.
+MAX_HORIZON = 10000
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,8 @@ def parse_config(obj: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigInvalid("maxLag must be a positive integer")
     if not _is_int(horizon) or horizon < 1:
         raise ConfigInvalid("horizon must be a positive integer")
+    if horizon > MAX_HORIZON:
+        raise ConfigInvalid(f"horizon must be at most {MAX_HORIZON}")
     holdout = raw_defaults.get("holdoutStart")
     if holdout is not None:
         holdout = parse_quarter(holdout, "holdoutStart")
@@ -336,16 +344,16 @@ def _read_value_series(path: str) -> dict[tuple[int, int], float]:
     absent, MalformedValue naming ``path`` and the first bad cell in reading
     order (a year outside 0..9999 or a quarter outside 1..4 is one), and
     DuplicateQuarter naming the earliest quarter that repeats."""
-    header, rows = read_table(path)
-    if {"year", "quarter", "value"} - set(header):
-        raise MissingColumn(f"{path}: expected columns year,quarter,value")
     columns = ("year", "quarter", "value")
-    (years, quarters, values), bad = parse_columns(header, rows, columns, (int, int, float))
+    header, count, parsed, bad = read_columns(path, columns, (int, int, float))
+    if set(columns) - set(header):
+        raise MissingColumn(f"{path}: expected columns year,quarter,value")
     if bad is not None:
         row, col = divmod(int(np.flatnonzero(bad)[0]), len(columns))
         raise MalformedValue(row, columns[col], path)
+    years, quarters, values = parsed
     series = dict(zip(zip(years, quarters), values.tolist()))
-    if len(series) < len(rows):
+    if len(series) < count:
         repeated = min(key for key, count in Counter(zip(years, quarters)).items() if count > 1)
         raise DuplicateQuarter(f"quarter {QuarterDate(*repeated).label()} duplicated in {path}")
     return series
@@ -422,28 +430,73 @@ def _fill(template: str, values: np.ndarray) -> str:
     return template % tuple(values.ravel().tolist())
 
 
-def _path_template(panel: PanelDataset, horizon: int, history: bool = True) -> str:
-    """Template of a model's history rows (flag 0), unless ``history`` is
-    false, then of its ``horizon`` forecast rows after the panel end (flag
-    1), one per (quarter, variable), as in forecast.csv and plot.csv."""
-    head = f"{panel.state},{panel.naics},{{key}},"
-    ahead = "".join(f"{head}{name},%.6g,1\n" for name in VARIABLES)
-    template = _per_key(ahead, panel.end.advanced(1).labels(horizon))
-    if not history:
-        return template
-    past = "".join(f"{head}{name},%.6g,0\n" for name in VARIABLES)
-    return _per_key(past, panel.start.labels(len(panel))) + template
+# Begins each row of a shared template, which no other text in it holds.
+_HEAD = "\0"
+
+
+def _prefixed(panel: PanelDataset, text: str) -> str:
+    """A shared template's filled ``text`` with each row begun by the
+    panel's ``state,naics,``."""
+    return text.replace(_HEAD, f"{panel.state},{panel.naics},")
+
+
+def _shared(templates: dict | None, build, *args) -> str:
+    """``build(*args)``, kept in ``templates``, the store of one run in one
+    process, so that each model with the same ``args`` reuses it; built
+    anew where ``templates`` is None."""
+    if templates is None:
+        return build(*args)
+    key = (build, *args)
+    if key not in templates:
+        templates[key] = build(*args)
+    return templates[key]
+
+
+def _path_rows(first: QuarterDate, count: int, horizon: int) -> str:
+    """Shared template of ``count`` history quarters from ``first`` (flag
+    0), then ``horizon`` forecast quarters (flag 1), one row per (quarter,
+    variable), as in forecast.csv and plot.csv."""
+    labels = first.labels(count + horizon)
+    past, ahead = (
+        "".join(f"{_HEAD}{{key}},{name},%.6g,{flag}\n" for name in VARIABLES) for flag in (0, 1)
+    )
+    return _per_key(past, labels[:count]) + _per_key(ahead, labels[count:])
+
+
+def _lq_rows(first: QuarterDate, count: int) -> str:
+    return _per_key(f"{_HEAD}{{key}},%.6g\n", first.labels(count))
+
+
+def _irf_rows(count: int) -> str:
+    # Rows run over h, then shock, then response.
+    per_h = "".join(
+        f"{_HEAD}{{key}},{shock},{resp},%.6g\n" for shock in VARIABLES for resp in VARIABLES
+    )
+    return _per_key(per_h, range(count))
+
+
+def _path_template(
+    panel: PanelDataset, horizon: int, history: bool = True, templates: dict | None = None
+) -> str:
+    """Shared template of a model's history rows (flag 0), unless
+    ``history`` is false, then of its ``horizon`` forecast rows after the
+    panel end (flag 1), as in forecast.csv and plot.csv; ``_prefixed``
+    gives the filled rows their ``state,naics,``."""
+    if history:
+        return _shared(templates, _path_rows, panel.start, len(panel), horizon)
+    return _shared(templates, _path_rows, panel.end.advanced(1), 0, horizon)
 
 
 def emit_plot_data(
     panel: PanelDataset, rows: np.ndarray, template: str, index_base: QuarterDate
 ) -> str:
     """One model's relative-series plot.csv rows: each of its forecast.csv
-    ``rows`` (the levels, then the forecast path, filling ``template``)
-    divided by the series' own level at ``index_base``."""
+    ``rows`` (the levels, then the forecast path, filling ``template``,
+    which ``_path_template`` gives) divided by the series' own level at
+    ``index_base``."""
     if index_base < panel.start or index_base > panel.end:
         raise IndexBaseMissing(f"{panel.state}/{panel.naics} lacks {index_base.label()}")
-    return _fill(template, rows / rows[index_base.quarters_since(panel.start)])
+    return _prefixed(panel, _fill(template, rows / rows[index_base.quarters_since(panel.start)]))
 
 
 # One builder per report: each returns one model's rows of that report as
@@ -461,11 +514,9 @@ def summary_lines(panel: PanelDataset) -> str:
     )
 
 
-def lq_lines(panel: PanelDataset, lq: np.ndarray) -> str:
-    template = _per_key(
-        f"{panel.state},{panel.naics},{{key}},%.6g\n", panel.start.labels(len(panel))
-    )
-    return _fill(template, lq)
+def lq_lines(panel: PanelDataset, lq: np.ndarray, templates: dict | None = None) -> str:
+    template = _shared(templates, _lq_rows, panel.start, len(panel))
+    return _prefixed(panel, _fill(template, lq))
 
 
 def adf_lines(panel: PanelDataset, lag: int = ADF_LAG, deterministic: str = ADF_CASE) -> str:
@@ -531,17 +582,13 @@ def normality_lines(panel: PanelDataset, fit: VecmFit) -> str:
 def forecast_lines(panel: PanelDataset, path: np.ndarray) -> str:
     """The forecast path's rows (flag 1), dated from the quarter after the
     panel end; forecast.csv in ``run`` also holds the history rows."""
-    return _fill(_path_template(panel, len(path), history=False), path)
+    return _prefixed(panel, _fill(_path_template(panel, len(path), history=False), path))
 
 
-def irf_lines(panel: PanelDataset, theta: np.ndarray) -> str:
-    # Rows run over h, then shock, then response: theta[h].T in row-major order.
-    per_h = "".join(
-        f"{panel.state},{panel.naics},{{key}},{shock},{resp},%.6g\n"
-        for shock in VARIABLES
-        for resp in VARIABLES
-    )
-    return _fill(_per_key(per_h, range(len(theta))), theta.transpose(0, 2, 1))
+def irf_lines(panel: PanelDataset, theta: np.ndarray, templates: dict | None = None) -> str:
+    # The rows' order, h then shock then response, is theta[h].T's row-major one.
+    template = _shared(templates, _irf_rows, len(theta))
+    return _prefixed(panel, _fill(template, theta.transpose(0, 2, 1)))
 
 
 def backtest_lines(panel: PanelDataset, rmse: np.ndarray, mape: np.ndarray) -> str:
@@ -614,10 +661,16 @@ class ModelOutput:
 
 
 def _run_model(
-    out: ModelOutput, panel: PanelDataset, config: RunConfig, aux: dict, index_base: QuarterDate
+    out: ModelOutput,
+    panel: PanelDataset,
+    config: RunConfig,
+    aux: dict,
+    index_base: QuarterDate,
+    templates: dict,
 ) -> None:
     """Run every stage after ingest on ``panel``, recording into ``out``;
-    the plot rows divide by the levels at ``index_base``."""
+    the plot rows divide by the levels at ``index_base``. ``templates`` is
+    the run's store of shared row templates in this process."""
     lines = out.lines
     defaults = config.defaults
     timed = out.timed
@@ -625,7 +678,7 @@ def _run_model(
     try:
         with timed("lq"):
             lq = lq_records_for_panel(panel, aux)
-            lines["lq.csv"] = lq_lines(panel, lq)
+            lines["lq.csv"] = lq_lines(panel, lq, templates)
             mean_lq, significant = lq_flag(lq, defaults.lq_threshold)
             lines["lq_flags.csv"] = _line(panel, fmt6(mean_lq), int(significant))
         with timed("summary"):
@@ -651,15 +704,15 @@ def _run_model(
             lines["normality.csv"] = normality_lines(panel, fit)
 
         with timed("forecast"):
-            template = _path_template(panel, defaults.horizon)
+            template = _path_template(panel, defaults.horizon, templates=templates)
             rows = np.concatenate((x, forecast(fit, x[-spec.k :], defaults.horizon)))
-            lines["forecast.csv"] = _fill(template, rows)
+            lines["forecast.csv"] = _prefixed(panel, _fill(template, rows))
             try:
                 lines["plot.csv"] = emit_plot_data(panel, rows, template, index_base)
             except IndexBaseMissing as exc:
                 plot_error = exc  # the model's other rows are still built
         with timed("irf"):
-            lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon))
+            lines["irf.csv"] = irf_lines(panel, irf(fit, defaults.horizon), templates)
 
         if defaults.holdout_start is not None:
             with timed("backtest"):
@@ -700,12 +753,15 @@ def _read_panels(outputs: list[ModelOutput], data_dir: str) -> dict:
     return panels
 
 
-def _serve(outputs: list[ModelOutput], config, aux, exchange: int, fd: int) -> None:
+def _serve(
+    outputs: list[ModelOutput], config, aux, templates: dict, exchange: int, fd: int
+) -> None:
     """A forked worker's work: read the panels of ``outputs``' models, send
     their starts as the first pickle record on the pipe ``fd``, and read
     plot.csv's base from ``exchange``, leaving if it ends unsent. Then run
-    each model, sending its ``ModelOutput`` as one record as it ends. A
-    BaseException that escapes is sent as the last record instead."""
+    each model, with ``templates`` as its own store of row templates,
+    sending its ``ModelOutput`` as one record as it ends. A BaseException
+    that escapes is sent as the last record instead."""
     with os.fdopen(fd, "wb") as pipe:
         try:
             panels = _read_panels(outputs, config.data_dir)
@@ -718,7 +774,7 @@ def _serve(outputs: list[ModelOutput], config, aux, exchange: int, fd: int) -> N
             index_base = QuarterDate.from_index(int.from_bytes(message, "little", signed=True))
             for o in outputs:
                 if o.model in panels:
-                    _run_model(o, panels.pop(o.model), config, aux, index_base)
+                    _run_model(o, panels.pop(o.model), config, aux, index_base, templates)
                 pickle.dump(o, pipe)
                 pipe.flush()
                 o.lines.clear()
@@ -879,8 +935,11 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             exchange = os.pipe() if count > 1 else ()
             for fd in exchange:
                 stack.callback(os.close, fd)
+            # Shared row templates, by what they are built from; each process
+            # fills its own copy, and none outlives the run.
+            templates = {}
             for w in range(1, count):
-                _start_worker(children, exchange, outputs[w::count], config, aux)
+                _start_worker(children, exchange, outputs[w::count], config, aux, templates)
             workers = list(children)  # the pid of worker 1, 2, ...
             panels = _read_panels(outputs[::count], config.data_dir)
             # plot.csv's base: the latest start among the panels read here
@@ -896,7 +955,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
                 if i % count:
                     o = outputs[i] = _receive(o, workers[i % count - 1], children)
                 elif o.model in panels:
-                    _run_model(o, panels.pop(o.model), config, aux, index_base)
+                    _run_model(o, panels.pop(o.model), config, aux, index_base, templates)
                 for report, text in o.lines.items():
                     append(report, text)
                 o.lines.clear()

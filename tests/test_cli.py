@@ -528,6 +528,32 @@ class TestConfigTypes:
         assert captured.err == f"error: ConfigInvalid: {key} must not contain a NUL character\n"
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["run", "forecast"])
+    def test_horizon_above_10000_is_a_typed_error(self, command, tmp_path, capsys):
+        # A horizon of 100000000 once ended a run in an out-of-memory kill.
+        with open(CONFIG) as fh:
+            obj = json.load(fh)
+        obj["dataDir"] = DATA_ROOT
+        obj["defaults"]["horizon"] = 10001
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        args = [command, "--config", str(config)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        else:
+            args += ["--state", "AL", "--naics", "113"]
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigInvalid: horizon must be at most 10000\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_horizon_flag_above_10000_is_a_typed_error(self, capsys):
+        assert run_cli(*stage_args("forecast", "AL", 113, "--horizon", "10001")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigInvalid: --horizon must be at most 10000\n"
+
     def test_nul_in_run_out_is_a_typed_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", CONFIG, "--out", str(tmp_path / "o\0")) == 2
         captured = capsys.readouterr()

@@ -1,6 +1,9 @@
 """Hostile-input property: a bundled panel or aux CSV with one cell changed,
 one row deleted or duplicated, or a blank line inserted either parses or
-raises a CointegraError, never anything else. Each outcome, a value or an
+raises a CointegraError, never anything else. So does one with a format
+edit that leaves the one-pass reader for ``read_table``: a quoted cell,
+CR LF or lone CR line ends, a trailing comma, a whitespace-only line, a
+short row, or a leading byte-order mark. Each outcome, a value or an
 error with its class, row, column and message, equals that of the
 row-at-a-time readers below, which ``ingest_panel``, the aux series reader
 and ``lq_records_for_panel`` replaced."""
@@ -48,7 +51,7 @@ def _cell(raw, column, row, cast=float, path=None):
 
 
 def reference_ingest(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for column in CSV_COLUMNS:
@@ -87,7 +90,7 @@ def reference_ingest(path):
 
 
 def reference_value_series(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"year", "quarter", "value"} - set(reader.fieldnames):
             raise MissingColumn(f"{path}: expected columns year,quarter,value")
@@ -161,15 +164,48 @@ def read_rows(path):
 def mutations(n_rows, n_cols):
     """One edit of a table with ``n_rows`` rows (the header is row 0)."""
     row = st.integers(0, n_rows - 1)
+    column = st.integers(0, n_cols - 1)
     return st.one_of(
-        st.tuples(st.just("cell"), row, st.integers(0, n_cols - 1), CELLS),
+        st.tuples(st.just("cell"), row, column, CELLS),
         st.tuples(st.just("delete"), row),
         st.tuples(st.just("duplicate"), row),
         st.tuples(st.just("blank"), st.integers(0, n_rows)),
+        st.tuples(st.just("quote"), row, column),
+        st.tuples(st.just("line ends"), st.sampled_from(["\r\n", "\r"])),
+        st.tuples(st.just("trailing comma"), row),
+        st.tuples(st.just("spaces"), st.integers(0, n_rows), st.sampled_from([" ", "\t", "  "])),
+        st.tuples(st.just("short"), row, column),
+        st.tuples(st.just("bom"), st.sampled_from(["\n", "\r\n"])),
     )
 
 
+# Edits of the file's text, made on the bundled rows, whose cells need no quoting.
+FORMAT_EDITS = ("quote", "line ends", "trailing comma", "spaces", "short", "bom")
+
+
+def write_format_edit(rows, mutation, path):
+    lines = [",".join(r) for r in rows]
+    kind = mutation[0]
+    newline = mutation[1] if kind in ("line ends", "bom") else "\n"
+    if kind == "quote":
+        cells = lines[mutation[1]].split(",")
+        cells[mutation[2]] = f'"{cells[mutation[2]]}"'
+        lines[mutation[1]] = ",".join(cells)
+    elif kind == "trailing comma":
+        lines[mutation[1]] += ","
+    elif kind == "spaces":
+        lines.insert(mutation[1], mutation[2])
+    elif kind == "short":
+        lines[mutation[1]] = ",".join(rows[mutation[1]][: mutation[2]])
+    text = "".join(line + newline for line in lines)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\ufeff" + text if kind == "bom" else text)
+
+
 def write_mutated(rows, mutation, path):
+    if mutation[0] in FORMAT_EDITS:
+        write_format_edit(rows, mutation, path)
+        return
     rows = [list(r) for r in rows]
     kind, at = mutation[0], mutation[1]
     if kind == "cell":

@@ -1,8 +1,10 @@
 import csv
+import os
 
 import numpy as np
 import pytest
 
+from cointegra import panel as panel_module
 from cointegra.errors import (
     DuplicateQuarter,
     EmptyInput,
@@ -326,6 +328,82 @@ class TestIngestCells:
         path.write_text(text)
         with pytest.raises(MissingColumn, match="'year'"):
             ingest_panel(str(path))
+
+
+BUNDLED_PANEL = os.path.join(
+    os.path.dirname(__file__), "..", "data", "sixstate", "panels", "AL_113.csv"
+)
+
+
+class TestReadPaths:
+    """A plain file is read in one pass, without ``read_table``; a file that
+    only the csv module reads right (a quoted cell, lone CR line ends, a
+    ragged row) goes through it, to the same panel."""
+
+    @pytest.fixture
+    def read_table_calls(self, monkeypatch):
+        calls, read_table = [], panel_module.read_table
+
+        def counted(path):
+            calls.append(path)
+            return read_table(path)
+
+        monkeypatch.setattr(panel_module, "read_table", counted)
+        return calls
+
+    def test_bundled_panel_is_read_in_one_pass(self, read_table_calls):
+        assert len(ingest_panel(BUNDLED_PANEL)) == 72
+        assert read_table_calls == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data.replace(b"\n2001,1,", b'\n"2001",1,', 1),
+            lambda data: data.replace(b"\r\n", b"\r"),
+            lambda data: data.replace(b"\r\n2001,1,", b",\r\n2001,1,", 1),
+        ],
+        ids=["quoted-cell", "lone-cr", "trailing-comma"],
+    )
+    def test_other_files_are_read_through_read_table(self, edit, tmp_path, read_table_calls):
+        with open(BUNDLED_PANEL, "rb") as fh:
+            data = fh.read()
+        path = tmp_path / "AL_113.csv"
+        path.write_bytes(edit(data))
+        assert path.read_bytes() != data
+        expected = ingest_panel(BUNDLED_PANEL)
+        panel = ingest_panel(str(path))
+        assert read_table_calls == [str(path)]
+        assert panel.start == expected.start
+        assert np.array_equal(panel.levels, expected.levels)
+
+    def test_a_row_short_of_an_unused_column_is_read_through_read_table(
+        self, tmp_path, read_table_calls
+    ):
+        # Every cell is an integer, so columns misaligned by the short row
+        # would still cast.
+        path = tmp_path / "AL_113.csv"
+        rows = [row[:2] + [3] * 5 + [1] for row in panel_rows(QuarterDate(2005, 1), 4)]
+        rows[1] = rows[1][:-1]
+        write_rows(path, rows, header=CSV_COLUMNS + ("note",))
+        panel = ingest_panel(str(path))
+        assert read_table_calls == [str(path)]
+        assert panel.start == QuarterDate(2005, 1)
+        assert np.array_equal(panel.levels, np.full((4, 5), 3.0))
+
+    def test_a_quoted_line_break_joins_two_lines(self, tmp_path, read_table_calls):
+        # Each line has the header's field count, but the csv module reads
+        # 2005Q3's line into 2005Q2's note.
+        path = tmp_path / "AL_113.csv"
+        rows = [row + ["x"] for row in panel_rows(QuarterDate(2005, 1), 4)]
+        lines = csv_lines(rows, header=CSV_COLUMNS + ("note",))
+        lines[2] = lines[2][:-1] + '"x'
+        lines[3] = lines[3][:-1] + 'x"'
+        write_lines(path, lines)
+        with pytest.raises(GapInQuarters) as err:
+            ingest_panel(str(path))
+        assert err.value.missing == ["2005Q3"]
+        assert read_table_calls == [str(path)]
+
 
 class TestLocationQuotient:
     def test_equal_shares_give_one(self):

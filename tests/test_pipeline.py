@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from cointegra import diagnostics, linalg, pipeline, unitroot
+from cointegra.cli import main as cli_main
 from cointegra.errors import (
     ConfigInvalid,
     DataDirMissing,
@@ -170,6 +171,37 @@ class TestParseConfig:
         # 113.0 == 113 passed the membership test and read AL_113.0.csv.
         with pytest.raises(ConfigInvalid, match="unsupported naics 113.0"):
             parse_config(minimal_config(models=[{"state": "AL", "naics": 113.0}]))
+
+    def test_horizon_is_at_most_10000(self):
+        assert parse_config(minimal_config(defaults={"horizon": 10000})).defaults.horizon == 10000
+        for value, message in [
+            (10001, "horizon must be at most 10000"),
+            (100000000, "horizon must be at most 10000"),
+            (0, "horizon must be a positive integer"),
+            (2.5, "horizon must be a positive integer"),
+        ]:
+            with pytest.raises(ConfigInvalid) as info:
+                parse_config(minimal_config(defaults={"horizon": value}))
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("command", ["run", "lq"])
+    def test_horizon_above_10000_ends_the_command_with_exit_2(self, command, tmp_path, capsys):
+        obj = {
+            "dataDir": DATA_ROOT,
+            "outDir": "out",
+            "models": [{"state": "AL", "naics": 113}],
+            "defaults": {"horizon": 10001},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        args = [command, "--config", str(config)]
+        if command == "lq":
+            args += ["--state", "AL", "--naics", "113"]
+        assert cli_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConfigInvalid: horizon must be at most 10000\n"
+        assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("key", ["maxLag", "horizon"])
     def test_boolean_default_rejected(self, key):

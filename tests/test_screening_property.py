@@ -1,21 +1,26 @@
 """Hostile-input property for the screening files: ``cointegra lq`` on a
 copy of the bundled data with one aux file changed (a bad cell, a short
 row, a nan or an infinity, a repeated quarter, a quarter outside 1..4,
-bytes that may not be UTF-8, or a byte-order mark) either succeeds or ends
-with exit 2 and one ``error: <CointegraError subclass>: …`` line on
-stderr. It never raises, so it never prints a traceback."""
+bytes that may not be UTF-8, a byte-order mark, a quoted cell, CR LF or
+lone CR line ends, a trailing comma, or a whitespace-only line) either
+succeeds or ends with exit 2 and one ``error: <CointegraError subclass>: …``
+line on stderr. It never raises, so it never prints a traceback. Its
+outcome equals that of the same run with every file read by ``read_table``,
+the reference for the one-pass reader; an edit of the file's format alone
+leaves the output as it was."""
 
 import contextlib
 import io
 import os
 import re
 import shutil
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointegra import errors
+from cointegra import errors, panel
 from cointegra.cli import main
 
 DATA_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "data", "sixstate"))
@@ -38,7 +43,13 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("quarter"), ROW, st.integers(-2, 9)),
     st.tuples(st.just("bytes"), st.integers(0, 73), st.binary(min_size=1, max_size=3)),
     st.tuples(st.just("bom")),
+    st.tuples(st.just("quote"), ROW, st.integers(0, 2)),
+    st.tuples(st.just("line ends"), st.sampled_from([b"\r\n", b"\r"])),
+    st.tuples(st.just("trailing comma"), ROW),
+    st.tuples(st.just("spaces"), ROW, st.sampled_from([b" ", b"\t"])),
 )
+# Edits that change how the file is written but not what it holds.
+FORMAT_ONLY = ("bom", "quote", "line ends", "trailing comma")
 
 
 def mutated(original: bytes, mutation) -> bytes:
@@ -46,8 +57,12 @@ def mutated(original: bytes, mutation) -> bytes:
     if kind == "bom":
         return b"\xef\xbb\xbf" + original
     lines = original.split(b"\n")[:-1]  # the header, then one line per data row
+    if kind == "line ends":
+        return b"".join(line + mutation[1] for line in lines)
     if kind == "bytes":
         lines.insert(mutation[1], mutation[2])
+    elif kind == "spaces":
+        lines.insert(mutation[1] + 1, mutation[2])
     else:
         at = mutation[1] + 1
         cells = lines[at].split(b",")
@@ -57,6 +72,10 @@ def mutated(original: bytes, mutation) -> bytes:
             cells = cells[: mutation[2]]
         elif kind == "quarter":
             cells[1] = str(mutation[2]).encode()
+        elif kind == "quote":
+            cells[mutation[2]] = b'"' + cells[mutation[2]] + b'"'
+        elif kind == "trailing comma":
+            cells.append(b"")
         if kind == "repeat":
             lines.insert(at, lines[at])
         else:
@@ -94,8 +113,11 @@ def test_lq_succeeds_or_names_one_typed_error(name, mutation, data_copy, plain):
     path.write_bytes(mutated(original, mutation))
     try:
         code, out, err = run_lq(data_copy)
+        with mock.patch.object(panel, "_one_pass", return_value=None):
+            reference = run_lq(data_copy)
     finally:
         path.write_bytes(original)
+    assert (code, out, err) == reference
     if code == 0:
         assert err == ""
         lines = out.splitlines()
@@ -106,7 +128,7 @@ def test_lq_succeeds_or_names_one_typed_error(name, mutation, data_copy, plain):
         match = ERROR_LINE.fullmatch(err)
         assert match is not None, err
         assert issubclass(getattr(errors, match[1]), errors.CointegraError)
-    if mutation[0] == "bom":
+    if mutation[0] in FORMAT_ONLY:
         assert (code, out) == (0, plain)
     if mutation[0] == "repeat":
         assert err.startswith("error: DuplicateQuarter: ")
