@@ -68,12 +68,9 @@ RANK_TOL = 1e-10
 # find_spec locates the package without running its ``__init__``.
 _NUMPY_DIR = importlib.util.find_spec("numpy").submodule_search_locations[0]
 
-
-def _library() -> str | None:
-    """Path of the OpenBLAS numpy ships, in its sibling ``numpy.libs``; None
-    if not found."""
-    found = glob.glob(os.path.join(_NUMPY_DIR + ".libs", "libscipy_openblas64_-*"))
-    return found[0] if found else None
+# Path of the OpenBLAS numpy ships, in its sibling ``numpy.libs``, looked up
+# once per process; None if not found.
+_LIBRARY = next(iter(glob.glob(os.path.join(_NUMPY_DIR + ".libs", "libscipy_openblas64_-*"))), None)
 
 
 @contextlib.contextmanager
@@ -84,7 +81,7 @@ def _loading_with_one_thread():
     that many threads. Nothing is set where numpy is imported already, as
     its library has read the variable then, or where the library is not
     found, as the pin skips it too."""
-    if "numpy" in sys.modules or _library() is None:
+    if "numpy" in sys.modules or _LIBRARY is None:
         yield
         return
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
@@ -105,9 +102,8 @@ with _loading_with_one_thread():
 def _openblas(verb: str, *args: int) -> int | None:
     """Call ``scipy_openblas_<verb>_num_threads64_`` (``int get()``, ``void
     set(int)``) of numpy's OpenBLAS; None where library or symbol is missing."""
-    path = _library()
     symbol = f"scipy_openblas_{verb}_num_threads64_"
-    func = getattr(ctypes.CDLL(path), symbol, None) if path else None
+    func = getattr(ctypes.CDLL(_LIBRARY), symbol, None) if _LIBRARY else None
     if func is None:
         return None
     func.argtypes, func.restype = ([ctypes.c_int], None) if args else ([], ctypes.c_int)
@@ -144,10 +140,9 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
     workspace query depends only on its integer arguments, so it is asked
     once per shape.
     """
-    path = _library()
-    if path is None:
+    if _LIBRARY is None:
         return None
-    lib = ctypes.CDLL(path)  # numpy loaded it already: no second copy
+    lib = ctypes.CDLL(_LIBRARY)  # numpy loaded it already: no second copy
     routines = {name: getattr(lib, f"scipy_{name}_64_", None) for name in _SIGNATURES}
     config = getattr(lib, "scipy_openblas_get_config64_", None)
     if config is None or None in routines.values():
@@ -205,7 +200,7 @@ def _numpy_lapack() -> tuple[str, tuple] | None:
         return x[:n], v
 
     build = " ".join(config().decode().split())
-    return f"{os.path.basename(path)}: {build}", (trtrs, gelsy)
+    return f"{os.path.basename(_LIBRARY)}: {build}", (trtrs, gelsy)
 
 
 def _numpy_trtrs(a, b, lower, trans):

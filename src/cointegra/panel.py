@@ -7,19 +7,19 @@ quarter ``start.advanced(i)``, and the columns follow :data:`VARIABLES`
 estimator downstream. The matrix is read-only, so every stage can share it
 and a window of it is a view.
 
-Input CSVs are read by ``read_columns``. A file that holds no ``"``, no
-NUL and no carriage return other than in CR LF line ends, whose every
-non-blank line has the header's field count, and whose every needed cell
-casts and passes its checks, is read in one pass: decoded once, split into
-cells with one ``str.split``, and cast a column at a time. Every other
-file takes ``read_table`` and ``parse_columns``, the only path that handles
-quoted fields, lone CR line ends, ragged rows and bad cells, and that
-raises their errors.
+Input CSVs are read by ``read_columns``: each file is opened once and
+decoded once. Text that holds no ``"``, no NUL and no carriage return
+other than in CR LF line ends, and whose every non-blank line has the
+header's field count, is split into cells with one ``str.split``; any
+other text (quoted fields, lone CR line ends, ragged rows) by the ``csv``
+module. Either split's cells then go through the same cast and checks,
+so both give the same values and the same errors.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -103,27 +103,65 @@ def _parse_identity(csv_path: str) -> tuple[str, int]:
     return stem, 0
 
 
-def read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """The header and the data rows of a CSV file. The first line is the
-    header, even when blank; later blank lines are skipped and not counted
-    as rows. A leading byte-order mark is dropped, as Excel's "CSV UTF-8"
-    writes one. A file that is not UTF-8, or that the csv module cannot
-    split (a quoted field longer than its field limit), raises MalformedFile,
-    as does a path that cannot be opened (a directory, no read permission);
-    a file that does not exist raises InputFileMissing."""
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, decoded once as UTF-8; a leading
+    byte-order mark is dropped, as Excel's "CSV UTF-8" writes one. A file
+    that does not exist raises InputFileMissing; one that cannot be opened
+    (a directory, no read permission) or is not UTF-8 raises MalformedFile,
+    whose message gives the bad bytes' position in the text after any
+    byte-order mark."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            return header, [row for row in reader if row]
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8-sig")
     except FileNotFoundError as exc:
         raise InputFileMissing(f"no such file: {path}") from exc
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _split_plain(text: str) -> tuple[list[str], int, list] | None:
+    """``_split_csv`` of ``text`` with one ``str.split``, for text that
+    holds no ``"``, no NUL and no CR other than in CR LF line ends, has a
+    header and a data row, and whose every non-blank line has the header's
+    field count; None for any other text."""
+    if "\r" in text:  # CR LF ends a line as LF does; a lone CR is left to csv
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    first, *lines = text.split("\n")
+    rows = [line for line in lines if line]  # the csv module skips blank lines
+    header = first.split(",")
+    width = len(header)
+    # A field as long as csv's limit makes csv fail; no line is that long.
+    if (
+        not first
+        or not rows
+        or set(map(str.count, rows, repeat(","))) != {width - 1}
+        or max(map(len, rows)) >= csv.field_size_limit()
+    ):
+        return None
+    cells = ",".join(rows).split(",")
+    return header, len(rows), [cells[i::width] for i in range(width)]
+
+
+def _split_csv(text: str, path: str) -> tuple[list[str], int, list]:
+    """The header, the number of data rows, and the cells of each column
+    (None past the end of a short row) of CSV ``text``. The first line is
+    the header, even when blank; later blank lines are skipped and not
+    counted as rows. Text the csv module cannot split (a quoted field
+    longer than its field limit) raises MalformedFile naming ``path``."""
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, [])
+        rows = [row for row in reader if row]
     except csv.Error as exc:
         raise MalformedFile(f"{path} is not a readable CSV file: {exc}") from exc
+    width = len(header)
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    return header, len(rows), list(zip(*rows)) if rows else [()] * width
 
 
 def _cast_each(cells, cast) -> tuple[list, list[bool]]:
@@ -140,101 +178,56 @@ def _cast_each(cells, cast) -> tuple[list, list[bool]]:
     return values, bad
 
 
-def parse_columns(
-    header: list[str], rows: list[list[str]], columns, casts
-) -> tuple[list, np.ndarray | None]:
-    """Cast each named column of ``rows`` with its cast (``int`` or ``float``).
+def read_columns(path: str, columns, casts) -> tuple[list[str], int, list, np.ndarray | None]:
+    """Cast each named column of the CSV file at ``path`` with its cast
+    (``int`` or ``float``); see the module docstring for how it is read.
 
-    A name repeated in the header reads its last column. Returns the
-    columns (an int list, or a float array) and either None or a bool array
-    (rows x columns) marking each malformed cell: one that is missing (a
-    short row), does not parse, or is a nan or an infinity, or a ``year``
-    cell outside 0..9999 or a ``quarter`` cell outside 1..4. A malformed
-    cell's value is unspecified.
+    Returns the header, the number of data rows, the columns (an int list,
+    or a float array) and either None or a bool array (rows x columns)
+    marking each malformed cell: one that is missing (a short row), does
+    not parse, or is a nan or an infinity, or a ``year`` cell outside
+    0..9999 or a ``quarter`` cell outside 1..4. A malformed cell's value is
+    unspecified. A name repeated in the header reads its last column. If
+    the header lacks one of ``columns``, nothing is cast: the row count is
+    0 and the columns are empty. Raises ``_read_text``'s and
+    ``_split_csv``'s errors.
     """
+    text = _read_text(path)
+    header, count, cells = _split_plain(text) or _split_csv(text, path)
     index = {name: i for i, name in enumerate(header)}
-    picks = [index[name] for name in columns]
-    width = max(picks) + 1
-    if min(map(len, rows), default=width) < width:
-        rows = [row + [None] * (width - len(row)) for row in rows]
-    cells = list(zip(*rows)) if rows else [()] * width
-    out, bad = [], np.zeros((len(rows), len(picks)), dtype=bool)
-    for j, (i, cast) in enumerate(zip(picks, casts)):
+    if any(name not in index for name in columns):
+        return header, 0, [], None
+    out, bad = [], np.zeros((count, len(columns)), dtype=bool)
+    for j, (name, cast) in enumerate(zip(columns, casts)):
+        column = cells[index[name]]
         try:
-            values = list(map(cast, cells[i]))
+            values = list(map(cast, column))
         except (TypeError, ValueError):
-            values, bad[:, j] = _cast_each(cells[i], cast)
+            values, bad[:, j] = _cast_each(column, cast)
         if cast is float:
             values = np.array(values, dtype=float)
             bad[:, j] |= ~np.isfinite(values)
-        if columns[j] in _RANGES:
-            low, high = _RANGES[columns[j]]
-            bad[:, j] |= np.array([not low <= v <= high for v in values], dtype=bool)
-        out.append(values)
-    return out, bad if bad.any() else None
-
-
-def _one_pass(path: str, columns, casts) -> tuple[list[str], int, list] | None:
-    """``read_columns``'s header, row count and columns for a file that
-    needs none of ``read_table``'s handling and holds no bad cell, else
-    None. None, too, where the file cannot be opened or decoded, so that
-    ``read_table`` raises the error as it always has."""
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError):
-        return None
-    if "\r" in text:  # CR LF ends a line as LF does; a lone CR is left to csv
-        text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    first, *lines = text.split("\n")
-    rows = [line for line in lines if line]  # the csv module skips blank lines
-    header = first.split(",")
-    width = len(header)
-    index = {name: i for i, name in enumerate(header)}
-    # A field as long as csv's limit makes read_table fail; no line is that long.
-    if (
-        not first
-        or not rows
-        or any(name not in index for name in columns)
-        or set(map(str.count, rows, repeat(","))) != {width - 1}
-        or max(map(len, rows)) >= csv.field_size_limit()
-    ):
-        return None
-    cells = ",".join(rows).split(",")
-    out = []
-    for name, cast in zip(columns, casts):
-        try:
-            values = list(map(cast, cells[index[name] :: width]))
-        except ValueError:
-            return None
-        if cast is float:
-            values = np.array(values, dtype=float)
-            if not np.isfinite(values).all():
-                return None
         if name in _RANGES:
             low, high = _RANGES[name]
-            if min(values) < low or max(values) > high:
-                return None
+            if min(values, default=low) < low or max(values, default=high) > high:
+                bad[:, j] |= np.array([not low <= v <= high for v in values], dtype=bool)
         out.append(values)
-    return header, len(rows), out
+    return header, count, out, bad if bad.any() else None
 
 
-def read_columns(path: str, columns, casts) -> tuple[list[str], int, list, np.ndarray | None]:
-    """The header of the CSV file at ``path``, its number of data rows, and
-    ``parse_columns`` of its rows for ``columns`` and ``casts``: as
-    ``read_table`` and ``parse_columns`` give them, and with their errors.
-    If the header lacks one of ``columns``, nothing is cast: the row count
-    is 0 and the columns are empty. The one-pass reader (see the module
-    docstring) gives the same result where it applies."""
-    table = _one_pass(path, columns, casts)
-    if table is not None:
-        return (*table, None)
-    header, rows = read_table(path)
-    if not set(columns) <= set(header):
-        return header, 0, [], None
-    return (header, len(rows), *parse_columns(header, rows, columns, casts))
+def quarter_indices(years, quarters, path: str) -> list[int]:
+    """Each row's quarter index (``QuarterDate.index_of``) from its year and
+    quarter, which must be in range. A quarter that appears twice raises
+    DuplicateQuarter naming ``path`` and the earliest quarter repeated.
+    Python ints rather than a numpy array: numpy's int64 kernels, used
+    nowhere else in a run, would add about 0.2 MB of resident code."""
+    index = list(map(QuarterDate.index_of, years, quarters))
+    if len(set(index)) < len(index):
+        ordered = sorted(index)
+        repeated = next(cur for prev, cur in zip(ordered, ordered[1:]) if cur == prev)
+        label = QuarterDate.from_index(repeated).label()
+        raise DuplicateQuarter(f"quarter {label} duplicated in {path}")
+    return index
 
 
 def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = None) -> PanelDataset:
@@ -293,17 +286,10 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
     if not count:
         raise EmptyInput(f"no data rows in {csv_path}")
 
-    # Quarter indices order the rows as QuarterDates do.
-    index = list(map(QuarterDate.index_of, years, quarters))
-    ordered = sorted(index)
-    seen = set(ordered)
-    if len(seen) < len(ordered):
-        cur = next(cur for prev, cur in zip(ordered, ordered[1:]) if cur == prev)
-        raise DuplicateQuarter(
-            f"quarter {QuarterDate.from_index(cur).label()} duplicated in {csv_path}"
-        )
-    first, last = ordered[0], ordered[-1]
-    if last - first + 1 != len(ordered):
+    index = quarter_indices(years, quarters, csv_path)
+    first, last = min(index), max(index)
+    if last - first + 1 != count:
+        seen = set(index)
         labels = QuarterDate.from_index(first).labels(last - first + 1)
         raise GapInQuarters([label for i, label in enumerate(labels, first) if i not in seen])
 
@@ -311,7 +297,7 @@ def ingest_panel(csv_path: str, state: str | None = None, naics: int | None = No
         parsed_state, parsed_naics = _parse_identity(csv_path)
         state = state if state is not None else parsed_state
         naics = naics if naics is not None else parsed_naics
-    if ordered != index:
+    if index != sorted(index):
         levels = levels[np.argsort(index)]
     return PanelDataset(state, int(naics), QuarterDate.from_index(first), levels)
 

@@ -50,9 +50,7 @@ import signal
 import sys
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 
 # CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto.
 try:
@@ -80,7 +78,6 @@ from .diagnostics import NORMALITY_DOF, lm_autocorrelation, normality_tests
 from .errors import (
     ConfigInvalid,
     DataDirMissing,
-    DuplicateQuarter,
     IndexBaseMissing,
     MalformedValue,
     MissingColumn,
@@ -96,6 +93,7 @@ from .panel import (
     ingest_panel,
     location_quotient,
     lq_flag,
+    quarter_indices,
     read_columns,
     summarize,
 )
@@ -338,12 +336,15 @@ REPORT_HEADERS = {
 }
 
 
-def _read_value_series(path: str) -> dict[tuple[int, int], float]:
-    """A year,quarter,value file as {(year, quarter): value}, with the
-    errors of ``ingest_panel``: MalformedFile, MissingColumn if a column is
-    absent, MalformedValue naming ``path`` and the first bad cell in reading
-    order (a year outside 0..9999 or a quarter outside 1..4 is one), and
-    DuplicateQuarter naming the earliest quarter that repeats."""
+def _read_value_series(path: str) -> tuple[int, np.ndarray]:
+    """A year,quarter,value file as the quarter index of its first quarter
+    and a float array of its values from that quarter on, NaN for each
+    quarter the file has no row for; an empty file gives (0, an empty
+    array). The errors are those of ``ingest_panel``: MalformedFile,
+    MissingColumn if a column is absent, MalformedValue naming ``path`` and
+    the first bad cell in reading order (a year outside 0..9999 or a
+    quarter outside 1..4 is one), and DuplicateQuarter naming the earliest
+    quarter that repeats."""
     columns = ("year", "quarter", "value")
     header, count, parsed, bad = read_columns(path, columns, (int, int, float))
     if set(columns) - set(header):
@@ -352,20 +353,23 @@ def _read_value_series(path: str) -> dict[tuple[int, int], float]:
         row, col = divmod(int(np.flatnonzero(bad)[0]), len(columns))
         raise MalformedValue(row, columns[col], path)
     years, quarters, values = parsed
-    series = dict(zip(zip(years, quarters), values.tolist()))
-    if len(series) < count:
-        repeated = min(key for key, count in Counter(zip(years, quarters)).items() if count > 1)
-        raise DuplicateQuarter(f"quarter {QuarterDate(*repeated).label()} duplicated in {path}")
-    return series
+    if not count:
+        return 0, values
+    index = quarter_indices(years, quarters, path)
+    first = min(index)
+    series = np.full(max(index) - first + 1, np.nan)
+    series[[i - first for i in index]] = values
+    return first, series
 
 
-def load_aux_series(data_dir: str, states, naics_codes) -> dict[str, dict]:
+def load_aux_series(data_dir: str, states, naics_codes) -> dict[str, tuple[int, np.ndarray]]:
     """The LQ screening series of ``states`` and ``naics_codes``, keyed by
     the file name under ``data_dir/aux`` that each is read from:
     ``national_total.csv``, then ``state_total_{state}.csv`` and then
     ``national_industry_{naics}.csv``, each in sorted order, which is the
     order the files are read in. Each series is a ``_read_value_series``
-    dict, and a file's error is raised as that function raises it."""
+    (first quarter index, values) pair, and a file's error is raised as
+    that function raises it."""
     names = [
         "national_total.csv",
         *(f"state_total_{state}.csv" for state in sorted(set(states))),
@@ -374,7 +378,18 @@ def load_aux_series(data_dir: str, states, naics_codes) -> dict[str, dict]:
     return {name: _read_value_series(os.path.join(data_dir, "aux", name)) for name in names}
 
 
-def lq_records_for_panel(panel: PanelDataset, aux: dict[str, dict]) -> np.ndarray:
+def _aligned(series: tuple[int, np.ndarray], start: int, count: int) -> np.ndarray:
+    """The ``count`` values of a screening series from quarter index
+    ``start`` on, NaN where the series has none."""
+    first, values = series
+    out = np.full(count, np.nan)
+    lo, hi = max(first - start, 0), min(first + len(values) - start, count)
+    if lo < hi:
+        out[lo:hi] = values[start + lo - first : start + hi - first]
+    return out
+
+
+def lq_records_for_panel(panel: PanelDataset, aux: dict[str, tuple[int, np.ndarray]]) -> np.ndarray:
     """Location quotient of each panel quarter, in quarter order: panel
     employment over the state total, divided by national industry
     employment over the national total (``location_quotient`` as arrays).
@@ -390,14 +405,13 @@ def lq_records_for_panel(panel: PanelDataset, aux: dict[str, dict]) -> np.ndarra
         A screening value is zero or negative; the first such quarter is
         reported, unless a missing quarter comes before it.
     """
-    keys = panel.start.following(len(panel))
     files = (
         f"state_total_{panel.state}.csv",
         f"national_industry_{panel.naics}.csv",
         "national_total.csv",
     )
     state_total, national_industry, national_total = columns = [
-        np.fromiter(map(aux[name].get, keys, repeat(np.nan)), float, len(keys)) for name in files
+        _aligned(aux[name], panel.start.index, len(panel)) for name in files
     ]
     employment = panel.levels[:, VARIABLES.index("employment")]
     missing = np.isnan(state_total) | np.isnan(national_industry) | np.isnan(national_total)
@@ -1024,8 +1038,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             plotBase=None if index_base is None else index_base.label(),
         )
         with open(temp["manifest.json"], "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
         # A report this run does not write is removed, so the bundle never
         # mixes two runs.

@@ -494,7 +494,7 @@ class TestBlasPin:
             "bound = (linalg._TRTRS, linalg._GELSY)\n"
             "print(linalg.LAPACK, bound == (linalg._numpy_trtrs, linalg._numpy_gelsy))\n"
             "print(linalg.blas_threads())\n"
-            "glob.glob = real_glob\n"
+            "linalg._LIBRARY = real_glob(linalg._NUMPY_DIR + '.libs/libscipy_openblas64_-*')[0]\n"
             "print('pools', linalg.blas_threads())\n",
             argv=(str(tmp_path),),
             OPENBLAS_NUM_THREADS="2",

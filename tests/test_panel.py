@@ -9,6 +9,7 @@ from cointegra.errors import (
     DuplicateQuarter,
     EmptyInput,
     GapInQuarters,
+    MalformedFile,
     MalformedValue,
     MissingColumn,
     NonPositiveInput,
@@ -336,24 +337,34 @@ BUNDLED_PANEL = os.path.join(
 
 
 class TestReadPaths:
-    """A plain file is read in one pass, without ``read_table``; a file that
-    only the csv module reads right (a quoted cell, lone CR line ends, a
-    ragged row) goes through it, to the same panel."""
+    """Every input file is opened once and decoded once. A plain file is
+    split with one ``str.split``, a bad cell in it included; a file that
+    only the csv module splits right (a quoted cell, lone CR line ends, a
+    ragged row) goes through ``_split_csv``, to the same panel. The test
+    names keep ``read_table``, the csv module's reader before the two
+    splits shared one cast."""
 
     @pytest.fixture
-    def read_table_calls(self, monkeypatch):
-        calls, read_table = [], panel_module.read_table
+    def reads(self, monkeypatch):
+        """The paths opened, and the texts given to ``_split_csv``."""
+        calls = {"open": [], "csv": []}
+        split_csv = panel_module._split_csv
 
-        def counted(path):
-            calls.append(path)
-            return read_table(path)
+        def opened(path, *args, **kwargs):
+            calls["open"].append(str(path))
+            return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(panel_module, "read_table", counted)
+        def counted(text, path):
+            calls["csv"].append(path)
+            return split_csv(text, path)
+
+        monkeypatch.setattr(panel_module, "open", opened, raising=False)
+        monkeypatch.setattr(panel_module, "_split_csv", counted)
         return calls
 
-    def test_bundled_panel_is_read_in_one_pass(self, read_table_calls):
+    def test_bundled_panel_is_read_in_one_pass(self, reads):
         assert len(ingest_panel(BUNDLED_PANEL)) == 72
-        assert read_table_calls == []
+        assert reads == {"open": [BUNDLED_PANEL], "csv": []}
 
     @pytest.mark.parametrize(
         "edit",
@@ -364,7 +375,7 @@ class TestReadPaths:
         ],
         ids=["quoted-cell", "lone-cr", "trailing-comma"],
     )
-    def test_other_files_are_read_through_read_table(self, edit, tmp_path, read_table_calls):
+    def test_other_files_are_read_through_read_table(self, edit, tmp_path, reads):
         with open(BUNDLED_PANEL, "rb") as fh:
             data = fh.read()
         path = tmp_path / "AL_113.csv"
@@ -372,13 +383,22 @@ class TestReadPaths:
         assert path.read_bytes() != data
         expected = ingest_panel(BUNDLED_PANEL)
         panel = ingest_panel(str(path))
-        assert read_table_calls == [str(path)]
+        assert reads == {"open": [BUNDLED_PANEL, str(path)], "csv": [str(path)]}
         assert panel.start == expected.start
         assert np.array_equal(panel.levels, expected.levels)
 
-    def test_a_row_short_of_an_unused_column_is_read_through_read_table(
-        self, tmp_path, read_table_calls
-    ):
+    @pytest.mark.parametrize("cell, error", [("x", MalformedValue), ("-1", NonPositiveValue)])
+    def test_a_bad_cell_in_a_plain_file_is_read_in_one_pass(self, cell, error, tmp_path, reads):
+        path = tmp_path / "AL_113.csv"
+        rows = panel_rows(QuarterDate(2005, 1), 6)
+        rows[4][3] = cell
+        write_rows(path, rows)
+        with pytest.raises(error) as err:
+            ingest_panel(str(path))
+        assert (err.value.row, err.value.column) == (4, "wages")
+        assert reads == {"open": [str(path)], "csv": []}
+
+    def test_a_row_short_of_an_unused_column_is_read_through_read_table(self, tmp_path, reads):
         # Every cell is an integer, so columns misaligned by the short row
         # would still cast.
         path = tmp_path / "AL_113.csv"
@@ -386,11 +406,11 @@ class TestReadPaths:
         rows[1] = rows[1][:-1]
         write_rows(path, rows, header=CSV_COLUMNS + ("note",))
         panel = ingest_panel(str(path))
-        assert read_table_calls == [str(path)]
+        assert reads == {"open": [str(path)], "csv": [str(path)]}
         assert panel.start == QuarterDate(2005, 1)
         assert np.array_equal(panel.levels, np.full((4, 5), 3.0))
 
-    def test_a_quoted_line_break_joins_two_lines(self, tmp_path, read_table_calls):
+    def test_a_quoted_line_break_joins_two_lines(self, tmp_path, reads):
         # Each line has the header's field count, but the csv module reads
         # 2005Q3's line into 2005Q2's note.
         path = tmp_path / "AL_113.csv"
@@ -402,7 +422,23 @@ class TestReadPaths:
         with pytest.raises(GapInQuarters) as err:
             ingest_panel(str(path))
         assert err.value.missing == ["2005Q3"]
-        assert read_table_calls == [str(path)]
+        assert reads == {"open": [str(path)], "csv": [str(path)]}
+
+    @pytest.mark.parametrize("offset", [200, 20000])
+    def test_a_byte_that_is_not_utf8_is_named_at_its_file_position(self, offset, tmp_path, reads):
+        # The csv module reads a file in 8 KiB chunks; the error names the
+        # byte's position in the file, not in its chunk.
+        path = tmp_path / "AL_113.csv"
+        data = "\n".join(csv_lines(panel_rows(QuarterDate(1947, 1), 312, 123456.789012))).encode()
+        assert len(data) > offset
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+        with pytest.raises(MalformedFile) as err:
+            ingest_panel(str(path))
+        assert str(err.value) == (
+            f"{path} is not UTF-8 text: "
+            f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+        )
+        assert reads == {"open": [str(path)], "csv": []}
 
 
 class TestLocationQuotient:

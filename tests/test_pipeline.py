@@ -288,6 +288,12 @@ class TestPlotData:
             self.plot_rows(panel, QuarterDate(2010, 4))
 
 
+def aux_at(aux, name, year, quarter):
+    """The position of (year, quarter) in screening series ``name``'s values."""
+    first, values = aux[name]
+    return QuarterDate(year, quarter).index - first
+
+
 class TestAuxLoading:
     def test_loads_all_kinds(self):
         aux = load_aux_series(DATA_ROOT, ["ME", "AL", "ME"], [322, 113])
@@ -299,11 +305,15 @@ class TestAuxLoading:
             "national_industry_113.csv",
             "national_industry_322.csv",
         ]
-        assert (2001, 1) in aux["national_total.csv"]
+        # Each is a float array from its first quarter, 2001Q1, to 2018Q4.
+        first, values = aux["national_total.csv"]
+        assert first == QuarterDate(2001, 1).index
+        assert values.dtype == float and len(values) == 72
+        assert values[0] == 140414959.11215818 and np.isfinite(values).all()
 
     def test_lq_records_missing_quarter(self):
         aux = load_aux_series(DATA_ROOT, ["AL"], [113])
-        del aux["national_total.csv"][(2013, 2)]
+        aux["national_total.csv"][1][aux_at(aux, "national_total.csv", 2013, 2)] = np.nan
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
         with pytest.raises(MissingColumn):
             lq_records_for_panel(panel, aux)
@@ -311,12 +321,16 @@ class TestAuxLoading:
     def test_lq_records_equal_the_scalar_formula(self):
         aux = load_aux_series(DATA_ROOT, ["ME"], [322])
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "ME_322.csv"))
+
+        def value(name, q):
+            return float(aux[name][1][aux_at(aux, name, q.year, q.quarter)])
+
         expected = [
             location_quotient(
                 float(panel.levels[i, VARIABLES.index("employment")]),
-                aux["state_total_ME.csv"][(q.year, q.quarter)],
-                aux["national_industry_322.csv"][(q.year, q.quarter)],
-                aux["national_total.csv"][(q.year, q.quarter)],
+                value("state_total_ME.csv", q),
+                value("national_industry_322.csv", q),
+                value("national_total.csv", q),
             )
             for i, q in enumerate(map(panel.start.advanced, range(len(panel))))
         ]
@@ -325,12 +339,13 @@ class TestAuxLoading:
     def test_first_bad_quarter_decides_the_error(self):
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
         aux = load_aux_series(DATA_ROOT, ["AL"], [113])
-        aux["state_total_AL.csv"][(2003, 1)] = -5.0
-        del aux["national_total.csv"][(2013, 2)]
+        state_total = aux["state_total_AL.csv"][1]
+        state_total[aux_at(aux, "state_total_AL.csv", 2003, 1)] = -5.0
+        aux["national_total.csv"][1][aux_at(aux, "national_total.csv", 2013, 2)] = np.nan
         with pytest.raises(NonPositiveInput, match=r"-5\.0"):
             lq_records_for_panel(panel, aux)
-        aux["state_total_AL.csv"][(2003, 1)] = 5.0
-        aux["national_industry_113.csv"][(2014, 1)] = 0.0
+        state_total[aux_at(aux, "state_total_AL.csv", 2003, 1)] = 5.0
+        aux["national_industry_113.csv"][1][aux_at(aux, "national_industry_113.csv", 2014, 1)] = 0.0
         with pytest.raises(MissingColumn, match=r"missing 2013Q2 in national_total\.csv$"):
             lq_records_for_panel(panel, aux)
 
@@ -340,8 +355,45 @@ class TestAuxLoading:
     def test_missing_quarter_names_the_file(self, name):
         panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
         aux = load_aux_series(DATA_ROOT, ["AL"], [113])
-        del aux[name][(2010, 3)]
+        aux[name][1][aux_at(aux, name, 2010, 3)] = np.nan
         message = f"^screening series missing 2010Q3 in {re.escape(name)}$"
+        with pytest.raises(MissingColumn, match=message):
+            lq_records_for_panel(panel, aux)
+
+    @pytest.mark.parametrize(
+        "spans, missing",
+        [
+            # (first, last) row kept of each file, in lq's file order, else the whole file.
+            ({"state_total_AL.csv": (9, 71)}, "2001Q1 in state_total_AL.csv"),
+            ({"national_total.csv": (0, 65)}, "2017Q3 in national_total.csv"),
+            ({"national_industry_113.csv": (3, 71), "state_total_AL.csv": (5, 71)},
+             "2001Q1 in state_total_AL.csv"),
+            ({"national_total.csv": (0, 60), "national_industry_113.csv": (0, 60)},
+             "2016Q2 in national_industry_113.csv"),
+            ({"national_industry_113.csv": (0, 70), "national_total.csv": (0, 62)},
+             "2016Q4 in national_total.csv"),
+        ],
+        ids=["starts-after", "ends-before", "both-start-after", "both-end-before", "earliest-end"],
+    )
+    def test_series_shorter_than_the_panel(self, spans, missing, tmp_path):
+        shutil.copytree(os.path.join(DATA_ROOT, "aux"), tmp_path / "aux")
+        for name, (first, last) in spans.items():
+            path = tmp_path / "aux" / name
+            header, *rows = path.read_text().splitlines(keepends=True)
+            path.write_text(header + "".join(rows[first : last + 1]))
+        aux = load_aux_series(str(tmp_path), ["AL"], [113])
+        panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
+        with pytest.raises(MissingColumn, match=f"^screening series missing {re.escape(missing)}$"):
+            lq_records_for_panel(panel, aux)
+
+    @pytest.mark.parametrize(
+        "first, count", [(1990, 20), (2030, 8), (2018, 0)], ids=["before", "after", "empty"]
+    )
+    def test_series_outside_the_panel_lacks_its_first_quarter(self, first, count):
+        panel = ingest_panel(os.path.join(DATA_ROOT, "panels", "AL_113.csv"))
+        aux = load_aux_series(DATA_ROOT, ["AL"], [113])
+        aux["national_industry_113.csv"] = (QuarterDate(first, 1).index, np.ones(count))
+        message = "^screening series missing 2001Q1 in national_industry_113\\.csv$"
         with pytest.raises(MissingColumn, match=message):
             lq_records_for_panel(panel, aux)
 
@@ -368,7 +420,10 @@ class TestAuxLoading:
         message = f"^quarter 2001Q1 duplicated in {re.escape(str(path))}$"
         with pytest.raises(DuplicateQuarter, match=message):
             load(["2001,2,4", "2001,2,6", "2001,1,5,x", "2001,1,8"])
-        assert load(["2001,1,5,x", "2001,2,8"]) == {(2001, 1): 5.0, (2001, 2): 8.0}
+        first, values = load(["2001,2,8", "2002,1,7", "2001,1,5,x"])
+        # Rows in any order; NaN for the two quarters with no row.
+        assert first == QuarterDate(2001, 1).index
+        assert np.array_equal(values, [5.0, 8.0, np.nan, np.nan, 7.0], equal_nan=True)
 
 
 class TestRunPipeline:
@@ -457,6 +512,13 @@ class TestRunPipeline:
         with open(os.path.join(config.out_dir, "manifest.json")) as fh:
             assert json.load(fh) == manifest
         assert len(manifest["timings"]["workers"]) == cpus
+
+    def test_manifest_file_is_the_returned_dict_as_indented_json(self, tmp_path):
+        config = small_run_config(tmp_path)
+        manifest = run_pipeline(config)
+        with open(os.path.join(config.out_dir, "manifest.json"), "rb") as fh:
+            data = fh.read()
+        assert data == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
     def test_determinism_byte_identical(self, tmp_path):
         config_a = small_run_config(tmp_path / "a")

@@ -5,9 +5,9 @@ bytes that may not be UTF-8, a byte-order mark, a quoted cell, CR LF or
 lone CR line ends, a trailing comma, or a whitespace-only line) either
 succeeds or ends with exit 2 and one ``error: <CointegraError subclass>: …``
 line on stderr. It never raises, so it never prints a traceback. Its
-outcome equals that of the same run with every file read by ``read_table``,
-the reference for the one-pass reader; an edit of the file's format alone
-leaves the output as it was."""
+outcome equals that of the same run with every file split by the csv
+module, the reference for the plain-text split; an edit of the file's
+format alone leaves the output as it was."""
 
 import contextlib
 import io
@@ -113,7 +113,7 @@ def test_lq_succeeds_or_names_one_typed_error(name, mutation, data_copy, plain):
     path.write_bytes(mutated(original, mutation))
     try:
         code, out, err = run_lq(data_copy)
-        with mock.patch.object(panel, "_one_pass", return_value=None):
+        with mock.patch.object(panel, "_split_plain", return_value=None):
             reference = run_lq(data_copy)
     finally:
         path.write_bytes(original)
