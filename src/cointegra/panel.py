@@ -7,13 +7,9 @@ quarter ``start.advanced(i)``, and the columns follow :data:`VARIABLES`
 estimator downstream. The matrix is read-only, so every stage can share it
 and a window of it is a view.
 
-Input CSVs are read by ``read_columns``: each file is opened once and
-decoded once. Text that holds no ``"``, no NUL and no carriage return
-other than in CR LF line ends, and whose every non-blank line has the
-header's field count, is split into cells with one ``str.split``; any
-other text (quoted fields, lone CR line ends, ragged rows) by the ``csv``
-module. Either split's cells then go through the same cast and checks,
-so both give the same values and the same errors.
+Input CSVs are read by ``read_columns``: each file is opened once,
+decoded once, split into cells by the ``csv`` module, and cast and
+checked column by column.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -121,31 +116,6 @@ def _read_text(path: str) -> str:
         raise MalformedFile(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _split_plain(text: str) -> tuple[list[str], int, list] | None:
-    """``_split_csv`` of ``text`` with one ``str.split``, for text that
-    holds no ``"``, no NUL and no CR other than in CR LF line ends, has a
-    header and a data row, and whose every non-blank line has the header's
-    field count; None for any other text."""
-    if "\r" in text:  # CR LF ends a line as LF does; a lone CR is left to csv
-        text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    first, *lines = text.split("\n")
-    rows = [line for line in lines if line]  # the csv module skips blank lines
-    header = first.split(",")
-    width = len(header)
-    # A field as long as csv's limit makes csv fail; no line is that long.
-    if (
-        not first
-        or not rows
-        or set(map(str.count, rows, repeat(","))) != {width - 1}
-        or max(map(len, rows)) >= csv.field_size_limit()
-    ):
-        return None
-    cells = ",".join(rows).split(",")
-    return header, len(rows), [cells[i::width] for i in range(width)]
-
-
 def _split_csv(text: str, path: str) -> tuple[list[str], int, list]:
     """The header, the number of data rows, and the cells of each column
     (None past the end of a short row) of CSV ``text``. The first line is
@@ -193,7 +163,7 @@ def read_columns(path: str, columns, casts) -> tuple[list[str], int, list, np.nd
     ``_split_csv``'s errors.
     """
     text = _read_text(path)
-    header, count, cells = _split_plain(text) or _split_csv(text, path)
+    header, count, cells = _split_csv(text, path)
     index = {name: i for i, name in enumerate(header)}
     if any(name not in index for name in columns):
         return header, 0, [], None

@@ -337,34 +337,27 @@ BUNDLED_PANEL = os.path.join(
 
 
 class TestReadPaths:
-    """Every input file is opened once and decoded once. A plain file is
-    split with one ``str.split``, a bad cell in it included; a file that
-    only the csv module splits right (a quoted cell, lone CR line ends, a
-    ragged row) goes through ``_split_csv``, to the same panel. The test
-    names keep ``read_table``, the csv module's reader before the two
-    splits shared one cast."""
+    """Every input file is opened once and decoded once: a plain file, one
+    with a bad cell, and one that only the csv module splits right (a
+    quoted cell, lone CR line ends, a ragged row), which reads to the same
+    panel. The test names keep ``read_table``, the csv module's reader
+    before one reader served every file."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """The paths opened, and the texts given to ``_split_csv``."""
-        calls = {"open": [], "csv": []}
-        split_csv = panel_module._split_csv
+        """The paths opened."""
+        calls = []
 
         def opened(path, *args, **kwargs):
-            calls["open"].append(str(path))
+            calls.append(str(path))
             return open(path, *args, **kwargs)
 
-        def counted(text, path):
-            calls["csv"].append(path)
-            return split_csv(text, path)
-
         monkeypatch.setattr(panel_module, "open", opened, raising=False)
-        monkeypatch.setattr(panel_module, "_split_csv", counted)
         return calls
 
     def test_bundled_panel_is_read_in_one_pass(self, reads):
         assert len(ingest_panel(BUNDLED_PANEL)) == 72
-        assert reads == {"open": [BUNDLED_PANEL], "csv": []}
+        assert reads == [BUNDLED_PANEL]
 
     @pytest.mark.parametrize(
         "edit",
@@ -383,7 +376,7 @@ class TestReadPaths:
         assert path.read_bytes() != data
         expected = ingest_panel(BUNDLED_PANEL)
         panel = ingest_panel(str(path))
-        assert reads == {"open": [BUNDLED_PANEL, str(path)], "csv": [str(path)]}
+        assert reads == [BUNDLED_PANEL, str(path)]
         assert panel.start == expected.start
         assert np.array_equal(panel.levels, expected.levels)
 
@@ -396,7 +389,7 @@ class TestReadPaths:
         with pytest.raises(error) as err:
             ingest_panel(str(path))
         assert (err.value.row, err.value.column) == (4, "wages")
-        assert reads == {"open": [str(path)], "csv": []}
+        assert reads == [str(path)]
 
     def test_a_row_short_of_an_unused_column_is_read_through_read_table(self, tmp_path, reads):
         # Every cell is an integer, so columns misaligned by the short row
@@ -406,7 +399,7 @@ class TestReadPaths:
         rows[1] = rows[1][:-1]
         write_rows(path, rows, header=CSV_COLUMNS + ("note",))
         panel = ingest_panel(str(path))
-        assert reads == {"open": [str(path)], "csv": [str(path)]}
+        assert reads == [str(path)]
         assert panel.start == QuarterDate(2005, 1)
         assert np.array_equal(panel.levels, np.full((4, 5), 3.0))
 
@@ -422,7 +415,7 @@ class TestReadPaths:
         with pytest.raises(GapInQuarters) as err:
             ingest_panel(str(path))
         assert err.value.missing == ["2005Q3"]
-        assert reads == {"open": [str(path)], "csv": [str(path)]}
+        assert reads == [str(path)]
 
     @pytest.mark.parametrize("offset", [200, 20000])
     def test_a_byte_that_is_not_utf8_is_named_at_its_file_position(self, offset, tmp_path, reads):
@@ -438,7 +431,7 @@ class TestReadPaths:
             f"{path} is not UTF-8 text: "
             f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
         )
-        assert reads == {"open": [str(path)], "csv": []}
+        assert reads == [str(path)]
 
 
 class TestLocationQuotient:

@@ -509,16 +509,11 @@ class TestRunPipeline:
         _cpus(monkeypatch, cpus)
         config = small_run_config(tmp_path)
         manifest = run_pipeline(config)
-        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
-            assert json.load(fh) == manifest
-        assert len(manifest["timings"]["workers"]) == cpus
-
-    def test_manifest_file_is_the_returned_dict_as_indented_json(self, tmp_path):
-        config = small_run_config(tmp_path)
-        manifest = run_pipeline(config)
         with open(os.path.join(config.out_dir, "manifest.json"), "rb") as fh:
             data = fh.read()
+        assert json.loads(data) == manifest
         assert data == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+        assert len(manifest["timings"]["workers"]) == cpus
 
     def test_determinism_byte_identical(self, tmp_path):
         config_a = small_run_config(tmp_path / "a")
